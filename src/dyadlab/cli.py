@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import random
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import dense_divergence as dd
 from . import interior_gap as ig
@@ -89,344 +91,338 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     vsub = v.add_subparsers(dest="construction", required=True)
-    vu = vsub.add_parser("universal")
-    vu.add_argument("--suite", required=True, choices=["lemma", "gaps", "integrality", "covering", "escape", "series"])
-    vu.add_argument("--limit", type=_parse_limit, default=uv.IndexJK(2, 15), metavar="j,k")
-    vu.add_argument("--samples", type=int, default=10)
-    vu.add_argument("--seed", type=int, default=0)
-    vu.add_argument("--seq", default=None, help="artifact JSON to verify instead of an in-process build")
-    vu.add_argument("--G", default=None, help="open-set JSON for the series suite")
-    vu.add_argument("--report", default=None)
-    v31 = vsub.add_parser("thm31")
-    v31.add_argument("--suite", required=True, choices=["lower", "outside", "cross", "density", "tail"])
-    v31.add_argument("--jmax", type=int, default=12)
-    v31.add_argument("--samples", type=int, default=10)
-    v31.add_argument("--seed", type=int, default=0)
-    v31.add_argument("--report", default=None)
-    v33 = vsub.add_parser("thm33")
-    v33.add_argument("--suite", required=True, choices=["gaps", "diverge", "converge", "probe"])
-    v33.add_argument("--jmax", type=int, default=6)
-    v33.add_argument("--samples", type=int, default=10)
-    v33.add_argument("--seed", type=int, default=0)
-    v33.add_argument("--seq", default=None)
-    v33.add_argument("--report", default=None)
+    verify = {}
+    for construction in dict.fromkeys(c for c, _ in SUITES):
+        vp = verify[construction] = vsub.add_parser(construction)
+        vp.add_argument("--suite", required=True, choices=[s for c, s in SUITES if c == construction])
+        vp.add_argument("--samples", type=int, default=10)
+        vp.add_argument("--seed", type=int, default=0)
+        vp.add_argument("--report", default=None)
+    for construction in ("universal", "thm33"):
+        verify[construction].add_argument("--seq", default=None, help="artifact JSON to verify instead of an in-process build")
+    verify["universal"].add_argument("--limit", type=_parse_limit, default=uv.IndexJK(2, 15), metavar="j,k")
+    verify["universal"].add_argument("--G", default=None, help="open-set JSON for the series suite")
+    verify["thm31"].add_argument("--jmax", type=int, default=12)
+    verify["thm33"].add_argument("--jmax", type=int, default=6)
 
     e = sub.add_parser("eval", help="tabulate exact partial sums as CSV")
     esub = e.add_subparsers(dest="construction", required=True)
-    eu = esub.add_parser("universal")
-    eu.add_argument("--limits", type=_parse_limit, nargs="+", required=True, metavar="j,k")
-    eu.add_argument("--xs", type=_parse_x, nargs="*", default=[])
-    eu.add_argument("--G", default=None)
-    eu.add_argument("--out", default="-")
-    e31 = esub.add_parser("thm31")
-    e31.add_argument("--jmaxes", type=int, nargs="+", required=True)
-    e31.add_argument("--xs", type=_parse_x, nargs="*", default=[])
-    e31.add_argument("--G", default=None)
-    e31.add_argument("--out", default="-")
-    e33 = esub.add_parser("thm33")
-    e33.add_argument("--jmaxes", type=int, nargs="+", required=True)
-    e33.add_argument("--xs", type=_parse_x, nargs="*", default=[])
-    e33.add_argument("--out", default="-")
+    evals = {}
+    for construction in ("universal", "thm31", "thm33"):
+        ep = evals[construction] = esub.add_parser(construction)
+        ep.add_argument("--xs", type=_parse_x, nargs="*", default=[])
+        ep.add_argument("--out", default="-")
+    evals["universal"].add_argument("--limits", type=_parse_limit, nargs="+", required=True, metavar="j,k")
+    for construction in ("thm31", "thm33"):
+        evals[construction].add_argument("--jmaxes", type=int, nargs="+", required=True)
+    for construction in ("universal", "thm31"):
+        evals[construction].add_argument("--G", default=None)
     return p
 
 
 # ----------------------------- construct ---------------------------------
 
 
+def _seq_summary(seq: GapBlockSeq) -> str:
+    return f"{len(seq.blocks)} blocks, last value {seq.last_value}, total points {_fmt_count(seq.total_count)}"
+
+
 def _cmd_construct(args) -> int:
     if args.construction == "universal":
         seq = uv.build_universal(args.limit)
-        with open(args.out, "w") as fh:
-            json.dump(seq.to_json_dict(), fh, sort_keys=True, separators=(",", ":"))
-        print(
-            f"universal through {args.limit}: {len(seq.blocks)} blocks, "
-            f"last value {seq.last_value}, total points {_fmt_count(seq.total_count)}"
-        )
+        data = seq.to_json_dict()
+        summary = f"universal through {args.limit}: {_seq_summary(seq)}"
     elif args.construction == "thm31":
         cons = dd.build_thm31(args.jmax)
         data = cons.to_json_dict()
         if args.G:
             data["selected_js"] = dd.selected_js(cons, _load_G(args.G, IntervalUnion()))
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
         npoints = sum(int(w.count) for _, _, w in cons.lambda_windows())
-        print(f"thm31 through j={args.jmax}: {len(cons.items)} tents, lattice points {_fmt_count(npoints)}")
+        summary = f"thm31 through j={args.jmax}: {len(cons.items)} tents, lattice points {_fmt_count(npoints)}"
     else:
         cons = ig.build_thm33(args.jmax)
-        with open(args.out, "w") as fh:
-            json.dump(
-                {"jmax": cons.jmax, "seq": cons.seq.to_json_dict(), "f": cons.f.to_json()},
-                fh,
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        print(
-            f"thm33 through decade {args.jmax}: {len(cons.seq.blocks)} blocks, "
-            f"last value {cons.seq.last_value}, total points {_fmt_count(cons.seq.total_count)}"
-        )
+        data = {"jmax": cons.jmax, "seq": cons.seq.to_json_dict(), "f": cons.f.to_json()}
+        summary = f"thm33 through decade {args.jmax}: {_seq_summary(cons.seq)}"
+    with open(args.out, "w") as fh:
+        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+    print(summary)
     return EXIT_PASS
 
 
 # ------------------------------ verify -----------------------------------
+#
+# Each suite is one op `(args, rng) -> reports`.  An op signals incomplete
+# coverage by holding a report with params["skipped"]; that maps to exit 3.
 
 
-def _suite_universal(args) -> tuple[list[WitnessReport], bool]:
-    reports: list[WitnessReport] = []
-    skipped = False
-    limit: uv.IndexJK = args.limit
-    rng = random.Random(args.seed)
+def _load_seq(path: str) -> GapBlockSeq:
+    """A gap-block artifact, bare or wrapped as {"seq": ...} by `construct thm33`."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return GapBlockSeq.from_json_dict(data["seq"] if "seq" in data else data)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: not a gap-block artifact ({type(exc).__name__}: {exc})") from None
 
-    if args.suite == "lemma":
-        for i in uv.indices_through(limit):
-            reports.append(uv.check_lemma_useful(i))
-        return reports, skipped
 
-    seq = uv.build_universal(limit)
-    if args.seq:
-        with open(args.seq) as fh:
-            loaded = GapBlockSeq.from_json_dict(json.load(fh))
-    else:
-        loaded = seq
+def _gaps(args, built: GapBlockSeq, **key) -> list[WitnessReport]:
+    """Gap monotonicity of the artifact (or the build) and its match with the build."""
+    seq = _load_seq(args.seq) if args.seq else built
+    return [
+        seq.check_monotone_gaps(),
+        WitnessReport(
+            claim="artifact-matches-construction",
+            params={**key, "blocks": len(seq.blocks)},
+            lhs=str(seq.last_value),
+            rhs=str(built.last_value),
+            passed=seq.origin == built.origin and seq.blocks == built.blocks,
+        ),
+    ]
 
-    if args.suite == "gaps":
-        reports.append(loaded.check_monotone_gaps())
-        same = loaded.origin == seq.origin and loaded.blocks == seq.blocks
-        reports.append(
-            WitnessReport(
-                claim="artifact-matches-construction",
-                params={"limit": str(limit), "blocks": len(loaded.blocks)},
-                lhs=str(loaded.last_value),
-                rhs=str(seq.last_value),
-                passed=same,
-            )
-        )
-    elif args.suite == "integrality":
-        reports.append(uv.check_integrality(loaded, limit))
-    elif args.suite == "covering":
-        for i in uv.indices_through(limit):
-            if i == limit:
-                break  # the prefix only carries full steps strictly below the limit
-            sc = uv.step_constants(i)
-            ok = 0
-            for s in range(args.samples):
-                x = _sample_in(rng, sc.aI, sc.bI)
-                try:
-                    w = uv.covering_witness(x, i, loaded)
-                    ok += 1
-                except (uv.Violation, IndexError) as exc:
-                    reports.append(
-                        WitnessReport(
-                            claim=f"covering/{i.j},{i.k}/sample{s}",
-                            params={"x": str(x), "error": str(exc)},
-                            passed=False,
-                        )
-                    )
-            reports.append(
-                WitnessReport(
-                    claim=f"covering/{i.j},{i.k}",
-                    params={"samples": args.samples, "seed": args.seed},
-                    lhs=str(ok),
-                    rhs=str(args.samples),
-                    passed=ok == args.samples,
-                )
-            )
-    elif args.suite == "escape":
-        partial, tail = uv.borel_cantelli_partial(max(limit.j, 2))
-        reports.append(
-            WitnessReport(
-                claim="borel-cantelli-partial",
-                params={"jmax": max(limit.j, 2)},
-                lhs=str(partial),
-                rhs=str(partial + tail),
-                passed=partial + tail < Dyadic(2),
-            )
-        )
-        for i in uv.indices_through(limit):
-            if i == limit:
-                break
+
+def _universal_seq(args) -> GapBlockSeq:
+    return _load_seq(args.seq) if args.seq else uv.build_universal(args.limit)
+
+
+def _universal_steps(limit: uv.IndexJK) -> Iterator[uv.IndexJK]:
+    """Indices whose full step the prefix built through `limit` carries."""
+    return (i for i in uv.indices_through(limit) if i != limit)
+
+
+def _universal_lemma(args, rng) -> list[WitnessReport]:
+    return [uv.check_lemma_useful(i) for i in uv.indices_through(args.limit)]
+
+
+def _universal_gaps(args, rng) -> list[WitnessReport]:
+    return _gaps(args, uv.build_universal(args.limit), limit=str(args.limit))
+
+
+def _universal_integrality(args, rng) -> list[WitnessReport]:
+    return [uv.check_integrality(_universal_seq(args), args.limit)]
+
+
+def _universal_covering(args, rng) -> list[WitnessReport]:
+    seq = _universal_seq(args)
+    reports = []
+    for i in _universal_steps(args.limit):
+        sc = uv.step_constants(i)
+        ok = 0
+        for s in range(args.samples):
+            x = _sample_in(rng, sc.aI, sc.bI)
             try:
-                _, rep = uv.escape_measure_bruteforce(i, loaded)
-                reports.append(rep)
-            except uv.BudgetExceeded as exc:
-                skipped = True
+                uv.covering_witness(x, i, seq)
+                ok += 1
+            except (uv.Violation, IndexError) as exc:
                 reports.append(
                     WitnessReport(
-                        claim=f"escape-measure/{i.j},{i.k}",
-                        params={"skipped": True, "reason": str(exc)},
-                        passed=True,
+                        claim=f"covering/{i.j},{i.k}/sample{s}",
+                        params={"x": str(x), "error": str(exc)},
+                        passed=False,
                     )
                 )
-    elif args.suite == "series":
-        G = _load_G(args.G, IntervalUnion([DyInterval.open(0, 2)]))
-        uG = uv.build_uG(G, limit)
-        prefixes = []
-        i = uv.IndexJK(1, 1)
-        while True:
-            prefixes.append(uv.build_universal(i))
-            if i == limit:
-                break
-            i = i.successor()
-        for jk, _ in uG:
-            sc = uv.step_constants(jk)
-            for s in range(args.samples):
-                x = _sample_in(rng, sc.aI, sc.bI)
-                counts = [uv.fG_partial_sum(x, uG, p) for p in prefixes]
-                nondecreasing = all(a <= b for a, b in zip(counts, counts[1:]))
-                hit = counts[-1] >= 1
-                reports.append(
-                    WitnessReport(
-                        claim=f"series/{jk.j},{jk.k}/sample{s}",
-                        params={"x": str(x), "counts": [str(c) for c in counts]},
-                        lhs=str(counts[-1]),
-                        rhs=">=1, nondecreasing",
-                        passed=nondecreasing and hit,
-                    )
-                )
-    else:
-        raise AssertionError(args.suite)
-    return reports, skipped
-
-
-def _suite_thm31(args) -> tuple[list[WitnessReport], bool]:
-    cons = dd.build_thm31(args.jmax)
-    rng = random.Random(args.seed)
-    reports: list[WitnessReport] = []
-
-    if args.suite == "lower":
-        for it in cons.items:
-            for _ in range(args.samples):
-                x = _sample_in(rng, it.interval.lo, it.interval.hi)
-                reports.append(dd.lower_bound_check(cons, it.j, x))
-    elif args.suite == "outside":
-        for it in cons.items:
-            jd = Dyadic(it.j)
-            if it.tripled.lo <= -jd and it.tripled.hi >= jd:
-                reports.append(
-                    WitnessReport(
-                        claim=f"thm31-outside/{it.j}",
-                        params={"j": it.j, "note": "domain empty: tripled interval covers [-j, j]"},
-                        passed=True,
-                    )
-                )
-                continue
-            done = 0
-            attempts = 0
-            while done < args.samples and attempts < args.samples * 200:
-                attempts += 1
-                x = _sample_in(rng, -jd, jd)
-                if it.tripled.contains(x):
-                    continue
-                reports.append(dd.outside_zero_check(cons, it.j, x))
-                done += 1
-    elif args.suite == "cross":
-        for j0 in range(dd.LAMBDA2_MIN_J, cons.jmax + 1):
-            for j in range(1, cons.jmax + 1):
-                if j != j0:
-                    reports.append(dd.cross_term_zero_check(cons, j0, j, Dyadic(0)))
-        reports.append(dd.cross_term_zero_check(cons, 1, 2, Dyadic(0)))  # informational
-    elif args.suite == "density":
-        for j in range(dd.LAMBDA2_MIN_J, cons.jmax + 1):
-            reports.append(dd.density_window_check(cons, j))
-        reports.append(dd.find_gap_increase(cons))
-        for j in range(dd.LAMBDA2_MIN_J, cons.jmax + 1):
-            for _ in range(max(1, args.samples // 2)):
-                x = _sample_in(rng, Dyadic(-j), Dyadic(j))
-                reports.append(dd.lambda2_hit_count(cons, j, x))
-    elif args.suite == "tail":
-        for _ in range(args.samples):
-            x = _sample_in(rng, Dyadic(-cons.jmax), Dyadic(cons.jmax))
-            reports.append(dd.lambda2_total_check(cons, x))
-    else:
-        raise AssertionError(args.suite)
-    return reports, False
-
-
-def _suite_thm33(args) -> tuple[list[WitnessReport], bool]:
-    cons = ig.build_thm33(args.jmax)
-    rng = random.Random(args.seed)
-    reports: list[WitnessReport] = []
-
-    if args.suite == "gaps":
-        seq = cons.seq
-        if args.seq:
-            with open(args.seq) as fh:
-                data = json.load(fh)
-            loaded = GapBlockSeq.from_json_dict(data["seq"] if "seq" in data else data)
-        else:
-            loaded = seq
-        reports.append(loaded.check_monotone_gaps())
-        same = loaded.origin == seq.origin and loaded.blocks == seq.blocks
         reports.append(
             WitnessReport(
-                claim="artifact-matches-construction",
-                params={"jmax": args.jmax, "blocks": len(loaded.blocks)},
-                lhs=str(loaded.last_value),
-                rhs=str(seq.last_value),
-                passed=same,
+                claim=f"covering/{i.j},{i.k}",
+                params={"samples": args.samples, "seed": args.seed},
+                lhs=str(ok),
+                rhs=str(args.samples),
+                passed=ok == args.samples,
             )
         )
-    elif args.suite == "diverge":
-        for xs in ("0", "1*2^-1", "1"):
-            x = Dyadic.parse(xs)
-            prev = None
-            vals = []
-            for m in range(1, cons.jmax + 1):
-                s = ig.divergence_partial(cons, x, m)
-                vals.append(str(s))
-                ok = prev is None or s > prev
-                prev = s
+    return reports
+
+
+def _universal_escape(args, rng) -> list[WitnessReport]:
+    jmax = max(args.limit.j, 2)
+    partial, tail = uv.borel_cantelli_partial(jmax)
+    reports = [
+        WitnessReport(
+            claim="borel-cantelli-partial",
+            params={"jmax": jmax},
+            lhs=str(partial),
+            rhs=str(partial + tail),
+            passed=partial + tail < Dyadic(2),
+        )
+    ]
+    seq = _universal_seq(args)
+    for i in _universal_steps(args.limit):
+        try:
+            reports.append(uv.escape_measure_bruteforce(i, seq)[1])
+        except uv.BudgetExceeded as exc:
             reports.append(
                 WitnessReport(
-                    claim=f"thm33-diverge/x={xs}",
-                    params={"partials": vals},
-                    lhs=vals[0],
-                    rhs=vals[-1],
-                    passed=all(
-                        Dyadic.parse(a) < Dyadic.parse(b) for a, b in zip(vals, vals[1:])
-                    ),
+                    claim=f"escape-measure/{i.j},{i.k}",
+                    params={"skipped": True, "reason": str(exc)},
+                    passed=True,
                 )
             )
+    return reports
+
+
+def _universal_series(args, rng) -> list[WitnessReport]:
+    """fG counts over the prefixes through (1,1), ..., limit, all read off one
+    build: the prefix through index i is its first 2*position(i) blocks."""
+    limit: uv.IndexJK = args.limit
+    if limit == uv.IndexJK(1, 0):
+        raise ValueError("--limit 1,0 leaves no prefix to count: prefixes start at 1,1")
+    G = _load_G(args.G, IntervalUnion([DyInterval.open(0, 2)]))
+    uG = uv.build_uG(G, limit)
+    seq = uv.build_universal(limit)
+    ends = [2 * i.position() for i in uv.indices_through(limit)][1:]
+    reports = []
+    for jk, _ in uG:
+        sc = uv.step_constants(jk)
         for s in range(args.samples):
-            x = Dyadic(rng.getrandbits(40), -40)
-            v1 = ig.divergence_partial(cons, x, cons.jmax - 1) if cons.jmax > 1 else None
-            v2 = ig.divergence_partial(cons, x, cons.jmax)
+            x = _sample_in(rng, sc.aI, sc.bI)
+            sums = uv.fG_prefix_sums(x, uG, seq)
+            counts = [sums[n] for n in ends]
             reports.append(
                 WitnessReport(
-                    claim=f"thm33-diverge/sample{s}",
-                    params={"x": str(x)},
-                    lhs=str(v1) if v1 is not None else "",
-                    rhs=str(v2),
-                    passed=v1 is None or v2 > v1,
+                    claim=f"series/{jk.j},{jk.k}/sample{s}",
+                    params={"x": str(x), "counts": [str(c) for c in counts]},
+                    lhs=str(counts[-1]),
+                    rhs=">=1, nondecreasing",
+                    passed=counts == sorted(counts) and counts[-1] >= 1,
                 )
             )
-    elif args.suite == "converge":
-        for s in range(args.samples):
-            x = Dyadic(4) + Dyadic(rng.getrandbits(40), -40)
-            rep = ig.convergence_tail_check(cons, x)
+    return reports
+
+
+def _thm31_lower(args, rng) -> list[WitnessReport]:
+    cons = dd.build_thm31(args.jmax)
+    return [
+        dd.lower_bound_check(cons, it.j, _sample_in(rng, it.interval.lo, it.interval.hi))
+        for it in cons.items
+        for _ in range(args.samples)
+    ]
+
+
+def _thm31_outside(args, rng) -> list[WitnessReport]:
+    cons = dd.build_thm31(args.jmax)
+    reports = []
+    for it in cons.items:
+        jd = Dyadic(it.j)
+        if it.tripled.lo <= -jd and it.tripled.hi >= jd:
             reports.append(
                 WitnessReport(
-                    claim=f"thm33-converge/sample{s}",
-                    params=rep.params,
-                    lhs=rep.lhs,
-                    rhs=rep.rhs,
-                    passed=rep.passed,
+                    claim=f"thm31-outside/{it.j}",
+                    params={"j": it.j, "note": "domain empty: tripled interval covers [-j, j]"},
+                    passed=True,
                 )
             )
-    elif args.suite == "probe":
-        reports.append(ig.thm34_probe(cons, Dyadic.parse("4.5"), args.samples, args.seed))
-    else:
-        raise AssertionError(args.suite)
-    return reports, False
+            continue
+        done = 0
+        attempts = 0
+        while done < args.samples and attempts < args.samples * 200:
+            attempts += 1
+            x = _sample_in(rng, -jd, jd)
+            if it.tripled.contains(x):
+                continue
+            reports.append(dd.outside_zero_check(cons, it.j, x))
+            done += 1
+    return reports
+
+
+def _thm31_cross(args, rng) -> list[WitnessReport]:
+    cons = dd.build_thm31(args.jmax)
+    reports = [
+        dd.cross_term_zero_check(cons, j0, j, Dyadic(0))
+        for j0 in range(dd.LAMBDA2_MIN_J, cons.jmax + 1)
+        for j in range(1, cons.jmax + 1)
+        if j != j0
+    ]
+    reports.append(dd.cross_term_zero_check(cons, 1, 2, Dyadic(0)))  # informational
+    return reports
+
+
+def _thm31_density(args, rng) -> list[WitnessReport]:
+    cons = dd.build_thm31(args.jmax)
+    js = range(dd.LAMBDA2_MIN_J, cons.jmax + 1)
+    reports = [dd.density_window_check(cons, j) for j in js]
+    reports.append(dd.find_gap_increase(cons))
+    for j in js:
+        for _ in range(max(1, args.samples // 2)):
+            reports.append(dd.lambda2_hit_count(cons, j, _sample_in(rng, Dyadic(-j), Dyadic(j))))
+    return reports
+
+
+def _thm31_tail(args, rng) -> list[WitnessReport]:
+    cons = dd.build_thm31(args.jmax)
+    jd = Dyadic(cons.jmax)
+    return [dd.lambda2_total_check(cons, _sample_in(rng, -jd, jd)) for _ in range(args.samples)]
+
+
+def _thm33_gaps(args, rng) -> list[WitnessReport]:
+    return _gaps(args, ig.build_thm33(args.jmax).seq, jmax=args.jmax)
+
+
+def _thm33_diverge(args, rng) -> list[WitnessReport]:
+    cons = ig.build_thm33(args.jmax)
+    reports = []
+    for xs in ("0", "1*2^-1", "1"):
+        x = Dyadic.parse(xs)
+        partials = [ig.divergence_partial(cons, x, m) for m in range(1, cons.jmax + 1)]
+        reports.append(
+            WitnessReport(
+                claim=f"thm33-diverge/x={xs}",
+                params={"partials": [str(p) for p in partials]},
+                lhs=str(partials[0]),
+                rhs=str(partials[-1]),
+                passed=all(a < b for a, b in zip(partials, partials[1:])),
+            )
+        )
+    for s in range(args.samples):
+        x = Dyadic(rng.getrandbits(40), -40)
+        v1 = ig.divergence_partial(cons, x, cons.jmax - 1) if cons.jmax > 1 else None
+        v2 = ig.divergence_partial(cons, x, cons.jmax)
+        reports.append(
+            WitnessReport(
+                claim=f"thm33-diverge/sample{s}",
+                params={"x": str(x)},
+                lhs=str(v1) if v1 is not None else "",
+                rhs=str(v2),
+                passed=v1 is None or v2 > v1,
+            )
+        )
+    return reports
+
+
+def _thm33_converge(args, rng) -> list[WitnessReport]:
+    cons = ig.build_thm33(args.jmax)
+    return [
+        dataclasses.replace(
+            ig.convergence_tail_check(cons, Dyadic(4) + Dyadic(rng.getrandbits(40), -40)),
+            claim=f"thm33-converge/sample{s}",
+        )
+        for s in range(args.samples)
+    ]
+
+
+def _thm33_probe(args, rng) -> list[WitnessReport]:
+    return [ig.thm34_probe(ig.build_thm33(args.jmax), Dyadic.parse("4.5"), args.samples, args.seed)]
+
+
+SUITES = {
+    ("universal", "lemma"): _universal_lemma,
+    ("universal", "gaps"): _universal_gaps,
+    ("universal", "integrality"): _universal_integrality,
+    ("universal", "covering"): _universal_covering,
+    ("universal", "escape"): _universal_escape,
+    ("universal", "series"): _universal_series,
+    ("thm31", "lower"): _thm31_lower,
+    ("thm31", "outside"): _thm31_outside,
+    ("thm31", "cross"): _thm31_cross,
+    ("thm31", "density"): _thm31_density,
+    ("thm31", "tail"): _thm31_tail,
+    ("thm33", "gaps"): _thm33_gaps,
+    ("thm33", "diverge"): _thm33_diverge,
+    ("thm33", "converge"): _thm33_converge,
+    ("thm33", "probe"): _thm33_probe,
+}
 
 
 def _cmd_verify(args) -> int:
-    if args.construction == "universal":
-        reports, skipped = _suite_universal(args)
-    elif args.construction == "thm31":
-        reports, skipped = _suite_thm31(args)
-    else:
-        reports, skipped = _suite_thm33(args)
-
+    reports = SUITES[args.construction, args.suite](args, random.Random(args.seed))
     failures = [r for r in reports if not r.passed and not r.is_informational()]
     for r in sorted(reports, key=lambda r: r.claim):
         status = "PASS" if r.passed else "FAIL"
@@ -436,7 +432,7 @@ def _cmd_verify(args) -> int:
         write_reports(args.report, reports)
     if failures:
         return EXIT_FAIL
-    if skipped:
+    if any(r.params.get("skipped") for r in reports):
         return EXIT_SKIP
     return EXIT_PASS
 
@@ -444,54 +440,38 @@ def _cmd_verify(args) -> int:
 # ------------------------------- eval ------------------------------------
 
 
-def _csv_out(path: str):
-    if path == "-":
-        return sys.stdout
-    return open(path, "w", newline="")
+def _universal_sum(G: IntervalUnion, limit: uv.IndexJK):
+    uG, seq = uv.build_uG(G, limit), uv.build_universal(limit)
+    return lambda x: Dyadic(uv.fG_partial_sum(x, uG, seq))
 
 
 def _cmd_eval(args) -> int:
-    rows = []
-    if args.construction == "universal":
-        G = _load_G(args.G, IntervalUnion([DyInterval.open(-1000, 1000)]))
-        for limit in args.limits:
-            uG = uv.build_uG(G, limit)
-            seq = uv.build_universal(limit)
-            for x in args.xs:
-                try:
-                    s = Dyadic(uv.fG_partial_sum(x, uG, seq))
-                    rows.append((x, str(limit), s, ""))
-                except (GuardExceeded, NotExact) as exc:
-                    rows.append((x, str(limit), None, str(exc)))
-    elif args.construction == "thm31":
-        G = _load_G(args.G, IntervalUnion([DyInterval.open(-1000, 1000)]))
-        for jmax in args.jmaxes:
-            cons = dd.build_thm31(jmax)
-            for x in args.xs:
-                try:
-                    s = dd.fG_sum_partial_31(cons, x, G, include_lambda1=True, include_lambda2=True)
-                    rows.append((x, str(jmax), s, ""))
-                except (GuardExceeded, NotExact) as exc:
-                    rows.append((x, str(jmax), None, str(exc)))
+    """One CSV row per (size, x); sizes are built lazily, one at a time."""
+    if args.construction == "thm33":
+        sums = ((str(j), functools.partial(ig.divergence_partial, ig.build_thm33(j))) for j in args.jmaxes)
     else:
-        for jmax in args.jmaxes:
-            cons = ig.build_thm33(jmax)
-            for x in args.xs:
-                try:
-                    s = ig.divergence_partial(cons, x)
-                    rows.append((x, str(jmax), s, ""))
-                except (GuardExceeded, NotExact, uv.OutOfInterval) as exc:
-                    rows.append((x, str(jmax), None, str(exc)))
+        G = _load_G(args.G, IntervalUnion([DyInterval.open(-1000, 1000)]))
+        if args.construction == "universal":
+            sums = ((str(limit), _universal_sum(G, limit)) for limit in args.limits)
+        else:
+            sums = (
+                (str(j), functools.partial(dd.fG_sum_partial_31, dd.build_thm31(j), G=G, include_lambda2=True))
+                for j in args.jmaxes
+            )
+    rows = []
+    for size, fsum in sums:
+        for x in args.xs:
+            try:
+                s = fsum(x)
+                rows.append([str(x), size, str(s), s.to_decimal() or "", ""])
+            except (GuardExceeded, NotExact, uv.OutOfInterval) as exc:
+                rows.append([str(x), size, "", "", str(exc)])
 
-    fh = _csv_out(args.out)
+    fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:
         w = csv.writer(fh)
         w.writerow(["x", "limit", "sum_dyadic", "sum_decimal", "error"])
-        for x, limit, s, err in rows:
-            if s is None:
-                w.writerow([str(x), limit, "", "", err])
-            else:
-                w.writerow([str(x), limit, str(s), s.to_decimal() or "", ""])
+        w.writerows(rows)
     finally:
         if fh is not sys.stdout:
             fh.close()

@@ -91,10 +91,6 @@ class Dyadic:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def pow2(cls, exponent: int) -> "Dyadic":
-        return cls(1, exponent)
-
-    @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse 'm*2^e', a plain integer, or an exact decimal like '0.75'."""
         s = text.strip()

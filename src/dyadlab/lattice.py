@@ -317,7 +317,7 @@ def count_ap_in_periodic(
     if k_hi < k_lo:
         return 0
     n = k_hi - k_lo + 1
-    (a0, s, p, w), _ = _scaled4(start + step * k_lo - ps.base, step, ps.period, ps.width)
+    (a0, s, p, w), _ = scaled_ints((start + step * k_lo - ps.base, step, ps.period, ps.width))
     hi = w if closed_right else w - 1
     lo = 0 if closed_left else 1
     if hi < lo:
@@ -325,11 +325,6 @@ def count_ap_in_periodic(
     # residue in [lo, hi]  <=>  floor((a - lo)/p) - floor((a - hi - 1)/p) == 1
     total = floor_sum(n, p, a0 - lo, s) - floor_sum(n, p, a0 - hi - 1, s)
     return total
-
-
-def _scaled4(*vals: Dyadic) -> tuple[tuple[int, ...], int]:
-    ints, e = scaled_ints(vals)
-    return tuple(ints), e
 
 
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:

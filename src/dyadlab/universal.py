@@ -41,6 +41,7 @@ __all__ = [
     "check_integrality",
     "covering_witness",
     "build_uG",
+    "fG_prefix_sums",
     "fG_partial_sum",
     "escape_bound",
     "escape_measure_bruteforce",
@@ -307,22 +308,29 @@ def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIn
     return out
 
 
+def fG_prefix_sums(
+    x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
+) -> list[int]:
+    """Running counts #{n in prefix : x + value_at(n) lands in some comb of uG}.
+
+    Entry b counts the origin and the points of the first b blocks, so entry
+    2*i.position() is the count for the prefix `build_universal(i)`.  Combs of
+    distinct indices live in disjoint ranges [a, b], so the per-comb counts
+    add without double counting.
+    """
+    total = sum(1 for _, ps in uG if ps.contains(x + seq.origin))
+    sums = [total]
+    for first, gap, count in seq.segments_in_range(1, seq.total_count - 1):
+        total += sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
+        sums.append(total)
+    return sums
+
+
 def fG_partial_sum(
     x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
 ) -> int:
-    """#{n in prefix : x + value_at(n) lands in some comb of uG}, exactly.
-
-    Combs of distinct indices live in disjoint ranges [a, b], so the per-comb
-    counts add without double counting.
-    """
-    total = 0
-    segments = seq.segments_in_range(1, seq.total_count - 1)
-    for _, ps in uG:
-        if ps.contains(x + seq.origin):
-            total += 1
-        for first, gap, count in segments:
-            total += count_ap_in_periodic(x + first, gap, count, ps)
-    return total
+    """The count of `fG_prefix_sums` over the whole prefix."""
+    return fG_prefix_sums(x, uG, seq)[-1]
 
 
 def escape_bound(i: IndexJK) -> Dyadic:

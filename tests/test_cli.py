@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, main
 
 
@@ -105,6 +107,12 @@ class TestVerify:
         )
         assert code == EXIT_PASS
 
+    def test_series_at_first_index_is_usage_error(self, capsys):
+        # the series prefixes start at (1,1); (1,0) has no prefix to count over
+        code, stdout, stderr = run(capsys, "verify", "universal", "--suite", "series", "--limit", "1,0")
+        assert code == EXIT_USAGE
+        assert stdout == "" and len(stderr.strip().splitlines()) == 1
+
     def test_thm31_lower(self, capsys):
         code, _, _ = run(
             capsys, "verify", "thm31", "--suite", "lower", "--jmax", "8", "--samples", "10"
@@ -135,6 +143,28 @@ class TestVerify:
             capsys, "verify", "thm33", "--suite", "gaps", "--jmax", "3", "--seq", str(art)
         )
         assert code == EXIT_FAIL
+
+    @pytest.mark.parametrize("construction", ["universal", "thm33"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"origin": "15*2^0"}',
+            "[1, 2]",
+            '{"blocks": []}',
+            '{"seq": {"blocks": []}}',
+            '{"origin": "15*2^0", "blocks": [5]}',
+        ],
+    )
+    def test_malformed_artifact_is_usage_error(self, capsys, tmp_path, construction, content):
+        art = tmp_path / "bad.json"
+        art.write_text(content)
+        size = ["--limit", "1,1"] if construction == "universal" else ["--jmax", "1"]
+        code, stdout, stderr = run(
+            capsys, "verify", construction, "--suite", "gaps", *size, "--seq", str(art)
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert len(stderr.strip().splitlines()) == 1 and "not a gap-block artifact" in stderr
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

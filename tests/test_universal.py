@@ -24,6 +24,7 @@ from dyadlab.universal import (
     escape_bound,
     escape_measure_bruteforce,
     fG_partial_sum,
+    fG_prefix_sums,
     indices_through,
     row_width,
     smooth_indicator,
@@ -328,6 +329,26 @@ class TestUGAndSeries:
             b = fG_partial_sum(x, uG, longer)
             assert a >= 1
             assert b >= a
+
+    def test_prefix_sums_match_per_prefix_builds(self):
+        # the prefix built through i is the first 2*position(i) blocks of a
+        # longer build, so one pass yields every per-prefix count
+        limit = IndexJK(2, 5)
+        full = build_universal(limit)
+        prefixes = {i: build_universal(i) for i in indices_through(limit)}
+        rng = random.Random(1618)
+        for g in (IntervalUnion([DyInterval.open(0, 2)]), IntervalUnion([DyInterval.open(-100, 100)])):
+            uG = build_uG(g, limit)
+            xs = [dy("0.75"), dy("1.5"), Dyadic(-3)]
+            for i, _ in uG:
+                sc = step_constants(i)
+                xs.append(sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(30), -30))
+            for x in xs:
+                sums = fG_prefix_sums(x, uG, full)
+                assert len(sums) == len(full.blocks) + 1
+                for i, prefix in prefixes.items():
+                    assert sums[2 * i.position()] == fG_partial_sum(x, uG, prefix), (x, i)
+                assert sums[-1] >= 1 or x == Dyadic(-3)
 
 
 class TestEscape:
