@@ -28,6 +28,7 @@ from .exactnum import (
     IntervalUnion,
     NotExact,
     set_span_guard,
+    span_guard,
 )
 from .lattice import GapBlockSeq
 from .report import WitnessReport, write_reports
@@ -484,9 +485,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.span_guard is not None:
-        set_span_guard(args.span_guard)
+    old_guard = span_guard()
     try:
+        if args.span_guard is not None:
+            set_span_guard(args.span_guard)
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify":
@@ -501,6 +503,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NotExact, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        set_span_guard(old_guard)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import count_ap_in_interval, sum_pl_over_ap
+from .lattice import _ap_index_range, count_ap_in_interval, sum_pl_over_ap
 from .report import WitnessReport
 from .universal import OutOfInterval
 
@@ -149,21 +149,17 @@ class Thm31Construction:
         }
 
 
-def _lattice_window(lo: Dyadic, hi: Dyadic, step: Dyadic, closed_lo: bool, closed_hi: bool) -> APWindow:
-    q, r = divmod(lo, step)
-    if r:
-        first = step * (q + 1)
-    else:
-        first = step * q if closed_lo else step * (q + 1)
-    q, r = divmod(hi, step)
-    if r:
-        last = step * q
-    else:
-        last = step * q if closed_hi else step * (q - 1)
-    if last < first:
-        raise ValueError(f"empty lattice window [{lo}, {hi}] step {step}")
-    count = (last - first).div_exact(step).as_integer() + 1
-    return APWindow(first, step, count)
+def _lattice_window(iv: DyInterval, step: Dyadic) -> APWindow:
+    """The points of the lattice step*Z inside iv."""
+    k_lo, k_hi = _ap_index_range(ZERO, step, iv)
+    if k_hi < k_lo:
+        raise ValueError(f"empty lattice window {iv} step {step}")
+    return APWindow(step * k_lo, step, k_hi - k_lo + 1)
+
+
+def _coarse_span(j: int) -> DyInterval:
+    """(2^(j-1) + 2(j-1), 2^j + 2j]: the window the coarse lattice fills at j."""
+    return DyInterval(Dyadic(1, j - 1) + Dyadic(2 * (j - 1)), Dyadic(1, j) + Dyadic(2 * j), False, True)
 
 
 def build_thm31(jmax: int) -> Thm31Construction:
@@ -174,12 +170,8 @@ def build_thm31(jmax: int) -> Thm31Construction:
         a = Dyadic(1, j)
         b = a + Dyadic(1, -(2**j))
         step1 = Dyadic(1, -(2**j) - j)
-        lam1 = _lattice_window(a - iv.hi, b - iv.lo, step1, True, True)
-        lam2 = None
-        if j >= LAMBDA2_MIN_J:
-            lo2 = Dyadic(1, j - 1) + Dyadic(2 * (j - 1))
-            hi2 = Dyadic(1, j) + Dyadic(2 * j)
-            lam2 = _lattice_window(lo2, hi2, Dyadic(1, -j), False, True)
+        lam1 = _lattice_window(DyInterval.closed(a - iv.hi, b - iv.lo), step1)
+        lam2 = _lattice_window(_coarse_span(j), Dyadic(1, -j)) if j >= LAMBDA2_MIN_J else None
         items.append(
             Thm31Item(
                 j=j,
@@ -302,11 +294,10 @@ def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
     )
 
 
-def lambda2_total_check(cons: Thm31Construction, x: Dyadic, jmax: int | None = None) -> WitnessReport:
+def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     """Summability skeleton for the coarse family: the per-tent contributions
     beyond max(10, ceil|x|) stay under the geometric bound, term by term."""
-    if jmax is None:
-        jmax = cons.jmax
+    jmax = cons.jmax
     mx = max(LAMBDA2_MIN_J, abs(x).ceil())
     lam2_windows = [w for fam, _, w in cons.lambda_windows() if fam == "lambda2"]
 
@@ -356,17 +347,16 @@ def density_window_check(cons: Thm31Construction, j: int) -> WitnessReport:
     if it.lam2 is None:
         raise ValueError(f"no coarse lattice at j={j}")
     win = it.lam2
-    lo2 = Dyadic(1, j - 1) + Dyadic(2 * (j - 1))
-    hi2 = Dyadic(1, j) + Dyadic(2 * j)
-    cover_left = win.start - lo2
-    cover_right = hi2 - win.last()
+    span = _coarse_span(j)
+    cover_left = win.start - span.lo
+    cover_right = span.hi - win.last()
     step = win.step
     ok = cover_left <= step and cover_right == ZERO and step == Dyadic(1, -j)
     return WitnessReport(
         claim=f"thm31-density/{j}",
         params={
             "j": j,
-            "window": str(DyInterval(lo2, hi2, False, True)),
+            "window": str(span),
             "points": str(win.count),
             "left_offset": str(cover_left),
         },
@@ -376,35 +366,17 @@ def density_window_check(cons: Thm31Construction, j: int) -> WitnessReport:
     )
 
 
-def _point_after(cons: Thm31Construction, t: Dyadic) -> Dyadic | None:
-    best = None
+def _neighbours(cons: Thm31Construction, t: Dyadic) -> tuple[Dyadic | None, Dyadic | None]:
+    """The nearest merged-lattice points strictly before and strictly after t."""
+    before, after = [], []
     for _, _, win in cons.lambda_windows():
-        if t < win.start:
-            cand = win.start
-        else:
-            k = (t - win.start) // win.step + 1
-            if k >= win.count:
-                continue
-            cand = win.start + win.step * k
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _point_before(cons: Thm31Construction, t: Dyadic) -> Dyadic | None:
-    best = None
-    for _, _, win in cons.lambda_windows():
-        if t <= win.start:
-            continue
-        q, r = divmod(t - win.start, win.step)
-        k = q - 1 if not r else q
-        k = min(k, win.count - 1)
-        if k < 0:
-            continue
-        cand = win.start + win.step * k
-        if best is None or cand > best:
-            best = cand
-    return best
+        k = min(win.count - 1, -((win.start - t) // win.step) - 1)  # ceil((t-start)/step) - 1
+        if k >= 0:
+            before.append(win.start + win.step * k)
+        k = max(0, (t - win.start) // win.step + 1)
+        if k < win.count:
+            after.append(win.start + win.step * k)
+    return max(before, default=None), min(after, default=None)
 
 
 def find_gap_increase(cons: Thm31Construction) -> WitnessReport:
@@ -412,8 +384,7 @@ def find_gap_increase(cons: Thm31Construction) -> WitnessReport:
     construction from any decreasing-gap sequence."""
     for it in cons.items:
         t = it.lam1.last()
-        nxt = _point_after(cons, t)
-        prv = _point_before(cons, t)
+        prv, nxt = _neighbours(cons, t)
         if nxt is None or prv is None:
             continue
         gap_before = t - prv

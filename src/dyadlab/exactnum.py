@@ -67,6 +67,8 @@ def set_span_guard(bits: int) -> int:
     return old
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+
 _DYADIC_RE = re.compile(r"^(-?\d+)(?:\*2\^(-?\d+))?$")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d+))?$")
 
@@ -278,10 +280,6 @@ class Dyadic:
             return NotImplemented
         return self.m == o.m and self.e == o.e
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -307,7 +305,11 @@ class Dyadic:
         return self._cmp(o) >= 0
 
     def __hash__(self) -> int:
-        return hash((self.m, self.e))
+        # Python's numeric hash, m*2^e reduced modulo a Mersenne prime, so an
+        # integer-valued Dyadic hashes as the int it equals.
+        h = abs(self.m) % _HASH_MODULUS * pow(2, self.e, _HASH_MODULUS) % _HASH_MODULUS
+        h = h if self.m >= 0 else -h
+        return -2 if h == -1 else h
 
 
 ZERO = Dyadic(0)
@@ -436,7 +438,8 @@ class IntervalUnion:
 
     def __init__(self, parts: Iterable[DyInterval] = ()):
         merged: list[DyInterval] = []
-        for iv in _sorted_intervals(list(parts)):
+        # open lo sorts after closed lo at the same point
+        for iv in sorted(parts, key=lambda iv: (iv.lo, not iv.closed_lo)):
             if merged and _touches(merged[-1], iv):
                 merged[-1] = _merge(merged[-1], iv)
             else:
@@ -445,9 +448,6 @@ class IntervalUnion:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalUnion is immutable")
-
-    def insert(self, iv: DyInterval) -> "IntervalUnion":
-        return IntervalUnion(list(self.parts) + [iv])
 
     def measure(self) -> Dyadic:
         total = ZERO
@@ -487,19 +487,6 @@ class IntervalUnion:
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "IntervalUnion":
         return cls(DyInterval.parse(s) for s in items)
-
-
-def _sorted_intervals(items: list[DyInterval]) -> list[DyInterval]:
-    import functools
-
-    def cmp(a: DyInterval, b: DyInterval) -> int:
-        c = a.lo._cmp(b.lo)
-        if c:
-            return c
-        # open lo sorts after closed lo at the same point
-        return (not a.closed_lo) - (not b.closed_lo)
-
-    return sorted(items, key=functools.cmp_to_key(cmp))
 
 
 def _touches(a: DyInterval, b: DyInterval) -> bool:

@@ -9,6 +9,7 @@ never by iterating periods.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -78,37 +79,29 @@ class GapBlockSeq:
     def last_value(self) -> Dyadic:
         return self._cum_values[-1] if self.blocks else self.origin
 
+    def _block_start(self, b: int) -> tuple[int, Dyadic]:
+        """(index, value) of the point just before block b."""
+        return (self._cum_counts[b - 1], self._cum_values[b - 1]) if b else (0, self.origin)
+
     def value_at(self, n: int) -> Dyadic:
         """Exact n-th point via block-wise closed form."""
         if n < 0 or n >= self.total_count:
             raise IndexError(f"index {n} outside [0, {self.total_count})")
         if n == 0:
             return self.origin
-        lo, hi = 0, len(self.blocks) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cum_counts[mid] < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        prev_n = self._cum_counts[lo - 1] if lo else 0
-        prev_v = self._cum_values[lo - 1] if lo else self.origin
-        return prev_v + self.blocks[lo].gap * (n - prev_n)
+        b = bisect_left(self._cum_counts, n)
+        prev_n, prev_v = self._block_start(b)
+        return prev_v + self.blocks[b].gap * (n - prev_n)
 
     def count_upto(self, x: Dyadic) -> int:
         """#{n : value_at(n) <= x}, exact, by inverting block prefix sums."""
         if x < self.origin:
             return 0
-        total = 1
-        prev_v = self.origin
-        for b, v in zip(self.blocks, self._cum_values):
-            if x >= v:
-                total += b.count
-                prev_v = v
-                continue
-            total += (x - prev_v) // b.gap
-            break
-        return total
+        b = bisect_right(self._cum_values, x)
+        if b == len(self.blocks):
+            return self.total_count
+        prev_n, prev_v = self._block_start(b)
+        return prev_n + 1 + (x - prev_v) // self.blocks[b].gap
 
     def index_of_step_boundary(self, block_index: int) -> int:
         """Absolute index of the last point of the given block."""
@@ -150,15 +143,14 @@ class GapBlockSeq:
         The origin (index 0) is never part of a block; callers handle it.
         """
         out = []
-        prev_n, prev_v = 0, self.origin
-        for b, cum_n, cum_v in zip(self.blocks, self._cum_counts, self._cum_values):
+        for b in range(bisect_left(self._cum_counts, max(n_lo, 1)), len(self.blocks)):
+            prev_n, prev_v = self._block_start(b)
             lo = max(n_lo, prev_n + 1)
-            hi = min(n_hi, cum_n)
-            if lo <= hi:
-                out.append((prev_v + b.gap * (lo - prev_n), b.gap, hi - lo + 1))
-            prev_n, prev_v = cum_n, cum_v
-            if prev_n >= n_hi:
+            hi = min(n_hi, self._cum_counts[b])
+            if lo > hi:
                 break
+            gap = self.blocks[b].gap
+            out.append((prev_v + gap * (lo - prev_n), gap, hi - lo + 1))
         return out
 
     def iter_points(self) -> Iterator[Dyadic]:
@@ -261,15 +253,8 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         sign = -sign
 
 
-def _ap_index_range(
-    start: Dyadic,
-    step: Dyadic,
-    count: int,
-    iv: DyInterval,
-) -> tuple[int, int]:
-    """Indices k in [0, count) with start + k*step in iv, as [k_lo, k_hi]."""
-    if count <= 0:
-        return 0, -1
+def _ap_index_range(start: Dyadic, step: Dyadic, iv: DyInterval) -> tuple[int, int]:
+    """All integers k with start + k*step in iv, as [k_lo, k_hi]; unclipped."""
     q, r = divmod(iv.lo - start, step)
     if r:
         k_lo = q + 1
@@ -280,51 +265,33 @@ def _ap_index_range(
         k_hi = q
     else:
         k_hi = q if iv.closed_hi else q - 1
-    return max(0, k_lo), min(count - 1, k_hi)
+    return k_lo, k_hi
 
 
 def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval) -> int:
     """#{k in [0, count) : start + k*step in iv}, in O(1) big-integer steps."""
     if not step > ZERO:
         raise ValueError("step must be positive")
-    k_lo, k_hi = _ap_index_range(start, step, count, iv)
-    return max(0, k_hi - k_lo + 1)
+    k_lo, k_hi = _ap_index_range(start, step, iv)
+    return max(0, min(count - 1, k_hi) - max(0, k_lo) + 1)
 
 
-def count_ap_in_periodic(
-    start: Dyadic,
-    step: Dyadic,
-    count: int,
-    ps: PeriodicIntervalSet,
-    closed_left: bool = True,
-    closed_right: bool = True,
-) -> int:
-    """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion.
-
-    The residue window defaults to the closed [0, width] matching the closed
-    components; the flags narrow it to half-open variants where a construction
-    uses them.
-    """
+def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:
+    """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion."""
     if not step > ZERO:
         raise ValueError("step must be positive")
-    if count <= 0:
-        return 0
     # clip to the span covered by full periods: points at or beyond
     # base + count*period can alias into the residue window without any
     # component existing there
     clip = DyInterval(ps.base, ps.base + ps.period * ps.count, True, False)
-    k_lo, k_hi = _ap_index_range(start, step, count, clip)
+    k_lo, k_hi = _ap_index_range(start, step, clip)
+    k_lo, k_hi = max(0, k_lo), min(count - 1, k_hi)
     if k_hi < k_lo:
         return 0
     n = k_hi - k_lo + 1
     (a0, s, p, w), _ = scaled_ints((start + step * k_lo - ps.base, step, ps.period, ps.width))
-    hi = w if closed_right else w - 1
-    lo = 0 if closed_left else 1
-    if hi < lo:
-        return 0
-    # residue in [lo, hi]  <=>  floor((a - lo)/p) - floor((a - hi - 1)/p) == 1
-    total = floor_sum(n, p, a0 - lo, s) - floor_sum(n, p, a0 - hi - 1, s)
-    return total
+    # residue in [0, w]  <=>  floor(a/p) - floor((a - w - 1)/p) == 1
+    return floor_sum(n, p, a0, s) - floor_sum(n, p, a0 - w - 1, s)
 
 
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
@@ -337,15 +304,13 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     if not step > ZERO:
         raise ValueError("step must be positive")
     total = ZERO
-    if count <= 0:
-        return total
     for i in range(len(f.xs) - 1):
         x0, v0 = f.xs[i], f.vs[i]
         x1, v1 = f.xs[i + 1], f.vs[i + 1]
         if not v0 and not v1:
             continue
-        seg = DyInterval(x0, x1, True, False)
-        k_lo, k_hi = _ap_index_range(start, step, count, seg)
+        k_lo, k_hi = _ap_index_range(start, step, DyInterval(x0, x1, True, False))
+        k_lo, k_hi = max(0, k_lo), min(count - 1, k_hi)
         if k_hi < k_lo:
             continue
         n = k_hi - k_lo + 1

@@ -49,6 +49,10 @@ __all__ = [
     "smooth_indicator",
 ]
 
+# Combs with more components than this are not smoothed: the envelope stores
+# four breakpoints per component.
+SMOOTHING_LIMIT = 1 << 12
+
 
 class NoPredecessor(ValueError):
     pass
@@ -442,9 +446,7 @@ def borel_cantelli_partial(jmax: int) -> tuple[Dyadic, Dyadic]:
 
 
 def smooth_indicator(
-    uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]],
-    seq: GapBlockSeq,
-    max_components: int = 1 << 12,
+    uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
 ) -> tuple[PiecewiseLinear, WitnessReport]:
     """Continuous envelope: 1 on every comb component, 0 outside symmetric
     ramps of half-width delta per component edge.
@@ -460,9 +462,9 @@ def smooth_indicator(
     window_bound: dict[int, Dyadic] = {}
     rows = []
     for i, ps in uG:
-        if ps.count > max_components:
+        if ps.count > SMOOTHING_LIMIT:
             raise GuardExceeded(
-                f"{ps.count} components at {i} exceed the smoothing limit {max_components}"
+                f"{ps.count} components at {i} exceed the smoothing limit {SMOOTHING_LIMIT}"
             )
         a_int = ps.base.floor()
         if Dyadic(a_int) != ps.base:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, main
+from dyadlab.exactnum import span_guard
 
 
 def run(capsys, *argv):
@@ -165,6 +166,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert len(stderr.strip().splitlines()) == 1 and "not a gap-block artifact" in stderr
+
+    @pytest.mark.parametrize("bits", ["100", "4096", "10"])
+    def test_span_guard_applies_to_one_invocation(self, capsys, bits):
+        before = span_guard()
+        code, _, stderr = run(
+            capsys, "--span-guard", bits, "verify", "universal", "--suite", "lemma", "--limit", "1,1"
+        )
+        assert span_guard() == before
+        if bits == "10":
+            assert code == EXIT_USAGE and len(stderr.strip().splitlines()) == 1
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

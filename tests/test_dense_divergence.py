@@ -1,11 +1,13 @@
 """Checks for the dense union-of-lattices construction."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
 from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, ZERO, ONE
 from dyadlab.dense_divergence import (
+    _neighbours,
     build_thm31,
     cross_term_zero_check,
     density_window_check,
@@ -282,6 +284,18 @@ class TestDensityAndGaps:
         assert at == Dyadic(4) + Dyadic(1, -4)
         nxt = Dyadic.parse(rep.params["next_point"])
         assert nxt == dy("8.5")
+
+    def test_neighbours_match_enumeration(self):
+        cons = build_thm31(3)
+        pts = sorted({w.start + w.step * k for _, _, w in cons.lambda_windows() for k in range(w.count)})
+        half = Dyadic(1, -1)
+        ts = [pts[0] - ONE, *pts, *((p + q) * half for p, q in zip(pts, pts[1:])), pts[-1] + ONE]
+        for t in ts:
+            i = bisect_left(pts, t)
+            before = pts[i - 1] if i else None
+            after_i = i + 1 if i < len(pts) and pts[i] == t else i
+            after = pts[after_i] if after_i < len(pts) else None
+            assert _neighbours(cons, t) == (before, after)
 
 
 class TestJsonRoundtrip:

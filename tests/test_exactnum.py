@@ -154,6 +154,17 @@ class TestDyadicOracle:
     def test_ordering_matches_oracle(self, a, b):
         assert (a < b) == (frac(a) < frac(b))
         assert (a == b) == (frac(a) == frac(b))
+        assert (a != b) == (frac(a) != frac(b))
+        # equal numbers hash equal across types, fractional values included
+        assert hash(a) == hash(frac(a))
+
+    @given(st.integers(min_value=-(2**80), max_value=2**80), st.integers(min_value=0, max_value=200))
+    def test_integer_valued_hash_matches_int(self, n, e):
+        d = Dyadic(n, e)
+        assert hash(d) == hash(n << e)
+        assert len({d, n << e}) == 1
+        assert {n << e: "int"}[d] == "int"
+        assert d != "text" and not (d == "text")
 
 
 class TestDyInterval:
@@ -182,12 +193,12 @@ class TestDyInterval:
 class TestIntervalUnion:
     def test_insert_examples(self):
         u = IntervalUnion()
-        u1 = u.insert(DyInterval.closed(0, 1))
+        u1 = IntervalUnion([*u, DyInterval.closed(0, 1)])
         assert len(u1) == 1
-        u2 = u1.insert(DyInterval.closed(1, 2))
+        u2 = IntervalUnion([*u1, DyInterval.closed(1, 2)])
         assert len(u2) == 1 and str(u2.parts[0]) == "[0*2^0,1*2^1]"
         piece = DyInterval.closed(Dyadic(16) + Dyadic(11, -8), Dyadic(16) + Dyadic(11, -8) + Dyadic(1, -12))
-        v = u.insert(piece).insert(piece)
+        v = IntervalUnion([*IntervalUnion([*u, piece]), piece])
         assert len(v) == 1
         assert v.measure() == Dyadic(1, -12)
 
@@ -216,7 +227,7 @@ class TestIntervalUnion:
                 rng.shuffle(ivs)
                 u = IntervalUnion()
                 for iv in ivs:
-                    u = u.insert(iv)
+                    u = IntervalUnion([*u, iv])
                 assert u.measure() == base.measure()
                 assert u == base
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadlab.exactnum import Dyadic, DyInterval, PiecewiseLinear, ZERO
+from dyadlab.exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO
 from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
@@ -99,6 +99,55 @@ class TestGapBlockSeq:
         again = GapBlockSeq.from_json_dict(seq.to_json_dict())
         assert again.origin == seq.origin
         assert again.blocks == seq.blocks
+
+
+gap_block_seqs = st.builds(
+    GapBlockSeq,
+    st.builds(Dyadic, st.integers(-64, 64), st.integers(-3, 1)),
+    st.lists(
+        st.builds(GapBlock, st.builds(Dyadic, st.integers(1, 16), st.integers(-4, 0)), st.integers(1, 6)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+
+
+@given(gap_block_seqs)
+@settings(max_examples=150, deadline=None)
+def test_block_lookups_match_enumeration(seq):
+    pts = list(seq.iter_points())
+    assert seq.total_count == len(pts) and seq.last_value == pts[-1]
+    for n, v in enumerate(pts):
+        assert seq.value_at(n) == v
+    for n in (-1, len(pts)):
+        with pytest.raises(IndexError):
+            seq.value_at(n)
+
+    # below the origin, on every point (so on every block end), halfway between
+    # neighbours, and past the last point
+    half = Dyadic(1, -1)
+    xs = [pts[0] - ONE, *pts, *((p + q) * half for p, q in zip(pts, pts[1:])), pts[-1] + ONE]
+    for x in xs:
+        assert seq.count_upto(x) == sum(1 for p in pts if p <= x)
+
+    # indices around every block boundary, plus out-of-range ends
+    ends = [0]
+    for b in seq.blocks:
+        ends.append(ends[-1] + b.count)
+    probes = sorted({0, 1, len(pts), len(pts) + 1, *ends, *(n + 1 for n in ends)})
+    for n_lo in probes:
+        for n_hi in probes:
+            segs = seq.segments_in_range(n_lo, n_hi)
+            assert all(count >= 1 for _, _, count in segs)
+            got = [first + gap * i for first, gap, count in segs for i in range(count)]
+            assert got == pts[max(n_lo, 1) : n_hi + 1]
+            # one slice per block met, so every gap in a slice is the block's own
+            met = [
+                b
+                for b in range(len(seq.blocks))
+                if max(n_lo, 1, ends[b] + 1) <= min(n_hi, ends[b + 1])
+            ]
+            assert [gap for _, gap, _ in segs] == [seq.blocks[b].gap for b in met]
 
 
 class TestFloorSum:
@@ -210,22 +259,8 @@ class TestCountApInPeriodic:
         rng = random.Random(20260810)
         for _ in range(1500):
             ps, start, step, count = self._random_case(rng)
-            cl = rng.random() < 0.8
-            ch = rng.random() < 0.8
-            got = count_ap_in_periodic(start, step, count, ps, cl, ch)
-            expect = 0
-            for k in range(count):
-                p = ps
-                x = start + step * k
-                if x < p.base:
-                    continue
-                i, r = divmod(x - p.base, p.period)
-                if i >= p.count:
-                    continue
-                ok_lo = r >= ZERO if cl else r > ZERO
-                ok_hi = r <= p.width if ch else r < p.width
-                if ok_lo and ok_hi:
-                    expect += 1
+            got = count_ap_in_periodic(start, step, count, ps)
+            expect = sum(1 for k in range(count) if ps.contains(start + step * k))
             assert got == expect
 
     def test_decomposition_consistency(self):
