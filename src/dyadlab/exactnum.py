@@ -17,11 +17,24 @@ from typing import Iterable, Iterator, Sequence
 
 # Mantissas and block counts legitimately reach hundreds of thousands of
 # decimal digits; the interpreter's int<->str conversion cap (a guard against
-# hostile input, default 4300 digits) would break their serialization.  Raise
-# it far enough for anything under the span guard, but never lower it.
+# hostile input, default 4300 digits) would break their serialization.  The
+# cap is raised to _STR_DIGITS at import and, by set_span_guard, far enough
+# for any mantissa under the span guard; it is never lowered.
 _STR_DIGITS = 400_000
-if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < _STR_DIGITS:
-    sys.set_int_max_str_digits(_STR_DIGITS)
+# Digits allowed beyond the span guard's own width, for the narrower operand
+# of a sum; the interpreter's default cap.
+_STR_DIGITS_MARGIN = 4300
+
+
+def _allow_str_digits(digits: int) -> None:
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return
+    cap = sys.get_int_max_str_digits()
+    if cap and cap < digits:  # 0 means no cap at all
+        sys.set_int_max_str_digits(digits)
+
+
+_allow_str_digits(_STR_DIGITS)
 
 __all__ = [
     "GuardExceeded",
@@ -58,12 +71,18 @@ def span_guard() -> int:
 
 
 def set_span_guard(bits: int) -> int:
-    """Set the mantissa bit budget; returns the previous value."""
+    """Set the mantissa bit budget; returns the previous value.
+
+    Also raises the interpreter's int<->str digit cap, never lowering it, so
+    that any mantissa within the budget can be printed and parsed.
+    """
     global _span_guard
     if bits < 64:
         raise ValueError("span guard below 64 bits is unusable")
     old = _span_guard
     _span_guard = bits
+    # 30103/100000 > log10(2), so this is at least ceil(bits * log10(2))
+    _allow_str_digits(bits * 30103 // 100_000 + 1 + _STR_DIGITS_MARGIN)
     return old
 
 

@@ -10,6 +10,7 @@ that must be integers, and any remainder is a construction bug, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterator, Sequence
 
 from .exactnum import (
@@ -44,6 +45,7 @@ __all__ = [
     "fG_prefix_sums",
     "fG_partial_sum",
     "escape_bound",
+    "escape_measure",
     "escape_measure_bruteforce",
     "borel_cantelli_partial",
     "smooth_indicator",
@@ -52,6 +54,10 @@ __all__ = [
 # Combs with more components than this are not smoothed: the envelope stores
 # four breakpoints per component.
 SMOOTHING_LIMIT = 1 << 12
+
+# Residue families `escape_measure` may visit per index: enough for row 2
+# through (2,4), a few seconds each at the top.
+ESCAPE_BUDGET = 4_000_000
 
 
 class NoPredecessor(ValueError):
@@ -342,15 +348,29 @@ def escape_bound(i: IndexJK) -> Dyadic:
     return Dyadic(4 * i.j + 3) * step_constants(i).E
 
 
-def escape_measure_bruteforce(
-    i: IndexJK, seq: GapBlockSeq, budget: int = 6_000_000
-) -> tuple[Dyadic, WitnessReport]:
-    """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window.
+@dataclass(frozen=True)
+class _EscapeGrid:
+    """The escape measure's inputs as ints on one grid: value v is v*unit*2^e,
+    with unit the gcd of all of them.
 
-    Materializes every translated comb component meeting [-j,j] on a common
-    power-of-two grid and sweeps; feasible at j=1, astronomically large later,
-    hence the budget guard.
+    `window` is (-j, aI, bI, j); `segments` are the translates that can carry
+    the comb into [-j, j], as (first value, gap, count) with gap 0 for a
+    one-point segment.
     """
+
+    translates: int
+    covers: bool
+    unit: int
+    e: int
+    base: int
+    period: int
+    width: int
+    components: int
+    window: tuple[int, int, int, int]
+    segments: list[tuple[int, int, int]]
+
+
+def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
     sc = step_constants(i)
     ps = u_set(i)
     j = Dyadic(i.j)
@@ -361,32 +381,143 @@ def escape_measure_bruteforce(
     if n_start > 0 and seq.value_at(n_start - 1) == lam_lo:
         n_start -= 1
     n_end = min(seq.count_upto(lam_hi), seq.total_count) - 1
-    translates = max(0, n_end - n_start + 1)
-    if translates * ps.count > budget:
-        raise BudgetExceeded(
-            f"{translates} translates x {ps.count} components exceeds budget {budget}"
-        )
-
-    # contributing block segments as (first value, gap, count)
     segments = seq.segments_in_range(max(1, n_start), n_end)
     if n_start == 0 and n_end >= 0:
         segments.append((seq.origin, ONE, 1))
 
-    scale_inputs = [sc.a, ps.period, ps.width, Dyadic(-i.j), Dyadic(i.j), sc.aI, sc.bI]
+    scale_inputs = [sc.a, ps.period, ps.width, -j, sc.aI, sc.bI, j]
     for first, gap, _ in segments:
         scale_inputs.extend((first, gap))
     ints, e = scaled_ints(scale_inputs)
-    a_s, per_s, w_s, jneg_s, jpos_s, aI_s, bI_s = ints[:7]
+    for n, (_, _, count) in enumerate(segments):
+        if count == 1:
+            ints[8 + 2 * n] = 0
+    unit = gcd(*ints)
+    ints = [v // unit for v in ints]
+    return _EscapeGrid(
+        translates=max(0, n_end - n_start + 1),
+        # a prefix ending inside the translate range still yields a valid
+        # lower bound for the measure, but the report flags the truncation
+        covers=bool(seq.last_value >= lam_hi),
+        unit=unit,
+        e=e,
+        base=ints[0],
+        period=ints[1],
+        width=ints[2],
+        components=ps.count,
+        window=tuple(ints[3:7]),
+        segments=[(ints[7 + 2 * n], ints[8 + 2 * n], count) for n, (_, _, count) in enumerate(segments)],
+    )
+
+
+def _escape_report(i: IndexJK, grid: _EscapeGrid, measure: Dyadic) -> WitnessReport:
+    sc = step_constants(i)
+    bound = escape_bound(i)
+    return WitnessReport(
+        claim=f"escape-measure/{i.j},{i.k}",
+        params={
+            "index": str(i),
+            "translates": grid.translates,
+            "components": grid.components,
+            "prefix_covers_range": grid.covers,
+            "lattice_term": str(Dyadic(4 * i.j) * sc.E),
+            "left_strip": str(Dyadic(2) * sc.E),
+            "right_strip": str(sc.E),
+        },
+        lhs=str(measure),
+        rhs=str(bound),
+        passed=measure <= bound,
+    )
+
+
+def escape_measure(
+    i: IndexJK, seq: GapBlockSeq, budget: int = ESCAPE_BUDGET
+) -> tuple[Dyadic, WitnessReport]:
+    """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window,
+    one residue class of the comb period at a time.
+
+    In cells of the grid unit, a comb component is kappa cells wide and the comb repeats every pi cells.  Fix a residue rho
+    mod pi, a segment (first F, gap g, count m) and a cell offset d < kappa.
+    The translates t that put cell d of some component on a cell rho + pi*s
+    form one progression t = t0 mod pi/G, G = gcd(g, pi), and each next one
+    moves the comb by q = g/G slots s.  With C components and q <= C they
+    cover one run of slots; otherwise one run per translate.  The measure is
+    the number of cells of the merged runs in [-j, aI) ∪ [bI, j), counted
+    with ceiling divisions: O(pi * kappa * segments) steps whatever the
+    translate count.  `budget` bounds those residue families plus the runs
+    listed one per translate.
+    """
+    grid = _escape_grid(i, seq)
+    C, pi, kappa = grid.components, grid.period, grid.width
+    jneg, aI, bI, jpos = grid.window
+
+    families = []  # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
+    work = 0
+    for first, g, m in grid.segments:
+        G = gcd(g, pi)
+        P, q = pi // G, g // G
+        inv = pow(q, -1, P)
+        work += kappa * (pi + (m if q > C else 0))
+        families.extend((grid.base - first + d, g, m, G, P, q, inv) for d in range(kappa))
+    if work > budget:
+        raise BudgetExceeded(f"{work} residue families exceeds budget {budget}")
+
+    cells = 0
+    for rho in range(pi):
+        runs = []
+        for y, g, m, G, P, q, inv in families:
+            k, off = divmod(y - rho, G)
+            if off:
+                continue
+            t0 = k * inv % P
+            if t0 >= m:
+                continue
+            top = (y - rho - g * t0) // pi + C  # one past the last slot of translate t0
+            last = (m - 1 - t0) // P  # translates t0 + P*r for r <= last
+            if q <= C:
+                runs.append((top - C - q * last, top))
+            else:
+                runs.extend((top - C - q * r, top - q * r) for r in range(last + 1))
+        if not runs:
+            continue
+        runs.sort()
+        merged = [list(runs[0])]
+        for lo, hi in runs[1:]:
+            if lo > merged[-1][1]:
+                merged.append([lo, hi])
+            elif hi > merged[-1][1]:
+                merged[-1][1] = hi
+        for lo_x, hi_x in ((jneg, aI), (bI, jpos)):
+            # slots s with lo_x <= rho + pi*s < hi_x
+            s_lo, s_hi = -((rho - lo_x) // pi), -((rho - hi_x) // pi)
+            for lo, hi in merged:
+                cells += max(0, min(hi, s_hi) - max(lo, s_lo))
+    measure = Dyadic(cells * grid.unit, grid.e)
+    return measure, _escape_report(i, grid, measure)
+
+
+def escape_measure_bruteforce(
+    i: IndexJK, seq: GapBlockSeq, budget: int = 6_000_000
+) -> tuple[Dyadic, WitnessReport]:
+    """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window.
+
+    Materializes every translated comb component meeting [-j,j] on a common
+    power-of-two grid and sweeps; the test oracle for `escape_measure`,
+    feasible at j=1 only, hence the budget guard.
+    """
+    grid = _escape_grid(i, seq)
+    if grid.translates * grid.components > budget:
+        raise BudgetExceeded(
+            f"{grid.translates} translates x {grid.components} components exceeds budget {budget}"
+        )
+    a_s, per_s, w_s = grid.base, grid.period, grid.width
+    jneg_s, aI_s, bI_s, jpos_s = grid.window
 
     los: list[int] = []
-    for seg_idx, (_, _, m_count) in enumerate(segments):
-        base0 = ints[7 + 2 * seg_idx]
-        gi = ints[8 + 2 * seg_idx]
-        if m_count == 1:
-            gi = 0
+    for base0, gi, m_count in grid.segments:
         for t in range(m_count):
             left = a_s - (base0 + gi * t)
-            for c in range(ps.count):
+            for c in range(grid.components):
                 los.append(left + per_s * c)
 
     los.sort()
@@ -398,27 +529,8 @@ def escape_measure_bruteforce(
         # clip to [-j, aI] u [bI, j]
         measure_s += max(0, min(hi, aI_s) - max(lo, jneg_s))
         measure_s += max(0, min(hi, jpos_s) - max(lo, bI_s))
-    measure = Dyadic(measure_s, e)
-
-    bound = escape_bound(i)
-    report = WitnessReport(
-        claim=f"escape-measure/{i.j},{i.k}",
-        params={
-            "index": str(i),
-            "translates": translates,
-            "components": ps.count,
-            # a prefix ending inside the translate range still yields a valid
-            # lower bound for the measure, but flag the truncation
-            "prefix_covers_range": bool(seq.last_value >= lam_hi),
-            "lattice_term": str(Dyadic(4 * i.j) * sc.E),
-            "left_strip": str(Dyadic(2) * sc.E),
-            "right_strip": str(sc.E),
-        },
-        lhs=str(measure),
-        rhs=str(bound),
-        passed=measure <= bound,
-    )
-    return measure, report
+    measure = Dyadic(measure_s * grid.unit, grid.e)
+    return measure, _escape_report(i, grid, measure)
 
 
 def borel_cantelli_partial(jmax: int) -> tuple[Dyadic, Dyadic]:

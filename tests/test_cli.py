@@ -1,9 +1,15 @@
 """End-to-end command-line checks: artifacts, suites, exit codes, determinism."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, main
 from dyadlab.exactnum import span_guard
 
@@ -97,10 +103,19 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "1,2")
         assert code == EXIT_PASS
 
-    def test_escape_skips_at_j2(self, capsys):
+    def test_escape_passes_at_j2(self, capsys):
         code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "2,1")
+        assert code == EXIT_PASS
+        assert "PASS escape-measure/2,0 " in stdout
+        assert stdout.endswith("6 claims, 0 failures\n")
+
+    def test_escape_budget_skip_is_counted(self, capsys, monkeypatch):
+        # (1,0) and (1,1) visit 3*16 and 3*32 residue families; (1,2) needs 3*64
+        monkeypatch.setattr(uv, "escape_measure", functools.partial(uv.escape_measure, budget=100))
+        code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "1,3")
         assert code == EXIT_SKIP
-        assert "0 failures" in stdout
+        assert "PASS escape-measure/1,1 " in stdout
+        assert stdout.endswith("4 claims, 0 failures, 1 skipped\n")
 
     def test_series(self, capsys):
         code, _, _ = run(
@@ -246,3 +261,13 @@ class TestEval:
         assert code == EXIT_PASS
         row = out.read_text().strip().splitlines()[1]
         assert "outside [0, 1]" in row
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadlab", "verify", "universal", "--suite", "lemma", "--limit", "1,1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    assert proc.stdout.endswith("2 claims, 0 failures\n")

@@ -4,7 +4,9 @@ The independent oracle throughout is fractions.Fraction; the core never uses
 it, so agreement here is a genuine cross-check.
 """
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from dyadlab.exactnum import (
     PiecewiseLinear,
     ZERO,
     ONE,
+    set_span_guard,
 )
 
 
@@ -109,6 +112,23 @@ class TestDyadicBasics:
         # representable on its own, and multiplication is span-free
         tiny = Dyadic(1, -(1 << 21))
         assert tiny * tiny == Dyadic(1, -(1 << 22))
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit cap")
+    def test_span_guard_raises_str_digit_cap(self):
+        # a 2M-bit guard admits mantissas of ceil(2e6 * log10 2) = 602060 digits
+        cap = sys.get_int_max_str_digits()
+        old = set_span_guard(2_000_000)
+        try:
+            assert sys.get_int_max_str_digits() >= math.ceil(2_000_000 * math.log10(2))
+            raised = sys.get_int_max_str_digits()
+            set_span_guard(64)  # a smaller guard never lowers the cap
+            assert sys.get_int_max_str_digits() == raised
+            sys.set_int_max_str_digits(0)  # nor turns an absent cap into one
+            set_span_guard(3_000_000)
+            assert sys.get_int_max_str_digits() == 0
+        finally:
+            set_span_guard(old)
+            sys.set_int_max_str_digits(cap)
 
     def test_comparison_across_huge_spans(self):
         assert Dyadic(1, -(1 << 30)) < ONE

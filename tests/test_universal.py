@@ -7,6 +7,7 @@ against explicit enumeration of the (small) first steps.
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, ZERO
 from dyadlab.lattice import GapBlock, GapBlockSeq
@@ -22,6 +23,7 @@ from dyadlab.universal import (
     check_lemma_useful,
     covering_witness,
     escape_bound,
+    escape_measure,
     escape_measure_bruteforce,
     fG_partial_sum,
     fG_prefix_sums,
@@ -395,6 +397,56 @@ class TestEscape:
         seq = build_universal(IndexJK(2, 1))
         with pytest.raises(BudgetExceeded):
             escape_measure_bruteforce(IndexJK(2, 0), seq)
+
+
+@st.composite
+def _escape_case(draw):
+    """A step (1,k) and a short random prefix around its comb: random origin,
+    1-4 blocks whose gaps lie on the comb's E^3 grid or 2-4x finer (so a
+    component spans several grid cells), below the period, whole multiples of
+    it (past the component count too), or up to the comb's full span."""
+    i = IndexJK(1, draw(st.integers(0, 2)))
+    s = i.scale_exp()
+    fine = 3 * s + draw(st.integers(0, 2))  # gaps on the 2^-fine grid
+    per = 1 << (fine - 2 * s)  # the period E^2 in those units
+    C = 1 << s
+    origin = Dyadic(1, s) - Dyadic(5, -2) + Dyadic(draw(st.integers(0, 9 << (3 * s + 2))), -(3 * s + 2))
+    gap_units = st.one_of(
+        st.integers(1, 2 * per),
+        st.integers(1, C + 4).map(lambda r: r * per),
+        st.integers(1, C * per),
+    )
+    blocks = draw(
+        st.lists(
+            st.builds(lambda n, count: GapBlock(Dyadic(n, -fine), count), gap_units, st.integers(1, 30)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return i, GapBlockSeq(origin, blocks)
+
+
+class TestEscapeMeasure:
+    @settings(max_examples=300, deadline=None)
+    @given(_escape_case())
+    @example((IndexJK(1, 0), GapBlockSeq(Dyadic(15), [GapBlock(Dyadic(1, -14), 25)])))  # 4 cells a component
+    @example((IndexJK(1, 1), GapBlockSeq(Dyadic(31), [GapBlock(Dyadic(35, -10), 9)])))  # 35 slots a step
+    def test_matches_bruteforce(self, case):
+        i, seq = case
+        assert escape_measure(i, seq) == escape_measure_bruteforce(i, seq)
+
+    def test_budget_counts_residue_families(self):
+        seq = build_universal(IndexJK(1, 3))
+        i = IndexJK(1, 2)  # 3 segments, comb period of 64 cells
+        assert escape_measure(i, seq, budget=3 * 64)[1].passed
+        with pytest.raises(BudgetExceeded):
+            escape_measure(i, seq, budget=3 * 64 - 1)
+
+    def test_default_budget_ends_after_2_4(self):
+        # 3 segments x 2^21 residues at (2,5); raised before any residue is visited
+        seq = build_universal(IndexJK(2, 6))
+        with pytest.raises(BudgetExceeded):
+            escape_measure(IndexJK(2, 5), seq)
 
 
 class TestBorelCantelli:
