@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import sys
@@ -65,7 +66,10 @@ def _load_G(path: str | None, default: IntervalUnion) -> IntervalUnion:
     if path is None:
         return default
     with open(path) as fh:
-        return IntervalUnion.from_json(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: open-set JSON must be a list of interval strings")
+    return IntervalUnion.from_json(data)
 
 
 def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic, bits: int = 48) -> Dyadic:
@@ -138,7 +142,7 @@ def _cmd_construct(args) -> int:
         data = cons.to_json_dict()
         if args.G:
             data["selected_js"] = dd.selected_js(cons, _load_G(args.G, IntervalUnion()))
-        npoints = sum(int(w.count) for _, _, w in cons.lambda_windows())
+        npoints = sum(w.count for w in cons.lambda_windows())
         summary = f"thm31 through j={args.jmax}: {len(cons.items)} tents, lattice points {_fmt_count(npoints)}"
     else:
         cons = ig.build_thm33(args.jmax)
@@ -162,7 +166,7 @@ def _load_seq(path: str) -> GapBlockSeq:
         data = json.load(fh)
     try:
         return GapBlockSeq.from_json_dict(data["seq"] if "seq" in data else data)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, NotExact) as exc:
         raise ValueError(f"{path}: not a gap-block artifact ({type(exc).__name__}: {exc})") from None
 
 
@@ -182,7 +186,14 @@ def _gaps(args, built: GapBlockSeq, **key) -> list[WitnessReport]:
 
 
 def _universal_seq(args) -> GapBlockSeq:
-    return _load_seq(args.seq) if args.seq else uv.build_universal(args.limit)
+    """The prefix through --limit: the --seq artifact, or a build."""
+    if not args.seq:
+        return uv.build_universal(args.limit)
+    seq = _load_seq(args.seq)
+    need = 2 * args.limit.position()
+    if len(seq.blocks) < need:
+        raise ValueError(f"{args.seq}: {len(seq.blocks)} blocks, --limit {args.limit} needs {need}")
+    return seq
 
 
 def _universal_steps(limit: uv.IndexJK) -> Iterator[uv.IndexJK]:
@@ -358,11 +369,11 @@ def _thm33_gaps(args, rng) -> list[WitnessReport]:
 
 
 def _thm33_diverge(args, rng) -> list[WitnessReport]:
+    """Partial sums through decades 1..jmax, as running sums of one decade_sums call per x."""
     cons = ig.build_thm33(args.jmax)
     reports = []
     for xs in ("0", "1*2^-1", "1"):
-        x = Dyadic.parse(xs)
-        partials = [ig.divergence_partial(cons, x, m) for m in range(1, cons.jmax + 1)]
+        partials = list(itertools.accumulate(ig.decade_sums(cons, Dyadic.parse(xs))))
         reports.append(
             WitnessReport(
                 claim=f"thm33-diverge/x={xs}",
@@ -374,8 +385,9 @@ def _thm33_diverge(args, rng) -> list[WitnessReport]:
         )
     for s in range(args.samples):
         x = Dyadic(rng.getrandbits(40), -40)
-        v1 = ig.divergence_partial(cons, x, cons.jmax - 1) if cons.jmax > 1 else None
-        v2 = ig.divergence_partial(cons, x, cons.jmax)
+        partials = list(itertools.accumulate(ig.decade_sums(cons, x)))
+        v1 = partials[-2] if cons.jmax > 1 else None
+        v2 = partials[-1]
         reports.append(
             WitnessReport(
                 claim=f"thm33-diverge/sample{s}",
@@ -423,6 +435,8 @@ SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     reports = SUITES[args.construction, args.suite](args, random.Random(args.seed))
     failures = [r for r in reports if not r.passed and not r.is_informational()]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
@@ -456,10 +470,7 @@ def _cmd_eval(args) -> int:
         if args.construction == "universal":
             sums = ((str(limit), _universal_sum(G, limit)) for limit in args.limits)
         else:
-            sums = (
-                (str(j), functools.partial(dd.fG_sum_partial_31, dd.build_thm31(j), G=G, include_lambda2=True))
-                for j in args.jmaxes
-            )
+            sums = ((str(j), functools.partial(dd.fG_sum_partial_31, dd.build_thm31(j), G=G)) for j in args.jmaxes)
     rows = []
     for size, fsum in sums:
         for x in args.xs:

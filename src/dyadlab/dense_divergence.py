@@ -49,10 +49,6 @@ class APWindow:
     def to_json_dict(self) -> dict:
         return {"start": str(self.start), "step": str(self.step), "count": str(self.count)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "APWindow":
-        return cls(Dyadic.parse(d["start"]), Dyadic.parse(d["step"]), int(d["count"]))
-
 
 def enum_intervals(count: int) -> list[tuple[int, DyInterval]]:
     """Deterministic enumeration of dyadic intervals [(k-1)2^-l, k*2^-l].
@@ -123,14 +119,9 @@ class Thm31Construction:
     def item(self, j: int) -> Thm31Item:
         return self.items[j - 1]
 
-    def lambda_windows(self) -> list[tuple[str, int, APWindow]]:
-        """All lattice windows as (family, j, window), fine and coarse."""
-        out = []
-        for it in self.items:
-            out.append(("lambda1", it.j, it.lam1))
-            if it.lam2 is not None:
-                out.append(("lambda2", it.j, it.lam2))
-        return out
+    def lambda_windows(self) -> list[APWindow]:
+        """All lattice windows of Λ = Λ1 ∪ Λ2, fine and coarse."""
+        return [w for it in self.items for w in (it.lam1, it.lam2) if w is not None]
 
     def to_json_dict(self) -> dict:
         return {
@@ -246,21 +237,11 @@ def selected_js(cons: Thm31Construction, G: IntervalUnion) -> list[int]:
     return [it.j for it in cons.items if G.contains_interval(it.tripled)]
 
 
-def fG_sum_partial_31(
-    cons: Thm31Construction,
-    x: Dyadic,
-    G: IntervalUnion,
-    include_lambda1: bool = True,
-    include_lambda2: bool = False,
-) -> Dyadic:
-    """Exact sum of the G-selected tents over the chosen lattice families."""
+def fG_sum_partial_31(cons: Thm31Construction, x: Dyadic, G: IntervalUnion) -> Dyadic:
+    """Exact sum of the G-selected tents over all of Λ."""
     js = selected_js(cons, G)
     total = ZERO
-    for family, _, win in cons.lambda_windows():
-        if family == "lambda1" and not include_lambda1:
-            continue
-        if family == "lambda2" and not include_lambda2:
-            continue
+    for win in cons.lambda_windows():
         for j in js:
             f = cons.item(j).tent
             total = total + sum_pl_over_ap(f, x + win.start, win.step, win.count)
@@ -299,7 +280,7 @@ def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     beyond max(10, ceil|x|) stay under the geometric bound, term by term."""
     jmax = cons.jmax
     mx = max(LAMBDA2_MIN_J, abs(x).ceil())
-    lam2_windows = [w for fam, _, w in cons.lambda_windows() if fam == "lambda2"]
+    lam2_windows = [it.lam2 for it in cons.items if it.lam2 is not None]
 
     def tent_total(j: int) -> Dyadic:
         f = cons.item(j).tent
@@ -369,7 +350,7 @@ def density_window_check(cons: Thm31Construction, j: int) -> WitnessReport:
 def _neighbours(cons: Thm31Construction, t: Dyadic) -> tuple[Dyadic | None, Dyadic | None]:
     """The nearest merged-lattice points strictly before and strictly after t."""
     before, after = [], []
-    for _, _, win in cons.lambda_windows():
+    for win in cons.lambda_windows():
         k = min(win.count - 1, -((win.start - t) // win.step) - 1)  # ceil((t-start)/step) - 1
         if k >= 0:
             before.append(win.start + win.step * k)

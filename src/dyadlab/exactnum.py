@@ -114,7 +114,7 @@ class Dyadic:
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse 'm*2^e', a plain integer, or an exact decimal like '0.75'."""
-        s = text.strip()
+        s = text.strip() if isinstance(text, str) else ""
         m = _DYADIC_RE.match(s)
         if m:
             return cls(int(m.group(1)), int(m.group(2) or 0))
@@ -382,10 +382,11 @@ class DyInterval:
 
     @classmethod
     def parse(cls, text: str) -> "DyInterval":
-        s = text.strip()
-        if s[0] not in "[(" or s[-1] not in "])":
+        s = text.strip() if isinstance(text, str) else ""
+        parts = s[1:-1].split(",")
+        if len(parts) != 2 or s[0] not in "[(" or s[-1] not in "])":
             raise ValueError(f"cannot parse interval from {text!r}")
-        lo_s, hi_s = s[1:-1].split(",")
+        lo_s, hi_s = parts
         return cls(
             Dyadic.parse(lo_s),
             Dyadic.parse(hi_s),
@@ -566,9 +567,6 @@ class PiecewiseLinear:
     def __hash__(self) -> int:
         return hash((self.xs, self.vs))
 
-    def breakpoints(self) -> list[tuple[Dyadic, Dyadic]]:
-        return list(zip(self.xs, self.vs))
-
     def max_value(self) -> Dyadic:
         return max(self.vs)
 
@@ -582,9 +580,6 @@ class PiecewiseLinear:
         x0, v0 = self.xs[i], self.vs[i]
         x1, v1 = self.xs[i + 1], self.vs[i + 1]
         return v0 + ((v1 - v0) * (x - x0)).div_exact(x1 - x0)
-
-    def __call__(self, x: Dyadic) -> Dyadic:
-        return self.eval(x)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x), str(v)] for x, v in zip(self.xs, self.vs)]

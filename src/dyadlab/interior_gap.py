@@ -19,6 +19,7 @@ from .universal import OutOfInterval
 __all__ = [
     "Thm33Construction",
     "build_thm33",
+    "decade_sums",
     "divergence_partial",
     "convergence_tail_check",
     "thm34_probe",
@@ -31,20 +32,17 @@ class Thm33Construction:
     seq: GapBlockSeq
     f: PiecewiseLinear
 
-    def decade_start_index(self, j: int) -> int:
-        """Absolute index of the point 10(j-1), the first point of decade j."""
-        if not 1 <= j <= self.jmax + 1:
-            raise IndexError(f"decade {j} outside [1, {self.jmax + 1}]")
-        n = 0
-        for jj in range(1, j):
-            n += 8 * 2 ** (2**jj) + 2 * 2 ** (2 ** (jj + 1))
-        return n
-
     def decade_index_range(self, j: int) -> tuple[int, int]:
-        """Index range [lo, hi] of the decade-j points, [10j-10, 10j)."""
-        lo = self.decade_start_index(j)
-        hi = min(self.decade_start_index(j + 1) - 1, self.seq.total_count - 1)
-        return lo, hi
+        """Index range [lo, hi] of the decade-j points, [10j-10, 10j).
+
+        Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
+        fine block ends on the first point of the next one.
+        """
+        if not 1 <= j <= self.jmax:
+            raise IndexError(f"decade {j} outside [1, {self.jmax}]")
+        lo = self.seq.index_of_step_boundary(2 * j - 3) if j > 1 else 0
+        end = self.seq.index_of_step_boundary(2 * j - 1) if j < self.jmax else self.seq.total_count
+        return lo, end - 1
 
     def plateau_height(self, j: int) -> Dyadic:
         return Dyadic(1, -(2 ** (j + 1)))
@@ -75,6 +73,14 @@ def build_thm33(jmax: int) -> Thm33Construction:
     return Thm33Construction(jmax=jmax, seq=seq, f=PiecewiseLinear(breakpoints))
 
 
+def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
+    """Exact sum of f(x + point) over the points of each decade 1..jmax."""
+    return [
+        sum_pl_over_seq_range(cons.f, cons.seq, *cons.decade_index_range(j), shift=x)
+        for j in range(1, cons.jmax + 1)
+    ]
+
+
 def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | None = None) -> Dyadic:
     """Exact sum of f(x + point) over all points below 10*upto_decade."""
     if not DyInterval.closed(0, 1).contains(x):
@@ -82,8 +88,7 @@ def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | No
     m = cons.jmax if upto_decade is None else upto_decade
     if not 1 <= m <= cons.jmax:
         raise IndexError(f"decade limit {m} outside [1, {cons.jmax}]")
-    _, hi = cons.decade_index_range(m)
-    return sum_pl_over_seq_range(cons.f, cons.seq, 0, hi, shift=x)
+    return sum(decade_sums(cons, x)[:m], ZERO)
 
 
 def convergence_tail_check(cons: Thm33Construction, x: Dyadic) -> WitnessReport:
@@ -99,9 +104,7 @@ def convergence_tail_check(cons: Thm33Construction, x: Dyadic) -> WitnessReport:
     per_decade = []
     total = ZERO
     ok = True
-    for j in range(1, cons.jmax + 1):
-        lo, hi = cons.decade_index_range(j)
-        s = sum_pl_over_seq_range(cons.f, cons.seq, lo, hi, shift=x)
+    for j, s in enumerate(decade_sums(cons, x), 1):
         bound = Dyadic(1, 1 - 2**j)
         per_decade.append({"j": j, "sum": str(s), "bound": str(bound)})
         total = total + s
@@ -137,9 +140,7 @@ def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int = 0
     checked = []
     for s in range(samples):
         y = xc + (top - xc) * Dyadic(rng.getrandbits(40), -40)
-        for j in range(1, cons.jmax + 1):
-            lo, hi = cons.decade_index_range(j)
-            t = sum_pl_over_seq_range(cons.f, cons.seq, lo, hi, shift=y)
+        for j, t in enumerate(decade_sums(cons, y), 1):
             mu = Dyadic(1, 1 - 2**j) + Dyadic(1, 1 - 2 ** (j + 1))
             if t > mu:
                 failures.append({"sample": s, "y": str(y), "j": j, "sum": str(t), "majorant": str(mu)})

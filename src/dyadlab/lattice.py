@@ -173,13 +173,16 @@ class GapBlockSeq:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapBlockSeq":
-        return cls(
-            Dyadic.parse(data["origin"]),
-            (
-                GapBlock(Dyadic.parse(b["gap"]), int(b["count"]), b.get("tag", ""))
-                for b in data["blocks"]
-            ),
-        )
+        """Inverse of to_json_dict; a count may also be a JSON integer, never a float."""
+        blocks = []
+        for b in data["blocks"]:
+            count, tag = b["count"], b.get("tag", "")
+            if type(count) not in (int, str):
+                raise ValueError(f"block count must be an integer, got {count!r}")
+            if not isinstance(tag, str):
+                raise ValueError(f"block tag must be a string, got {tag!r}")
+            blocks.append(GapBlock(Dyadic.parse(b["gap"]), int(count), tag))
+        return cls(Dyadic.parse(data["origin"]), blocks)
 
 
 @dataclass(frozen=True)

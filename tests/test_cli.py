@@ -169,6 +169,10 @@ class TestVerify:
             '{"blocks": []}',
             '{"seq": {"blocks": []}}',
             '{"origin": "15*2^0", "blocks": [5]}',
+            '{"origin": 0, "blocks": []}',
+            '{"origin": "0", "blocks": [{"gap": 1, "count": "3"}]}',
+            '{"origin": "0", "blocks": [{"gap": "1", "count": 3.5}]}',
+            '{"origin": "0", "blocks": [{"gap": "1", "count": "3", "tag": 7}]}',
         ],
     )
     def test_malformed_artifact_is_usage_error(self, capsys, tmp_path, construction, content):
@@ -181,6 +185,44 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert len(stderr.strip().splitlines()) == 1 and "not a gap-block artifact" in stderr
+
+    @pytest.mark.parametrize("content", ["[1]", '[""]', '["[1,2,3]"]', "5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "universal", "--suite", "series", "--limit", "1,1", "--samples", "1"],
+            ["eval", "thm31", "--jmaxes", "1", "--xs", "0"],
+        ],
+    )
+    def test_malformed_open_set_is_usage_error(self, capsys, tmp_path, content, argv):
+        g = tmp_path / "G.json"
+        g.write_text(content)
+        code, stdout, stderr = run(capsys, *argv, "--G", str(g))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert len(stderr.strip().splitlines()) == 1
+        assert "cannot parse interval from" in stderr or str(g) in stderr
+
+    @pytest.mark.parametrize("suite", ["integrality", "covering", "escape"])
+    def test_short_artifact_is_usage_error(self, capsys, tmp_path, suite):
+        art = tmp_path / "u11.json"
+        run(capsys, "construct", "universal", "--limit", "1,1", "--out", str(art))
+        code, stdout, stderr = run(
+            capsys, "verify", "universal", "--suite", suite, "--limit", "1,3", "--seq", str(art)
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr.strip().splitlines() == [f"error: {art}: 2 blocks, --limit (1,3) needs 6"]
+
+    @pytest.mark.parametrize(
+        "construction, suite",
+        [("universal", "covering"), ("thm31", "tail"), ("thm33", "converge"), ("thm33", "probe")],
+    )
+    def test_negative_samples_is_usage_error(self, capsys, construction, suite):
+        code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, "--samples", "-1")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert len(stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("bits", ["100", "4096", "10"])
     def test_span_guard_applies_to_one_invocation(self, capsys, bits):

@@ -22,6 +22,7 @@ from dyadlab.dense_divergence import (
     tent,
     tripled,
 )
+from dyadlab.lattice import sum_pl_over_ap
 from dyadlab.universal import OutOfInterval
 
 
@@ -244,9 +245,19 @@ class TestFGSum:
 
     def test_lambda2_only_is_bounded(self, cons12):
         g = IntervalUnion([DyInterval.open(-4, 4)])
+        js = selected_js(cons12, g)
+
+        def family_sum(x, windows):
+            terms = (sum_pl_over_ap(cons12.item(j).tent, x + w.start, w.step, w.count) for w in windows for j in js)
+            return sum(terms, ZERO)
+
+        lam1 = [it.lam1 for it in cons12.items]
+        lam2 = [it.lam2 for it in cons12.items if it.lam2 is not None]
         for xs in ("0", "0.5", "-1"):
-            s2 = fG_sum_partial_31(cons12, dy(xs), g, include_lambda1=False, include_lambda2=True)
-            rep = lambda2_total_check(cons12, dy(xs))
+            x = dy(xs)
+            s2 = family_sum(x, lam2)
+            assert fG_sum_partial_31(cons12, x, g) == family_sum(x, lam1) + s2
+            rep = lambda2_total_check(cons12, x)
             total_all_tents = Dyadic.parse(rep.params["total"])
             assert s2 <= total_all_tents
 
@@ -287,7 +298,7 @@ class TestDensityAndGaps:
 
     def test_neighbours_match_enumeration(self):
         cons = build_thm31(3)
-        pts = sorted({w.start + w.step * k for _, _, w in cons.lambda_windows() for k in range(w.count)})
+        pts = sorted({w.start + w.step * k for w in cons.lambda_windows() for k in range(w.count)})
         half = Dyadic(1, -1)
         ts = [pts[0] - ONE, *pts, *((p + q) * half for p, q in zip(pts, pts[1:])), pts[-1] + ONE]
         for t in ts:

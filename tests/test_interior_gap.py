@@ -1,5 +1,6 @@
 """Checks for the decreasing-gap divergence/convergence construction."""
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from dyadlab.exactnum import Dyadic, ZERO
 from dyadlab.interior_gap import (
     build_thm33,
     convergence_tail_check,
+    decade_sums,
     divergence_partial,
     thm34_probe,
 )
@@ -69,12 +71,18 @@ class TestBuild:
         assert hs[-1] == Dyadic(1, -(2**7))
 
     def test_decade_index_ranges(self, cons6):
-        lo, hi = cons6.decade_index_range(1)
-        assert (lo, hi) == (0, 63)
-        assert cons6.seq.value_at(64) == Dyadic(10)
-        lo2, hi2 = cons6.decade_index_range(2)
-        assert lo2 == 64
-        assert cons6.seq.value_at(hi2) == Dyadic(20) - Dyadic(1, -8)
+        lo = 0
+        for j in range(1, 7):
+            # decade j: 8*2^(2^j) coarse points from 10j-10, then 2*2^(2^(j+1)) fine ones below 10j
+            n = 8 * 2 ** (2**j) + 2 * 2 ** (2 ** (j + 1))
+            assert cons6.decade_index_range(j) == (lo, lo + n - 1)
+            assert cons6.seq.value_at(lo) == Dyadic(10 * (j - 1))
+            assert cons6.seq.value_at(lo + n - 1) == Dyadic(10 * j) - Dyadic(1, -(2 ** (j + 1)))
+            lo += n
+        assert lo == cons6.seq.total_count
+        for j in (0, 7):
+            with pytest.raises(IndexError):
+                cons6.decade_index_range(j)
 
 
 class TestDivergence:
@@ -101,6 +109,31 @@ class TestDivergence:
                 brute = brute + small.f.eval(x + v)
             assert divergence_partial(small, x, 1) == brute
             assert divergence_partial(cons6, x, 1) == brute
+            assert decade_sums(small, x) == [brute]
+
+    def test_decade_sums_enumeration_oracle_jmax2(self):
+        """Every decade_sums entry against a brute sum over iter_points, at
+        shifts in [0,1], in [4,5], and beyond both."""
+        rng = random.Random(2024)
+        cons = build_thm33(2)
+        pts = list(cons.seq.iter_points())
+        assert len(pts) == 704
+        decades = [[v for v in pts if Dyadic(10 * (j - 1)) <= v < Dyadic(10 * j)] for j in (1, 2)]
+        assert sum(map(len, decades)) == len(pts)
+        anchors = [Dyadic(k) for k in (-11, -1, 0, 1, 2, 4, 5, 7, 10)]
+        for lo, hi in ((0, 1), (4, 5), (-12, 0), (1, 4), (5, 22)):
+            for _ in range(6):
+                anchors.append(Dyadic(lo) + Dyadic(hi - lo) * Dyadic(rng.getrandbits(20), -20))
+        for x in anchors:
+            brute = []
+            for dec in decades:
+                s = ZERO
+                for v in dec:
+                    s = s + cons.f.eval(x + v)
+                brute.append(s)
+            assert decade_sums(cons, x) == brute, x
+            if Dyadic(0) <= x <= Dyadic(1):
+                assert [divergence_partial(cons, x, m) for m in (1, 2)] == [brute[0], brute[0] + brute[1]]
 
     def test_strictly_increasing_in_decades(self, cons6):
         for xs in ("0", "0.5", "1"):
@@ -117,7 +150,7 @@ class TestDivergence:
         floors = {m: None for m in range(1, 6)}
         for _ in range(100):
             x = Dyadic(rng.getrandbits(30), -30)
-            vals = [divergence_partial(cons6, x, m) for m in range(1, 7)]
+            vals = list(itertools.accumulate(decade_sums(cons6, x)))
             for m in range(1, 6):
                 inc = vals[m] - vals[m - 1]
                 assert inc > ZERO
