@@ -76,8 +76,15 @@ def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic, bits: int = 48) -> Dy
     return lo + (hi - lo) * Dyadic(rng.getrandbits(bits), -bits)
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are one stderr line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dyadlab", description=__doc__)
+    p = _Parser(prog="dyadlab", description=__doc__)
     p.add_argument("--span-guard", type=int, default=None, help="mantissa bit budget override")
     sub = p.add_subparsers(dest="command", required=True)
 

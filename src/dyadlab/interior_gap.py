@@ -73,11 +73,11 @@ def build_thm33(jmax: int) -> Thm33Construction:
     return Thm33Construction(jmax=jmax, seq=seq, f=PiecewiseLinear(breakpoints))
 
 
-def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
-    """Exact sum of f(x + point) over the points of each decade 1..jmax."""
+def decade_sums(cons: Thm33Construction, x: Dyadic, upto: int | None = None) -> list[Dyadic]:
+    """Exact sum of f(x + point) over the points of each decade 1..upto (default jmax)."""
     return [
         sum_pl_over_seq_range(cons.f, cons.seq, *cons.decade_index_range(j), shift=x)
-        for j in range(1, cons.jmax + 1)
+        for j in range(1, (cons.jmax if upto is None else upto) + 1)
     ]
 
 
@@ -88,7 +88,7 @@ def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | No
     m = cons.jmax if upto_decade is None else upto_decade
     if not 1 <= m <= cons.jmax:
         raise IndexError(f"decade limit {m} outside [1, {cons.jmax}]")
-    return sum(decade_sums(cons, x)[:m], ZERO)
+    return sum(decade_sums(cons, x, m), ZERO)
 
 
 def convergence_tail_check(cons: Thm33Construction, x: Dyadic) -> WitnessReport:

@@ -302,12 +302,16 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
 
     Splits the index range at f's breakpoints and sums each linear piece as an
     arithmetic series; the value at the final breakpoint is zero by the compact
-    support invariant, so half-open segment windows lose nothing.
+    support invariant, so half-open segment windows lose nothing.  Only the
+    pieces [x_i, x_{i+1}) that meet [start, start + (count-1)*step] are
+    visited, found by bisecting f's breakpoints.
     """
     if not step > ZERO:
         raise ValueError("step must be positive")
     total = ZERO
-    for i in range(len(f.xs) - 1):
+    first = max(bisect_right(f.xs, start) - 1, 0)
+    end = min(bisect_right(f.xs, start + step * (count - 1)), len(f.xs) - 1)
+    for i in range(first, end):
         x0, v0 = f.xs[i], f.vs[i]
         x1, v1 = f.xs[i + 1], f.vs[i + 1]
         if not v0 and not v1:

@@ -224,6 +224,27 @@ class TestVerify:
         assert stdout == ""
         assert len(stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "thm33", "--suite", "converge", "--samples", "abc"], "dyadlab verify thm33: error: argument --samples"),
+            (["verify", "universal", "--suite", "lemma", "--limit", "1"], "dyadlab verify universal: error: argument --limit"),
+            (["construct", "universal", "--limit", "1,4", "--out", "x.json"], "dyadlab construct universal: error:"),
+            (["eval", "thm33", "--jmaxes"], "dyadlab eval thm33: error:"),
+            (["verify"], "dyadlab verify: error:"),
+            (["bogus"], "dyadlab: error:"),
+        ],
+    )
+    def test_argparse_rejection_is_one_line(self, capsys, argv, message):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == EXIT_USAGE and stdout == ""
+        assert len(stderr.splitlines()) == 1 and stderr.startswith(message)
+
+    def test_help_still_prints_usage(self, capsys):
+        code, stdout, stderr = run(capsys, "verify", "thm33", "--help")
+        assert code == EXIT_PASS and stderr == ""
+        assert stdout.startswith("usage: dyadlab verify thm33") and "--suite" in stdout
+
     @pytest.mark.parametrize("bits", ["100", "4096", "10"])
     def test_span_guard_applies_to_one_invocation(self, capsys, bits):
         before = span_guard()

@@ -159,6 +159,12 @@ class TestDivergence:
         for m, fl in floors.items():
             assert fl > ZERO
 
+    def test_partial_is_running_sum_of_decade_sums(self, cons6):
+        for xs in ("0", "0.375", "1"):
+            x = dy(xs)
+            running = list(itertools.accumulate(decade_sums(cons6, x)))
+            assert [divergence_partial(cons6, x, m) for m in range(1, 7)] == running
+
     def test_domain_guard(self, cons6):
         with pytest.raises(OutOfInterval):
             divergence_partial(cons6, Dyadic(2), 1)

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadlab import lattice
 from dyadlab.exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO
+from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
@@ -256,12 +258,23 @@ class TestCountApInPeriodic:
         return ps, start, step, count
 
     def test_randomized_enumeration_oracle(self):
-        rng = random.Random(20260810)
+        """Expected counts enumerate k on plain ints: every value of a case is
+        an integer multiple of 2^e for the least exponent e among them."""
+        rng, pick = random.Random(20260810), random.Random(1)
         for _ in range(1500):
             ps, start, step, count = self._random_case(rng)
+            vals = (start, step, ps.base, ps.period, ps.width)
+            e = min(v.e for v in vals)
+            s, d, b, p, w = (v.m << (v.e - e) for v in vals)
+
+            def hit(k):
+                q, r = divmod(s + d * k - b, p)
+                return 0 <= q < ps.count and r <= w
+
+            for k in {0, count - 1, pick.randrange(count + 1), pick.randrange(count + 1)} - {-1, count}:
+                assert hit(k) == ps.contains(start + step * k)
             got = count_ap_in_periodic(start, step, count, ps)
-            expect = sum(1 for k in range(count) if ps.contains(start + step * k))
-            assert got == expect
+            assert got == sum(1 for k in range(count) if hit(k))
 
     def test_decomposition_consistency(self):
         rng = random.Random(8)
@@ -347,6 +360,87 @@ class TestSumPlOverAp:
         assert sum_pl_over_seq_range(f, seq, 0, 200) == sum(
             (f.eval(seq.value_at(n)) for n in range(201)), ZERO
         )
+
+
+@st.composite
+def pl_functions(draw):
+    """10-40 breakpoints at power-of-two spacings (every point value stays
+    dyadic), two thirds of the interior values zero, so runs of zero pieces
+    separate the bumps as in the thm33 f."""
+    n = draw(st.integers(10, 40))
+    x = Dyadic(draw(st.integers(-40, 40)), -2)
+    pts = [(x, ZERO)]
+    for i in range(1, n):
+        x = x + Dyadic(1, draw(st.integers(-2, 1)))
+        zero = i == n - 1 or draw(st.integers(0, 2)) > 0
+        pts.append((x, ZERO if zero else Dyadic(draw(st.integers(1, 64)), -5)))
+    return PiecewiseLinear(pts)
+
+
+@st.composite
+def progressions(draw, f):
+    """(start, step, count) placed before, inside one piece of, across, or past
+    f's support, or with its first or last point on a breakpoint."""
+    lo, hi = f.xs[0], f.xs[-1]
+    step = Dyadic(draw(st.integers(1, 40)), -4)
+    if draw(st.booleans()):
+        step = step + (hi - lo)  # wider than the support
+    count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 200)))
+    offset = Dyadic(draw(st.integers(0, 200)), -4)
+    where = draw(st.sampled_from(["before", "inside", "straddle", "past", "first-on-break", "last-on-break"]))
+    if where == "before":
+        start = lo - step * count - offset
+    elif where == "inside":
+        i = draw(st.integers(0, len(f.xs) - 2))
+        x0, x1 = f.xs[i], f.xs[i + 1]
+        start = x0 + (x1 - x0) * Dyadic(draw(st.integers(0, 63)), -6)
+        step = (x1 - x0) * Dyadic(draw(st.integers(1, 64)), -12)
+        count = min(count, -((start - x1) // step))  # every point below x1
+    elif where == "straddle":
+        start = lo - offset - Dyadic(1, -4)
+        count = max(count, -((start - hi) // step) + 1)  # last point at or past hi
+    elif where == "past":
+        start = hi + step + offset
+    else:  # on a breakpoint where f is nonzero, so dropping its piece shows
+        x = draw(st.sampled_from([x for x, v in zip(f.xs, f.vs) if v] or f.xs))
+        start = x if where == "first-on-break" else x - step * max(count - 1, 0)
+    return start, step, count
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_pruned_sum_pointwise_oracle(data):
+    f = data.draw(pl_functions())
+    start, step, count = data.draw(progressions(f))
+    expect = sum((f.eval(start + step * k) for k in range(count)), ZERO)
+    assert sum_pl_over_ap(f, start, step, count) == expect
+
+
+def test_pruned_sum_edge_cases():
+    f = PiecewiseLinear(
+        [(ZERO, ZERO), (ONE, Dyadic(4)), (Dyadic(2), ZERO), (Dyadic(3), ZERO), (Dyadic(4), Dyadic(2)), (Dyadic(5), ZERO)]
+    )
+    cases = [
+        (Dyadic(-3), ONE, 5),  # last point on the breakpoint 1
+        (Dyadic(4), ONE, 3),  # first point on the breakpoint 4
+        (Dyadic(-9), Dyadic(10), 3),  # step wider than the support: -9, 1, 11
+        (Dyadic(-6), ONE, 4),  # entirely before
+        (dy("-0.5"), dy("0.25"), 23),  # straddling the support
+    ]
+    for start, step, count in cases:
+        expect = sum((f.eval(start + step * k) for k in range(count)), ZERO)
+        assert sum_pl_over_ap(f, start, step, count) == expect, (start, step, count)
+
+
+def test_segment_inside_one_piece_tests_one_piece(monkeypatch):
+    """A segment on the decade-3 plateau [30, 31] of the thm33 f locates its
+    index range in one piece, not in every nonzero piece."""
+    calls = []
+    real = lattice._ap_index_range
+    monkeypatch.setattr(lattice, "_ap_index_range", lambda *a: calls.append(a) or real(*a))
+    got = sum_pl_over_ap(build_thm33(6).f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
+    assert got == Dyadic(200, -16)
+    assert len(calls) <= 2
 
 
 @given(
