@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import dense_divergence as dd
 from . import interior_gap as ig
@@ -203,11 +203,6 @@ def _universal_seq(args) -> GapBlockSeq:
     return seq
 
 
-def _universal_steps(limit: uv.IndexJK) -> Iterator[uv.IndexJK]:
-    """Indices whose full step the prefix built through `limit` carries."""
-    return (i for i in uv.indices_through(limit) if i != limit)
-
-
 def _universal_lemma(args, rng) -> list[WitnessReport]:
     return [uv.check_lemma_useful(i) for i in uv.indices_through(args.limit)]
 
@@ -223,7 +218,7 @@ def _universal_integrality(args, rng) -> list[WitnessReport]:
 def _universal_covering(args, rng) -> list[WitnessReport]:
     seq = _universal_seq(args)
     reports = []
-    for i in _universal_steps(args.limit):
+    for i in uv.steps_before(args.limit):
         sc = uv.step_constants(i)
         ok = 0
         for s in range(args.samples):
@@ -264,7 +259,7 @@ def _universal_escape(args, rng) -> list[WitnessReport]:
         )
     ]
     seq = _universal_seq(args)
-    for i in _universal_steps(args.limit):
+    for i in uv.steps_before(args.limit):
         try:
             reports.append(uv.escape_measure(i, seq)[1])
         except uv.BudgetExceeded as exc:

@@ -10,8 +10,10 @@ contribution stays summable everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import _ap_index_range, count_ap_in_interval, sum_pl_over_ap
+from .lattice import _ap_index_range, count_ap_in_interval, sum_pl_over_ap, sum_pl_over_runs
 from .report import WitnessReport
 from .universal import OutOfInterval
 
@@ -35,9 +37,9 @@ __all__ = [
 LAMBDA2_MIN_J = 10
 
 
-@dataclass(frozen=True)
-class APWindow:
-    """A lattice clipped to a window, stored as start + k*step, 0 <= k < count."""
+class APWindow(NamedTuple):
+    """A lattice clipped to a window, stored as start + k*step, 0 <= k < count:
+    a run, in the (first, gap, count) shape every sum over Λ takes."""
 
     start: Dyadic
     step: Dyadic
@@ -239,13 +241,8 @@ def selected_js(cons: Thm31Construction, G: IntervalUnion) -> list[int]:
 
 def fG_sum_partial_31(cons: Thm31Construction, x: Dyadic, G: IntervalUnion) -> Dyadic:
     """Exact sum of the G-selected tents over all of Λ."""
-    js = selected_js(cons, G)
-    total = ZERO
-    for win in cons.lambda_windows():
-        for j in js:
-            f = cons.item(j).tent
-            total = total + sum_pl_over_ap(f, x + win.start, win.step, win.count)
-    return total
+    windows = cons.lambda_windows()
+    return sum((sum_pl_over_runs(cons.item(j).tent, windows, shift=x) for j in selected_js(cons, G)), ZERO)
 
 
 def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessReport:
@@ -283,11 +280,7 @@ def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     lam2_windows = [it.lam2 for it in cons.items if it.lam2 is not None]
 
     def tent_total(j: int) -> Dyadic:
-        f = cons.item(j).tent
-        s = ZERO
-        for win in lam2_windows:
-            s = s + sum_pl_over_ap(f, x + win.start, win.step, win.count)
-        return s
+        return sum_pl_over_runs(cons.item(j).tent, lam2_windows, shift=x)
 
     head = ZERO
     for j in range(1, min(mx, jmax) + 1):

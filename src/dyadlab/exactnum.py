@@ -87,6 +87,8 @@ def set_span_guard(bits: int) -> int:
 
 
 _HASH_MODULUS = sys.hash_info.modulus
+# Messages print a mantissa in full only below this bound (40 digits).
+_BRIEF_MANTISSA = 10**40
 
 _DYADIC_RE = re.compile(r"^(-?\d+)(?:\*2\^(-?\d+))?$")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d+))?$")
@@ -172,7 +174,7 @@ class Dyadic:
         if width > _span_guard:
             raise GuardExceeded(
                 f"aligned mantissa would need {width} bits "
-                f"(guard {_span_guard}): {self} + {other}"
+                f"(guard {_span_guard}): {_brief(self)} + {_brief(other)}"
             )
 
     def __add__(self, other) -> "Dyadic":
@@ -238,7 +240,7 @@ class Dyadic:
         if self.m and max(
             self.m.bit_length() + shift_a, o.m.bit_length() + shift_b
         ) > _span_guard:
-            raise GuardExceeded(f"floor ratio span too wide: {self} vs {o}")
+            raise GuardExceeded(f"floor ratio span too wide: {_brief(self)} vs {_brief(o)}")
         q, r = divmod(self.m << shift_a, o.m << shift_b)
         return q, Dyadic(r, e)
 
@@ -333,6 +335,14 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
+
+
+def _brief(d: Dyadic) -> str:
+    """`d` for a message: in full when its mantissa has at most 40 digits,
+    else only its width, so a guard message never converts a wide mantissa."""
+    if abs(d.m) < _BRIEF_MANTISSA:
+        return str(d)
+    return f"{'-' if d.m < 0 else ''}<{d.m.bit_length()}-bit mantissa>*2^{d.e}"
 
 
 def scaled_ints(values: Sequence[Dyadic]) -> tuple[list[int], int]:

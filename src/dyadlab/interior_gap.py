@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ZERO
-from .lattice import GapBlock, GapBlockSeq, sum_pl_over_seq_range
+from .lattice import GapBlock, GapBlockSeq, sum_pl_over_runs
 from .report import WitnessReport
 from .universal import OutOfInterval
 
@@ -44,9 +44,6 @@ class Thm33Construction:
         end = self.seq.index_of_step_boundary(2 * j - 1) if j < self.jmax else self.seq.total_count
         return lo, end - 1
 
-    def plateau_height(self, j: int) -> Dyadic:
-        return Dyadic(1, -(2 ** (j + 1)))
-
 
 def build_thm33(jmax: int) -> Thm33Construction:
     if jmax < 1:
@@ -76,7 +73,7 @@ def build_thm33(jmax: int) -> Thm33Construction:
 def decade_sums(cons: Thm33Construction, x: Dyadic, upto: int | None = None) -> list[Dyadic]:
     """Exact sum of f(x + point) over the points of each decade 1..upto (default jmax)."""
     return [
-        sum_pl_over_seq_range(cons.f, cons.seq, *cons.decade_index_range(j), shift=x)
+        sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), shift=x)
         for j in range(1, (cons.jmax if upto is None else upto) + 1)
     ]
 

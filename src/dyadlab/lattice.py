@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ZERO, scaled_ints
+from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO, scaled_ints
 from .report import WitnessReport
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "count_ap_in_interval",
     "count_ap_in_periodic",
     "sum_pl_over_ap",
-    "sum_pl_over_seq_range",
+    "sum_pl_over_runs",
 ]
 
 
@@ -137,12 +137,13 @@ class GapBlockSeq:
         )
 
     def segments_in_range(self, n_lo: int, n_hi: int) -> list[tuple[Dyadic, Dyadic, int]]:
-        """Per-block slices covering indices [max(n_lo,1), n_hi] as
-        (value of first index in slice, gap, number of indices).
+        """Runs covering indices [n_lo, n_hi] as (value of first index, gap,
+        number of indices), one per block met.
 
-        The origin (index 0) is never part of a block; callers handle it.
+        The origin (index 0) is the one-point run (origin, 1, 1), listed first
+        when the range holds it; its gap is a placeholder.
         """
-        out = []
+        out = [(self.origin, ONE, 1)] if n_lo <= 0 <= n_hi else []
         for b in range(bisect_left(self._cum_counts, max(n_lo, 1)), len(self.blocks)):
             prev_n, prev_v = self._block_start(b)
             lo = max(n_lo, prev_n + 1)
@@ -173,12 +174,13 @@ class GapBlockSeq:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapBlockSeq":
-        """Inverse of to_json_dict; a count may also be a JSON integer, never a float."""
+        """Inverse of to_json_dict; a count is a string of ASCII digits or a
+        JSON integer, never a float."""
         blocks = []
         for b in data["blocks"]:
             count, tag = b["count"], b.get("tag", "")
-            if type(count) not in (int, str):
-                raise ValueError(f"block count must be an integer, got {count!r}")
+            if not (type(count) is int or (type(count) is str and count.isascii() and count.isdigit())):
+                raise ValueError(f"block count must be a decimal string or integer, got {count!r}")
             if not isinstance(tag, str):
                 raise ValueError(f"block tag must be a string, got {tag!r}")
             blocks.append(GapBlock(Dyadic.parse(b["gap"]), int(count), tag))
@@ -329,17 +331,12 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     return total
 
 
-def sum_pl_over_seq_range(
-    f: PiecewiseLinear, seq: GapBlockSeq, n_lo: int, n_hi: int, shift: Dyadic = ZERO
+def sum_pl_over_runs(
+    f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic = ZERO
 ) -> Dyadic:
-    """Exact sum of f(shift + value_at(n)) over indices n in [n_lo, n_hi]."""
-    if n_lo < 0 or n_hi >= seq.total_count:
-        raise IndexError(f"range [{n_lo}, {n_hi}] outside [0, {seq.total_count})")
+    """Exact sum of f(shift + first + k*gap) over every run (first, gap, count)
+    and k in [0, count)."""
     total = ZERO
-    if n_hi < n_lo:
-        return total
-    if n_lo == 0:
-        total = total + f.eval(shift + seq.origin)
-    for first, gap, count in seq.segments_in_range(n_lo, n_hi):
+    for first, gap, count in runs:
         total = total + sum_pl_over_ap(f, shift + first, gap, count)
     return total

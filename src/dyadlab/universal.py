@@ -10,6 +10,7 @@ that must be integers, and any remainder is a construction bug, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, takewhile
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -27,7 +28,6 @@ from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_per
 from .report import WitnessReport
 
 __all__ = [
-    "NoPredecessor",
     "OutOfInterval",
     "Violation",
     "BudgetExceeded",
@@ -35,7 +35,9 @@ __all__ = [
     "StepConstants",
     "CoverWitness",
     "indices_through",
+    "steps_before",
     "step_constants",
+    "step_indices",
     "u_set",
     "build_universal",
     "check_lemma_useful",
@@ -58,10 +60,6 @@ SMOOTHING_LIMIT = 1 << 12
 # Residue families `escape_measure` may visit per index: enough for row 2
 # through (2,4), a few seconds each at the top.
 ESCAPE_BUDGET = 4_000_000
-
-
-class NoPredecessor(ValueError):
-    pass
 
 
 class OutOfInterval(ValueError):
@@ -94,13 +92,6 @@ class IndexJK:
             return IndexJK(self.j, self.k + 1)
         return IndexJK(self.j + 1, 0)
 
-    def predecessor(self) -> "IndexJK":
-        if self == IndexJK(1, 0):
-            raise NoPredecessor("(1,0) has no predecessor")
-        if self.k > 0:
-            return IndexJK(self.j, self.k - 1)
-        return IndexJK(self.j - 1, row_width(self.j - 1) - 1)
-
     def position(self) -> int:
         """Number of indices strictly before this one in the enumeration."""
         return sum(row_width(jj) for jj in range(1, self.j)) + self.k
@@ -127,6 +118,12 @@ def indices_through(limit: IndexJK) -> Iterator[IndexJK]:
         i = i.successor()
 
 
+def steps_before(limit: IndexJK) -> Iterator[IndexJK]:
+    """Indices whose full step the prefix `build_universal(limit)` carries:
+    all of `indices_through(limit)` except `limit` itself."""
+    return takewhile(lambda i: i != limit, indices_through(limit))
+
+
 @dataclass(frozen=True)
 class StepConstants:
     index: IndexJK
@@ -135,24 +132,20 @@ class StepConstants:
     a: Dyadic
     b: Dyadic
     E: Dyadic
-    n0: int | None = None
-    n1: int | None = None
 
 
-def step_constants(i: IndexJK, seq: GapBlockSeq | None = None) -> StepConstants:
-    """Window endpoints and scale constants; absolute indices when `seq` is given."""
+def step_constants(i: IndexJK) -> StepConstants:
+    """Window endpoints and scale constants."""
     s = i.scale_exp()
     a = Dyadic(1, s)
     E = Dyadic(1, -s)
     aI = Dyadic(i.j) - Dyadic(i.k + 1, -i.j)
     bI = Dyadic(i.j) - Dyadic(i.k, -i.j)
-    n0 = n1 = None
-    if seq is not None:
-        n0, n1 = _step_indices(seq, i)
-    return StepConstants(index=i, aI=aI, bI=bI, a=a, b=a + E, E=E, n0=n0, n1=n1)
+    return StepConstants(index=i, aI=aI, bI=bI, a=a, b=a + E, E=E)
 
 
-def _step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
+def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
+    """Absolute indices (n0, n1) at which step i starts and ends in `seq`."""
     t = i.position()
     if 2 * t >= len(seq.blocks):
         raise IndexError(f"sequence prefix has no step {i}: {len(seq.blocks)} blocks")
@@ -187,9 +180,7 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
     origin = sc0.a - sc0.bI
     blocks: list[GapBlock] = []
     lam = origin
-    for i in indices_through(limit):
-        if i == limit:
-            break
+    for i in steps_before(limit):
         sc = step_constants(i)
         E2 = sc.E * sc.E
         wide_count = (1 << (i.scale_exp() * 2 - i.j)) + (1 << (i.scale_exp() + 1))
@@ -229,13 +220,12 @@ def check_lemma_useful(i: IndexJK) -> WitnessReport:
 def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     """Every step's end value divides by E^2, and the landing value by E'^2."""
     checked = 0
-    for i in indices_through(limit):
-        if i == limit:
-            break
-        sc = step_constants(i, seq)
+    for i in steps_before(limit):
+        sc = step_constants(i)
+        _, n1 = step_indices(seq, i)
         nxt = step_constants(i.successor())
         try:
-            q1 = seq.value_at(sc.n1).div_exact(sc.E * sc.E)
+            q1 = seq.value_at(n1).div_exact(sc.E * sc.E)
             n0_next = seq.index_of_step_boundary(2 * i.position() + 1)
             q2 = seq.value_at(n0_next).div_exact(nxt.E * nxt.E)
         except ArithmeticError as exc:
@@ -277,11 +267,12 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     10^hundreds, scanning is not an option), then advanced by the floor of the
     overshoot measured in comb widths.
     """
-    sc = step_constants(i, seq)
+    sc = step_constants(i)
+    n0, n1 = step_indices(seq, i)
     window = DyInterval.closed(sc.aI, sc.bI)
     if not window.contains(x):
         raise OutOfInterval(f"{x} outside {window} at {i}")
-    if x + seq.value_at(sc.n0) > sc.a:
+    if x + seq.value_at(n0) > sc.a:
         raise Violation(f"start value already past the comb base at {i}, x={x}")
     nx = seq.count_upto(sc.a - x)
     if nx >= seq.total_count:
@@ -299,8 +290,8 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     ps = u_set(i)
     if not (0 <= comp < ps.count and ps.contains(landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
-    if not (nx <= sc.n1 and nxp <= sc.n1):
-        raise Violation(f"witness indices {nx},{nxp} exceed step end {sc.n1} at {i}")
+    if not (nx <= n1 and nxp <= n1):
+        raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
     return CoverWitness(x=x, index=i, nx=nx, nxp=nxp, landing=landing, component=comp)
 
 
@@ -328,12 +319,10 @@ def fG_prefix_sums(
     distinct indices live in disjoint ranges [a, b], so the per-comb counts
     add without double counting.
     """
-    total = sum(1 for _, ps in uG if ps.contains(x + seq.origin))
-    sums = [total]
-    for first, gap, count in seq.segments_in_range(1, seq.total_count - 1):
-        total += sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
-        sums.append(total)
-    return sums
+    return list(accumulate(
+        sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
+        for first, gap, count in seq.segments_in_range(0, seq.total_count - 1)
+    ))
 
 
 def fG_partial_sum(
@@ -380,10 +369,8 @@ def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
     n_start = seq.count_upto(lam_lo)
     if n_start > 0 and seq.value_at(n_start - 1) == lam_lo:
         n_start -= 1
-    n_end = min(seq.count_upto(lam_hi), seq.total_count) - 1
-    segments = seq.segments_in_range(max(1, n_start), n_end)
-    if n_start == 0 and n_end >= 0:
-        segments.append((seq.origin, ONE, 1))
+    n_end = seq.count_upto(lam_hi) - 1
+    segments = seq.segments_in_range(n_start, n_end)
 
     scale_inputs = [sc.a, ps.period, ps.width, -j, sc.aI, sc.bI, j]
     for first, gap, _ in segments:
@@ -451,16 +438,18 @@ def escape_measure(
     C, pi, kappa = grid.components, grid.period, grid.width
     jneg, aI, bI, jpos = grid.window
 
-    families = []  # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
+    shapes = []  # (first, g, m, G, P, q, 1/q mod P) per segment
     work = 0
     for first, g, m in grid.segments:
         G = gcd(g, pi)
         P, q = pi // G, g // G
-        inv = pow(q, -1, P)
         work += kappa * (pi + (m if q > C else 0))
-        families.extend((grid.base - first + d, g, m, G, P, q, inv) for d in range(kappa))
+        shapes.append((first, g, m, G, P, q, pow(q, -1, P)))
+    # checked before any family is listed: a fine gap makes kappa huge
     if work > budget:
         raise BudgetExceeded(f"{work} residue families exceeds budget {budget}")
+    # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
+    families = [(grid.base - first + d, *rest) for first, *rest in shapes for d in range(kappa)]
 
     cells = 0
     for rho in range(pi):

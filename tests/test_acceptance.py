@@ -83,14 +83,15 @@ def test_criterion_4_covering(seq_3_0):
     for j in (1, 2):
         for k in range(uv.row_width(j)):
             i = uv.IndexJK(j, k)
-            sc = uv.step_constants(i, seq_3_0)
+            sc = uv.step_constants(i)
+            _, n1 = uv.step_indices(seq_3_0, i)
             ps = uv.u_set(i)
             for _ in range(1000):
                 x = sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(48), -48)
                 total += 1
                 try:
                     w = uv.covering_witness(x, i, seq_3_0)
-                    if not (ps.contains(w.landing) and w.nx <= sc.n1 and w.nxp <= sc.n1):
+                    if not (ps.contains(w.landing) and w.nx <= n1 and w.nxp <= n1):
                         failures += 1
                 except (uv.Violation, IndexError):
                     failures += 1
@@ -99,20 +100,21 @@ def test_criterion_4_covering(seq_3_0):
     spot_ok = True
     for k in range(4):
         i = uv.IndexJK(1, k)
-        sc = uv.step_constants(i, seq_3_0)
+        sc = uv.step_constants(i)
+        n0, n1 = uv.step_indices(seq_3_0, i)
         e3 = sc.E * sc.E * sc.E
-        lam = seq_3_0.value_at(sc.n0)
+        lam = seq_3_0.value_at(n0)
         gap = seq_3_0.blocks[2 * i.position()].gap
         pts = [lam]
-        for _ in range(sc.n1 - sc.n0):
+        for _ in range(n1 - n0):
             lam = lam + gap
             pts.append(lam)
         assert len(pts) <= 10_001
         for frac_bits in (3, 4, 5):
             x = sc.aI + (sc.bI - sc.aI) * Dyadic(1, -frac_bits)
             w = uv.covering_witness(x, i, seq_3_0)
-            nx_brute = sc.n0 + next(t for t, v in enumerate(pts) if x + v > sc.a)
-            q_brute = (x + pts[nx_brute - sc.n0] - sc.a) // e3
+            nx_brute = n0 + next(t for t, v in enumerate(pts) if x + v > sc.a)
+            q_brute = (x + pts[nx_brute - n0] - sc.a) // e3
             spot_ok = spot_ok and w.nx == nx_brute and w.nxp == nx_brute + q_brute
     _report(4, f"covering witnesses: {total - failures}/{total} pass, brute-force spots agree", failures == 0 and spot_ok)
 

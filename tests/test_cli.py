@@ -1,13 +1,17 @@
 """End-to-end command-line checks: artifacts, suites, exit codes, determinism."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, main
@@ -173,6 +177,11 @@ class TestVerify:
             '{"origin": "0", "blocks": [{"gap": 1, "count": "3"}]}',
             '{"origin": "0", "blocks": [{"gap": "1", "count": 3.5}]}',
             '{"origin": "0", "blocks": [{"gap": "1", "count": "3", "tag": 7}]}',
+            # int() reads each of these counts as 160; the format takes only [0-9]+
+            *(
+                '{"origin": "0", "blocks": [{"gap": "1", "count": "%s"}]}' % count
+                for count in ("16_0", " 160", "160 ", "+160", "\\u0661\\u0666\\u0660")
+            ),
         ],
     )
     def test_malformed_artifact_is_usage_error(self, capsys, tmp_path, construction, content):
@@ -239,6 +248,21 @@ class TestVerify:
         code, stdout, stderr = run(capsys, *argv)
         assert code == EXIT_USAGE and stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith(message)
+
+    @pytest.mark.parametrize("jmax", ["19", "20"])
+    @pytest.mark.parametrize("command", ["verify", "construct", "eval"])
+    def test_guard_message_abbreviates_wide_operands(self, capsys, tmp_path, command, jmax):
+        # building thm33 at jmax 19 trips the guard on a mantissa of about
+        # 3*10^5 digits; at jmax 20 it is past the interpreter's int->str cap
+        argv = {
+            "verify": ["verify", "thm33", "--suite", "gaps", "--jmax", jmax],
+            "construct": ["construct", "thm33", "--jmax", jmax, "--out", str(tmp_path / "c33.json")],
+            "eval": ["eval", "thm33", "--jmaxes", jmax, "--xs", "0"],
+        }[command]
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == EXIT_SKIP and stdout == ""
+        assert len(stderr.splitlines()) == 1 and len(stderr) < 1024
+        assert stderr.startswith("guard: aligned mantissa would need") and "-bit mantissa>*2^-" in stderr
 
     def test_help_still_prints_usage(self, capsys):
         code, stdout, stderr = run(capsys, "verify", "thm33", "--help")
@@ -334,3 +358,67 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert proc.stdout.endswith("2 claims, 0 failures\n")
+
+
+@functools.cache
+def _u11_artifact() -> str:
+    """The text `construct universal --limit 1,1` writes."""
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(d, "u11.json")
+        assert main(["construct", "universal", "--limit", "1,1", "--out", path]) == EXIT_PASS
+        return Path(path).read_text()
+
+
+# values of the wrong type or form, and well-formed values far from the build's
+_JUNK = st.one_of(
+    st.sampled_from(
+        [
+            None, True, False, 0, -1, 1.5, -2.0, [], ["15*2^0"], {},
+            "0", "-5", "0.1", "abc", "", "16_0", "2,0:wide",
+            "1*2^99999999999", "1*2^-99999999999",
+        ]
+    ),
+    st.sampled_from(["1*2^-40", "3*2^-9", "1", "7", 3, "99999999999999999999", "1,0:wide"]),
+)
+
+
+@st.composite
+def _mutated_artifacts(draw):
+    """A `construct universal --limit 1,1` artifact with keys dropped, values
+    replaced by junk, or `blocks` turned into a dict or a string; bare or
+    wrapped as {"seq": ...}."""
+    data = json.loads(_u11_artifact())
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.integers(0, 5)) == 0:
+            data["blocks"] = draw(st.sampled_from([{"gap": "1*2^-9", "count": "3"}, "blocks"]))
+            continue
+        blocks = data.get("blocks")
+        targets = [data, *(b for b in blocks if isinstance(b, dict))] if isinstance(blocks, list) else [data]
+        target = draw(st.sampled_from(targets))
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(_JUNK)
+    return {"seq": data} if draw(st.booleans()) else data
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_artifacts())
+def test_fuzzed_artifact_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as d:
+        art = os.path.join(d, "art.json")
+        Path(art).write_text(json.dumps(data))
+        runs = [
+            ["verify", "universal", "--suite", suite, "--limit", "1,1", "--samples", "1", "--seq", art]
+            for suite in ("integrality", "covering", "escape", "gaps")
+        ]
+        runs.append(["verify", "thm33", "--suite", "gaps", "--jmax", "1", "--seq", art])
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIP), argv
+            assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

@@ -113,6 +113,24 @@ class TestDyadicBasics:
         tiny = Dyadic(1, -(1 << 21))
         assert tiny * tiny == Dyadic(1, -(1 << 22))
 
+    def test_guard_message_prints_operands_up_to_40_digits(self):
+        short = Dyadic(10**40 - 1, -200)  # 40 digits: printed in full
+        wide = Dyadic(-(10**40 + 1), -200)  # 41 digits: only its width
+        brief = f"-<{(10**40 + 1).bit_length()}-bit mantissa>*2^-200"
+        old = set_span_guard(64)
+        try:
+            with pytest.raises(GuardExceeded) as exc:
+                Dyadic(3) + short
+            assert str(exc.value).endswith(f": 3*2^0 + {short}")
+            with pytest.raises(GuardExceeded) as exc:
+                Dyadic(3) + wide
+            assert str(exc.value).endswith(f": 3*2^0 + {brief}")
+            with pytest.raises(GuardExceeded) as exc:
+                divmod(wide, Dyadic(3))
+            assert str(exc.value) == f"floor ratio span too wide: {brief} vs 3*2^0"
+        finally:
+            set_span_guard(old)
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit cap")
     def test_span_guard_raises_str_digit_cap(self):
         # a 2M-bit guard admits mantissas of ceil(2e6 * log10 2) = 602060 digits

@@ -59,13 +59,13 @@ class TestBuild:
         assert f.eval(Dyadic(10) + Dyadic(1, -1)) == Dyadic(1, -4)
         for j in range(1, 7):
             assert f.eval(Dyadic(10 * j) - Dyadic(1, -2)) == ZERO
-            assert f.eval(Dyadic(10 * j)) == cons6.plateau_height(j)
+            assert f.eval(Dyadic(10 * j)) == Dyadic(1, -(2 ** (j + 1)))
         # identically zero between decades
         assert f.eval(Dyadic(15)) == ZERO
         assert f.eval(Dyadic(10) + Dyadic(5, -2) + Dyadic(1, -10)) == ZERO
 
     def test_heights_strictly_decreasing_to_zero(self, cons6):
-        hs = [cons6.plateau_height(j) for j in range(1, 7)]
+        hs = [Dyadic(1, -(2 ** (j + 1))) for j in range(1, 7)]
         for a, b in zip(hs, hs[1:]):
             assert a > b
         assert hs[-1] == Dyadic(1, -(2**7))

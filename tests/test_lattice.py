@@ -17,7 +17,7 @@ from dyadlab.lattice import (
     count_ap_in_periodic,
     floor_sum,
     sum_pl_over_ap,
-    sum_pl_over_seq_range,
+    sum_pl_over_runs,
 )
 
 
@@ -142,14 +142,17 @@ def test_block_lookups_match_enumeration(seq):
             segs = seq.segments_in_range(n_lo, n_hi)
             assert all(count >= 1 for _, _, count in segs)
             got = [first + gap * i for first, gap, count in segs for i in range(count)]
-            assert got == pts[max(n_lo, 1) : n_hi + 1]
-            # one slice per block met, so every gap in a slice is the block's own
+            assert got == pts[n_lo : n_hi + 1]
+            # the origin is a one-point run listed first; then one slice per
+            # block met, so every gap in a slice is the block's own
+            origin = [(seq.origin, ONE, 1)] if n_lo <= 0 <= n_hi else []
+            assert segs[: len(origin)] == origin
             met = [
                 b
                 for b in range(len(seq.blocks))
                 if max(n_lo, 1, ends[b] + 1) <= min(n_hi, ends[b + 1])
             ]
-            assert [gap for _, gap, _ in segs] == [seq.blocks[b].gap for b in met]
+            assert [gap for _, gap, _ in segs[len(origin) :]] == [seq.blocks[b].gap for b in met]
 
 
 class TestFloorSum:
@@ -351,14 +354,19 @@ class TestSumPlOverAp:
             ]
         )
         lo, hi = 8000, 8308
-        got = sum_pl_over_seq_range(f, seq, lo, hi)
+        got = sum_pl_over_runs(f, seq.segments_in_range(lo, hi))
         expect = ZERO
         for n in range(lo, hi + 1):
             expect = expect + f.eval(seq.value_at(n))
         assert got == expect
-        # including the origin index works too
-        assert sum_pl_over_seq_range(f, seq, 0, 200) == sum(
+        # the origin's one-point run is summed like any other
+        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200)) == sum(
             (f.eval(seq.value_at(n)) for n in range(201)), ZERO
+        )
+        shift = Dyadic(65, -2)  # carries the origin onto the peak of f
+        assert f.eval(shift + seq.origin) == Dyadic(1, -2)
+        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200), shift=shift) == sum(
+            (f.eval(shift + seq.value_at(n)) for n in range(201)), ZERO
         )
 
 

@@ -14,7 +14,6 @@ from dyadlab.lattice import GapBlock, GapBlockSeq
 from dyadlab.universal import (
     BudgetExceeded,
     IndexJK,
-    NoPredecessor,
     OutOfInterval,
     borel_cantelli_partial,
     build_uG,
@@ -31,8 +30,11 @@ from dyadlab.universal import (
     row_width,
     smooth_indicator,
     step_constants,
+    step_indices,
+    steps_before,
     u_set,
 )
+from dyadlab.universal import _escape_grid
 
 
 def dy(s: str) -> Dyadic:
@@ -45,18 +47,11 @@ class TestIndexJK:
         assert IndexJK(1, 3).successor() == IndexJK(2, 0)  # row width 2*1*2 = 4
         assert IndexJK(2, 15).successor() == IndexJK(3, 0)
 
-    def test_predecessor(self):
-        assert IndexJK(2, 0).predecessor() == IndexJK(1, 3)
-        assert IndexJK(1, 1).predecessor() == IndexJK(1, 0)
-        with pytest.raises(NoPredecessor):
-            IndexJK(1, 0).predecessor()
-
     def test_successor_predecessor_roundtrip(self):
         i = IndexJK(1, 0)
         for _ in range(300):
-            nxt = i.successor()
-            assert nxt.predecessor() == i
-            i = nxt
+            assert i.successor().position() == i.position() + 1
+            i = i.successor()
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -92,8 +87,14 @@ class TestStepConstants:
 
     def test_indices_from_sequence(self):
         seq = build_universal(IndexJK(1, 1))
-        sc = step_constants(IndexJK(1, 0), seq)
-        assert (sc.n0, sc.n1) == (0, 160)
+        assert step_indices(seq, IndexJK(1, 0)) == (0, 160)
+
+    def test_steps_before_stops_short_of_the_limit(self):
+        assert list(steps_before(IndexJK(1, 0))) == []
+        assert list(steps_before(IndexJK(2, 1))) == [*indices_through(IndexJK(1, 3)), IndexJK(2, 0)]
+        # the prefix built through a limit holds exactly those steps
+        limit = IndexJK(1, 3)
+        assert len(build_universal(limit).blocks) == 2 * len(list(steps_before(limit)))
 
 
 class TestUSet:
@@ -124,16 +125,16 @@ class TestBuildUniversal:
 
     def test_step_end_inequalities_at_1_0(self):
         seq = build_universal(IndexJK(1, 1))
-        sc = step_constants(IndexJK(1, 0), seq)
-        lam_n1 = seq.value_at(sc.n1)
+        sc = step_constants(IndexJK(1, 0))
+        lam_n1 = seq.value_at(step_indices(seq, IndexJK(1, 0))[1])
         assert lam_n1 >= sc.b - sc.aI  # reaches past the comb for the whole window
         assert lam_n1 < sc.a - sc.bI + 1  # but by less than one unit
 
     def test_step_end_inequalities_sweep(self):
         seq = build_universal(IndexJK(2, 15))
         for i in indices_through(IndexJK(2, 14)):
-            sc = step_constants(i, seq)
-            lam_n1 = seq.value_at(sc.n1)
+            sc = step_constants(i)
+            lam_n1 = seq.value_at(step_indices(seq, i)[1])
             assert lam_n1 >= sc.b - sc.aI
             assert lam_n1 < sc.a - sc.bI + 1
 
@@ -141,10 +142,10 @@ class TestBuildUniversal:
         # block algebra must reproduce a - aI + 2E - 2^-j E - 2E^2 at each step end
         seq = build_universal(IndexJK(2, 15))
         for i in indices_through(IndexJK(2, 14)):
-            sc = step_constants(i, seq)
+            sc = step_constants(i)
             e2 = sc.E * sc.E
             expect = sc.a - sc.aI + sc.E * 2 - Dyadic(1, -i.j) * sc.E - e2 * 2
-            assert seq.value_at(sc.n1) == expect
+            assert seq.value_at(step_indices(seq, i)[1]) == expect
 
     def test_monotone_gaps_through_2_15(self):
         seq = build_universal(IndexJK(2, 15))
@@ -184,11 +185,11 @@ class TestLemmaAndIntegrality:
 
     def test_integrality_examples(self):
         seq = build_universal(IndexJK(1, 2))
-        sc = step_constants(IndexJK(1, 0), seq)
-        q = seq.value_at(sc.n1).div_exact(sc.E * sc.E)
+        sc = step_constants(IndexJK(1, 0))
+        q = seq.value_at(step_indices(seq, IndexJK(1, 0))[1]).div_exact(sc.E * sc.E)
         assert q == Dyadic(3990)
-        sc1 = step_constants(IndexJK(1, 1), seq)
-        q = seq.value_at(sc1.n0).div_exact(sc1.E * sc1.E)
+        sc1 = step_constants(IndexJK(1, 1))
+        q = seq.value_at(step_indices(seq, IndexJK(1, 1))[0]).div_exact(sc1.E * sc1.E)
         assert q == Dyadic(32256)
 
     def test_integrality_through_2_15(self):
@@ -267,13 +268,14 @@ class TestCoveringWitness:
         for j in (1, 2):
             for k in range(row_width(j)):
                 i = IndexJK(j, k)
-                sc = step_constants(i, seq)
+                sc = step_constants(i)
+                _, n1 = step_indices(seq, i)
                 ps = u_set(i)
                 for _ in range(20):
                     x = sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(40), -40)
                     w = covering_witness(x, i, seq)
                     assert ps.contains(w.landing)
-                    assert w.nx <= sc.n1 and w.nxp <= sc.n1
+                    assert w.nx <= n1 and w.nxp <= n1
 
     def test_out_of_interval(self, seq11):
         with pytest.raises(OutOfInterval):
@@ -433,6 +435,17 @@ class TestEscapeMeasure:
     @example((IndexJK(1, 1), GapBlockSeq(Dyadic(31), [GapBlock(Dyadic(35, -10), 9)])))  # 35 slots a step
     def test_matches_bruteforce(self, case):
         i, seq = case
+        assert escape_measure(i, seq) == escape_measure_bruteforce(i, seq)
+
+    def test_translate_range_starts_at_the_origin(self):
+        # at (1,0) the origin 15 already lies within j + E^3 of the comb base
+        # 16, so the translates start at index 0: the origin's one-point run
+        seq = build_universal(IndexJK(1, 1))
+        i = IndexJK(1, 0)
+        grid = _escape_grid(i, seq)
+        first, gap, count = grid.segments[0]
+        assert Dyadic(first * grid.unit, grid.e) == seq.origin and (gap, count) == (0, 1)
+        assert sum(c for _, _, c in grid.segments) == grid.translates
         assert escape_measure(i, seq) == escape_measure_bruteforce(i, seq)
 
     def test_budget_counts_residue_families(self):
