@@ -62,18 +62,26 @@ def _parse_x(text: str) -> Dyadic:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _read_json(path: str):
+    """The JSON value in `path`; nesting too deep to parse is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_G(path: str | None, default: IntervalUnion) -> IntervalUnion:
     if path is None:
         return default
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, list):
         raise ValueError(f"{path}: open-set JSON must be a list of interval strings")
     return IntervalUnion.from_json(data)
 
 
-def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic, bits: int = 48) -> Dyadic:
-    return lo + (hi - lo) * Dyadic(rng.getrandbits(bits), -bits)
+def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic) -> Dyadic:
+    return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,8 +177,7 @@ def _cmd_construct(args) -> int:
 
 def _load_seq(path: str) -> GapBlockSeq:
     """A gap-block artifact, bare or wrapped as {"seq": ...} by `construct thm33`."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         return GapBlockSeq.from_json_dict(data["seq"] if "seq" in data else data)
     except (KeyError, TypeError, ValueError, NotExact) as exc:
@@ -187,7 +194,7 @@ def _gaps(args, built: GapBlockSeq, **key) -> list[WitnessReport]:
             params={**key, "blocks": len(seq.blocks)},
             lhs=str(seq.last_value),
             rhs=str(built.last_value),
-            passed=seq.origin == built.origin and seq.blocks == built.blocks,
+            passed=seq == built,
         ),
     ]
 
@@ -460,7 +467,7 @@ def _cmd_verify(args) -> int:
 
 def _universal_sum(G: IntervalUnion, limit: uv.IndexJK):
     uG, seq = uv.build_uG(G, limit), uv.build_universal(limit)
-    return lambda x: Dyadic(uv.fG_partial_sum(x, uG, seq))
+    return lambda x: Dyadic(uv.fG_prefix_sums(x, uG, seq)[-1])
 
 
 def _cmd_eval(args) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 # Mantissas and block counts legitimately reach hundreds of thousands of
@@ -24,6 +25,7 @@ _STR_DIGITS = 400_000
 # Digits allowed beyond the span guard's own width, for the narrower operand
 # of a sum; the interpreter's default cap.
 _STR_DIGITS_MARGIN = 4300
+_MAX_STR_DIGITS = 2**31 - 1  # the cap is a C int
 
 
 def _allow_str_digits(digits: int) -> None:
@@ -74,15 +76,20 @@ def set_span_guard(bits: int) -> int:
     """Set the mantissa bit budget; returns the previous value.
 
     Also raises the interpreter's int<->str digit cap, never lowering it, so
-    that any mantissa within the budget can be printed and parsed.
+    that any mantissa within the budget can be printed and parsed.  A budget
+    whose digit count the cap cannot hold (above about 7.13e9 bits) raises
+    ValueError and leaves the guard unchanged.
     """
     global _span_guard
     if bits < 64:
         raise ValueError("span guard below 64 bits is unusable")
+    # 30103/100000 > log10(2), so this is at least ceil(bits * log10(2))
+    digits = bits * 30103 // 100_000 + 1 + _STR_DIGITS_MARGIN
+    if digits > _MAX_STR_DIGITS:
+        raise ValueError(f"span guard {bits} bits needs {digits}-digit mantissas, past Python's int->str limit")
+    _allow_str_digits(digits)
     old = _span_guard
     _span_guard = bits
-    # 30103/100000 > log10(2), so this is at least ceil(bits * log10(2))
-    _allow_str_digits(bits * 30103 // 100_000 + 1 + _STR_DIGITS_MARGIN)
     return old
 
 
@@ -364,23 +371,20 @@ def scaled_ints(values: Sequence[Dyadic]) -> tuple[list[int], int]:
     return out, e
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class DyInterval:
     """Interval with dyadic endpoints and per-endpoint closedness flags."""
 
-    __slots__ = ("lo", "hi", "closed_lo", "closed_hi")
+    lo: Dyadic
+    hi: Dyadic
+    closed_lo: bool = True
+    closed_hi: bool = True
 
-    def __init__(self, lo: Dyadic, hi: Dyadic, closed_lo: bool = True, closed_hi: bool = True):
-        if lo > hi:
-            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-        if lo == hi and not (closed_lo and closed_hi):
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+        if self.lo == self.hi and not (self.closed_lo and self.closed_hi):
             raise ValueError("degenerate interval must be closed on both ends")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "closed_lo", closed_lo)
-        object.__setattr__(self, "closed_hi", closed_hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyInterval is immutable")
 
     @classmethod
     def closed(cls, lo, hi) -> "DyInterval":
@@ -411,19 +415,6 @@ class DyInterval:
 
     __repr__ = __str__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyInterval):
-            return NotImplemented
-        return (
-            self.lo == other.lo
-            and self.hi == other.hi
-            and self.closed_lo == other.closed_lo
-            and self.closed_hi == other.closed_hi
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.closed_lo, self.closed_hi))
-
     def measure(self) -> Dyadic:
         return self.hi - self.lo
 
@@ -451,33 +442,30 @@ def _as_dyadic(x) -> Dyadic:
         return x
     if isinstance(x, int):
         return Dyadic(x)
-    if isinstance(x, str):
-        return Dyadic.parse(x)
-    raise TypeError(f"expected Dyadic, int, or str, got {type(x).__name__}")
+    raise TypeError(f"expected Dyadic or int, got {type(x).__name__}")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IntervalUnion:
     """Ordered union of pairwise-disjoint, non-mergeable intervals.
 
     Two parts never touch: any overlap or flush adjacency (where the shared
-    endpoint belongs to at least one side) is merged on insertion, so the
-    representation is canonical and the total measure is a plain sum.
+    endpoint belongs to at least one side) is merged on construction from any
+    iterable of intervals, so the representation is canonical and the total
+    measure is a plain sum.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple[DyInterval, ...] = ()
 
-    def __init__(self, parts: Iterable[DyInterval] = ()):
+    def __post_init__(self):
         merged: list[DyInterval] = []
         # open lo sorts after closed lo at the same point
-        for iv in sorted(parts, key=lambda iv: (iv.lo, not iv.closed_lo)):
+        for iv in sorted(self.parts, key=lambda iv: (iv.lo, not iv.closed_lo)):
             if merged and _touches(merged[-1], iv):
                 merged[-1] = _merge(merged[-1], iv)
             else:
                 merged.append(iv)
         object.__setattr__(self, "parts", tuple(merged))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalUnion is immutable")
 
     def measure(self) -> Dyadic:
         total = ZERO
@@ -497,14 +485,6 @@ class IntervalUnion:
 
     def __iter__(self) -> Iterator[DyInterval]:
         return iter(self.parts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntervalUnion):
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
@@ -540,6 +520,7 @@ def _merge(a: DyInterval, b: DyInterval) -> DyInterval:
     return DyInterval(a.lo, hi, closed_lo, closed_hi)
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class PiecewiseLinear:
     """Compactly supported continuous function given by dyadic breakpoints.
 
@@ -547,7 +528,8 @@ class PiecewiseLinear:
     and last values must be zero and all values nonnegative.
     """
 
-    __slots__ = ("xs", "vs")
+    xs: tuple[Dyadic, ...]
+    vs: tuple[Dyadic, ...]
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         pts = list(breakpoints)
@@ -565,17 +547,6 @@ class PiecewiseLinear:
                 raise ValueError("values must be nonnegative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PiecewiseLinear is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PiecewiseLinear):
-            return NotImplemented
-        return self.xs == other.xs and self.vs == other.vs
-
-    def __hash__(self) -> int:
-        return hash((self.xs, self.vs))
 
     def max_value(self) -> Dyadic:
         return max(self.vs)

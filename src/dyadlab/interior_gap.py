@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ZERO
+from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
 from .lattice import GapBlock, GapBlockSeq, sum_pl_over_runs
 from .report import WitnessReport
 from .universal import OutOfInterval
@@ -50,6 +50,11 @@ def build_thm33(jmax: int) -> Thm33Construction:
         raise ValueError("jmax must be >= 1")
     blocks = []
     for j in range(1, jmax + 1):
+        # the fine count, the widest, has 2^(j+1) + 2 bits: refuse it before
+        # it is computed, not after (at large j it would not fit in memory)
+        bits = 2 ** (j + 1) + 2
+        if bits > span_guard():
+            raise GuardExceeded(f"decade {j} fine block count needs {bits} bits (guard {span_guard()})")
         coarse = Dyadic(1, -(2**j))
         fine = Dyadic(1, -(2 ** (j + 1)))
         fine_count = 2 * 2 ** (2 ** (j + 1))

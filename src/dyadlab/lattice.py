@@ -10,7 +10,7 @@ never by iterating periods.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO, scaled_ints
@@ -43,6 +43,7 @@ class GapBlock:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class GapBlockSeq:
     """Strictly increasing sequence origin, origin+g1, ... stored by gap blocks.
 
@@ -50,25 +51,24 @@ class GapBlockSeq:
     N_b is the cumulative gap count.
     """
 
-    __slots__ = ("origin", "blocks", "_cum_counts", "_cum_values")
+    origin: Dyadic
+    blocks: tuple[GapBlock, ...]
+    _cum_counts: list[int] = field(init=False, compare=False)
+    _cum_values: list[Dyadic] = field(init=False, compare=False)
 
-    def __init__(self, origin: Dyadic, blocks: Iterable[GapBlock]):
-        blocks = tuple(blocks)
+    def __post_init__(self):
+        blocks = tuple(self.blocks)
         cum_counts = []
         cum_values = []
-        n, v = 0, origin
+        n, v = 0, self.origin
         for b in blocks:
             n += b.count
             v = v + b.gap * b.count
             cum_counts.append(n)
             cum_values.append(v)
-        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_cum_counts", cum_counts)
         object.__setattr__(self, "_cum_values", cum_values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GapBlockSeq is immutable")
 
     @property
     def total_count(self) -> int:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["WitnessReport", "reports_to_json", "write_reports"]
+__all__ = ["WitnessReport", "write_reports"]
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,9 @@ class WitnessReport:
         return bool(self.params.get("informational"))
 
 
-def reports_to_json(reports: Iterable[WitnessReport]) -> str:
-    """Serialize reports sorted by claim key, byte-stable for a fixed input."""
-    items = sorted(reports, key=lambda r: r.claim)
-    return json.dumps(
-        [r.to_json_dict() for r in items],
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )
-
-
 def write_reports(path: str, reports: Iterable[WitnessReport]) -> None:
+    """Write reports sorted by claim key, byte-stable for a fixed input."""
+    items = sorted(reports, key=lambda r: r.claim)
+    text = json.dumps([r.to_json_dict() for r in items], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(reports_to_json(reports))
-        fh.write("\n")
+        fh.write(text + "\n")

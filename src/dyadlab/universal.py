@@ -45,7 +45,6 @@ __all__ = [
     "covering_witness",
     "build_uG",
     "fG_prefix_sums",
-    "fG_partial_sum",
     "escape_bound",
     "escape_measure",
     "escape_measure_bruteforce",
@@ -126,7 +125,6 @@ def steps_before(limit: IndexJK) -> Iterator[IndexJK]:
 
 @dataclass(frozen=True)
 class StepConstants:
-    index: IndexJK
     aI: Dyadic
     bI: Dyadic
     a: Dyadic
@@ -141,7 +139,7 @@ def step_constants(i: IndexJK) -> StepConstants:
     E = Dyadic(1, -s)
     aI = Dyadic(i.j) - Dyadic(i.k + 1, -i.j)
     bI = Dyadic(i.j) - Dyadic(i.k, -i.j)
-    return StepConstants(index=i, aI=aI, bI=bI, a=a, b=a + E, E=E)
+    return StepConstants(aI=aI, bI=bI, a=a, b=a + E, E=E)
 
 
 def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
@@ -210,7 +208,7 @@ def check_lemma_useful(i: IndexJK) -> WitnessReport:
     ok_m = mult.is_integer() and mult.m >= 1
     return WitnessReport(
         claim=f"lemma-useful/{i.j},{i.k}",
-        params={"index": str(i), "successor": str(nxt.index), "multiplier": str(mult.as_integer() if ok_m else mult)},
+        params={"index": str(i), "successor": str(i.successor()), "multiplier": str(mult.as_integer() if ok_m else mult)},
         lhs=f"a={sc.a} E={sc.E}",
         rhs=f"a'={nxt.a} E'={nxt.E}",
         passed=ok_a and ok_e and ok_m,
@@ -252,8 +250,6 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
 
 @dataclass(frozen=True)
 class CoverWitness:
-    x: Dyadic
-    index: IndexJK
     nx: int
     nxp: int
     landing: Dyadic
@@ -292,7 +288,7 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
         raise Violation(f"landing {landing} missed component {comp} at {i}")
     if not (nx <= n1 and nxp <= n1):
         raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
-    return CoverWitness(x=x, index=i, nx=nx, nxp=nxp, landing=landing, component=comp)
+    return CoverWitness(nx=nx, nxp=nxp, landing=landing, component=comp)
 
 
 def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIntervalSet]]:
@@ -323,13 +319,6 @@ def fG_prefix_sums(
         sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
         for first, gap, count in seq.segments_in_range(0, seq.total_count - 1)
     ))
-
-
-def fG_partial_sum(
-    x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
-) -> int:
-    """The count of `fG_prefix_sums` over the whole prefix."""
-    return fG_prefix_sums(x, uG, seq)[-1]
 
 
 def escape_bound(i: IndexJK) -> Dyadic:
@@ -417,9 +406,7 @@ def _escape_report(i: IndexJK, grid: _EscapeGrid, measure: Dyadic) -> WitnessRep
     )
 
 
-def escape_measure(
-    i: IndexJK, seq: GapBlockSeq, budget: int = ESCAPE_BUDGET
-) -> tuple[Dyadic, WitnessReport]:
+def escape_measure(i: IndexJK, seq: GapBlockSeq) -> tuple[Dyadic, WitnessReport]:
     """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window,
     one residue class of the comb period at a time.
 
@@ -431,8 +418,8 @@ def escape_measure(
     cover one run of slots; otherwise one run per translate.  The measure is
     the number of cells of the merged runs in [-j, aI) ∪ [bI, j), counted
     with ceiling divisions: O(pi * kappa * segments) steps whatever the
-    translate count.  `budget` bounds those residue families plus the runs
-    listed one per translate.
+    translate count.  `ESCAPE_BUDGET` bounds those residue families plus the
+    runs listed one per translate.
     """
     grid = _escape_grid(i, seq)
     C, pi, kappa = grid.components, grid.period, grid.width
@@ -446,8 +433,8 @@ def escape_measure(
         work += kappa * (pi + (m if q > C else 0))
         shapes.append((first, g, m, G, P, q, pow(q, -1, P)))
     # checked before any family is listed: a fine gap makes kappa huge
-    if work > budget:
-        raise BudgetExceeded(f"{work} residue families exceeds budget {budget}")
+    if work > ESCAPE_BUDGET:
+        raise BudgetExceeded(f"{work} residue families exceeds budget {ESCAPE_BUDGET}")
     # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
     families = [(grid.base - first + d, *rest) for first, *rest in shapes for d in range(kappa)]
 

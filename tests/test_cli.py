@@ -115,7 +115,7 @@ class TestVerify:
 
     def test_escape_budget_skip_is_counted(self, capsys, monkeypatch):
         # (1,0) and (1,1) visit 3*16 and 3*32 residue families; (1,2) needs 3*64
-        monkeypatch.setattr(uv, "escape_measure", functools.partial(uv.escape_measure, budget=100))
+        monkeypatch.setattr(uv, "ESCAPE_BUDGET", 100)
         code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "1,3")
         assert code == EXIT_SKIP
         assert "PASS escape-measure/1,1 " in stdout
@@ -249,20 +249,32 @@ class TestVerify:
         assert code == EXIT_USAGE and stdout == ""
         assert len(stderr.splitlines()) == 1 and stderr.startswith(message)
 
-    @pytest.mark.parametrize("jmax", ["19", "20"])
-    @pytest.mark.parametrize("command", ["verify", "construct", "eval"])
-    def test_guard_message_abbreviates_wide_operands(self, capsys, tmp_path, command, jmax):
-        # building thm33 at jmax 19 trips the guard on a mantissa of about
-        # 3*10^5 digits; at jmax 20 it is past the interpreter's int->str cap
-        argv = {
+    @staticmethod
+    def _thm33_argv(command, jmax, tmp_path):
+        return {
             "verify": ["verify", "thm33", "--suite", "gaps", "--jmax", jmax],
             "construct": ["construct", "thm33", "--jmax", jmax, "--out", str(tmp_path / "c33.json")],
             "eval": ["eval", "thm33", "--jmaxes", jmax, "--xs", "0"],
         }[command]
-        code, stdout, stderr = run(capsys, *argv)
+
+    @pytest.mark.parametrize("jmax", ["19", "20"])
+    @pytest.mark.parametrize("command", ["verify", "construct", "eval"])
+    def test_guard_message_abbreviates_wide_operands(self, capsys, tmp_path, command, jmax):
+        # decade 19's fine count alone is 2^20 + 2 bits, past the default
+        # guard: the build refuses it before computing it
+        code, stdout, stderr = run(capsys, *self._thm33_argv(command, jmax, tmp_path))
         assert code == EXIT_SKIP and stdout == ""
         assert len(stderr.splitlines()) == 1 and len(stderr) < 1024
-        assert stderr.startswith("guard: aligned mantissa would need") and "-bit mantissa>*2^-" in stderr
+        assert stderr.startswith("guard: decade 19 fine block count needs 1048578 bits")
+
+    @pytest.mark.parametrize("command", ["verify", "construct", "eval"])
+    def test_wide_guard_operand_prints_by_width(self, capsys, tmp_path, command):
+        # at jmax 18 every count fits a 524293-bit guard, but the last
+        # decade's end value 178 + (2^524289 - 1)*2^-524288 does not
+        code, stdout, stderr = run(capsys, "--span-guard", "524293", *self._thm33_argv(command, "18", tmp_path))
+        assert code == EXIT_SKIP and stdout == ""
+        assert len(stderr.splitlines()) == 1 and len(stderr) < 1024
+        assert stderr == "guard: aligned mantissa would need 524296 bits (guard 524293): 89*2^1 + <524289-bit mantissa>*2^-524288\n"
 
     def test_help_still_prints_usage(self, capsys):
         code, stdout, stderr = run(capsys, "verify", "thm33", "--help")
@@ -422,3 +434,83 @@ def test_fuzzed_artifact_exits_cleanly(data):
                 code = main(argv)
             assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIP), argv
             assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+_ENDPOINTS = st.sampled_from(
+    ["0", "1", "-1", "2", "-3", "0.5", "1*2^-3", "", "abc",
+     "1*2^99999999999", "-1*2^99999999999", "1*2^-99999999999", "-1*2^-99999999999"]
+)
+_INTERVAL_TEXTS = st.builds(
+    lambda lb, lo, hi, rb: f"{lb}{lo},{hi}{rb}", st.sampled_from("[("), _ENDPOINTS, _ENDPOINTS, st.sampled_from("])")
+)
+# lists of interval strings (degenerate and reversed ones among them) and
+# junk, values that are not lists, and lists nested past the parser's depth
+_OPEN_SET_FILES = st.one_of(
+    st.lists(st.one_of(_INTERVAL_TEXTS, _INTERVAL_TEXTS, _JUNK), max_size=4).map(json.dumps),
+    _JUNK.map(json.dumps),
+    st.sampled_from([1_000, 200_000]).map(lambda d: "[" * d + "]" * d),
+)
+
+
+def _exits_cleanly(argv) -> int:
+    """main(argv)'s exit code, asserting it is 0-3 with at most one stderr
+    line, and exactly one on a usage error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = len(err.getvalue().splitlines())
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIP), argv
+    assert lines <= 1 and (lines == 1 or code != EXIT_USAGE), (argv, err.getvalue())
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(_OPEN_SET_FILES)
+def test_fuzzed_open_set_exits_cleanly(content):
+    with tempfile.TemporaryDirectory() as d:
+        g = os.path.join(d, "G.json")
+        Path(g).write_text(content)
+        _exits_cleanly(["verify", "universal", "--suite", "series", "--limit", "1,3", "--samples", "1", "--G", g])
+        _exits_cleanly(["eval", "thm31", "--jmaxes", "3", "--xs", "0", "--G", g])
+
+
+@pytest.mark.parametrize("bits", ["63", "7200000000", str(10**14)])
+def test_span_guard_out_of_range_is_usage_error(bits):
+    # above about 7.13e9 bits the interpreter's int->str cap cannot follow
+    before = span_guard()
+    assert _exits_cleanly(["--span-guard", bits, "verify", "universal", "--suite", "lemma", "--limit", "1,1"]) == EXIT_USAGE
+    assert span_guard() == before
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+@pytest.mark.parametrize(
+    "jmax, code", [("0", EXIT_USAGE), ("-1", EXIT_USAGE), ("19", EXIT_SKIP), ("20", EXIT_SKIP), ("40", EXIT_SKIP), (str(10**6), EXIT_SKIP)]
+)
+def test_thm33_jmax_extremes_exit_cleanly(jmax, code):
+    # under a 2 GB address-space limit a block count computed before the
+    # guard check would end in MemoryError, not in an exhausted machine
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadlab", "verify", "thm33", "--suite", "gaps", "--jmax", jmax],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "universal", "--suite", "integrality", "--limit", "1,1"], "--seq"),
+        (["eval", "thm31", "--jmaxes", "3", "--xs", "0"], "--G"),
+    ],
+)
+def test_deeply_nested_json_is_usage_error(tmp_path, argv, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert _exits_cleanly([*argv, flag, str(deep)]) == EXIT_USAGE

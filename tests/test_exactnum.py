@@ -22,6 +22,7 @@ from dyadlab.exactnum import (
     ZERO,
     ONE,
     set_span_guard,
+    span_guard,
 )
 
 
@@ -147,6 +148,14 @@ class TestDyadicBasics:
         finally:
             set_span_guard(old)
             sys.set_int_max_str_digits(cap)
+
+    @pytest.mark.parametrize("bits", [7_200_000_000, 10**14])
+    def test_span_guard_past_the_str_digit_limit_is_refused(self, bits):
+        # its digit count would not fit the C int the interpreter's cap takes
+        before = span_guard()
+        with pytest.raises(ValueError):
+            set_span_guard(bits)
+        assert span_guard() == before
 
     def test_comparison_across_huge_spans(self):
         assert Dyadic(1, -(1 << 30)) < ONE

@@ -24,7 +24,6 @@ from dyadlab.universal import (
     escape_bound,
     escape_measure,
     escape_measure_bruteforce,
-    fG_partial_sum,
     fG_prefix_sums,
     indices_through,
     row_width,
@@ -34,6 +33,7 @@ from dyadlab.universal import (
     steps_before,
     u_set,
 )
+from dyadlab import universal
 from dyadlab.universal import _escape_grid
 
 
@@ -304,22 +304,22 @@ class TestUGAndSeries:
         for _ in range(25):
             x = Dyadic(rng.randint(-3000, 3000), -10)
             brute = sum(1 for v in pts if any(ps.contains(x + v) for _, ps in uG))
-            assert fG_partial_sum(x, uG, seq) == brute
+            assert fG_prefix_sums(x, uG, seq)[-1] == brute
         # targeted points that actually land: window points of (1,0) and (1,1)
         for xs in ("0.75", "0.5", "1", "0.25", "0"):
             x = dy(xs)
             brute = sum(1 for v in pts if any(ps.contains(x + v) for _, ps in uG))
-            assert fG_partial_sum(x, uG, seq) == brute
+            assert fG_prefix_sums(x, uG, seq)[-1] == brute
 
     def test_covering_implies_hit(self):
         seq = build_universal(IndexJK(1, 1))
         uG = build_uG(IntervalUnion([DyInterval.open(0, 2)]), IndexJK(1, 0))
-        assert fG_partial_sum(dy("0.75"), uG, seq) >= 1
+        assert fG_prefix_sums(dy("0.75"), uG, seq)[-1] >= 1
 
     def test_far_left_point_misses_everything(self):
         seq = build_universal(IndexJK(1, 1))
         uG = build_uG(IntervalUnion([DyInterval.open(-100, 100)]), IndexJK(1, 0))
-        assert fG_partial_sum(Dyadic(-100), uG, seq) == 0
+        assert fG_prefix_sums(Dyadic(-100), uG, seq)[-1] == 0
 
     def test_sum_grows_when_prefix_extends_past_step(self):
         g = IntervalUnion([DyInterval.open(-100, 100)])
@@ -329,8 +329,8 @@ class TestUGAndSeries:
         rng = random.Random(2718)
         for _ in range(10):
             x = dy("0.5") + Dyadic(rng.getrandbits(30), -31)  # inside the (1,0) window
-            a = fG_partial_sum(x, uG, short)
-            b = fG_partial_sum(x, uG, longer)
+            a = fG_prefix_sums(x, uG, short)[-1]
+            b = fG_prefix_sums(x, uG, longer)[-1]
             assert a >= 1
             assert b >= a
 
@@ -351,7 +351,7 @@ class TestUGAndSeries:
                 sums = fG_prefix_sums(x, uG, full)
                 assert len(sums) == len(full.blocks) + 1
                 for i, prefix in prefixes.items():
-                    assert sums[2 * i.position()] == fG_partial_sum(x, uG, prefix), (x, i)
+                    assert sums[2 * i.position()] == fG_prefix_sums(x, uG, prefix)[-1], (x, i)
                 assert sums[-1] >= 1 or x == Dyadic(-3)
 
 
@@ -448,12 +448,14 @@ class TestEscapeMeasure:
         assert sum(c for _, _, c in grid.segments) == grid.translates
         assert escape_measure(i, seq) == escape_measure_bruteforce(i, seq)
 
-    def test_budget_counts_residue_families(self):
+    def test_budget_counts_residue_families(self, monkeypatch):
         seq = build_universal(IndexJK(1, 3))
         i = IndexJK(1, 2)  # 3 segments, comb period of 64 cells
-        assert escape_measure(i, seq, budget=3 * 64)[1].passed
+        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 64)
+        assert escape_measure(i, seq)[1].passed
+        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 64 - 1)
         with pytest.raises(BudgetExceeded):
-            escape_measure(i, seq, budget=3 * 64 - 1)
+            escape_measure(i, seq)
 
     def test_default_budget_ends_after_2_4(self):
         # 3 segments x 2^21 residues at (2,5); raised before any residue is visited

@@ -1,0 +1,80 @@
+"""The frozen value types: a rebuilt copy compares and hashes equal, and no
+field can be assigned."""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO
+from dyadlab.lattice import GapBlock, GapBlockSeq
+
+dyadics = st.builds(Dyadic, st.integers(-(2**20), 2**20), st.integers(-12, 12))
+positive = st.builds(Dyadic, st.integers(1, 2**20), st.integers(-12, 12))
+
+
+@st.composite
+def intervals(draw):
+    lo, hi = sorted((draw(dyadics), draw(dyadics)))
+    if lo == hi:
+        return DyInterval(lo, hi)
+    return DyInterval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def piecewise(draw):
+    xs = sorted(set(draw(st.lists(dyadics, min_size=2, max_size=8))))
+    if len(xs) < 2:
+        xs.append(xs[0] + 1)
+    vs = [ZERO] + [abs(draw(dyadics)) for _ in xs[2:]] + [ZERO]
+    return PiecewiseLinear(zip(xs, vs))
+
+
+gap_seqs = st.builds(
+    GapBlockSeq,
+    dyadics,
+    st.lists(st.builds(GapBlock, positive, st.integers(1, 10**30), st.sampled_from(["", "a", "b"])), max_size=6),
+)
+
+
+def _assert_value(a, b, field):
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+
+
+@given(intervals())
+def test_interval_rebuilt_is_equal(iv):
+    _assert_value(iv, DyInterval.parse(str(iv)), "lo")
+    _assert_value(iv, DyInterval(iv.lo, iv.hi, iv.closed_lo, iv.closed_hi), "closed_hi")
+
+
+@given(st.lists(intervals(), max_size=8).flatmap(lambda ivs: st.tuples(st.just(ivs), st.permutations(ivs))))
+def test_union_is_equal_across_part_orders(case):
+    ivs, shuffled = case
+    g = IntervalUnion(ivs)
+    _assert_value(g, IntervalUnion(shuffled), "parts")
+    _assert_value(g, IntervalUnion.from_json(g.to_json()), "parts")
+
+
+@given(piecewise())
+def test_piecewise_rebuilt_is_equal(f):
+    _assert_value(f, PiecewiseLinear.from_json(f.to_json()), "xs")
+    _assert_value(f, PiecewiseLinear(zip(f.xs, f.vs)), "vs")
+
+
+@given(gap_seqs)
+def test_gap_seq_rebuilt_is_equal(seq):
+    copy = GapBlockSeq.from_json_dict(seq.to_json_dict())
+    _assert_value(seq, copy, "blocks")
+    _assert_value(seq, GapBlockSeq(seq.origin, list(seq.blocks)), "origin")
+    assert (copy.total_count, copy.last_value) == (seq.total_count, seq.last_value)
+    with pytest.raises(AttributeError):
+        seq._cum_counts = []
+
+
+def test_unequal_values_differ():
+    iv = DyInterval.closed(0, 1)
+    assert iv != DyInterval(iv.lo, iv.hi, True, False)
+    assert IntervalUnion([iv]) != IntervalUnion([DyInterval.open(0, 1)])
+    seq = GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 3)])
+    assert seq != GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 4)])
+    assert seq != GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 3, "tag")])
