@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import random
+import re
 import sys
 from typing import Sequence
 
@@ -85,7 +86,12 @@ def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic) -> Dyadic:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors are one stderr line; subparsers inherit it."""
+    """ArgumentParser whose usage errors are one stderr line and which reads
+    `-m*2^e` as a negative value, not an option; subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(\*2\^-?\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -447,7 +453,7 @@ def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     reports = SUITES[args.construction, args.suite](args, random.Random(args.seed))
-    failures = [r for r in reports if not r.passed and not r.is_informational()]
+    failures = [r for r in reports if not r.passed]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
     for r in sorted(reports, key=lambda r: r.claim):
         status = "PASS" if r.passed else "FAIL"
@@ -510,6 +516,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.span_guard is not None:
             set_span_guard(args.span_guard)
+        for limit in vars(args).get("limits") or [vars(args).get("limit")]:
+            if limit is not None:
+                uv.require_span(limit)
         if args.command == "construct":
             return _cmd_construct(args)
         if args.command == "verify":

@@ -250,16 +250,10 @@ def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
     narrower than the coarse step); exact count reported."""
     it = cons.item(j)
     if it.lam2 is None:
-        return WitnessReport(
-            claim=f"thm31-lam2hits/{j}",
-            params={"j": j, "x": str(x), "informational": True, "note": "no coarse lattice at this j"},
-            lhs="0",
-            rhs="1",
-            passed=True,
-        )
+        raise ValueError(f"no coarse lattice at j={j}")
     support = DyInterval.open(it.tent.xs[0] - x, it.tent.xs[-1] - x)
     hits = count_ap_in_interval(it.lam2.start, it.lam2.step, it.lam2.count, support)
-    asserted = j >= LAMBDA2_MIN_J and abs(x) <= Dyadic(j)
+    asserted = abs(x) <= Dyadic(j)
     params = {"j": j, "x": str(x)}
     if not asserted:
         params["informational"] = True

@@ -14,7 +14,7 @@ import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Mantissas and block counts legitimately reach hundreds of thousands of
 # decimal digits; the interpreter's int<->str conversion cap (a guard against
@@ -415,9 +415,6 @@ class DyInterval:
 
     __repr__ = __str__
 
-    def measure(self) -> Dyadic:
-        return self.hi - self.lo
-
     def contains(self, x: Dyadic) -> bool:
         if self.closed_lo:
             if x < self.lo:
@@ -467,32 +464,14 @@ class IntervalUnion:
                 merged.append(iv)
         object.__setattr__(self, "parts", tuple(merged))
 
-    def measure(self) -> Dyadic:
-        total = ZERO
-        for p in self.parts:
-            total = total + p.measure()
-        return total
-
-    def contains(self, x: Dyadic) -> bool:
-        return any(p.contains(x) for p in self.parts)
-
     def contains_interval(self, iv: DyInterval) -> bool:
         """True when some single part covers `iv` entirely."""
         return any(p.covers(iv) for p in self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[DyInterval]:
-        return iter(self.parts)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
 
     __repr__ = __str__
-
-    def to_json(self) -> list[str]:
-        return [str(p) for p in self.parts]
 
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "IntervalUnion":
@@ -548,9 +527,6 @@ class PiecewiseLinear:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
 
-    def max_value(self) -> Dyadic:
-        return max(self.vs)
-
     def eval(self, x: Dyadic) -> Dyadic:
         """Exact value at x; NotExact if the interpolant at x is not dyadic."""
         if x < self.xs[0] or x > self.xs[-1]:
@@ -564,7 +540,3 @@ class PiecewiseLinear:
 
     def to_json(self) -> list[list[str]]:
         return [[str(x), str(v)] for x, v in zip(self.xs, self.vs)]
-
-    @classmethod
-    def from_json(cls, items: Iterable[Sequence[str]]) -> "PiecewiseLinear":
-        return cls((Dyadic.parse(x), Dyadic.parse(v)) for x, v in items)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO, scaled_ints
 from .report import WitnessReport
@@ -154,15 +154,6 @@ class GapBlockSeq:
             out.append((prev_v + gap * (lo - prev_n), gap, hi - lo + 1))
         return out
 
-    def iter_points(self) -> Iterator[Dyadic]:
-        """Explicit enumeration; only for small oracle-sized prefixes."""
-        v = self.origin
-        yield v
-        for b in self.blocks:
-            for _ in range(b.count):
-                v = v + b.gap
-                yield v
-
     def to_json_dict(self) -> dict:
         return {
             "origin": str(self.origin),
@@ -204,25 +195,11 @@ class PeriodicIntervalSet:
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
-    def measure(self) -> Dyadic:
-        return self.width * self.count
-
     def contains(self, x: Dyadic) -> bool:
         if x < self.base:
             return False
         i, r = divmod(x - self.base, self.period)
         return i < self.count and r <= self.width
-
-    def component(self, i: int) -> DyInterval:
-        lo = self.base + self.period * i
-        return DyInterval.closed(lo, lo + self.width)
-
-    def components(self) -> Iterator[DyInterval]:
-        for i in range(self.count):
-            yield self.component(i)
-
-    def span(self) -> DyInterval:
-        return DyInterval.closed(self.base, self.base + self.period * (self.count - 1) + self.width)
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -31,9 +31,6 @@ class WitnessReport:
             "pass": self.passed,
         }
 
-    def is_informational(self) -> bool:
-        return bool(self.params.get("informational"))
-
 
 def write_reports(path: str, reports: Iterable[WitnessReport]) -> None:
     """Write reports sorted by claim key, byte-stable for a fixed input."""

@@ -23,6 +23,7 @@ from .exactnum import (
     ZERO,
     ONE,
     scaled_ints,
+    span_guard,
 )
 from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic
 from .report import WitnessReport
@@ -36,6 +37,7 @@ __all__ = [
     "CoverWitness",
     "indices_through",
     "steps_before",
+    "require_span",
     "step_constants",
     "step_indices",
     "u_set",
@@ -83,7 +85,10 @@ class IndexJK:
     def __post_init__(self):
         if self.j < 1:
             raise ValueError(f"j must be >= 1, got {self.j}")
-        if not 0 <= self.k < row_width(self.j):
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        # k < j*2^(j+1) tested without forming 2^j; on failure row_width(j) <= k
+        if self.k >> (self.j + 1) >= self.j:
             raise ValueError(f"k={self.k} outside [0, {row_width(self.j)}) for j={self.j}")
 
     def successor(self) -> "IndexJK":
@@ -92,8 +97,8 @@ class IndexJK:
         return IndexJK(self.j + 1, 0)
 
     def position(self) -> int:
-        """Number of indices strictly before this one in the enumeration."""
-        return sum(row_width(jj) for jj in range(1, self.j)) + self.k
+        """Indices before this one: rows 1..j-1 hold 2((j-2)*2^j + 2) of them."""
+        return 2 * ((self.j - 2) * 2**self.j + 2) + self.k
 
     def scale_exp(self) -> int:
         """The exponent s with a = 2^s and E = 2^-s at this index."""
@@ -105,6 +110,17 @@ class IndexJK:
 
 def row_width(j: int) -> int:
     return 2 * j * 2**j
+
+
+def require_span(limit: IndexJK) -> None:
+    """Refuse a limit whose own b = a + E = 2^s + 2^-s, s = 2j*2^j + k, needs
+    more mantissa bits (2s + 1) than the span guard, before any walk reaches it."""
+    guard = span_guard()
+    if limit.j >= guard.bit_length():  # 2s + 1 > 4j*2^j >= 2^(j+2) > guard; 2^j is never formed
+        need = f"more than 2^{limit.j + 2}"
+    elif (need := 2 * limit.scale_exp() + 1) <= guard:
+        return
+    raise GuardExceeded(f"limit {limit}: b = 2^s + 2^-s needs {need} bits (guard {guard})")
 
 
 def indices_through(limit: IndexJK) -> Iterator[IndexJK]:

@@ -361,6 +361,13 @@ class TestEval:
         row = out.read_text().strip().splitlines()[1]
         assert "outside [0, 1]" in row
 
+    @pytest.mark.parametrize("argv", [["thm31", "--jmaxes", "3"], ["thm33", "--jmaxes", "1"], ["universal", "--limits", "1,1"]])
+    def test_negative_dyadic_x_matches_decimal(self, capsys, argv):
+        code, stdout, stderr = run(capsys, "eval", *argv, "--xs", "0", "-1*2^-1", "-0.5")
+        assert code == EXIT_PASS and stderr == ""
+        header, zero, dyadic, decimal = stdout.splitlines()
+        assert dyadic == decimal and dyadic.startswith("-1*2^-1,")
+
 
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -501,6 +508,55 @@ def test_thm33_jmax_extremes_exit_cleanly(jmax, code):
     )
     assert proc.returncode == code and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, proc.stderr
+
+
+def _limit_argv(command, limit):
+    return {
+        "verify": ["verify", "universal", "--suite", "lemma", "--limit", limit],
+        "construct": ["construct", "universal", "--limit", limit, "--out", os.devnull],
+        "eval": ["eval", "universal", "--limits", "1,1", limit, "--xs", "0"],
+    }[command]
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+@pytest.mark.parametrize("limit, bits", [
+    ("14,65536", "needs 1048577"),
+    ("30,0", "needs more than 2^32"),
+    ("99999999999,0", "needs more than 2^100000000001"),
+])
+@pytest.mark.parametrize("command", ["verify", "construct", "eval"])
+def test_limit_past_span_guard_is_refused_up_front(command, limit, bits):
+    # (14,65536) is the first index whose b = 2^s + 2^-s outgrows the default
+    # guard; a walk or build through any of these would outlast the timeout,
+    # and forming 2^j for j = 99999999999 would exceed the address-space limit
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadlab", *_limit_argv(command, limit)],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == EXIT_SKIP and proc.stdout == "", proc.stderr
+    assert proc.stderr.splitlines() == [f"guard: limit ({limit}): b = 2^s + 2^-s {bits} bits (guard 1048576)"]
+
+
+def test_refused_limit_wins_over_short_artifact(capsys, tmp_path):
+    art = tmp_path / "u.json"
+    run(capsys, "construct", "universal", "--limit", "1,1", "--out", str(art))
+    code, stdout, stderr = run(capsys, "verify", "universal", "--suite", "covering", "--limit", "14,65536", "--seq", str(art))
+    assert code == EXIT_SKIP and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("guard: limit (14,65536)")
+
+
+def test_span_guard_override_moves_the_refusal(capsys):
+    code, stdout, stderr = run(capsys, "--span-guard", "64", "verify", "universal", "--suite", "lemma", "--limit", "3,0")
+    assert code == EXIT_SKIP and stdout == ""
+    assert stderr == "guard: limit (3,0): b = 2^s + 2^-s needs 97 bits (guard 64)\n"
+    code, _, _ = run(capsys, "--span-guard", "64", "verify", "universal", "--suite", "lemma", "--limit", "2,14")
+    assert code == EXIT_PASS
 
 
 @pytest.mark.parametrize(

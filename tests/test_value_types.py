@@ -52,12 +52,11 @@ def test_union_is_equal_across_part_orders(case):
     ivs, shuffled = case
     g = IntervalUnion(ivs)
     _assert_value(g, IntervalUnion(shuffled), "parts")
-    _assert_value(g, IntervalUnion.from_json(g.to_json()), "parts")
+    _assert_value(g, IntervalUnion.from_json([str(p) for p in g.parts]), "parts")
 
 
 @given(piecewise())
 def test_piecewise_rebuilt_is_equal(f):
-    _assert_value(f, PiecewiseLinear.from_json(f.to_json()), "xs")
     _assert_value(f, PiecewiseLinear(zip(f.xs, f.vs)), "vs")
 
 
