@@ -1,44 +1,3 @@
 """dyadlab: exact dyadic-rational laboratory for translate-series constructions."""
 
-from .exactnum import (
-    Dyadic,
-    DyInterval,
-    GuardExceeded,
-    IntervalUnion,
-    NotExact,
-    PiecewiseLinear,
-    set_span_guard,
-    span_guard,
-)
-from .lattice import (
-    GapBlock,
-    GapBlockSeq,
-    PeriodicIntervalSet,
-    count_ap_in_interval,
-    count_ap_in_periodic,
-    floor_sum,
-    sum_pl_over_ap,
-)
-from .report import WitnessReport
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Dyadic",
-    "DyInterval",
-    "IntervalUnion",
-    "PiecewiseLinear",
-    "GuardExceeded",
-    "NotExact",
-    "GapBlock",
-    "GapBlockSeq",
-    "PeriodicIntervalSet",
-    "WitnessReport",
-    "count_ap_in_interval",
-    "count_ap_in_periodic",
-    "floor_sum",
-    "sum_pl_over_ap",
-    "set_span_guard",
-    "span_guard",
-    "__version__",
-]

@@ -33,7 +33,7 @@ from .exactnum import (
     span_guard,
 )
 from .lattice import GapBlockSeq
-from .report import WitnessReport, write_reports
+from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport, write_reports
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -86,12 +86,13 @@ def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic) -> Dyadic:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors are one stderr line and which reads
-    `-m*2^e` as a negative value, not an option; subparsers inherit both."""
+    """ArgumentParser whose usage errors are one stderr line and which hands
+    any token that starts like a negative number (`-1,0`, `-1*2^-1`, `-.5`)
+    to its type converter, not the option matcher; subparsers inherit both."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(\*2\^-?\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -239,7 +240,7 @@ def _universal_covering(args, rng) -> list[WitnessReport]:
             try:
                 uv.covering_witness(x, i, seq)
                 ok += 1
-            except (uv.Violation, IndexError) as exc:
+            except (Violation, IndexError) as exc:
                 reports.append(
                     WitnessReport(
                         claim=f"covering/{i.j},{i.k}/sample{s}",
@@ -275,7 +276,7 @@ def _universal_escape(args, rng) -> list[WitnessReport]:
     for i in uv.steps_before(args.limit):
         try:
             reports.append(uv.escape_measure(i, seq)[1])
-        except uv.BudgetExceeded as exc:
+        except BudgetExceeded as exc:
             reports.append(
                 WitnessReport(
                     claim=f"escape-measure/{i.j},{i.k}",
@@ -288,13 +289,14 @@ def _universal_escape(args, rng) -> list[WitnessReport]:
 
 def _universal_series(args, rng) -> list[WitnessReport]:
     """fG counts over the prefixes through (1,1), ..., limit, all read off one
-    build: the prefix through index i is its first 2*position(i) blocks."""
+    sequence (the --seq artifact or a build): the prefix through index i is
+    its first 2*position(i) blocks."""
     limit: uv.IndexJK = args.limit
     if limit == uv.IndexJK(1, 0):
         raise ValueError("--limit 1,0 leaves no prefix to count: prefixes start at 1,1")
     G = _load_G(args.G, IntervalUnion([DyInterval.open(0, 2)]))
     uG = uv.build_uG(G, limit)
-    seq = uv.build_universal(limit)
+    seq = _universal_seq(args)
     ends = [2 * i.position() for i in uv.indices_through(limit)][1:]
     reports = []
     for jk, _ in uG:
@@ -452,6 +454,8 @@ SUITES = {
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if vars(args).get("seq") and args.suite in ("lemma", "diverge", "converge", "probe"):
+        raise ValueError(f"--seq is not read by the {args.construction} {args.suite} suite")
     reports = SUITES[args.construction, args.suite](args, random.Random(args.seed))
     failures = [r for r in reports if not r.passed]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
@@ -492,7 +496,7 @@ def _cmd_eval(args) -> int:
             try:
                 s = fsum(x)
                 rows.append([str(x), size, str(s), s.to_decimal() or "", ""])
-            except (GuardExceeded, NotExact, uv.OutOfInterval) as exc:
+            except (GuardExceeded, NotExact, OutOfInterval) as exc:
                 rows.append([str(x), size, "", "", str(exc)])
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
@@ -524,10 +528,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_eval(args)
-    except (uv.Violation,) as exc:
+    except Violation as exc:
         print(f"claim violation: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (GuardExceeded, uv.BudgetExceeded) as exc:
+    except (GuardExceeded, BudgetExceeded) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_SKIP
     except (NotExact, ValueError, OSError) as exc:

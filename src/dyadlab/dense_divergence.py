@@ -13,26 +13,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import _ap_index_range, count_ap_in_interval, sum_pl_over_ap, sum_pl_over_runs
-from .report import WitnessReport
-from .universal import OutOfInterval
-
-__all__ = [
-    "APWindow",
-    "Thm31Item",
-    "Thm31Construction",
-    "enum_intervals",
-    "tent",
-    "build_thm31",
-    "lower_bound_check",
-    "outside_zero_check",
-    "cross_term_zero_check",
-    "fG_sum_partial_31",
-    "lambda2_hit_count",
-    "lambda2_total_check",
-    "density_window_check",
-    "find_gap_increase",
-]
+from .lattice import count_ap_in_interval, lattice_run, sum_pl_over_ap, sum_pl_over_runs
+from .report import OutOfInterval, WitnessReport
 
 LAMBDA2_MIN_J = 10
 
@@ -142,14 +124,6 @@ class Thm31Construction:
         }
 
 
-def _lattice_window(iv: DyInterval, step: Dyadic) -> APWindow:
-    """The points of the lattice step*Z inside iv."""
-    k_lo, k_hi = _ap_index_range(ZERO, step, iv)
-    if k_hi < k_lo:
-        raise ValueError(f"empty lattice window {iv} step {step}")
-    return APWindow(step * k_lo, step, k_hi - k_lo + 1)
-
-
 def _coarse_span(j: int) -> DyInterval:
     """(2^(j-1) + 2(j-1), 2^j + 2j]: the window the coarse lattice fills at j."""
     return DyInterval(Dyadic(1, j - 1) + Dyadic(2 * (j - 1)), Dyadic(1, j) + Dyadic(2 * j), False, True)
@@ -163,8 +137,8 @@ def build_thm31(jmax: int) -> Thm31Construction:
         a = Dyadic(1, j)
         b = a + Dyadic(1, -(2**j))
         step1 = Dyadic(1, -(2**j) - j)
-        lam1 = _lattice_window(DyInterval.closed(a - iv.hi, b - iv.lo), step1)
-        lam2 = _lattice_window(_coarse_span(j), Dyadic(1, -j)) if j >= LAMBDA2_MIN_J else None
+        lam1 = APWindow(*lattice_run(DyInterval.closed(a - iv.hi, b - iv.lo), step1))
+        lam2 = APWindow(*lattice_run(_coarse_span(j), Dyadic(1, -j))) if j >= LAMBDA2_MIN_J else None
         items.append(
             Thm31Item(
                 j=j,

@@ -38,19 +38,6 @@ def _allow_str_digits(digits: int) -> None:
 
 _allow_str_digits(_STR_DIGITS)
 
-__all__ = [
-    "GuardExceeded",
-    "NotExact",
-    "Dyadic",
-    "DyInterval",
-    "IntervalUnion",
-    "PiecewiseLinear",
-    "set_span_guard",
-    "span_guard",
-    "ZERO",
-    "ONE",
-]
-
 
 class GuardExceeded(ArithmeticError):
     """An operation would allocate a mantissa above the configured bit limit."""

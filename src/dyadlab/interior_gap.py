@@ -13,17 +13,7 @@ from dataclasses import dataclass
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
 from .lattice import GapBlock, GapBlockSeq, sum_pl_over_runs
-from .report import WitnessReport
-from .universal import OutOfInterval
-
-__all__ = [
-    "Thm33Construction",
-    "build_thm33",
-    "decade_sums",
-    "divergence_partial",
-    "convergence_tail_check",
-    "thm34_probe",
-]
+from .report import OutOfInterval, WitnessReport
 
 
 @dataclass(frozen=True)

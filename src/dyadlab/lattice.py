@@ -16,17 +16,6 @@ from typing import Iterable
 from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO, scaled_ints
 from .report import WitnessReport
 
-__all__ = [
-    "GapBlock",
-    "GapBlockSeq",
-    "PeriodicIntervalSet",
-    "floor_sum",
-    "count_ap_in_interval",
-    "count_ap_in_periodic",
-    "sum_pl_over_ap",
-    "sum_pl_over_runs",
-]
-
 
 @dataclass(frozen=True)
 class GapBlock:
@@ -248,6 +237,14 @@ def _ap_index_range(start: Dyadic, step: Dyadic, iv: DyInterval) -> tuple[int, i
     else:
         k_hi = q if iv.closed_hi else q - 1
     return k_lo, k_hi
+
+
+def lattice_run(iv: DyInterval, step: Dyadic) -> tuple[Dyadic, Dyadic, int]:
+    """The points of the lattice step*Z inside iv, as a run (first, step, count)."""
+    k_lo, k_hi = _ap_index_range(ZERO, step, iv)
+    if k_hi < k_lo:
+        raise ValueError(f"empty lattice window {iv} step {step}")
+    return step * k_lo, step, k_hi - k_lo + 1
 
 
 def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval) -> int:

@@ -2,7 +2,9 @@
 
 A report names the claim it checked, the parameters, and the exact values on
 both sides of the inequality (rendered as `m*2^e` strings), so a failed run is
-reproducible from the report alone.
+reproducible from the report alone.  The claim outcomes that are not reports
+live here too: a query outside its interval, a violated inequality, and an
+exhausted budget.
 """
 
 from __future__ import annotations
@@ -11,7 +13,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["WitnessReport", "write_reports"]
+class OutOfInterval(ValueError):
+    pass
+
+
+class Violation(AssertionError):
+    """An exact inequality the construction guarantees failed to hold."""
+
+
+class BudgetExceeded(RuntimeError):
+    pass
 
 
 @dataclass(frozen=True)

@@ -26,33 +26,7 @@ from .exactnum import (
     span_guard,
 )
 from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic
-from .report import WitnessReport
-
-__all__ = [
-    "OutOfInterval",
-    "Violation",
-    "BudgetExceeded",
-    "IndexJK",
-    "StepConstants",
-    "CoverWitness",
-    "indices_through",
-    "steps_before",
-    "require_span",
-    "step_constants",
-    "step_indices",
-    "u_set",
-    "build_universal",
-    "check_lemma_useful",
-    "check_integrality",
-    "covering_witness",
-    "build_uG",
-    "fG_prefix_sums",
-    "escape_bound",
-    "escape_measure",
-    "escape_measure_bruteforce",
-    "borel_cantelli_partial",
-    "smooth_indicator",
-]
+from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport
 
 # Combs with more components than this are not smoothed: the envelope stores
 # four breakpoints per component.
@@ -61,18 +35,6 @@ SMOOTHING_LIMIT = 1 << 12
 # Residue families `escape_measure` may visit per index: enough for row 2
 # through (2,4), a few seconds each at the top.
 ESCAPE_BUDGET = 4_000_000
-
-
-class OutOfInterval(ValueError):
-    pass
-
-
-class Violation(AssertionError):
-    """An exact inequality the construction guarantees failed to hold."""
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, order=True)

@@ -212,7 +212,7 @@ class TestVerify:
         assert len(stderr.strip().splitlines()) == 1
         assert "cannot parse interval from" in stderr or str(g) in stderr
 
-    @pytest.mark.parametrize("suite", ["integrality", "covering", "escape"])
+    @pytest.mark.parametrize("suite", ["integrality", "covering", "escape", "series"])
     def test_short_artifact_is_usage_error(self, capsys, tmp_path, suite):
         art = tmp_path / "u11.json"
         run(capsys, "construct", "universal", "--limit", "1,1", "--out", str(art))
@@ -222,6 +222,27 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert stderr.strip().splitlines() == [f"error: {art}: 2 blocks, --limit (1,3) needs 6"]
+
+    def test_series_reads_the_artifact(self, capsys, tmp_path):
+        art, built, read = tmp_path / "u25.json", tmp_path / "built.json", tmp_path / "read.json"
+        run(capsys, "construct", "universal", "--limit", "2,5", "--out", str(art))
+        argv = ["verify", "universal", "--suite", "series", "--limit", "2,5", "--samples", "2"]
+        assert run(capsys, *argv, "--report", str(built))[0] == EXIT_PASS
+        code, stdout, _ = run(capsys, *argv, "--seq", str(art), "--report", str(read))
+        assert code == EXIT_PASS and stdout.endswith("12 claims, 0 failures\n")
+        assert read.read_bytes() == built.read_bytes()
+        data = json.loads(art.read_text())
+        data["origin"] = "1000"  # every point moves past the combs
+        art.write_text(json.dumps(data))
+        assert run(capsys, *argv, "--seq", str(art))[0] == EXIT_FAIL
+
+    @pytest.mark.parametrize(
+        "construction, suite", [("universal", "lemma"), ("thm33", "diverge"), ("thm33", "converge"), ("thm33", "probe")]
+    )
+    def test_seq_on_a_suite_that_ignores_it_is_usage_error(self, capsys, construction, suite):
+        code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, "--seq", "/nonexistent.json")
+        assert code == EXIT_USAGE and stdout == ""
+        assert stderr == f"error: --seq is not read by the {construction} {suite} suite\n"
 
     @pytest.mark.parametrize(
         "construction, suite",
@@ -242,6 +263,11 @@ class TestVerify:
             (["eval", "thm33", "--jmaxes"], "dyadlab eval thm33: error:"),
             (["verify"], "dyadlab verify: error:"),
             (["bogus"], "dyadlab: error:"),
+            # a token that starts like a negative number is a value, so its own converter names the fault
+            (["verify", "universal", "--suite", "lemma", "--limit", "-1,0"], "dyadlab verify universal: error: argument --limit: bad index '-1,0': j must be >= 1, got -1\n"),
+            (["eval", "universal", "--limits", "1,1", "-1,0"], "dyadlab eval universal: error: argument --limits: bad index '-1,0': j must be >= 1, got -1\n"),
+            (["eval", "thm31", "--jmaxes", "3", "--xs", "-1x"], "dyadlab eval thm31: error: argument --xs: cannot parse dyadic scalar from '-1x'\n"),
+            (["eval", "thm33", "--jmaxes", "1", "--xs", "0", "-.5"], "dyadlab eval thm33: error: argument --xs: cannot parse dyadic scalar from '-.5'\n"),
         ],
     )
     def test_argparse_rejection_is_one_line(self, capsys, argv, message):
