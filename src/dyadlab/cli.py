@@ -360,7 +360,8 @@ def _thm31_cross(args, rng) -> list[WitnessReport]:
         for j in range(1, cons.jmax + 1)
         if j != j0
     ]
-    reports.append(dd.cross_term_zero_check(cons, 1, 2, Dyadic(0)))  # informational
+    if cons.jmax >= 2:
+        reports.append(dd.cross_term_zero_check(cons, 1, 2, Dyadic(0)))  # informational
     return reports
 
 

@@ -17,6 +17,7 @@ from .lattice import count_ap_in_interval, lattice_run, sum_pl_over_ap, sum_pl_o
 from .report import OutOfInterval, WitnessReport
 
 LAMBDA2_MIN_J = 10
+GAP_INCREASE_MIN_J = 3
 
 
 class APWindow(NamedTuple):
@@ -343,10 +344,9 @@ def find_gap_increase(cons: Thm31Construction) -> WitnessReport:
                 rhs=str(gap_after),
                 passed=True,
             )
-    return WitnessReport(
-        claim="thm31-gap-increase",
-        params={"jmax": cons.jmax},
-        lhs="",
-        rhs="",
-        passed=False,
-    )
+    # below jmax 3, Λ holds only the overlapping j = 1, 2 windows: no increase yet
+    asserted = cons.jmax >= GAP_INCREASE_MIN_J
+    params = {"jmax": cons.jmax}
+    if not asserted:
+        params["informational"] = True
+    return WitnessReport(claim="thm31-gap-increase", params=params, passed=not asserted)

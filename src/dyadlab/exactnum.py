@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -513,17 +512,6 @@ class PiecewiseLinear:
                 raise ValueError("values must be nonnegative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
-
-    def eval(self, x: Dyadic) -> Dyadic:
-        """Exact value at x; NotExact if the interpolant at x is not dyadic."""
-        if x < self.xs[0] or x > self.xs[-1]:
-            return ZERO
-        i = bisect_right(self.xs, x) - 1
-        if self.xs[i] == x:
-            return self.vs[i]
-        x0, v0 = self.xs[i], self.vs[i]
-        x1, v1 = self.xs[i + 1], self.vs[i + 1]
-        return v0 + ((v1 - v0) * (x - x0)).div_exact(x1 - x0)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x), str(v)] for x, v in zip(self.xs, self.vs)]

@@ -19,18 +19,12 @@ from .exactnum import (
     DyInterval,
     GuardExceeded,
     IntervalUnion,
-    PiecewiseLinear,
     ZERO,
-    ONE,
     scaled_ints,
     span_guard,
 )
 from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic
 from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport
-
-# Combs with more components than this are not smoothed: the envelope stores
-# four breakpoints per component.
-SMOOTHING_LIMIT = 1 << 12
 
 # Residue families `escape_measure` may visit per index: enough for row 2
 # through (2,4), a few seconds each at the top.
@@ -511,82 +505,48 @@ def borel_cantelli_partial(jmax: int) -> tuple[Dyadic, Dyadic]:
     return partial, tail
 
 
-def smooth_indicator(
+def smoothing_measure(
     uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
-) -> tuple[PiecewiseLinear, WitnessReport]:
-    """Continuous envelope: 1 on every comb component, 0 outside symmetric
-    ramps of half-width delta per component edge.
+) -> WitnessReport:
+    """Support added per unit window by the continuous envelope of the combs:
+    1 on every comb component, 0 outside symmetric ramps of half-width delta
+    per component edge.
 
-    Per unit window [M-1, M] the added support measure must stay strictly
-    below 2^-M / L_M with L_M the number of points up to 10M; L_M is replaced
-    by its power-of-two upper bound so the comparison stays dyadic (strictly
-    stronger than the original requirement).  delta starts at a closed-form
-    guess and halves until every window bound holds.
+    A comb with base a (an integer) and C components adds delta to the window
+    [a-1, a] (its first ramp) and delta*(2C-1) to [a, a+1].  Each window
+    [M-1, M] must get strictly less than 2^-M / L_M with L_M the number of
+    points up to 10M; L_M is replaced by its power-of-two upper bound so the
+    comparison stays dyadic (strictly stronger than the original requirement).
+    With c = bitlen(L_{a+1} - 1) and s = bitlen(C - 1), delta = 2^-(a+1+c+s+2)
+    meets both windows and keeps neighbouring ramps apart (2*delta < E^2 - E^3);
+    all three are checked here, and no breakpoint is formed.
     """
-    breakpoints: list[tuple[Dyadic, Dyadic]] = []
-    window_added: dict[int, Dyadic] = {}
-    window_bound: dict[int, Dyadic] = {}
+    added: dict[int, Dyadic] = {}
+    bound: dict[int, Dyadic] = {}
     rows = []
+    ramps_apart = True
     for i, ps in uG:
-        if ps.count > SMOOTHING_LIMIT:
-            raise GuardExceeded(
-                f"{ps.count} components at {i} exceed the smoothing limit {SMOOTHING_LIMIT}"
-            )
-        a_int = ps.base.floor()
-        if Dyadic(a_int) != ps.base:
-            raise Violation(f"comb base {ps.base} is not an integer")
-        n_win = a_int + 1
-        for m in (n_win - 1, n_win):
-            if m not in window_bound:
-                window_bound[m] = _window_bound(seq, m)
-        cl = max(0, (ps.count - 1).bit_length())
-        ln = seq.count_upto(Dyadic(10 * n_win))
-        c = max(0, (ln - 1).bit_length())
-        delta = Dyadic(1, -(n_win + c + cl + 2))
-        gap = ps.period - ps.width
-        while True:
-            added_left = delta
-            added_main = delta * (2 * ps.count - 1)
-            if (
-                delta + delta < gap
-                and added_left < window_bound[n_win - 1]
-                and added_main < window_bound[n_win]
-            ):
-                break
-            delta = Dyadic(1, delta.e - 1)
-        window_added[n_win - 1] = window_added.get(n_win - 1, ZERO) + delta
-        window_added[n_win] = window_added.get(n_win, ZERO) + delta * (2 * ps.count - 1)
-        rows.append({"index": str(i), "delta": str(delta), "points_upto_10N": str(ln)})
-        for comp in range(ps.count):
-            lo = ps.base + ps.period * comp
-            hi = lo + ps.width
-            breakpoints.append((lo - delta, ZERO))
-            breakpoints.append((lo, ONE))
-            breakpoints.append((hi, ONE))
-            breakpoints.append((hi + delta, ZERO))
+        a = ps.base.as_integer()
+        if seq.last_value < Dyadic(10 * (a + 1)):
+            raise IndexError(f"prefix too short to count points up to {10 * (a + 1)}")
+        counts = {m: seq.count_upto(Dyadic(10 * m)) for m in (a, a + 1)}
+        for m, lm in counts.items():
+            bound[m] = Dyadic(1, -(m + (lm - 1).bit_length()))
+        c = (counts[a + 1] - 1).bit_length()
+        delta = Dyadic(1, -(a + 1 + c + (ps.count - 1).bit_length() + 2))
+        ramps_apart = ramps_apart and delta + delta < ps.period - ps.width
+        added[a] = added.get(a, ZERO) + delta
+        added[a + 1] = added.get(a + 1, ZERO) + delta * (2 * ps.count - 1)
+        rows.append({"index": str(i), "delta": str(delta), "points_upto_10N": str(counts[a + 1])})
 
-    ok = all(window_added[m] < window_bound[m] for m in window_added)
-    report = WitnessReport(
+    ms = sorted(added)
+    return WitnessReport(
         claim="smoothing-measure",
         params={
             "sets": rows,
-            "windows": {
-                str(m): {"added": str(window_added[m]), "bound": str(window_bound[m])}
-                for m in sorted(window_added)
-            },
+            "windows": {str(m): {"added": str(added[m]), "bound": str(bound[m])} for m in ms},
         },
-        lhs="; ".join(str(window_added[m]) for m in sorted(window_added)),
-        rhs="; ".join(str(window_bound[m]) for m in sorted(window_added)),
-        passed=ok,
+        lhs="; ".join(str(added[m]) for m in ms),
+        rhs="; ".join(str(bound[m]) for m in ms),
+        passed=ramps_apart and all(added[m] < bound[m] for m in ms),
     )
-    if not breakpoints:
-        return PiecewiseLinear([(ZERO, ZERO), (ONE, ZERO)]), report
-    return PiecewiseLinear(breakpoints), report
-
-
-def _window_bound(seq: GapBlockSeq, m: int) -> Dyadic:
-    lm = seq.count_upto(Dyadic(10 * m))
-    if seq.last_value < Dyadic(10 * m):
-        raise IndexError(f"prefix too short to count points up to {10 * m}")
-    c = max(0, (lm - 1).bit_length())
-    return Dyadic(1, -(m + c))

@@ -4,10 +4,12 @@ Each one lists every point or interval explicitly, so it is only usable at
 oracle sizes; the library never enumerates.
 """
 
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
-from dyadlab.exactnum import ZERO, Dyadic, DyInterval
+from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, PiecewiseLinear
 from dyadlab.lattice import GapBlockSeq, PeriodicIntervalSet
+from dyadlab.universal import IndexJK
 
 
 def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
@@ -30,3 +32,45 @@ def components(ps: PeriodicIntervalSet) -> Iterator[DyInterval]:
 def total_length(parts: Iterable[DyInterval]) -> Dyadic:
     """Sum of part lengths: the measure of a union whose parts do not overlap."""
     return sum((p.hi - p.lo for p in parts), ZERO)
+
+
+def pl_eval(f: PiecewiseLinear, x: Dyadic) -> Dyadic:
+    """f at one point, by interpolating its piece; NotExact if that value is
+    not dyadic.  The sums over progressions are checked against this."""
+    if x < f.xs[0] or x > f.xs[-1]:
+        return ZERO
+    i = bisect_right(f.xs, x) - 1
+    if f.xs[i] == x:
+        return f.vs[i]
+    x0, v0 = f.xs[i], f.vs[i]
+    x1, v1 = f.xs[i + 1], f.vs[i + 1]
+    return v0 + ((v1 - v0) * (x - x0)).div_exact(x1 - x0)
+
+
+def smoothing_envelope(uG: Iterable[tuple[IndexJK, PeriodicIntervalSet]], deltas: Iterable[Dyadic]) -> PiecewiseLinear:
+    """1 on every comb component, 0 beyond a ramp of half-width delta at each
+    component edge: four breakpoints per component, one delta per comb.
+    Ramps that meet make the breakpoints non-increasing and raise ValueError."""
+    pts = []
+    for (_, ps), delta in zip(uG, deltas, strict=True):
+        for comp in components(ps):
+            pts += [(comp.lo - delta, ZERO), (comp.lo, ONE), (comp.hi, ONE), (comp.hi + delta, ZERO)]
+    return PiecewiseLinear(pts)
+
+
+def support(f: PiecewiseLinear) -> Iterator[DyInterval]:
+    """The pieces of f that are not identically zero."""
+    for x0, x1, v0, v1 in zip(f.xs, f.xs[1:], f.vs, f.vs[1:]):
+        if v0 or v1:
+            yield DyInterval.closed(x0, x1)
+
+
+def measure_per_window(parts: Iterable[DyInterval]) -> dict[int, Dyadic]:
+    """Measure of non-overlapping parts in each unit window [M-1, M] they meet, keyed by M."""
+    out: dict[int, Dyadic] = {}
+    for p in parts:
+        for m in range(p.lo.floor() + 1, p.hi.ceil() + 1):
+            lo, hi = max(p.lo, Dyadic(m - 1)), min(p.hi, Dyadic(m))
+            if lo < hi:
+                out[m] = out.get(m, ZERO) + (hi - lo)
+    return out

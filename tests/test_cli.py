@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab import universal as uv
-from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, main
+from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, main
 from dyadlab.exactnum import span_guard
 
 
@@ -393,6 +393,24 @@ class TestEval:
         assert code == EXIT_PASS and stderr == ""
         header, zero, dyadic, decimal = stdout.splitlines()
         assert dyadic == decimal and dyadic.startswith("-1*2^-1,")
+
+
+_SMALLEST_SIZES = {
+    "universal": [("--limit", "1,1"), ("--limit", "1,2")],
+    "thm31": [("--jmax", "1"), ("--jmax", "2")],
+    "thm33": [("--jmax", "1"), ("--jmax", "2")],
+}
+
+
+@pytest.mark.parametrize(
+    "construction, suite, size",
+    [(c, s, size) for c, s in sorted(SUITES) for size in _SMALLEST_SIZES[c]],
+    ids=lambda v: "=".join(v) if isinstance(v, tuple) else v,
+)
+def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, size):
+    code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, *size, "--samples", "2")
+    assert code == EXIT_PASS, stdout
+    assert stderr == "" and "Traceback" not in stdout
 
 
 def test_python_dash_m_runs_the_cli():

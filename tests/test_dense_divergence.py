@@ -24,6 +24,7 @@ from dyadlab.dense_divergence import (
 )
 from dyadlab.lattice import sum_pl_over_ap
 from dyadlab.universal import OutOfInterval
+from oracles import pl_eval
 
 
 def dy(s: str) -> Dyadic:
@@ -66,14 +67,14 @@ class TestTent:
     def test_j1_shape(self):
         f = tent(1)
         assert f.xs[0] == Dyadic(2) - Dyadic(1, -4)
-        assert f.eval(Dyadic(2)) == dy("0.5")
-        assert f.eval(Dyadic(2) + Dyadic(1, -2)) == dy("0.5")
+        assert pl_eval(f, Dyadic(2)) == dy("0.5")
+        assert pl_eval(f, Dyadic(2) + Dyadic(1, -2)) == dy("0.5")
         assert f.xs[-1] == Dyadic(2) + Dyadic(1, -2) + Dyadic(1, -4)
 
     def test_zero_left_of_support(self):
         for j in (1, 3, 5):
             f = tent(j)
-            assert f.eval(Dyadic(1, j) - Dyadic(1, -(2**j) - j)) == ZERO
+            assert pl_eval(f, Dyadic(1, j) - Dyadic(1, -(2**j) - j)) == ZERO
 
     def test_tripled(self):
         assert tripled(DyInterval.closed(0, 1)) == DyInterval.closed(-1, 2)
@@ -111,7 +112,7 @@ class TestLowerBound:
                 rep = lower_bound_check(cons12, j, x)
                 brute = ZERO
                 for k in range(it.lam1.count):
-                    brute = brute + it.tent.eval(x + it.lam1.start + it.lam1.step * k)
+                    brute = brute + pl_eval(it.tent, x + it.lam1.start + it.lam1.step * k)
                 assert Dyadic.parse(rep.lhs) == brute
                 assert brute >= ONE
 
@@ -162,7 +163,7 @@ class TestOutsideZero:
             rep = outside_zero_check(cons12, 2, x)
             brute = ZERO
             for k in range(it.lam1.count):
-                brute = brute + it.tent.eval(x + it.lam1.start + it.lam1.step * k)
+                brute = brute + pl_eval(it.tent, x + it.lam1.start + it.lam1.step * k)
             assert Dyadic.parse(rep.lhs) == brute == ZERO
 
 
@@ -205,7 +206,7 @@ class TestLambda2:
             k_hi = min(it.lam2.count - 1, ((it.tent.xs[-1] - x + Dyadic(1)) - it.lam2.start) // it.lam2.step)
             brute = 0
             for k in range(k_lo, k_hi + 1):
-                if it.tent.eval(x + it.lam2.start + it.lam2.step * k) != ZERO:
+                if pl_eval(it.tent, x + it.lam2.start + it.lam2.step * k) != ZERO:
                     brute += 1
             assert int(rep.lhs) == brute
 
@@ -282,6 +283,17 @@ class TestDensityAndGaps:
         rep = find_gap_increase(cons12)
         assert rep.passed
         assert Dyadic.parse(rep.rhs) > Dyadic.parse(rep.lhs)
+
+    @pytest.mark.parametrize("jmax", [1, 2])
+    def test_gap_increase_informational_before_jmax_3(self, jmax):
+        # only the overlapping j = 1, 2 windows exist: no increase to find
+        rep = find_gap_increase(build_thm31(jmax))
+        assert rep.passed and rep.params == {"jmax": jmax, "informational": True}
+
+    def test_gap_increase_asserted_from_jmax_3(self):
+        rep = find_gap_increase(build_thm31(3))
+        assert rep.passed and "informational" not in rep.params
+        assert (rep.lhs, rep.rhs) == ("1*2^-6", "71*2^-4")
 
     def test_gap_increase_location(self, cons12):
         # the fine window at j=2 ends at 4+2^-4 and nothing lives between it

@@ -19,7 +19,7 @@ from dyadlab.lattice import (
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
-from oracles import components, iter_points
+from oracles import components, iter_points, pl_eval
 
 
 def dy(s: str) -> Dyadic:
@@ -321,7 +321,7 @@ class TestSumPlOverAp:
     def test_zero_and_singleton(self):
         f = self.ramp()
         assert sum_pl_over_ap(f, Dyadic(100), Dyadic(1), 50) == ZERO
-        assert sum_pl_over_ap(f, dy("10.5"), Dyadic(1), 1) == f.eval(dy("10.5"))
+        assert sum_pl_over_ap(f, dy("10.5"), Dyadic(1), 1) == pl_eval(f, dy("10.5"))
         assert sum_pl_over_ap(f, dy("10.5"), Dyadic(1), 0) == ZERO
 
     def test_randomized_term_by_term_oracle(self):
@@ -342,7 +342,7 @@ class TestSumPlOverAp:
             got = sum_pl_over_ap(f, start, step, count)
             expect = ZERO
             for k in range(count):
-                expect = expect + f.eval(start + step * k)
+                expect = expect + pl_eval(f, start + step * k)
             assert got == expect
 
     def test_sum_over_seq_range(self):
@@ -358,16 +358,16 @@ class TestSumPlOverAp:
         got = sum_pl_over_runs(f, seq.segments_in_range(lo, hi))
         expect = ZERO
         for n in range(lo, hi + 1):
-            expect = expect + f.eval(seq.value_at(n))
+            expect = expect + pl_eval(f, seq.value_at(n))
         assert got == expect
         # the origin's one-point run is summed like any other
         assert sum_pl_over_runs(f, seq.segments_in_range(0, 200)) == sum(
-            (f.eval(seq.value_at(n)) for n in range(201)), ZERO
+            (pl_eval(f, seq.value_at(n)) for n in range(201)), ZERO
         )
         shift = Dyadic(65, -2)  # carries the origin onto the peak of f
-        assert f.eval(shift + seq.origin) == Dyadic(1, -2)
+        assert pl_eval(f, shift + seq.origin) == Dyadic(1, -2)
         assert sum_pl_over_runs(f, seq.segments_in_range(0, 200), shift=shift) == sum(
-            (f.eval(shift + seq.value_at(n)) for n in range(201)), ZERO
+            (pl_eval(f, shift + seq.value_at(n)) for n in range(201)), ZERO
         )
 
 
@@ -421,7 +421,7 @@ def progressions(draw, f):
 def test_pruned_sum_pointwise_oracle(data):
     f = data.draw(pl_functions())
     start, step, count = data.draw(progressions(f))
-    expect = sum((f.eval(start + step * k) for k in range(count)), ZERO)
+    expect = sum((pl_eval(f, start + step * k) for k in range(count)), ZERO)
     assert sum_pl_over_ap(f, start, step, count) == expect
 
 
@@ -437,7 +437,7 @@ def test_pruned_sum_edge_cases():
         (dy("-0.5"), dy("0.25"), 23),  # straddling the support
     ]
     for start, step, count in cases:
-        expect = sum((f.eval(start + step * k) for k in range(count)), ZERO)
+        expect = sum((pl_eval(f, start + step * k) for k in range(count)), ZERO)
         assert sum_pl_over_ap(f, start, step, count) == expect, (start, step, count)
 
 

@@ -23,9 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "dyadlab"
 
 KEEP = {
     "error": "argparse calls `_Parser.error` on every usage error",
-    "eval": "`PiecewiseLinear.eval` is the point query the sum tests compare against",
     "escape_measure_bruteforce": "its `budget` default is read by the benchmark; it moves with the next benchmark change",
-    "smooth_indicator": "acceptance criterion 9; library-only, as the README records",
+    "smoothing_measure": "acceptance criterion 9; library-only, as the README records",
 }
 
 _CONSTRUCTION_BASE = {"exactnum", "report", "lattice"}

@@ -4,6 +4,7 @@ Hand-derivable anchors are frozen; everything scale-dependent is cross-checked
 against explicit enumeration of the (small) first steps.
 """
 
+import json
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from dyadlab.universal import (
     fG_prefix_sums,
     indices_through,
     row_width,
-    smooth_indicator,
+    smoothing_measure,
     step_constants,
     step_indices,
     steps_before,
@@ -35,7 +36,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_grid
-from oracles import components, iter_points, total_length
+from oracles import components, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -484,39 +485,62 @@ class TestBorelCantelli:
             prev = total
 
 
-class TestSmoothing:
-    def test_single_set(self):
-        seq = build_universal(IndexJK(2, 0))
-        uG = [(IndexJK(1, 0), u_set(IndexJK(1, 0)))]
-        g, rep = smooth_indicator(uG, seq)
-        assert rep.passed
-        ps = u_set(IndexJK(1, 0))
-        for comp in components(ps):
-            mid = comp.lo + (comp.hi - comp.lo).div_exact(2)
-            assert g.eval(mid) == Dyadic(1)
-            assert g.eval(comp.lo) == Dyadic(1)
-        assert max(g.vs) == Dyadic(1)
-        # zero outside the fattened support
-        assert g.eval(Dyadic(16) - Dyadic(1, -20)) == ZERO
-        assert g.eval(dy("15.5")) == ZERO
+# The report for the four j = 1 combs, recorded from the breakpoint envelope
+# this closed form replaced; identical for prefixes through (2,0)..(2,4).
+SMOOTHING_J1 = (
+    '{"claim":"smoothing-measure","lhs":"1*2^-44; 31*2^-44; 1*2^-63; 63*2^-63; 1*2^-98; 127*2^-98; 1*2^-164; 255*2^-164",'
+    '"params":{"sets":[{"delta":"1*2^-44","index":"(1,0)","points_upto_10N":"1952161"},'
+    '{"delta":"1*2^-63","index":"(1,1)","points_upto_10N":"7195041"},'
+    '{"delta":"1*2^-98","index":"(1,2)","points_upto_10N":"17680801"},'
+    '{"delta":"1*2^-164","index":"(1,3)","points_upto_10N":"38652321"}],'
+    '"windows":{"128":{"added":"1*2^-164","bound":"1*2^-154"},"129":{"added":"255*2^-164","bound":"1*2^-155"},'
+    '"16":{"added":"1*2^-44","bound":"1*2^-37"},"17":{"added":"31*2^-44","bound":"1*2^-38"},'
+    '"32":{"added":"1*2^-63","bound":"1*2^-55"},"33":{"added":"63*2^-63","bound":"1*2^-56"},'
+    '"64":{"added":"1*2^-98","bound":"1*2^-89"},"65":{"added":"127*2^-98","bound":"1*2^-90"}}},'
+    '"pass":true,"rhs":"1*2^-37; 1*2^-38; 1*2^-55; 1*2^-56; 1*2^-89; 1*2^-90; 1*2^-154; 1*2^-155"}'
+)
 
-    def test_added_measure_below_bound(self):
-        seq = build_universal(IndexJK(2, 0))
-        uG = [(IndexJK(1, 0), u_set(IndexJK(1, 0)))]
-        g, rep = smooth_indicator(uG, seq)
-        windows = rep.params["windows"]
-        for row in windows.values():
+
+def combs(j: int, ks) -> list:
+    return [(IndexJK(j, k), u_set(IndexJK(j, k))) for k in ks]
+
+
+class TestSmoothing:
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_j1_report_recorded(self, k):
+        rep = smoothing_measure(combs(1, range(4)), build_universal(IndexJK(2, k)))
+        assert json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) == SMOOTHING_J1
+
+    def test_envelope_adds_the_reported_support(self):
+        uG = combs(1, range(4))
+        rep = smoothing_measure(uG, build_universal(IndexJK(2, 0)))
+        g = smoothing_envelope(uG, [Dyadic.parse(row["delta"]) for row in rep.params["sets"]])
+        assert max(g.vs) == Dyadic(1)
+        for _, ps in uG:
+            for comp in components(ps):
+                assert pl_eval(g, comp.lo) == pl_eval(g, comp.lo + (comp.hi - comp.lo).div_exact(2)) == Dyadic(1)
+        # zero outside the fattened support
+        assert pl_eval(g, Dyadic(16) - Dyadic(1, -20)) == ZERO
+        assert pl_eval(g, dy("15.5")) == ZERO
+        combs_in = measure_per_window(c for _, ps in uG for c in components(ps))
+        added = {m: v - combs_in.get(m, ZERO) for m, v in measure_per_window(support(g)).items()}
+        assert added == {int(m): Dyadic.parse(row["added"]) for m, row in rep.params["windows"].items()}
+
+    def test_row2_combs(self):
+        # 2^16 and more components each: past the envelope's reach
+        rep = smoothing_measure(combs(2, range(4)), build_universal(IndexJK(2, 8)))
+        assert rep.passed
+        assert [row["index"] for row in rep.params["sets"]] == ["(2,0)", "(2,1)", "(2,2)", "(2,3)"]
+        assert list(rep.params["windows"]) == [str(m) for a in (1 << 16, 1 << 17, 1 << 18, 1 << 19) for m in (a, a + 1)]
+        for row in rep.params["windows"].values():
             assert Dyadic.parse(row["added"]) < Dyadic.parse(row["bound"])
 
-    def test_two_sets(self):
-        seq = build_universal(IndexJK(2, 0))
-        uG = build_uG(IntervalUnion([DyInterval.open(-100, 100)]), IndexJK(1, 1))
-        g, rep = smooth_indicator(uG, seq)
-        assert rep.passed
-        assert g.eval(Dyadic(32)) == Dyadic(1)
+    def test_prefix_must_reach_ten_windows_out(self):
+        # (2,0) has a = 2^16; the prefix through (2,1) ends near 2^17 < 10*(a+1)
+        with pytest.raises(IndexError):
+            smoothing_measure(combs(2, [0]), build_universal(IndexJK(2, 1)))
 
     def test_empty(self):
-        seq = build_universal(IndexJK(1, 1))
-        g, rep = smooth_indicator([], seq)
+        rep = smoothing_measure([], build_universal(IndexJK(1, 1)))
         assert rep.passed
-        assert max(g.vs) == ZERO
+        assert rep.params == {"sets": [], "windows": {}}
