@@ -94,12 +94,12 @@ class Dyadic:
 
     def __init__(self, mantissa: int, exponent: int = 0):
         if mantissa == 0:
-            m, e = 0, 0
+            _set_m(self, 0)
+            _set_e(self, 0)
         else:
             shift = (mantissa & -mantissa).bit_length() - 1
-            m, e = mantissa >> shift, exponent + shift
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "e", e)
+            _set_m(self, mantissa >> shift)
+            _set_e(self, exponent + shift)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -147,69 +147,62 @@ class Dyadic:
         return f"{sign}{digits[:-n]}.{digits[-n:]}"
 
     # -- arithmetic -------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "Dyadic | None":
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other)
-        return None
-
-    def _check_span(self, other: "Dyadic") -> None:
-        if not self.m or not other.m:
-            return
-        emin = min(self.e, other.e)
-        width = max(
-            self.m.bit_length() + self.e - emin,
-            other.m.bit_length() + other.e - emin,
-        )
-        if width > _span_guard:
-            raise GuardExceeded(
-                f"aligned mantissa would need {width} bits "
-                f"(guard {_span_guard}): {_brief(self)} + {_brief(other)}"
-            )
+    # Every operator takes a `type(other) is Dyadic` fast path and coerces
+    # only ints.  Results whose form parity settles (odd times odd is odd;
+    # see `_sum` for sums) are built by `_raw` without re-canonicalizing.
 
     def __add__(self, other) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if not self.m:
-            return o
-        if not o.m:
+            return other
+        if not other.m:
             return self
-        self._check_span(o)
-        e = min(self.e, o.e)
-        return Dyadic((self.m << (self.e - e)) + (o.m << (o.e - e)), e)
+        return _sum(self.m, self.e, other.m, other.e)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.m, self.e)
+        return _raw(-self.m, self.e)
 
     def __sub__(self, other) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__add__(-o)
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.m:
+            return self
+        if not self.m:
+            return -other
+        return _sum(self.m, self.e, -other.m, other.e)
 
     def __rsub__(self, other) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
+        other = _coerce(other)
+        if other is None:
             return NotImplemented
-        return o.__add__(-self)
+        if not self.m:
+            return other
+        if not other.m:
+            return -self
+        return _sum(other.m, other.e, -self.m, self.e)
 
     def __mul__(self, other) -> "Dyadic":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dyadic(self.m * o.m, self.e + o.e)
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        m = self.m * other.m
+        if not m:
+            return ZERO
+        return _raw(m, self.e + other.e)
 
     __rmul__ = __mul__
 
     def div_exact(self, other) -> "Dyadic":
         """Exact quotient; raises NotExact when self/other is not dyadic."""
-        o = self._coerce(other)
+        o = other if type(other) is Dyadic else _coerce(other)
         if o is None:
             raise TypeError(f"cannot divide Dyadic by {type(other).__name__}")
         if not o.m:
@@ -219,22 +212,23 @@ class Dyadic:
         q, r = divmod(self.m, o.m)
         if r:
             raise NotExact(f"{self} / {o} is not a dyadic rational")
-        return Dyadic(q, self.e - o.e)
+        return _raw(q, self.e - o.e)  # an exact quotient of odd mantissas is odd
 
     def __divmod__(self, other) -> tuple[int, "Dyadic"]:
         """Floor ratio: (q, r) with self = q*other + r, 0 <= r < other; other > 0."""
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.m <= 0:
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if other.m <= 0:
             raise ValueError("floor ratio requires a positive divisor")
-        e = min(self.e, o.e)
-        shift_a, shift_b = self.e - e, o.e - e
+        e = min(self.e, other.e)
+        shift_a, shift_b = self.e - e, other.e - e
         if self.m and max(
-            self.m.bit_length() + shift_a, o.m.bit_length() + shift_b
+            self.m.bit_length() + shift_a, other.m.bit_length() + shift_b
         ) > _span_guard:
-            raise GuardExceeded(f"floor ratio span too wide: {_brief(self)} vs {_brief(o)}")
-        q, r = divmod(self.m << shift_a, o.m << shift_b)
+            raise GuardExceeded(f"floor ratio span too wide: {_brief(self)} vs {_brief(other)}")
+        q, r = divmod(self.m << shift_a, other.m << shift_b)
         return q, Dyadic(r, e)
 
     def __floordiv__(self, other) -> int:
@@ -261,7 +255,7 @@ class Dyadic:
         return -(-self).floor()
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.m), self.e)
+        return self if self.m >= 0 else _raw(-self.m, self.e)
 
     def __bool__(self) -> bool:
         return self.m != 0
@@ -272,51 +266,71 @@ class Dyadic:
     # is cheap.
 
     def _cmp(self, other: "Dyadic") -> int:
-        sa = (self.m > 0) - (self.m < 0)
-        sb = (other.m > 0) - (other.m < 0)
-        if sa != sb:
-            return -1 if sa < sb else 1
-        if sa == 0:
-            return 0
-        ta = self.e + self.m.bit_length() if sa > 0 else self.e + (-self.m).bit_length()
-        tb = other.e + other.m.bit_length() if sb > 0 else other.e + (-other.m).bit_length()
+        am, ae, bm, be = self.m, self.e, other.m, other.e
+        if ae == be:  # zero has e = 0, so past here a zero faces a nonzero
+            return (am > bm) - (am < bm)
+        if am > 0:
+            if bm <= 0:
+                return 1
+            sign = 1
+        elif am < 0:
+            if bm >= 0:
+                return -1
+            sign = -1
+        else:
+            return -1 if bm > 0 else 1
+        # same sign: compare magnitude exponents, 2^(bitlen(m)-1) <= |m| < 2^bitlen(m)
+        ta = ae + am.bit_length()
+        tb = be + bm.bit_length()
         if ta != tb:
-            return sa * (-1 if ta < tb else 1)
+            return sign if ta > tb else -sign
         # equal magnitude exponent: the alignment shift is bounded by mantissa widths
-        e = min(self.e, other.e)
-        a = self.m << (self.e - e)
-        b = other.m << (other.e - e)
+        e = min(ae, be)
+        a = am << (ae - e)
+        b = bm << (be - e)
         return (a > b) - (a < b)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.m == o.m and self.e == o.e
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.m == other.m and self.e == other.e
+
+    def __ne__(self, other) -> bool:
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.m != other.m or self.e != other.e
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) < 0
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) <= 0
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) > 0
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._cmp(o) >= 0
+        if type(other) is not Dyadic:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
         # Python's numeric hash, m*2^e reduced modulo a Mersenne prime, so an
@@ -324,6 +338,62 @@ class Dyadic:
         h = abs(self.m) % _HASH_MODULUS * pow(2, self.e, _HASH_MODULUS) % _HASH_MODULUS
         h = h if self.m >= 0 else -h
         return -2 if h == -1 else h
+
+
+_new_dyadic = object.__new__
+# The slot descriptors write past the immutability guard in `__setattr__`.
+_set_m = Dyadic.m.__set__
+_set_e = Dyadic.e.__set__
+
+
+def _raw(m: int, e: int) -> Dyadic:
+    """A Dyadic from a pair already canonical (m odd, or m = 0 and e = 0),
+    built without `__init__`; the caller vouches for the form."""
+    d = _new_dyadic(Dyadic)
+    _set_m(d, m)
+    _set_e(d, e)
+    return d
+
+
+def _coerce(other) -> Dyadic | None:
+    """An int operand as a Dyadic; None for any other type."""
+    if isinstance(other, int):
+        return Dyadic(other)
+    return None
+
+
+def _sum(am: int, ae: int, bm: int, be: int) -> Dyadic:
+    """am*2^ae + bm*2^be for canonical nonzero operands, under the span guard.
+
+    Only a sum of equal exponents (odd plus odd, so even) is re-canonicalized;
+    otherwise the odd mantissa of the smaller exponent keeps the sum odd.
+    """
+    if ae < be:
+        shift = be - ae
+        if bm.bit_length() + shift > _span_guard or am.bit_length() > _span_guard:
+            raise _span_error(am, ae, bm, be)
+        return _raw(am + (bm << shift), ae)
+    if be < ae:
+        shift = ae - be
+        if am.bit_length() + shift > _span_guard or bm.bit_length() > _span_guard:
+            raise _span_error(am, ae, bm, be)
+        return _raw((am << shift) + bm, be)
+    if am.bit_length() > _span_guard or bm.bit_length() > _span_guard:
+        raise _span_error(am, ae, bm, be)
+    m = am + bm
+    if not m:
+        return ZERO
+    shift = (m & -m).bit_length() - 1
+    return _raw(m >> shift, ae + shift)
+
+
+def _span_error(am: int, ae: int, bm: int, be: int) -> GuardExceeded:
+    emin = min(ae, be)
+    width = max(am.bit_length() + ae - emin, bm.bit_length() + be - emin)
+    return GuardExceeded(
+        f"aligned mantissa would need {width} bits "
+        f"(guard {_span_guard}): {_brief(_raw(am, ae))} + {_brief(_raw(bm, be))}"
+    )
 
 
 ZERO = Dyadic(0)

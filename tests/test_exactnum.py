@@ -5,6 +5,7 @@ it, so agreement here is a genuine cross-check.
 """
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +34,11 @@ def frac(d: Dyadic) -> Fraction:
 
 def dy(s: str) -> Dyadic:
     return Dyadic.parse(s)
+
+
+def assert_canonical(d: Dyadic) -> None:
+    assert type(d.m) is int and type(d.e) is int
+    assert d.m & 1 or (d.m, d.e) == (0, 0), (d.m, d.e)
 
 
 dyadics = st.builds(
@@ -180,6 +186,51 @@ class TestDyadicOracle:
             assert frac(a + b) == frac(a) + frac(b)
             assert frac(a * b) == frac(a) * frac(b)
 
+    def test_every_operator_agrees_with_fraction_oracle(self):
+        # small mantissas and exponents, so equal exponents, zeros,
+        # cancellation and carries are all frequent
+        rng = random.Random(20261018)
+        for _ in range(5_000):
+            a = Dyadic(rng.randint(-40, 40), rng.randint(-3, 3))
+            b = Dyadic(rng.randint(-40, 40), rng.randint(-3, 3))
+            n = rng.randint(-40, 40)
+            fa, fb = frac(a), frac(b)
+            cases = [
+                (a + b, fa + fb),
+                (a - b, fa - fb),
+                (a * b, fa * fb),
+                (-a, -fa),
+                (abs(a), abs(fa)),
+                (a + n, fa + n),
+                (n + a, n + fa),
+                (a - n, fa - n),
+                (n - a, n - fa),
+                (a * n, fa * n),
+                (n * a, n * fa),
+            ]
+            for got, want in cases:
+                assert type(got) is Dyadic
+                assert frac(got) == want
+                assert_canonical(got)
+
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [
+            (Dyadic(3, -5), Dyadic(-3, -5), Dyadic(0)),  # cancels to zero
+            (Dyadic(3, -5), Dyadic(5, -5), Dyadic(1, -2)),  # carries two places
+            (Dyadic(1, -5), Dyadic(1, -5), Dyadic(1, -4)),
+            (Dyadic(-7, 2), Dyadic(-9, 2), Dyadic(-1, 6)),
+            (Dyadic(2**64 - 1, -70), Dyadic(1, -70), Dyadic(1, -6)),
+        ],
+    )
+    def test_equal_exponent_sums_recanonicalize(self, a, b, want):
+        s = a + b
+        assert (s.m, s.e) == (want.m, want.e)
+        assert_canonical(s)
+        d = a - (-b)
+        assert (d.m, d.e) == (want.m, want.e)
+        assert_canonical(d)
+
     def test_floor_ratio_reconstruction(self):
         rng = random.Random(77)
         for _ in range(2_000):
@@ -213,6 +264,119 @@ class TestDyadicOracle:
         assert len({d, n << e}) == 1
         assert {n << e: "int"}[d] == "int"
         assert d != "text" and not (d == "text")
+
+
+# (a, b, aligned width of a + b): both integer-valued, so `a.as_integer() - b` reaches
+# `__rsub__` with the same pair.  The widths straddle a 64-bit span guard with
+# equal exponents, either exponent order, and either operand the wider.
+SPAN_BOUNDARY = [
+    (Dyadic(2**63 + 1), Dyadic(3), 64),
+    (Dyadic(2**64 + 1), Dyadic(3), 65),
+    (Dyadic(3), Dyadic(2**63 + 1), 64),
+    (Dyadic(3), Dyadic(2**64 + 1), 65),
+    (Dyadic(3), Dyadic(1, 63), 64),
+    (Dyadic(3), Dyadic(1, 64), 65),
+    (Dyadic(1, 63), Dyadic(3), 64),
+    (Dyadic(1, 64), Dyadic(3), 65),
+    (Dyadic(2**63 + 1), Dyadic(1, 1), 64),
+    (Dyadic(2**64 + 1), Dyadic(1, 1), 65),
+    (Dyadic(1, 1), Dyadic(2**63 + 1), 64),
+    (Dyadic(1, 1), Dyadic(2**64 + 1), 65),
+]
+
+
+class TestSpanGuardBoundary:
+    @pytest.fixture(autouse=True)
+    def guard_64(self):
+        old = set_span_guard(64)
+        yield
+        set_span_guard(old)
+
+    @pytest.mark.parametrize(
+        "op, negates",
+        [
+            pytest.param(operator.add, False, id="add"),
+            pytest.param(operator.sub, True, id="sub"),
+            pytest.param(lambda a, b: a.as_integer() - b, True, id="rsub"),
+        ],
+    )
+    @pytest.mark.parametrize("a, b, width", SPAN_BOUNDARY)
+    def test_width_64_passes_and_65_raises(self, op, negates, a, b, width):
+        addend = -b if negates else b  # a difference is reported as a sum
+        if width <= 64:
+            got = op(a, b)
+            assert frac(got) == frac(a) + frac(addend)
+            assert_canonical(got)
+            return
+        with pytest.raises(GuardExceeded) as exc:
+            op(a, b)
+        assert str(exc.value) == f"aligned mantissa would need {width} bits (guard 64): {a} + {addend}"
+
+    @pytest.mark.parametrize("x", [Dyadic(1, 1000), Dyadic(-3, -1000), Dyadic(2**100 + 1)])
+    def test_zero_operand_never_raises(self, x):
+        for zero in (ZERO, 0):
+            assert x + zero == x and zero + x == x
+            assert x - zero == x and zero - x == -x
+
+    def test_int_operand_is_guarded(self):
+        with pytest.raises(GuardExceeded):
+            Dyadic(1, -64) + 1
+        with pytest.raises(GuardExceeded):
+            1 - Dyadic(1, -64)
+        assert frac(Dyadic(1, -63) + 1) == 1 + Fraction(1, 2**63)
+
+
+class TestForeignOperands:
+    def test_float_operands_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Dyadic(1) + 0.5
+        with pytest.raises(TypeError):
+            Dyadic(1) < 0.5
+        with pytest.raises(TypeError):
+            0.5 - Dyadic(1)
+        with pytest.raises(TypeError):
+            Dyadic(1) * Fraction(1, 2)
+
+    def test_equality_with_other_numeric_types_is_false(self):
+        assert not Dyadic(1) == 1.0
+        assert Dyadic(1) != 1.0
+        assert not Fraction(1) == Dyadic(1)
+        assert Fraction(1) != Dyadic(1)
+
+    def test_bool_is_an_int(self):
+        s = Dyadic(1) + True
+        assert s == Dyadic(2)
+        assert_canonical(s)
+        assert_canonical(ZERO + True)
+        assert str(ZERO + True) == "1*2^0"
+
+    def test_immutable(self):
+        d = Dyadic(3, -2)
+        with pytest.raises(AttributeError):
+            d.m = 5
+        with pytest.raises(AttributeError):
+            d.e = 0
+        assert (d.m, d.e) == (3, -2)
+
+
+@pytest.mark.parametrize("b", [Dyadic(5, -9), Dyadic(-7, -4), Dyadic(-9, -4)])
+def test_operators_on_two_dyadics_bypass_init(monkeypatch, b):
+    # results whose form parity settles, and equal-exponent sums canonicalized
+    # inline, are built without the canonicalizing constructor
+    a = Dyadic(7, -4)
+    calls = []
+    init = Dyadic.__init__
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    results = [a + b, a - b, a * b, -a, abs(b), a < b, a <= b, a == b]
+    assert calls == []
+    assert Dyadic(6, -4) == Dyadic(3, -3) and len(calls) == 2  # the patch is live
+    for r in results[:5]:
+        assert_canonical(r)
 
 
 class TestDyInterval:
