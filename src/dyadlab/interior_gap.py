@@ -10,9 +10,10 @@ only the coarse lattice crossing each bump.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
-from .lattice import GapBlock, GapBlockSeq, sum_pl_over_runs
+from .lattice import GapBlock, GapBlockSeq, shift_invariant_sum, sum_pl_over_runs
 from .report import OutOfInterval, WitnessReport
 
 
@@ -65,12 +66,31 @@ def build_thm33(jmax: int) -> Thm33Construction:
     return Thm33Construction(jmax=jmax, seq=seq, f=PiecewiseLinear(breakpoints))
 
 
-def decade_sums(cons: Thm33Construction, x: Dyadic, upto: int | None = None) -> list[Dyadic]:
-    """Exact sum of f(x + point) over the points of each decade 1..upto (default jmax)."""
+def decade_sums(
+    cons: Thm33Construction, x: Dyadic, upto: int | None = None, certified: Sequence[Dyadic | None] = ()
+) -> list[Dyadic]:
+    """Exact sum of f(x + point) over the points of each decade 1..upto (default jmax).
+
+    A decade j with a value `certified[j-1]` (from `shift_invariant_decade_sums`
+    over an interval that holds x) takes that value and is not summed.
+    """
     return [
-        sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), shift=x)
+        certified[j - 1]
+        if j <= len(certified) and certified[j - 1] is not None
+        else sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), shift=x)
         for j in range(1, (cons.jmax if upto is None else upto) + 1)
     ]
+
+
+def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic | None]:
+    """Per decade 1..jmax, its sum for every x in [lo, hi] at once, or None
+    when `shift_invariant_sum` cannot certify one of the decade's runs."""
+    out = []
+    for j in range(1, cons.jmax + 1):
+        runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
+        values = [shift_invariant_sum(cons.f, run, lo, hi) for run in runs]
+        out.append(None if any(v is None for v in values) else sum(values, ZERO))
+    return out
 
 
 def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | None = None) -> Dyadic:
@@ -83,20 +103,23 @@ def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | No
     return sum(decade_sums(cons, x, m), ZERO)
 
 
-def convergence_tail_check(cons: Thm33Construction, x: Dyadic) -> WitnessReport:
+def convergence_tail_check(
+    cons: Thm33Construction, x: Dyadic, certified: Sequence[Dyadic | None] = ()
+) -> WitnessReport:
     """Per-decade sums at a shift in [4,5] stay under 2*2^(2^j)*2^(-2^(j+1)).
 
     Only the coarse lattice of decade j can reach the decade-j bump from
     [4,5], giving at most about 1.5*2^(2^j) hits of height 2^-2^(j+1); the
     factor-2 bound absorbs the ramps.  The unbuilt decades contribute at most
-    twice the first omitted bound (terms at least halve).
+    twice the first omitted bound (terms at least halve).  `certified` holds
+    decade sums valid for all of [4,5], as `decade_sums` takes them.
     """
     if not DyInterval.closed(4, 5).contains(x):
         raise OutOfInterval(f"{x} outside [4, 5]")
     per_decade = []
     total = ZERO
     ok = True
-    for j, s in enumerate(decade_sums(cons, x), 1):
+    for j, s in enumerate(decade_sums(cons, x, certified=certified), 1):
         bound = Dyadic(1, 1 - 2**j)
         per_decade.append({"j": j, "sum": str(s), "bound": str(bound)})
         total = total + s

@@ -305,6 +305,53 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     return total
 
 
+def shift_invariant_sum(
+    f: PiecewiseLinear, run: tuple[Dyadic, Dyadic, int], lo: Dyadic, hi: Dyadic
+) -> Dyadic | None:
+    """The common exact value of sum_pl_over_ap(f, x + first, step, count)
+    for every x in [lo, hi], or None when this certificate cannot prove one.
+
+    f is the sum of its components, the stretches [x_p, x_q] between
+    consecutive zero knots.  A component whose open interior misses the
+    reach [lo + first, hi + first + (count-1)*step] adds 0 for every x.  A
+    component inside [hi + first - step, lo + first + count*step] is
+    covered: every point of x + first + step*Z in its interior has index
+    in [0, count), so it adds an h-periodic (h = step) piecewise-linear
+    function of x whose kinks lie on the cosets x_i - first + hZ of its
+    knots.  Any other component gives None.  A periodic piecewise-linear
+    sum is constant on [lo, hi] exactly when it takes one value at lo, at
+    hi and at the first kink of each coset at or after lo: linear pieces
+    with equal ends are constant, and once [lo, hi] spans a period,
+    periodicity carries [lo, lo + h] to the rest.  O(knots met) calls of
+    sum_pl_over_ap, whatever the length of [lo, hi].
+    """
+    first, step, count = run
+    if not step > ZERO:
+        raise ValueError("step must be positive")
+    if hi < lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    xs, vs = f.xs, f.vs
+    reach_lo, reach_hi = lo + first, hi + first + step * (count - 1)
+    cover_lo, cover_hi = hi + first - step, lo + first + step * count
+    # the knots of the pieces whose interior meets the reach, widened to whole components
+    a = max(bisect_right(xs, reach_lo) - 1, 0)
+    b = min(bisect_left(xs, reach_hi), len(xs) - 1)
+    while a > 0 and vs[a]:
+        a -= 1
+    while b < len(xs) - 1 and vs[b]:
+        b += 1
+    zeros = [i for i in range(a, b + 1) if not vs[i]]
+    kinks = {lo, hi}
+    for p, q in zip(zeros, zeros[1:]):
+        if q == p + 1 or xs[q] <= reach_lo or xs[p] >= reach_hi:
+            continue
+        if xs[p] < cover_lo or xs[q] > cover_hi:
+            return None
+        kinks.update(lo + (x - first - lo) % step for x in xs[p : q + 1])
+    values = {sum_pl_over_ap(f, t + first, step, count) for t in kinks if t <= hi}
+    return values.pop() if len(values) == 1 else None
+
+
 def sum_pl_over_runs(
     f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic = ZERO
 ) -> Dyadic:

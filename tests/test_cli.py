@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dyadlab import lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, main
 from dyadlab.exactnum import span_guard
@@ -408,9 +409,43 @@ _SMALLEST_SIZES = {
     ids=lambda v: "=".join(v) if isinstance(v, tuple) else v,
 )
 def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, size):
+    """thm31 cross and density assert no claim below j = 10, so they exit 3."""
     code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, *size, "--samples", "2")
-    assert code == EXIT_PASS, stdout
+    if (construction, suite) in {("thm31", "cross"), ("thm31", "density")}:
+        assert code == EXIT_SKIP and stdout.endswith(", no claim asserted\n"), stdout
+    else:
+        assert code == EXIT_PASS, stdout
     assert stderr == "" and "Traceback" not in stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thm31", "--suite", "cross", "--jmax", "9"],
+        ["thm31", "--suite", "density", "--jmax", "1"],
+        ["thm33", "--suite", "converge", "--samples", "0"],
+    ],
+)
+def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):
+    """Only informational reports, or none, pass nothing: exit 3."""
+    code, stdout, stderr = run(capsys, "verify", *argv)
+    assert code == EXIT_SKIP and stderr == ""
+    assert "FAIL" not in stdout and stdout.endswith(" 0 failures, no claim asserted\n"), stdout
+
+
+def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch):
+    """The decade sums are certified once for all of [4,5], so the number of
+    kernel sums does not grow with --samples."""
+    calls = []
+    real = lattice.sum_pl_over_ap
+    monkeypatch.setattr(lattice, "sum_pl_over_ap", lambda *a: calls.append(a) or real(*a))
+    counts = []
+    for samples in ("5", "100"):
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "thm33", "--suite", "converge", "--jmax", "8", "--samples", samples)
+        assert code == EXIT_PASS
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_python_dash_m_runs_the_cli():

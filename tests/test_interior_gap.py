@@ -1,6 +1,7 @@
 """Checks for the decreasing-gap divergence/convergence construction."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dyadlab.interior_gap import (
     convergence_tail_check,
     decade_sums,
     divergence_partial,
+    shift_invariant_decade_sums,
     thm34_probe,
 )
 from dyadlab.universal import OutOfInterval
@@ -211,6 +213,39 @@ class TestConvergence:
     def test_domain_guard(self, cons6):
         with pytest.raises(OutOfInterval):
             convergence_tail_check(cons6, Dyadic(3))
+
+
+def _report_bytes(rep) -> str:
+    return json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+class TestShiftInvariantDecadeSums:
+    def test_every_decade_certified_over_4_5(self):
+        for jmax in range(1, 13):
+            got = shift_invariant_decade_sums(build_thm33(jmax), Dyadic(4), Dyadic(5))
+            assert got == [Dyadic(5, -(2**j + 2)) for j in range(1, jmax + 1)]
+
+    def test_no_decade_certified_over_0_1(self):
+        """Decades 2.. are shift-free there only as the sum of two runs that
+        each meet a bump in part; decade 1 depends on x outright."""
+        for jmax in range(1, 7):
+            assert shift_invariant_decade_sums(build_thm33(jmax), ZERO, Dyadic(1)) == [None] * jmax
+
+    @pytest.mark.parametrize("jmax", range(1, 7))
+    def test_converge_reports_from_certified_sums_match_per_x_sums(self, jmax):
+        """The suite's sampling, with the certified sums, a partly uncertified
+        list and sums taken at x all giving the same report bytes."""
+        cons = build_thm33(jmax)
+        certified = shift_invariant_decade_sums(cons, Dyadic(4), Dyadic(5))
+        partial = [None if j % 2 else v for j, v in enumerate(certified)]
+        for seed in range(5):
+            rng = random.Random(seed)
+            xs = [Dyadic(4), Dyadic(5)] + [Dyadic(4) + Dyadic(rng.getrandbits(40), -40) for _ in range(10)]
+            for x in xs:
+                per_x = _report_bytes(convergence_tail_check(cons, x, decade_sums(cons, x)))
+                assert _report_bytes(convergence_tail_check(cons, x, certified)) == per_x
+                assert _report_bytes(convergence_tail_check(cons, x, partial)) == per_x
+                assert _report_bytes(convergence_tail_check(cons, x)) == per_x
 
 
 class TestProbe:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab import lattice
+from dyadlab.dense_divergence import build_thm31
 from dyadlab.exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO
 from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
@@ -16,6 +17,7 @@ from dyadlab.lattice import (
     count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
+    shift_invariant_sum,
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
@@ -450,6 +452,125 @@ def test_segment_inside_one_piece_tests_one_piece(monkeypatch):
     got = sum_pl_over_ap(build_thm33(6).f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
     assert got == Dyadic(200, -16)
     assert len(calls) <= 2
+
+
+@st.composite
+def shift_cases(draw):
+    """(f, run, lo, hi) on a grid of step/16.  f's knots sit on a grid of
+    step/2^r, r in 0..3, so on the step grid or off it; pieces are 1, 2 or 4
+    grid units wide, so ramps can be narrower than a step, and components may
+    share a zero knot or sit apart across a zero gap.  The run starts before,
+    inside or past f's support, near where a component enters or leaves it as
+    x moves, and [lo, hi] is 0 to 4 steps long."""
+    step = Dyadic(1, draw(st.integers(-3, 3)))
+    unit = step * Dyadic(1, -draw(st.integers(0, 3)))
+    x = unit * draw(st.integers(-16, 16))
+    pts = [(x, ZERO)]
+    for _ in range(draw(st.integers(1, 3))):
+        if len(pts) > 1 and draw(st.booleans()):
+            x = x + unit * draw(st.sampled_from([1, 2, 4, 8]))
+            pts.append((x, ZERO))
+        for _ in range(draw(st.integers(1, 3))):
+            x = x + unit * draw(st.sampled_from([1, 2, 4]))
+            pts.append((x, Dyadic(draw(st.integers(1, 8)), -2)))
+        x = x + unit * draw(st.sampled_from([1, 2, 4]))
+        pts.append((x, ZERO))
+    f = PiecewiseLinear(pts)
+    eighth = step * Dyadic(1, -3)
+    count = draw(st.integers(1, 4) | st.integers(5, 40))
+    lo = eighth * draw(st.integers(-16, 16))
+    hi = lo + step * Dyadic(draw(st.integers(0, 64)), -4)
+    # within 5 steps of: the run ending at f's start, starting there, starting
+    # at an inner knot, or starting at f's end, as seen from lo or hi
+    anchor = draw(
+        st.sampled_from(
+            [f.xs[0] - lo - step * count, f.xs[0] - lo, f.xs[len(f.xs) // 2] - lo, f.xs[0] - hi, f.xs[-1] - hi]
+        )
+    )
+    first = anchor + eighth * draw(st.integers(-40, 40))
+    return f, (first, step, count), lo, hi
+
+
+@given(shift_cases(), st.lists(st.integers(0, 2**20), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_shift_invariant_sum_is_the_sum_at_every_shift(case, us):
+    """Whenever a value is returned, it is the sum at lo, at hi, at every
+    point of the step/64 grid in [lo, hi] and at random points; and a value
+    is returned whenever every knot lies on the step grid and the run covers
+    f's whole support, where it is (1/step)*integral(f)."""
+    f, run, lo, hi = case
+    first, step, count = run
+    got = shift_invariant_sum(f, run, lo, hi)
+    on_grid = all(not (x % step) for x in f.xs)
+    covers = f.xs[0] >= hi + first - step and f.xs[-1] <= lo + first + step * count
+    if on_grid and covers:
+        area = sum(((x1 - x0) * (v0 + v1) for x0, x1, v0, v1 in zip(f.xs, f.xs[1:], f.vs, f.vs[1:])), ZERO)
+        assert got == area.div_exact(step * 2)
+    if got is None:
+        return
+    g = step * Dyadic(1, -6)
+    ts = [lo, hi] + [g * k for k in range(-((-lo) // g), hi // g + 1)]
+    ts += [lo + (hi - lo) * Dyadic(u, -20) for u in us]
+    for t in ts:
+        assert sum_pl_over_ap(f, t + first, step, count) == got, t
+
+
+@pytest.mark.parametrize(
+    "pts, first, lo, hi, moved",
+    [
+        # the last point (index 3) leaves the hat on [1/4, 1] as x grows
+        ([("1*2^-2", "0"), ("3*2^-2", "1"), ("1", "0"), ("7*2^-2", "0")], "-9*2^-2", "-3*2^-1", "1*2^-2", "-7*2^-4"),
+        # the first point meets the hat on [1, 9/4] as x grows, and the
+        # hat on [13/4, 19/4] is covered
+        (
+            [("1", "0"), ("5*2^-2", "3"), ("9*2^-2", "0"), ("13*2^-2", "0"), ("17*2^-2", "3"), ("19*2^-2", "0"), ("5", "0")],
+            "7*2^-2",
+            "0",
+            "5*2^-1",
+            "9*2^-4",
+        ),
+        # hats of width 1 peaking at 1/2 and at 3 add up to 1 on every
+        # coset; the first point leaves the first hat within the last period
+        # of [0, 2], where no kink is evaluated
+        ([("0", "0"), ("1*2^-1", "1"), ("1", "0"), ("5*2^-1", "0"), ("3", "1"), ("7*2^-1", "0")], "0", "0", "2", "3*2^-1"),
+    ],
+)
+def test_shift_invariant_sum_refuses_a_component_the_run_covers_only_in_part(pts, first, lo, hi, moved):
+    """The sums at lo, hi and the first kink of each coset agree here, but
+    the sum moves at `moved`: only the covering test tells."""
+    f = PiecewiseLinear([(dy(x), dy(v)) for x, v in pts])
+    run = (dy(first), ONE, 4)
+    assert shift_invariant_sum(f, run, dy(lo), dy(hi)) is None
+    assert sum_pl_over_ap(f, dy(lo) + run[0], ONE, 4) != sum_pl_over_ap(f, dy(moved) + run[0], ONE, 4)
+
+
+def test_shift_invariant_sum_thm33_coarse_runs_over_4_5():
+    """Every decade-j run of thm33 is certified over [4,5] for jmax 1-12; the
+    coarse run alone meets bump j, adding 5*2^-(2^j+2), the fine runs add 0."""
+    for jmax in range(1, 13):
+        cons = build_thm33(jmax)
+        for j in range(1, jmax + 1):
+            runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
+            got = [shift_invariant_sum(cons.f, run, Dyadic(4), Dyadic(5)) for run in runs]
+            assert sum(got, ZERO) == Dyadic(5, -(2**j + 2)), (jmax, j, got)
+
+
+def test_shift_invariant_sum_refuses_shift_dependent_runs():
+    """Over [0,1] each thm33 decade has a run that meets a bump only in
+    part; the thm31 lower run's tent ramps are half a lattice step wide, so
+    its sum dips once per period (3/2 at x = -1, 1 at x = -15/16 for j = 1)."""
+    for jmax in range(1, 7):
+        cons = build_thm33(jmax)
+        for j in range(1, jmax + 1):
+            runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
+            assert any(shift_invariant_sum(cons.f, run, ZERO, ONE) is None for run in runs), (jmax, j)
+    cons = build_thm31(4)
+    for it in cons.items:
+        assert shift_invariant_sum(it.tent, it.lam1, it.interval.lo, it.interval.hi) is None, it.j
+    one = cons.item(1)
+    assert one.interval.lo == Dyadic(-1)
+    lower = [sum_pl_over_ap(one.tent, x + one.lam1.start, one.lam1.step, one.lam1.count) for x in (dy("-1"), dy("-15*2^-4"))]
+    assert lower == [dy("3*2^-1"), ONE]
 
 
 @given(
