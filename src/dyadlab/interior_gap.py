@@ -9,8 +9,8 @@ only the coarse lattice crossing each bump.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Sequence
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
 from .lattice import GapBlock, GapBlockSeq, shift_invariant_sum, sum_pl_over_runs
@@ -66,60 +66,50 @@ def build_thm33(jmax: int) -> Thm33Construction:
     return Thm33Construction(jmax=jmax, seq=seq, f=PiecewiseLinear(breakpoints))
 
 
-def decade_sums(
-    cons: Thm33Construction, x: Dyadic, upto: int | None = None, certified: Sequence[Dyadic | None] = ()
-) -> list[Dyadic]:
-    """Exact sum of f(x + point) over the points of each decade 1..upto (default jmax).
-
-    A decade j with a value `certified[j-1]` (from `shift_invariant_decade_sums`
-    over an interval that holds x) takes that value and is not summed.
-    """
+def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
+    """Exact sum of f(x + point) over the points of each decade 1..jmax."""
     return [
-        certified[j - 1]
-        if j <= len(certified) and certified[j - 1] is not None
-        else sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), shift=x)
-        for j in range(1, (cons.jmax if upto is None else upto) + 1)
+        sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), x)
+        for j in range(1, cons.jmax + 1)
     ]
 
 
-def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic | None]:
-    """Per decade 1..jmax, its sum for every x in [lo, hi] at once, or None
-    when `shift_invariant_sum` cannot certify one of the decade's runs."""
+def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic] | None:
+    """Every decade's sum, 1..jmax, valid for all x in [lo, hi] at once, or
+    None when `shift_invariant_sum` cannot certify one of the runs."""
     out = []
     for j in range(1, cons.jmax + 1):
         runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
         values = [shift_invariant_sum(cons.f, run, lo, hi) for run in runs]
-        out.append(None if any(v is None for v in values) else sum(values, ZERO))
+        if any(v is None for v in values):
+            return None
+        out.append(sum(values, ZERO))
     return out
 
 
-def divergence_partial(cons: Thm33Construction, x: Dyadic, upto_decade: int | None = None) -> Dyadic:
-    """Exact sum of f(x + point) over all points below 10*upto_decade."""
+def divergence_partial(cons: Thm33Construction, x: Dyadic) -> Dyadic:
+    """Exact sum of f(x + point) over every point, decades 1..jmax."""
     if not DyInterval.closed(0, 1).contains(x):
         raise OutOfInterval(f"{x} outside [0, 1]")
-    m = cons.jmax if upto_decade is None else upto_decade
-    if not 1 <= m <= cons.jmax:
-        raise IndexError(f"decade limit {m} outside [1, {cons.jmax}]")
-    return sum(decade_sums(cons, x, m), ZERO)
+    return sum(decade_sums(cons, x), ZERO)
 
 
-def convergence_tail_check(
-    cons: Thm33Construction, x: Dyadic, certified: Sequence[Dyadic | None] = ()
-) -> WitnessReport:
+def convergence_tail_check(cons: Thm33Construction, x: Dyadic, sums: list[Dyadic]) -> WitnessReport:
     """Per-decade sums at a shift in [4,5] stay under 2*2^(2^j)*2^(-2^(j+1)).
 
     Only the coarse lattice of decade j can reach the decade-j bump from
     [4,5], giving at most about 1.5*2^(2^j) hits of height 2^-2^(j+1); the
     factor-2 bound absorbs the ramps.  The unbuilt decades contribute at most
-    twice the first omitted bound (terms at least halve).  `certified` holds
-    decade sums valid for all of [4,5], as `decade_sums` takes them.
+    twice the first omitted bound (terms at least halve).  `sums` are the
+    decade sums at x: `decade_sums(cons, x)`, or the table
+    `shift_invariant_decade_sums` certifies for all of [4,5].
     """
     if not DyInterval.closed(4, 5).contains(x):
         raise OutOfInterval(f"{x} outside [4, 5]")
     per_decade = []
     total = ZERO
     ok = True
-    for j, s in enumerate(decade_sums(cons, x, certified=certified), 1):
+    for j, s in enumerate(sums, 1):
         bound = Dyadic(1, 1 - 2**j)
         per_decade.append({"j": j, "sum": str(s), "bound": str(bound)})
         total = total + s
@@ -135,7 +125,7 @@ def convergence_tail_check(
     )
 
 
-def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int = 0) -> WitnessReport:
+def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int) -> WitnessReport:
     """Sample shifts to the right of an interior convergence point and verify
     each decade's contribution stays under its summable majorant.
 
@@ -145,11 +135,9 @@ def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int = 0
     The probe asserts only these upper bounds; divergence can never be
     concluded from a finite prefix, so failures are reported, not asserted.
     """
-    import random as _random
-
     if not (Dyadic(4) < xc < Dyadic(5)):
         raise OutOfInterval(f"{xc} not interior to [4, 5]")
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     top = Dyadic(10 * cons.jmax)
     failures = []
     checked = []
@@ -160,15 +148,12 @@ def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int = 0
             if t > mu:
                 failures.append({"sample": s, "y": str(y), "j": j, "sum": str(t), "majorant": str(mu)})
         checked.append(str(y))
+    params = {"xc": str(xc), "samples": samples, "seed": seed, "failures": failures, "sampled": checked[:10]}
+    if not samples:
+        params["informational"] = True  # no shift probed, nothing asserted
     return WitnessReport(
         claim="thm34-probe",
-        params={
-            "xc": str(xc),
-            "samples": samples,
-            "seed": seed,
-            "failures": failures,
-            "sampled": checked[:10],
-        },
+        params=params,
         lhs=str(len(failures)),
         rhs="0",
         passed=not failures,

@@ -352,9 +352,7 @@ def shift_invariant_sum(
     return values.pop() if len(values) == 1 else None
 
 
-def sum_pl_over_runs(
-    f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic = ZERO
-) -> Dyadic:
+def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
     """Exact sum of f(shift + first + k*gap) over every run (first, gap, count)
     and k in [0, count)."""
     total = ZERO

@@ -238,12 +238,21 @@ class TestVerify:
         assert run(capsys, *argv, "--seq", str(art))[0] == EXIT_FAIL
 
     @pytest.mark.parametrize(
-        "construction, suite", [("universal", "lemma"), ("thm33", "diverge"), ("thm33", "converge"), ("thm33", "probe")]
+        "option, construction, suite",
+        [
+            pytest.param("--seq", construction, suite, id=f"{construction}-{suite}")
+            for construction, suite in [("universal", "lemma"), ("thm33", "diverge"), ("thm33", "converge"), ("thm33", "probe")]
+        ]
+        + [
+            pytest.param("--G", "universal", suite, id=f"G-universal-{suite}")
+            for suite in ("lemma", "gaps", "integrality", "covering", "escape")
+        ],
     )
-    def test_seq_on_a_suite_that_ignores_it_is_usage_error(self, capsys, construction, suite):
-        code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, "--seq", "/nonexistent.json")
+    def test_seq_on_a_suite_that_ignores_it_is_usage_error(self, capsys, option, construction, suite):
+        """So is --G on any universal suite but series; neither file is read."""
+        code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, option, "/nonexistent.json")
         assert code == EXIT_USAGE and stdout == ""
-        assert stderr == f"error: --seq is not read by the {construction} {suite} suite\n"
+        assert stderr == f"error: {option} is not read by the {construction} {suite} suite\n"
 
     @pytest.mark.parametrize(
         "construction, suite",
@@ -424,6 +433,8 @@ def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, s
         ["thm31", "--suite", "cross", "--jmax", "9"],
         ["thm31", "--suite", "density", "--jmax", "1"],
         ["thm33", "--suite", "converge", "--samples", "0"],
+        ["universal", "--suite", "covering", "--limit", "1,3", "--samples", "0"],
+        ["thm33", "--suite", "probe", "--samples", "0"],
     ],
 )
 def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):

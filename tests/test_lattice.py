@@ -357,13 +357,13 @@ class TestSumPlOverAp:
             ]
         )
         lo, hi = 8000, 8308
-        got = sum_pl_over_runs(f, seq.segments_in_range(lo, hi))
+        got = sum_pl_over_runs(f, seq.segments_in_range(lo, hi), ZERO)
         expect = ZERO
         for n in range(lo, hi + 1):
             expect = expect + pl_eval(f, seq.value_at(n))
         assert got == expect
         # the origin's one-point run is summed like any other
-        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200)) == sum(
+        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200), ZERO) == sum(
             (pl_eval(f, seq.value_at(n)) for n in range(201)), ZERO
         )
         shift = Dyadic(65, -2)  # carries the origin onto the peak of f

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from dyadlab import interior_gap as ig
 from dyadlab.cli import main
 
 G_THM31 = ["(-4*2^0,4*2^0)"]
@@ -80,3 +81,13 @@ def run_case(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes(name, tmp_path, capsys):
     assert run_case(name, tmp_path, capsys) == EXPECTED[name]
+
+
+def test_converge_without_a_certified_table_sums_each_sample_at_x(tmp_path, capsys, monkeypatch):
+    """If [4,5] fails to certify, every sample sums its own decades, and the
+    bytes are the pinned ones."""
+    real, calls = ig.decade_sums, []
+    monkeypatch.setattr(ig, "shift_invariant_decade_sums", lambda *a: None)
+    monkeypatch.setattr(ig, "decade_sums", lambda *a: calls.append(a) or real(*a))
+    assert run_case("verify-thm33-converge", tmp_path, capsys) == EXPECTED["verify-thm33-converge"]
+    assert len(calls) == 5

@@ -10,6 +10,15 @@ The check is by name, not by binding: a method whose name collides with a
 name used elsewhere (for example `measure`, a local variable in
 `universal.py`) counts as used and is not caught.
 
+A parameter default earns its place only if `src/dyadlab` both relies on it
+and overrides it: some call there omits the parameter and some call passes
+it, by keyword or by position.  A default no call overrides is a constant
+only tests vary; a default every call passes serves only tests.  A call that
+merely forwards another default no call overrides (directly, or through a
+local assigned from it) does not count as overriding.  Dunders are skipped,
+and a method's `self` or `cls` is not a position.  `KEEP` names the
+exceptions as `function.parameter`.
+
 A leading underscore is the one statement of what a module keeps to itself:
 no module imports another's `_name`, and no `__all__` restates the surface.
 `LAYERS` lists the package modules each module may import.
@@ -25,6 +34,8 @@ KEEP = {
     "error": "argparse calls `_Parser.error` on every usage error",
     "escape_measure_bruteforce": "its `budget` default is read by the benchmark; it moves with the next benchmark change",
     "smoothing_measure": "acceptance criterion 9; library-only, as the README records",
+    "main.argv": "tests and the benchmark pass it; the console script and `python -m dyadlab` read sys.argv",
+    "escape_measure_bruteforce.budget": "the benchmark reads it",
 }
 
 _CONSTRUCTION_BASE = {"exactnum", "report", "lattice"}
@@ -69,6 +80,109 @@ def _used(trees) -> set[str]:
     return used
 
 
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _defaults(trees) -> dict[str, dict[str, int | None]]:
+    """Per non-dunder function name, its defaulted parameters, each with the
+    call position that sets it (None for keyword-only)."""
+    methods = {
+        id(node)
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, _FUNCTION)
+    }
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, _FUNCTION) or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            a, skip = node.args, 1 if id(node) in methods else 0
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = {arg.arg: i - skip for i, arg in enumerate(positional) if i >= first}
+            params |= {arg.arg: None for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+            if params:
+                out.setdefault(node.name, {}).update(params)
+    return out
+
+
+def _calls(trees) -> list[tuple[ast.Call, ast.AST | None]]:
+    """Every call in the package with the function it sits in (None at module level)."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                out.append((child, fn))
+            visit(child, child if isinstance(child, _FUNCTION) else fn)
+
+    for tree in trees.values():
+        visit(tree, None)
+    return out
+
+
+def _passed(call: ast.Call, param: str, pos: int | None):
+    """The expression `call` passes for `param`, True if unknowable (`*a`, `**kw`), None if omitted."""
+    for kw in call.keywords:
+        if kw.arg == param:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords):
+        return True
+    if pos is not None:
+        for i, arg in enumerate(call.args[: pos + 1]):
+            if isinstance(arg, ast.Starred):
+                return True
+            if i == pos:
+                return arg
+    return None
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _forwarded(fn, constant: set[str]) -> set[str]:
+    """Names in `fn` holding a value derived from one of its defaults in `constant`."""
+    if fn is None:
+        return set()
+    names = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg) and f"{fn.name}.{a.arg}" in constant}
+    assigns = [n for n in ast.walk(fn) if isinstance(n, ast.Assign)]
+    while True:
+        grown = names | {t for n in assigns if _names(n.value) & names for target in n.targets for t in _names(target)}
+        if grown == names:
+            return names
+        names = grown
+
+
+def _default_findings(trees) -> dict[str, str]:
+    """`function.parameter` for each default src never overrides, or always overrides."""
+    defaults, calls = _defaults(trees), _calls(trees)
+    constant: set[str] = set()
+    while True:
+        overridden, omitted = set(), set()
+        for call, fn in calls:
+            name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            forwarded = _forwarded(fn, constant)
+            for param, pos in defaults.get(name, {}).items():
+                value = _passed(call, param, pos)
+                if value is None:
+                    omitted.add(f"{name}.{param}")
+                elif value is True or not _names(value) & forwarded:
+                    overridden.add(f"{name}.{param}")
+        every = {f"{name}.{param}" for name, params in defaults.items() for param in params}
+        if every - overridden == constant:
+            break
+        constant = every - overridden
+    return {
+        key: "no src call overrides it" if key in constant else "every src call passes it"
+        for key in sorted(every)
+        if key in constant or key not in omitted
+    }
+
+
 def _layer_findings(trees) -> list[str]:
     """Imports outside a module's layer, imports of another module's `_name`, and `__all__` lists."""
     findings = []
@@ -102,8 +216,16 @@ def test_every_src_function_has_a_src_caller():
 def test_keep_list_names_only_defined_unreached_names():
     trees = _trees()
     defined, used = _defined(trees), _used(trees)
-    assert set(KEEP) <= set(defined)
-    assert not set(KEEP) & used, "a kept name gained a caller; drop it from KEEP"
+    functions = {name for name in KEEP if "." not in name}
+    assert functions <= set(defined)
+    assert not functions & used, "a kept name gained a caller; drop it from KEEP"
+    parameters = set(KEEP) - functions
+    assert parameters <= set(_default_findings(trees)), "a kept default is now both relied on and overridden; drop it"
+
+
+def test_every_src_default_is_relied_on_and_overridden_in_src():
+    findings = {key: why for key, why in _default_findings(_trees()).items() if key not in KEEP}
+    assert not findings, f"defaults only tests need: {findings}"
 
 
 def test_modules_import_only_their_layers():
