@@ -165,7 +165,7 @@ def _cmd_construct(args) -> int:
         data = cons.to_json_dict()
         if args.G:
             data["selected_js"] = dd.selected_js(cons, _load_G(args.G, IntervalUnion()))
-        npoints = sum(w.count for w in cons.lambda_windows())
+        npoints = sum(w.count for w in cons.lambda_windows()) - sum(w.count for w in cons.lambda_overlaps())
         summary = f"thm31 through j={args.jmax}: {len(cons.items)} tents, lattice points {_fmt_count(npoints)}"
     else:
         cons = ig.build_thm33(args.jmax)
@@ -234,10 +234,10 @@ def _universal_covering(args, rng) -> list[WitnessReport]:
     seq = _universal_seq(args)
     reports = []
     for i in uv.steps_before(args.limit):
-        sc = uv.step_constants(i)
+        lo, hi = i.aI, i.bI
         ok = 0
         for s in range(args.samples):
-            x = _sample_in(rng, sc.aI, sc.bI)
+            x = _sample_in(rng, lo, hi)
             try:
                 uv.covering_witness(x, i, seq)
                 ok += 1
@@ -304,9 +304,9 @@ def _universal_series(args, rng) -> list[WitnessReport]:
     ends = [2 * i.position() for i in uv.indices_through(limit)][1:]
     reports = []
     for jk, _ in uG:
-        sc = uv.step_constants(jk)
+        lo, hi = jk.aI, jk.bI
         for s in range(args.samples):
-            x = _sample_in(rng, sc.aI, sc.bI)
+            x = _sample_in(rng, lo, hi)
             sums = uv.fG_prefix_sums(x, uG, seq)
             counts = [sums[n] for n in ends]
             reports.append(

@@ -108,6 +108,19 @@ class Thm31Construction:
         """All lattice windows of Λ = Λ1 ∪ Λ2, fine and coarse."""
         return [w for it in self.items for w in (it.lam1, it.lam2) if w is not None]
 
+    def lambda_overlaps(self) -> list[APWindow]:
+        """The points two windows share, one run per pair that shares any:
+        each window is a power-of-two lattice through 0 clipped to an
+        interval, so the coarser lattice on the common span is exactly them."""
+        spans = [(w.start, w.last(), w.step) for w in self.lambda_windows()]
+        out = []
+        for n, (lo1, hi1, step1) in enumerate(spans):
+            for lo2, hi2, step2 in spans[n + 1:]:
+                lo, hi, step = max(lo1, lo2), min(hi1, hi2), max(step1, step2)
+                if lo <= hi and step * (hi // step) >= lo:
+                    out.append(APWindow(*lattice_run(DyInterval.closed(lo, hi), step)))
+        return out
+
     def to_json_dict(self) -> dict:
         return {
             "jmax": self.jmax,
@@ -215,9 +228,11 @@ def selected_js(cons: Thm31Construction, G: IntervalUnion) -> list[int]:
 
 
 def fG_sum_partial_31(cons: Thm31Construction, x: Dyadic, G: IntervalUnion) -> Dyadic:
-    """Exact sum of the G-selected tents over all of Λ."""
-    windows = cons.lambda_windows()
-    return sum((sum_pl_over_runs(cons.item(j).tent, windows, shift=x) for j in selected_js(cons, G)), ZERO)
+    """Exact sum of the G-selected tents over the set Λ: over every window,
+    less the points two windows share (no point lies in three)."""
+    windows, shared = cons.lambda_windows(), cons.lambda_overlaps()
+    tents = [cons.item(j).tent for j in selected_js(cons, G)]
+    return sum((sum_pl_over_runs(f, windows, x) - sum_pl_over_runs(f, shared, x) for f in tents), ZERO)
 
 
 def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessReport:

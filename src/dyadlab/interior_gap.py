@@ -23,8 +23,8 @@ class Thm33Construction:
     seq: GapBlockSeq
     f: PiecewiseLinear
 
-    def decade_index_range(self, j: int) -> tuple[int, int]:
-        """Index range [lo, hi] of the decade-j points, [10j-10, 10j).
+    def decade_runs(self, j: int) -> list[tuple[Dyadic, Dyadic, int]]:
+        """The decade-j points, [10j-10, 10j), as runs (first, gap, count).
 
         Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
         fine block ends on the first point of the next one.
@@ -33,7 +33,7 @@ class Thm33Construction:
             raise IndexError(f"decade {j} outside [1, {self.jmax}]")
         lo = self.seq.index_of_step_boundary(2 * j - 3) if j > 1 else 0
         end = self.seq.index_of_step_boundary(2 * j - 1) if j < self.jmax else self.seq.total_count
-        return lo, end - 1
+        return self.seq.segments_in_range(lo, end - 1)
 
 
 def build_thm33(jmax: int) -> Thm33Construction:
@@ -68,10 +68,7 @@ def build_thm33(jmax: int) -> Thm33Construction:
 
 def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
     """Exact sum of f(x + point) over the points of each decade 1..jmax."""
-    return [
-        sum_pl_over_runs(cons.f, cons.seq.segments_in_range(*cons.decade_index_range(j)), x)
-        for j in range(1, cons.jmax + 1)
-    ]
+    return [sum_pl_over_runs(cons.f, cons.decade_runs(j), x) for j in range(1, cons.jmax + 1)]
 
 
 def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic] | None:
@@ -79,8 +76,7 @@ def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic)
     None when `shift_invariant_sum` cannot certify one of the runs."""
     out = []
     for j in range(1, cons.jmax + 1):
-        runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
-        values = [shift_invariant_sum(cons.f, run, lo, hi) for run in runs]
+        values = [shift_invariant_sum(cons.f, run, lo, hi) for run in cons.decade_runs(j)]
         if any(v is None for v in values):
             return None
         out.append(sum(values, ZERO))

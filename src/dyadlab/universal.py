@@ -33,7 +33,8 @@ ESCAPE_BUDGET = 4_000_000
 
 @dataclass(frozen=True, order=True)
 class IndexJK:
-    """Lexicographic index (j, k) with j >= 1 and 0 <= k < 2j*2^j."""
+    """Lexicographic index (j, k) with j >= 1 and 0 <= k < 2j*2^j; it fixes
+    its step's window [j - (k+1)2^-j, j - k*2^-j] and scale s = 2j*2^j + k."""
 
     j: int
     k: int
@@ -60,6 +61,34 @@ class IndexJK:
         """The exponent s with a = 2^s and E = 2^-s at this index."""
         return 2 * self.j * 2**self.j + self.k
 
+    # The step's geometry in closed form: the window [aI, bI], the scales a = 2^s
+    # and E = 2^-s, and the comb of 2^s closed intervals of width E^3 spaced E^2 from a.
+
+    @property
+    def aI(self) -> Dyadic:
+        return Dyadic(self.j) - Dyadic(self.k + 1, -self.j)
+
+    @property
+    def bI(self) -> Dyadic:
+        return Dyadic(self.j) - Dyadic(self.k, -self.j)
+
+    @property
+    def window(self) -> DyInterval:
+        return DyInterval.closed(self.aI, self.bI)
+
+    @property
+    def a(self) -> Dyadic:
+        return Dyadic(1, self.scale_exp())
+
+    @property
+    def E(self) -> Dyadic:
+        return Dyadic(1, -self.scale_exp())
+
+    @property
+    def comb(self) -> PeriodicIntervalSet:
+        s = self.scale_exp()
+        return PeriodicIntervalSet(Dyadic(1, s), Dyadic(1, -2 * s), Dyadic(1, -3 * s), 1 << s)
+
     def __str__(self) -> str:
         return f"({self.j},{self.k})"
 
@@ -69,7 +98,7 @@ def row_width(j: int) -> int:
 
 
 def require_span(limit: IndexJK) -> None:
-    """Refuse a limit whose own b = a + E = 2^s + 2^-s, s = 2j*2^j + k, needs
+    """Refuse a limit whose comb end a + E = 2^s + 2^-s, s = 2j*2^j + k, needs
     more mantissa bits (2s + 1) than the span guard, before any walk reaches it."""
     guard = span_guard()
     if limit.j >= guard.bit_length():  # 2s + 1 > 4j*2^j >= 2^(j+2) > guard; 2^j is never formed
@@ -95,25 +124,6 @@ def steps_before(limit: IndexJK) -> Iterator[IndexJK]:
     return takewhile(lambda i: i != limit, indices_through(limit))
 
 
-@dataclass(frozen=True)
-class StepConstants:
-    aI: Dyadic
-    bI: Dyadic
-    a: Dyadic
-    b: Dyadic
-    E: Dyadic
-
-
-def step_constants(i: IndexJK) -> StepConstants:
-    """Window endpoints and scale constants."""
-    s = i.scale_exp()
-    a = Dyadic(1, s)
-    E = Dyadic(1, -s)
-    aI = Dyadic(i.j) - Dyadic(i.k + 1, -i.j)
-    bI = Dyadic(i.j) - Dyadic(i.k, -i.j)
-    return StepConstants(aI=aI, bI=bI, a=a, b=a + E, E=E)
-
-
 def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
     """Absolute indices (n0, n1) at which step i starts and ends in `seq`."""
     t = i.position()
@@ -127,17 +137,6 @@ def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
     return n0, n1
 
 
-def u_set(i: IndexJK) -> PeriodicIntervalSet:
-    """The comb of 2^s closed intervals of width E^3 spaced E^2 from a."""
-    sc = step_constants(i)
-    return PeriodicIntervalSet(
-        base=sc.a,
-        period=sc.E * sc.E,
-        width=sc.E * sc.E * sc.E,
-        count=1 << i.scale_exp(),
-    )
-
-
 def build_universal(limit: IndexJK) -> GapBlockSeq:
     """Gap blocks of all steps below `limit`; the last point is a - bI at `limit`.
 
@@ -146,18 +145,18 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
     exactly on the next step's starting value.  Both counts must come out as
     positive integers; NotExact propagates otherwise.
     """
-    sc0 = step_constants(IndexJK(1, 0))
-    origin = sc0.a - sc0.bI
+    first = IndexJK(1, 0)
+    origin = first.a - first.bI
     blocks: list[GapBlock] = []
     lam = origin
     for i in steps_before(limit):
-        sc = step_constants(i)
-        E2 = sc.E * sc.E
+        comb = i.comb
+        E2 = comb.period
         wide_count = (1 << (i.scale_exp() * 2 - i.j)) + (1 << (i.scale_exp() + 1))
-        wide_gap = E2 - E2 * sc.E
+        wide_gap = E2 - comb.width
         blocks.append(GapBlock(wide_gap, wide_count, f"{i.j},{i.k}:wide"))
         lam = lam + wide_gap * wide_count
-        nxt = step_constants(i.successor())
+        nxt = i.successor()
         target = nxt.a - nxt.bI
         half_gap = Dyadic(E2.m, E2.e - 1)
         half_count_d = (target - lam).div_exact(half_gap)
@@ -171,18 +170,18 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
 def check_lemma_useful(i: IndexJK) -> WitnessReport:
     """Scale constants halve (at least) from one index to the next, and half
     the old fine scale is an exact integer multiple of the new one."""
-    sc = step_constants(i)
-    nxt = step_constants(i.successor())
-    ok_a = sc.a <= Dyadic(nxt.a.m, nxt.a.e - 1)
-    ok_e = sc.E >= nxt.E * 2
-    half_e = Dyadic(sc.E.m, sc.E.e - 1)
-    mult = half_e.div_exact(nxt.E)
+    nxt = i.successor()
+    a, E, a_next, E_next = i.a, i.E, nxt.a, nxt.E
+    ok_a = a <= Dyadic(a_next.m, a_next.e - 1)
+    ok_e = E >= E_next * 2
+    half_e = Dyadic(E.m, E.e - 1)
+    mult = half_e.div_exact(E_next)
     ok_m = mult.is_integer() and mult.m >= 1
     return WitnessReport(
         claim=f"lemma-useful/{i.j},{i.k}",
         params={"index": str(i), "successor": str(i.successor()), "multiplier": str(mult.as_integer() if ok_m else mult)},
-        lhs=f"a={sc.a} E={sc.E}",
-        rhs=f"a'={nxt.a} E'={nxt.E}",
+        lhs=f"a={a} E={E}",
+        rhs=f"a'={a_next} E'={E_next}",
         passed=ok_a and ok_e and ok_m,
     )
 
@@ -191,13 +190,12 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     """Every step's end value divides by E^2, and the landing value by E'^2."""
     checked = 0
     for i in steps_before(limit):
-        sc = step_constants(i)
         _, n1 = step_indices(seq, i)
-        nxt = step_constants(i.successor())
+        E, E_next = i.E, i.successor().E
         try:
-            q1 = seq.value_at(n1).div_exact(sc.E * sc.E)
+            q1 = seq.value_at(n1).div_exact(E * E)
             n0_next = seq.index_of_step_boundary(2 * i.position() + 1)
-            q2 = seq.value_at(n0_next).div_exact(nxt.E * nxt.E)
+            q2 = seq.value_at(n0_next).div_exact(E_next * E_next)
         except ArithmeticError as exc:
             return WitnessReport(
                 claim="integrality",
@@ -213,11 +211,10 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
                 passed=False,
             )
         checked += 1
-    return WitnessReport(
-        claim="integrality",
-        params={"steps": checked, "limit": str(limit)},
-        passed=True,
-    )
+    params = {"steps": checked, "limit": str(limit)}
+    if not checked:
+        params["informational"] = True  # no step, nothing asserted
+    return WitnessReport(claim="integrality", params=params, passed=True)
 
 
 @dataclass(frozen=True)
@@ -235,19 +232,18 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     10^hundreds, scanning is not an option), then advanced by the floor of the
     overshoot measured in comb widths.
     """
-    sc = step_constants(i)
     n0, n1 = step_indices(seq, i)
-    window = DyInterval.closed(sc.aI, sc.bI)
+    window = i.window
     if not window.contains(x):
         raise OutOfInterval(f"{x} outside {window} at {i}")
-    if x + seq.value_at(n0) > sc.a:
+    comb = i.comb
+    a, E2, E3 = comb.base, comb.period, comb.width
+    if x + seq.value_at(n0) > a:
         raise Violation(f"start value already past the comb base at {i}, x={x}")
-    nx = seq.count_upto(sc.a - x)
+    nx = seq.count_upto(a - x)
     if nx >= seq.total_count:
         raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
-    E2 = sc.E * sc.E
-    E3 = E2 * sc.E
-    overshoot = x + seq.value_at(nx) - sc.a
+    overshoot = x + seq.value_at(nx) - a
     if not overshoot > ZERO:
         raise Violation(f"minimality broken: overshoot {overshoot} not positive")
     if overshoot > E2 - E3:
@@ -255,8 +251,7 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     comp, _ = divmod(overshoot, E3)
     nxp = nx + comp
     landing = x + seq.value_at(nxp)
-    ps = u_set(i)
-    if not (0 <= comp < ps.count and ps.contains(landing)):
+    if not (0 <= comp < comb.count and comb.contains(landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
     if not (nx <= n1 and nxp <= n1):
         raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
@@ -271,9 +266,8 @@ def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIn
     """
     out = []
     for i in indices_through(limit):
-        sc = step_constants(i)
-        if G.contains_interval(DyInterval.closed(sc.aI, sc.bI)):
-            out.append((i, u_set(i)))
+        if G.contains_interval(i.window):
+            out.append((i, i.comb))
     return out
 
 
@@ -284,18 +278,13 @@ def fG_prefix_sums(
 
     Entry b counts the origin and the points of the first b blocks, so entry
     2*i.position() is the count for the prefix `build_universal(i)`.  Combs of
-    distinct indices live in disjoint ranges [a, b], so the per-comb counts
+    distinct indices live in disjoint ranges [a, a + E], so the per-comb counts
     add without double counting.
     """
     return list(accumulate(
         sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
         for first, gap, count in seq.segments_in_range(0, seq.total_count - 1)
     ))
-
-
-def escape_bound(i: IndexJK) -> Dyadic:
-    """The per-index bound (4j+3)*E on the escape measure."""
-    return Dyadic(4 * i.j + 3) * step_constants(i).E
 
 
 @dataclass(frozen=True)
@@ -321,19 +310,18 @@ class _EscapeGrid:
 
 
 def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
-    sc = step_constants(i)
-    ps = u_set(i)
+    ps = i.comb
     j = Dyadic(i.j)
     span = ps.period * (ps.count - 1) + ps.width
-    lam_lo = sc.a - j - ps.width
-    lam_hi = sc.a + span + j
+    lam_lo = ps.base - j - ps.width
+    lam_hi = ps.base + span + j
     n_start = seq.count_upto(lam_lo)
     if n_start > 0 and seq.value_at(n_start - 1) == lam_lo:
         n_start -= 1
     n_end = seq.count_upto(lam_hi) - 1
     segments = seq.segments_in_range(n_start, n_end)
 
-    scale_inputs = [sc.a, ps.period, ps.width, -j, sc.aI, sc.bI, j]
+    scale_inputs = [ps.base, ps.period, ps.width, -j, i.aI, i.bI, j]
     for first, gap, _ in segments:
         scale_inputs.extend((first, gap))
     ints, e = scaled_ints(scale_inputs)
@@ -359,8 +347,8 @@ def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
 
 
 def _escape_report(i: IndexJK, grid: _EscapeGrid, measure: Dyadic) -> WitnessReport:
-    sc = step_constants(i)
-    bound = escape_bound(i)
+    E = i.E
+    bound = Dyadic(4 * i.j + 3) * E
     return WitnessReport(
         claim=f"escape-measure/{i.j},{i.k}",
         params={
@@ -368,9 +356,9 @@ def _escape_report(i: IndexJK, grid: _EscapeGrid, measure: Dyadic) -> WitnessRep
             "translates": grid.translates,
             "components": grid.components,
             "prefix_covers_range": grid.covers,
-            "lattice_term": str(Dyadic(4 * i.j) * sc.E),
-            "left_strip": str(Dyadic(2) * sc.E),
-            "right_strip": str(sc.E),
+            "lattice_term": str(Dyadic(4 * i.j) * E),
+            "left_strip": str(Dyadic(2) * E),
+            "right_strip": str(E),
         },
         lhs=str(measure),
         rhs=str(bound),

@@ -84,11 +84,10 @@ def test_criterion_4_covering(seq_3_0):
     for j in (1, 2):
         for k in range(uv.row_width(j)):
             i = uv.IndexJK(j, k)
-            sc = uv.step_constants(i)
             _, n1 = uv.step_indices(seq_3_0, i)
-            ps = uv.u_set(i)
+            ps = i.comb
             for _ in range(1000):
-                x = sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(48), -48)
+                x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48)
                 total += 1
                 try:
                     w = uv.covering_witness(x, i, seq_3_0)
@@ -101,9 +100,8 @@ def test_criterion_4_covering(seq_3_0):
     spot_ok = True
     for k in range(4):
         i = uv.IndexJK(1, k)
-        sc = uv.step_constants(i)
         n0, n1 = uv.step_indices(seq_3_0, i)
-        e3 = sc.E * sc.E * sc.E
+        a, e3 = i.a, i.comb.width
         lam = seq_3_0.value_at(n0)
         gap = seq_3_0.blocks[2 * i.position()].gap
         pts = [lam]
@@ -112,10 +110,10 @@ def test_criterion_4_covering(seq_3_0):
             pts.append(lam)
         assert len(pts) <= 10_001
         for frac_bits in (3, 4, 5):
-            x = sc.aI + (sc.bI - sc.aI) * Dyadic(1, -frac_bits)
+            x = i.aI + (i.bI - i.aI) * Dyadic(1, -frac_bits)
             w = uv.covering_witness(x, i, seq_3_0)
-            nx_brute = n0 + next(t for t, v in enumerate(pts) if x + v > sc.a)
-            q_brute = (x + pts[nx_brute - n0] - sc.a) // e3
+            nx_brute = n0 + next(t for t, v in enumerate(pts) if x + v > a)
+            q_brute = (x + pts[nx_brute - n0] - a) // e3
             spot_ok = spot_ok and w.nx == nx_brute and w.nxp == nx_brute + q_brute
     _report(4, f"covering witnesses: {total - failures}/{total} pass, brute-force spots agree", failures == 0 and spot_ok)
 
@@ -126,8 +124,8 @@ def test_criterion_5_escape(seq_2_0):
         i = uv.IndexJK(1, k)
         measure, rep = uv.escape_measure(i, seq_2_0)
         ok = ok and (measure, rep) == uv.escape_measure_bruteforce(i, seq_2_0)
-        bound = uv.escape_bound(i)
-        assert bound == Dyadic(7, -4 - k)
+        bound = Dyadic(7, -4 - k)
+        assert rep.rhs == str(bound)
         ok = ok and rep.passed and ZERO < measure <= bound
         ok = ok and rep.params["translates"] > 0
         ok = ok and rep.params["prefix_covers_range"]
@@ -246,7 +244,7 @@ def test_criterion_8_thm33_skeleton():
 
 
 def test_criterion_9_smoothing(seq_2_0):
-    uG = [(uv.IndexJK(1, 0), uv.u_set(uv.IndexJK(1, 0)))]
+    uG = [(uv.IndexJK(1, 0), uv.IndexJK(1, 0).comb)]
     rep = uv.smoothing_measure(uG, seq_2_0)
     ok = rep.passed
     for row in rep.params["windows"].values():

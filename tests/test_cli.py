@@ -435,6 +435,7 @@ def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, s
         ["thm33", "--suite", "converge", "--samples", "0"],
         ["universal", "--suite", "covering", "--limit", "1,3", "--samples", "0"],
         ["thm33", "--suite", "probe", "--samples", "0"],
+        ["universal", "--suite", "integrality", "--limit", "1,0"],
     ],
 )
 def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):

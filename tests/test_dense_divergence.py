@@ -250,13 +250,38 @@ class TestFGSum:
 
         lam1 = [it.lam1 for it in cons12.items]
         lam2 = [it.lam2 for it in cons12.items if it.lam2 is not None]
+        shared = cons12.lambda_overlaps()
         for xs in ("0", "0.5", "-1"):
             x = dy(xs)
             s2 = family_sum(x, lam2)
-            assert fG_sum_partial_31(cons12, x, g) == family_sum(x, lam1) + s2
+            # x = -1 carries the points 3, 25/8, 13/4 of two windows onto tent 2
+            assert fG_sum_partial_31(cons12, x, g) == family_sum(x, lam1) + s2 - family_sum(x, shared)
             rep = lambda2_total_check(cons12, x)
             total_all_tents = Dyadic.parse(rep.params["total"])
             assert s2 <= total_all_tents
+
+    def test_overlap_runs_are_disjoint_through_16(self):
+        # no point lies in three windows, so subtracting each run once is exact
+        spans = sorted((w.start, w.last()) for w in build_thm31(16).lambda_overlaps())
+        assert len(spans) == 8
+        assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("jmax", [2, 3])
+    def test_sum_over_the_set_matches_enumeration(self, jmax):
+        cons = build_thm31(jmax)
+        windows = cons.lambda_windows()
+        points = [w.start + w.step * k for w in windows for k in range(w.count)]
+        lam = set(points)
+        shared = {w.start + w.step * k for w in cons.lambda_overlaps() for k in range(w.count)}
+        assert shared == {p for p in lam if points.count(p) == 2}
+        assert not any(points.count(p) > 2 for p in shared)
+        g = IntervalUnion([DyInterval.open(-1000, 1000)])
+        tents = [cons.item(j).tent for j in selected_js(cons, g)]
+        rng = random.Random(4096 + jmax)
+        xs = [Dyadic(-1), Dyadic(-15, -4)] + [Dyadic(rng.randint(-48, 48), -4) for _ in range(22)]
+        for x in xs:
+            brute = sum((pl_eval(f, x + p) for p in lam for f in tents), ZERO)
+            assert fG_sum_partial_31(cons, x, g) == brute, x
 
 
 class TestDensityAndGaps:

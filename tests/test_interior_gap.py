@@ -78,19 +78,21 @@ class TestBuild:
             assert a > b
         assert hs[-1] == Dyadic(1, -(2**7))
 
-    def test_decade_index_ranges(self, cons6):
-        lo = 0
+    def test_decade_runs(self, cons6):
+        total = 0
         for j in range(1, 7):
             # decade j: 8*2^(2^j) coarse points from 10j-10, then 2*2^(2^(j+1)) fine ones below 10j
             n = 8 * 2 ** (2**j) + 2 * 2 ** (2 ** (j + 1))
-            assert cons6.decade_index_range(j) == (lo, lo + n - 1)
-            assert cons6.seq.value_at(lo) == Dyadic(10 * (j - 1))
-            assert cons6.seq.value_at(lo + n - 1) == Dyadic(10 * j) - Dyadic(1, -(2 ** (j + 1)))
-            lo += n
-        assert lo == cons6.seq.total_count
+            runs = cons6.decade_runs(j)
+            assert sum(count for _, _, count in runs) == n
+            (first, _, _), (start, gap, count) = runs[0], runs[-1]
+            assert first == Dyadic(10 * (j - 1))
+            assert start + gap * (count - 1) == Dyadic(10 * j) - Dyadic(1, -(2 ** (j + 1)))
+            total += n
+        assert total == cons6.seq.total_count
         for j in (0, 7):
             with pytest.raises(IndexError):
-                cons6.decade_index_range(j)
+                cons6.decade_runs(j)
 
 
 class TestDivergence:

@@ -550,7 +550,7 @@ def test_shift_invariant_sum_thm33_coarse_runs_over_4_5():
     for jmax in range(1, 13):
         cons = build_thm33(jmax)
         for j in range(1, jmax + 1):
-            runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
+            runs = cons.decade_runs(j)
             got = [shift_invariant_sum(cons.f, run, Dyadic(4), Dyadic(5)) for run in runs]
             assert sum(got, ZERO) == Dyadic(5, -(2**j + 2)), (jmax, j, got)
 
@@ -562,7 +562,7 @@ def test_shift_invariant_sum_refuses_shift_dependent_runs():
     for jmax in range(1, 7):
         cons = build_thm33(jmax)
         for j in range(1, jmax + 1):
-            runs = cons.seq.segments_in_range(*cons.decade_index_range(j))
+            runs = cons.decade_runs(j)
             assert any(shift_invariant_sum(cons.f, run, ZERO, ONE) is None for run in runs), (jmax, j)
     cons = build_thm31(4)
     for it in cons.items:

@@ -39,6 +39,8 @@ CASES = {
     "construct-thm33": ["construct", "thm33", "--jmax", "3", "--out", "{out}"],
     "eval-universal": ["eval", "universal", "--limits", "1,1", "1,3", "--xs", "0.75", "1.5", "--out", "{out}"],
     "eval-thm31": ["eval", "thm31", "--jmaxes", "8", "10", "--xs", "0", "0.5", "3", "--G", "{G}", "--out", "{out}"],
+    # x = -1 carries points two windows share onto tents 2 (jmax 2) and 10
+    "eval-thm31-shared": ["eval", "thm31", "--jmaxes", "2", "10", "--xs", "-1", "-0.9375", "--out", "{out}"],
     "eval-thm33": ["eval", "thm33", "--jmaxes", "1", "3", "--xs", "0", "0.5", "2", "--out", "{out}"],
 }
 
@@ -48,6 +50,7 @@ EXPECTED = {
     "construct-thm33": (0, "5d5dd366202344ab95382de9e592cd4ac24ea556a965183b708b8f4b5625f4c5"),
     "construct-universal": (0, "0a48dd50b7eab11c6066436072540e5513e69b1aa6373d0840b247b50b732046"),
     "eval-thm31": (0, "fc241dc59a8f99a8074dab132a1da47258430241d5d9f8d1d16a6d83d6261589"),
+    "eval-thm31-shared": (0, "03135725359960bc13b71fe20ee1e616a8bc0b706610a49c9fb7c2e61287a576"),
     "eval-thm33": (0, "d5f5d235ad405889c8104b7d977926c229eae10a783f6ef2dc91b7a85f7ec65f"),
     "eval-universal": (0, "c90cfb48d950823b7f9c4dbe910c28754ff854fb4b894a85a0d0a6b8c607b194"),
     "verify-thm31-cross": (0, "1376755424eb2be99f2c08d45a83b238ea22a3f7e24ee52cae05256763a478f0"),

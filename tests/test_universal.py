@@ -6,12 +6,13 @@ against explicit enumeration of the (small) first steps.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, ZERO
-from dyadlab.lattice import GapBlock, GapBlockSeq
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
 from dyadlab.universal import (
     BudgetExceeded,
     IndexJK,
@@ -22,20 +23,17 @@ from dyadlab.universal import (
     check_integrality,
     check_lemma_useful,
     covering_witness,
-    escape_bound,
     escape_measure,
     escape_measure_bruteforce,
     fG_prefix_sums,
     indices_through,
     row_width,
     smoothing_measure,
-    step_constants,
     step_indices,
     steps_before,
-    u_set,
 )
 from dyadlab import universal
-from dyadlab.universal import _escape_grid
+from dyadlab.universal import _escape_grid, _escape_report
 from oracles import components, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
@@ -67,25 +65,39 @@ class TestIndexJK:
         assert IndexJK(3, 0).position() == 4 + 16
 
 
-class TestStepConstants:
+def frac(d: Dyadic) -> Fraction:
+    return d.m * Fraction(2) ** d.e
+
+
+class TestStepGeometry:
     def test_at_1_0(self):
-        sc = step_constants(IndexJK(1, 0))
-        assert sc.aI == dy("0.5")
-        assert sc.bI == Dyadic(1)
-        assert sc.a == Dyadic(16)
-        assert sc.E == Dyadic(1, -4)
-        assert sc.b == Dyadic(16) + Dyadic(1, -4)
+        i = IndexJK(1, 0)
+        assert i.aI == dy("0.5")
+        assert i.bI == Dyadic(1)
+        assert i.a == Dyadic(16)
+        assert i.E == Dyadic(1, -4)
 
     def test_at_1_1(self):
-        sc = step_constants(IndexJK(1, 1))
-        assert sc.a == Dyadic(32)
-        assert sc.E == Dyadic(1, -5)
-        assert sc.bI == dy("0.5")
+        i = IndexJK(1, 1)
+        assert i.a == Dyadic(32)
+        assert i.E == Dyadic(1, -5)
+        assert i.bI == dy("0.5")
 
     def test_at_2_0(self):
-        sc = step_constants(IndexJK(2, 0))
-        assert sc.a == Dyadic(1, 16)
-        assert sc.E == Dyadic(1, -16)
+        i = IndexJK(2, 0)
+        assert i.a == Dyadic(1, 16)
+        assert i.E == Dyadic(1, -16)
+
+    def test_geometry_oracle_through_3_0(self):
+        # each property against its definition in (j, k), as Fractions
+        for i in indices_through(IndexJK(3, 0)):
+            j, k = i.j, i.k
+            s = 2 * j * 2**j + k
+            assert frac(i.a) == 2**s and frac(i.E) == Fraction(1, 2**s), i
+            assert frac(i.aI) == j - Fraction(k + 1, 2**j) and frac(i.bI) == j - Fraction(k, 2**j), i
+            assert i.window == DyInterval.closed(i.aI, i.bI), i
+            E = i.E
+            assert i.comb == PeriodicIntervalSet(i.a, E * E, E * E * E, 2**s), i
 
     def test_indices_from_sequence(self):
         seq = build_universal(IndexJK(1, 1))
@@ -99,9 +111,9 @@ class TestStepConstants:
         assert len(build_universal(limit).blocks) == 2 * len(list(steps_before(limit)))
 
 
-class TestUSet:
+class TestComb:
     def test_at_1_0(self):
-        ps = u_set(IndexJK(1, 0))
+        ps = IndexJK(1, 0).comb
         assert ps.base == Dyadic(16)
         assert ps.period == Dyadic(1, -8)
         assert ps.width == Dyadic(1, -12)
@@ -110,9 +122,8 @@ class TestUSet:
 
     def test_contained_in_scale_window(self):
         for i in [IndexJK(1, 0), IndexJK(1, 3), IndexJK(2, 5)]:
-            sc = step_constants(i)
-            ps = u_set(i)
-            assert ps.base + ps.period * (ps.count - 1) + ps.width <= sc.b
+            ps = i.comb
+            assert ps.base + ps.period * (ps.count - 1) + ps.width <= i.a + i.E
 
 
 class TestBuildUniversal:
@@ -127,26 +138,24 @@ class TestBuildUniversal:
 
     def test_step_end_inequalities_at_1_0(self):
         seq = build_universal(IndexJK(1, 1))
-        sc = step_constants(IndexJK(1, 0))
-        lam_n1 = seq.value_at(step_indices(seq, IndexJK(1, 0))[1])
-        assert lam_n1 >= sc.b - sc.aI  # reaches past the comb for the whole window
-        assert lam_n1 < sc.a - sc.bI + 1  # but by less than one unit
+        i = IndexJK(1, 0)
+        lam_n1 = seq.value_at(step_indices(seq, i)[1])
+        assert lam_n1 >= i.a + i.E - i.aI  # reaches past the comb for the whole window
+        assert lam_n1 < i.a - i.bI + 1  # but by less than one unit
 
     def test_step_end_inequalities_sweep(self):
         seq = build_universal(IndexJK(2, 15))
         for i in indices_through(IndexJK(2, 14)):
-            sc = step_constants(i)
             lam_n1 = seq.value_at(step_indices(seq, i)[1])
-            assert lam_n1 >= sc.b - sc.aI
-            assert lam_n1 < sc.a - sc.bI + 1
+            assert lam_n1 >= i.a + i.E - i.aI
+            assert lam_n1 < i.a - i.bI + 1
 
     def test_step_end_closed_form_sweep(self):
         # block algebra must reproduce a - aI + 2E - 2^-j E - 2E^2 at each step end
         seq = build_universal(IndexJK(2, 15))
         for i in indices_through(IndexJK(2, 14)):
-            sc = step_constants(i)
-            e2 = sc.E * sc.E
-            expect = sc.a - sc.aI + sc.E * 2 - Dyadic(1, -i.j) * sc.E - e2 * 2
+            E = i.E
+            expect = i.a - i.aI + E * 2 - Dyadic(1, -i.j) * E - E * E * 2
             assert seq.value_at(step_indices(seq, i)[1]) == expect
 
     def test_monotone_gaps_through_2_15(self):
@@ -159,8 +168,7 @@ class TestBuildUniversal:
     def test_final_value_matches_limit(self):
         for limit in [IndexJK(1, 2), IndexJK(2, 1)]:
             seq = build_universal(limit)
-            sc = step_constants(limit)
-            assert seq.last_value == sc.a - sc.bI
+            assert seq.last_value == limit.a - limit.bI
 
     def test_perturbed_control_fails_monotonicity(self):
         seq = build_universal(IndexJK(2, 15))
@@ -187,11 +195,9 @@ class TestLemmaAndIntegrality:
 
     def test_integrality_examples(self):
         seq = build_universal(IndexJK(1, 2))
-        sc = step_constants(IndexJK(1, 0))
-        q = seq.value_at(step_indices(seq, IndexJK(1, 0))[1]).div_exact(sc.E * sc.E)
+        q = seq.value_at(step_indices(seq, IndexJK(1, 0))[1]).div_exact(IndexJK(1, 0).comb.period)
         assert q == Dyadic(3990)
-        sc1 = step_constants(IndexJK(1, 1))
-        q = seq.value_at(step_indices(seq, IndexJK(1, 1))[0]).div_exact(sc1.E * sc1.E)
+        q = seq.value_at(step_indices(seq, IndexJK(1, 1))[0]).div_exact(IndexJK(1, 1).comb.period)
         assert q == Dyadic(32256)
 
     def test_integrality_through_2_15(self):
@@ -233,13 +239,13 @@ class TestCoveringWitness:
         w = covering_witness(Dyadic(1), IndexJK(1, 0), seq11)
         assert w.nx == 1
         assert w.nxp == 16
-        assert u_set(IndexJK(1, 0)).contains(w.landing)
+        assert IndexJK(1, 0).comb.contains(w.landing)
         assert w.component == 15
 
     def test_against_enumeration(self, seq11):
         from fractions import Fraction
 
-        ps = u_set(IndexJK(1, 0))
+        ps = IndexJK(1, 0).comb
         pts = []
         for n, v in enumerate(iter_points(seq11)):
             pts.append(v)
@@ -270,11 +276,10 @@ class TestCoveringWitness:
         for j in (1, 2):
             for k in range(row_width(j)):
                 i = IndexJK(j, k)
-                sc = step_constants(i)
                 _, n1 = step_indices(seq, i)
-                ps = u_set(i)
+                ps = i.comb
                 for _ in range(20):
-                    x = sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(40), -40)
+                    x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(40), -40)
                     w = covering_witness(x, i, seq)
                     assert ps.contains(w.landing)
                     assert w.nx <= n1 and w.nxp <= n1
@@ -347,8 +352,7 @@ class TestUGAndSeries:
             uG = build_uG(g, limit)
             xs = [dy("0.75"), dy("1.5"), Dyadic(-3)]
             for i, _ in uG:
-                sc = step_constants(i)
-                xs.append(sc.aI + (sc.bI - sc.aI) * Dyadic(rng.getrandbits(30), -30))
+                xs.append(i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(30), -30))
             for x in xs:
                 sums = fG_prefix_sums(x, uG, full)
                 assert len(sums) == len(full.blocks) + 1
@@ -359,9 +363,10 @@ class TestUGAndSeries:
 
 class TestEscape:
     def test_bounds(self):
-        assert escape_bound(IndexJK(1, 0)) == Dyadic(7, -4)
-        assert escape_bound(IndexJK(1, 3)) == Dyadic(7, -7)
-        assert escape_bound(IndexJK(2, 0)) == Dyadic(11, -16)
+        # the report's rhs is the bound (4j+3)E, whatever the measure
+        seq = build_universal(IndexJK(2, 1))
+        for i, bound in ((IndexJK(1, 0), Dyadic(7, -4)), (IndexJK(1, 3), Dyadic(7, -7)), (IndexJK(2, 0), Dyadic(11, -16))):
+            assert _escape_report(i, _escape_grid(i, seq), ZERO).rhs == str(bound)
 
     def test_bruteforce_1_0_under_bound(self):
         seq = build_universal(IndexJK(1, 2))
@@ -375,8 +380,7 @@ class TestEscape:
         seq = build_universal(IndexJK(1, 1))
         i = IndexJK(1, 0)
         measure, _ = escape_measure_bruteforce(i, seq)
-        sc = step_constants(i)
-        ps = u_set(i)
+        ps = i.comb
         pts = list(iter_points(seq))
         pieces = []
         window = DyInterval.closed(Dyadic(-1), Dyadic(1))
@@ -389,9 +393,9 @@ class TestEscape:
         union = IntervalUnion(pieces)
         inside = IntervalUnion(
             [
-                DyInterval.closed(max(p.lo, sc.aI), min(p.hi, sc.bI))
+                DyInterval.closed(max(p.lo, i.aI), min(p.hi, i.bI))
                 for p in union.parts
-                if not (p.hi < sc.aI or p.lo > sc.bI)
+                if not (p.hi < i.aI or p.lo > i.bI)
             ]
         )
         assert measure == total_length(union.parts) - total_length(inside.parts)
@@ -502,7 +506,7 @@ SMOOTHING_J1 = (
 
 
 def combs(j: int, ks) -> list:
-    return [(IndexJK(j, k), u_set(IndexJK(j, k))) for k in ks]
+    return [(IndexJK(j, k), IndexJK(j, k).comb) for k in ks]
 
 
 class TestSmoothing:
