@@ -99,7 +99,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser tree, built on the first `main` call and reused by
+    every later one in the process: parsing leaves it unchanged, and
+    building it costs about as much as a small verify run."""
     p = _Parser(prog="dyadlab", description=__doc__)
     p.add_argument("--span-guard", type=int, default=None, help="mantissa bit budget override")
     sub = p.add_subparsers(dest="command", required=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 # Mantissas and block counts legitimately reach hundreds of thousands of
@@ -560,11 +560,18 @@ class PiecewiseLinear:
     """Compactly supported continuous function given by dyadic breakpoints.
 
     Linear between consecutive breakpoints, zero outside their span; the first
-    and last values must be zero and all values nonnegative.
+    and last values must be zero and all values nonnegative.  The knots and
+    the values are also kept as ints on one power-of-two grid each,
+    xs[i] = x_ints[i]*2^x_exp and vs[i] = v_ints[i]*2^v_exp, for the
+    integer kernels in `lattice`; those fields are left out of `==`.
     """
 
     xs: tuple[Dyadic, ...]
     vs: tuple[Dyadic, ...]
+    x_ints: tuple[int, ...] = field(compare=False)
+    x_exp: int = field(compare=False)
+    v_ints: tuple[int, ...] = field(compare=False)
+    v_exp: int = field(compare=False)
 
     def __init__(self, breakpoints: Iterable[tuple[Dyadic, Dyadic]]):
         pts = list(breakpoints)
@@ -582,6 +589,12 @@ class PiecewiseLinear:
                 raise ValueError("values must be nonnegative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
+        x_ints, x_exp = scaled_ints(xs)
+        v_ints, v_exp = scaled_ints(vs)
+        object.__setattr__(self, "x_ints", tuple(x_ints))
+        object.__setattr__(self, "x_exp", x_exp)
+        object.__setattr__(self, "v_ints", tuple(v_ints))
+        object.__setattr__(self, "v_exp", v_exp)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x), str(v)] for x, v in zip(self.xs, self.vs)]

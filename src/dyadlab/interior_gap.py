@@ -10,7 +10,7 @@ only the coarse lattice crossing each bump.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
 from .lattice import GapBlock, GapBlockSeq, shift_invariant_sum, sum_pl_over_runs
@@ -19,21 +19,26 @@ from .report import OutOfInterval, WitnessReport
 
 @dataclass(frozen=True)
 class Thm33Construction:
+    """Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
+    fine block ends on the first point of the next one.  The runs of every
+    decade are cut from `seq` once, here, and left out of `==`."""
+
     jmax: int
     seq: GapBlockSeq
     f: PiecewiseLinear
+    _runs: tuple[tuple[tuple[Dyadic, Dyadic, int], ...], ...] = field(init=False, repr=False, compare=False)
 
-    def decade_runs(self, j: int) -> list[tuple[Dyadic, Dyadic, int]]:
-        """The decade-j points, [10j-10, 10j), as runs (first, gap, count).
+    def __post_init__(self):
+        bounds = [0] + [self.seq.index_of_step_boundary(2 * j - 1) for j in range(1, self.jmax)]
+        bounds.append(self.seq.total_count)
+        runs = tuple(tuple(self.seq.segments_in_range(lo, end - 1)) for lo, end in zip(bounds, bounds[1:]))
+        object.__setattr__(self, "_runs", runs)
 
-        Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
-        fine block ends on the first point of the next one.
-        """
+    def decade_runs(self, j: int) -> tuple[tuple[Dyadic, Dyadic, int], ...]:
+        """The decade-j points, [10j-10, 10j), as runs (first, gap, count)."""
         if not 1 <= j <= self.jmax:
             raise IndexError(f"decade {j} outside [1, {self.jmax}]")
-        lo = self.seq.index_of_step_boundary(2 * j - 3) if j > 1 else 0
-        end = self.seq.index_of_step_boundary(2 * j - 1) if j < self.jmax else self.seq.total_count
-        return self.seq.segments_in_range(lo, end - 1)
+        return self._runs[j - 1]
 
 
 def build_thm33(jmax: int) -> Thm33Construction:

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO, scaled_ints
+from .exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, scaled_ints, span_guard
 from .report import WitnessReport
 
 
@@ -273,36 +273,95 @@ def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIn
     return floor_sum(n, p, a0, s) - floor_sum(n, p, a0 - w - 1, s)
 
 
+def _grid_error(width: int, e: int) -> GuardExceeded:
+    return GuardExceeded(f"aligned run on the grid 2^{e} would need {width} bits (guard {span_guard()})")
+
+
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
     """Exact sum of f(start + k*step) over k in [0, count).
 
     Splits the index range at f's breakpoints and sums each linear piece as an
     arithmetic series; the value at the final breakpoint is zero by the compact
-    support invariant, so half-open segment windows lose nothing.  Only the
-    pieces [x_i, x_{i+1}) that meet [start, start + (count-1)*step] are
-    visited, found by bisecting f's breakpoints.
+    support invariant, so half-open segment windows lose nothing.
+
+    The work is done in plain ints on f's integer grids (`x_ints`, `x_exp`,
+    `v_ints`, `v_exp`).  A run whose span [start, start + (count-1)*step]
+    misses the interior of f's support returns zero before anything is
+    aligned to f.  Otherwise start and step are aligned once to the grid 2^e,
+    e the least of the knot, start and step exponents.  The span guard is
+    checked on the run's own grid and then on that common one: the run's
+    first and last points, its step, and the knots of each piece it visits
+    must each fit, else GuardExceeded.  Only the pieces [x_i, x_{i+1}) that
+    meet the span are visited, found by bisecting the int knots with the
+    aligned start and last point shifted down to the knot grid (exact for
+    `<=` against grid points).  Each piece's index range is two ceiling
+    divisions, its sum an arithmetic series divided exactly by the odd part
+    of x_{i+1} - x_i (NotExact if that does not divide), and the pieces are
+    added at one exponent, so each call builds a single Dyadic.
     """
     if not step > ZERO:
         raise ValueError("step must be positive")
-    total = ZERO
-    first = max(bisect_right(f.xs, start) - 1, 0)
-    end = min(bisect_right(f.xs, start + step * (count - 1)), len(f.xs) - 1)
+    if count < 1:
+        return ZERO
+    guard = span_guard()
+    # the run on its own grid 2^er, its width checked before it is formed
+    er = min(start.e, step.e)
+    width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
+    if width > guard:
+        raise _grid_error(width, er)
+    S, D = start.m << (start.e - er), step.m << (step.e - er)
+    L = S + D * (count - 1)
+    # a run that misses the interior of f's support adds 0: compare it with
+    # the end knots by rounding the finer side, before anything is aligned;
+    # then align to the finer grid 2^e, the knots shifted up by `drop`
+    X, V = f.x_ints, f.v_ints
+    k = er - f.x_exp
+    if k >= 0:
+        if L <= X[0] >> k or S >= -(-X[-1] >> k):
+            return ZERO
+        S, D, L, e, drop = S << k, D << k, L << k, f.x_exp, 0
+    else:
+        if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
+            return ZERO
+        e, drop = er, -k
+    width = max(S.bit_length(), L.bit_length(), D.bit_length())
+    if width > guard:
+        raise _grid_error(width, e)
+    # (`if drop`: shifting a wide int by 0 still copies it)
+    first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
+    end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
+    pieces = []  # (sum, t): a piece's sum is sum*2^(v_exp - t)
     for i in range(first, end):
-        x0, v0 = f.xs[i], f.vs[i]
-        x1, v1 = f.xs[i + 1], f.vs[i + 1]
+        v0, v1 = V[i], V[i + 1]
         if not v0 and not v1:
             continue
-        k_lo, k_hi = _ap_index_range(start, step, DyInterval(x0, x1, True, False))
-        k_lo, k_hi = max(0, k_lo), min(count - 1, k_hi)
+        x0, x1 = (X[i] << drop, X[i + 1] << drop) if drop else (X[i], X[i + 1])
+        width = max(x0.bit_length(), x1.bit_length())
+        if width > guard:
+            raise _grid_error(width, e)
+        # the knots relative to the start: small even where the grid is wide
+        r0, r1 = x0 - S, x1 - S
+        k_lo = max(0, -(-r0 // D))  # ceil(r0/D)
+        k_hi = min(count - 1, -(-r1 // D) - 1)  # ceil(r1/D) - 1
         if k_hi < k_lo:
             continue
         n = k_hi - k_lo + 1
-        # sum of v0 + (v1-v0)*(start + k*step - x0)/(x1-x0) over k in [k_lo, k_hi];
-        # dividing last keeps sums exact even when the bare slope is not dyadic
-        ksum = (k_lo + k_hi) * n // 2
-        rise = (v1 - v0) * ((start - x0) * n + step * ksum)
-        total = total + v0 * n + rise.div_exact(x1 - x0)
-    return total
+        # n*v0 + (v1-v0)*(D*(k_lo+...+k_hi) - n*r0)/(r1-r0), in units of
+        # 2^v_exp; r1 - r0 = w*2^t with w odd, and dividing by w last keeps
+        # the sum exact even when the bare slope is not dyadic
+        w = r1 - r0
+        t = (w & -w).bit_length() - 1
+        rise = (v1 - v0) * (D * ((k_lo + k_hi) * n // 2) - n * r0)
+        if w >> t != 1:
+            q, r = divmod(rise, w >> t)
+            if r:
+                raise NotExact(f"{Dyadic(rise, f.v_exp + e)} / {Dyadic(w, e)} is not a dyadic rational")
+            rise = q
+        pieces.append(((n * v0 << t) + rise, t))
+    if not pieces:
+        return ZERO
+    t_max = max(t for _, t in pieces)
+    return Dyadic(sum(p << (t_max - t) for p, t in pieces), f.v_exp - t_max)
 
 
 def shift_invariant_sum(

@@ -47,6 +47,33 @@ def pl_eval(f: PiecewiseLinear, x: Dyadic) -> Dyadic:
     return v0 + ((v1 - v0) * (x - x0)).div_exact(x1 - x0)
 
 
+def sum_pl_over_ap_dyadic(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
+    """Sum of f(start + k*step) over k in [0, count), one piece at a time in
+    Dyadic arithmetic: the piece range by floor ratios, its sum as an
+    arithmetic series divided last by x1 - x0.  The integer kernel
+    `lattice.sum_pl_over_ap` must agree with it bit for bit, NotExact included."""
+    if not step > ZERO:
+        raise ValueError("step must be positive")
+    total = ZERO
+    first = max(bisect_right(f.xs, start) - 1, 0)
+    end = min(bisect_right(f.xs, start + step * (count - 1)), len(f.xs) - 1)
+    for i in range(first, end):
+        x0, v0 = f.xs[i], f.vs[i]
+        x1, v1 = f.xs[i + 1], f.vs[i + 1]
+        if not v0 and not v1:
+            continue
+        # the k with x0 <= start + k*step < x1, clipped to [0, count)
+        k_lo = max(0, -((start - x0) // step))
+        k_hi = min(count - 1, -((start - x1) // step) - 1)
+        if k_hi < k_lo:
+            continue
+        n = k_hi - k_lo + 1
+        ksum = (k_lo + k_hi) * n // 2
+        rise = (v1 - v0) * ((start - x0) * n + step * ksum)
+        total = total + v0 * n + rise.div_exact(x1 - x0)
+    return total
+
+
 def smoothing_envelope(uG: Iterable[tuple[IndexJK, PeriodicIntervalSet]], deltas: Iterable[Dyadic]) -> PiecewiseLinear:
     """1 on every comb component, 0 beyond a ramp of half-width delta at each
     component edge: four breakpoints per component, one delta per comb.

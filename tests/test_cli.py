@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dyadlab import lattice
 from dyadlab import universal as uv
-from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, main
+from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
 from dyadlab.exactnum import span_guard
 
 
@@ -468,6 +468,23 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     assert proc.stdout.endswith("2 claims, 0 failures\n")
+
+
+def test_the_parser_is_built_once_and_reused_unchanged(capsys):
+    """main builds its parser on the first call and reuses it: a run, a
+    usage error and the same run again print the same bytes as fresh
+    calls, and so do a repeated usage error and a repeated --help."""
+    ok = ["verify", "thm33", "--suite", "diverge", "--jmax", "2", "--samples", "1"]
+    bad = ["verify", "thm33", "--suite", "diverge", "--jmax", "two"]
+    first = run(capsys, *ok)
+    usage = run(capsys, *bad)
+    assert usage[0] == EXIT_USAGE and usage[1] == ""
+    assert usage[2].startswith("dyadlab verify thm33: error: argument --jmax: invalid int value: 'two'")
+    assert run(capsys, *ok) == first and first[0] == EXIT_PASS
+    assert run(capsys, *bad) == usage
+    helps = [run(capsys, "verify", "thm31", "--help") for _ in range(2)]
+    assert helps[0] == helps[1] and helps[0][0] == EXIT_PASS and "--jmax" in helps[0][1]
+    assert build_parser() is build_parser()
 
 
 @functools.cache

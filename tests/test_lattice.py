@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadlab import lattice
 from dyadlab.dense_divergence import build_thm31
-from dyadlab.exactnum import Dyadic, DyInterval, PiecewiseLinear, ONE, ZERO
+from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard
 from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
     GapBlock,
@@ -21,7 +20,7 @@ from dyadlab.lattice import (
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
-from oracles import components, iter_points, pl_eval
+from oracles import components, iter_points, pl_eval, sum_pl_over_ap_dyadic
 
 
 def dy(s: str) -> Dyadic:
@@ -375,29 +374,43 @@ class TestSumPlOverAp:
 
 @st.composite
 def pl_functions(draw):
-    """10-40 breakpoints at power-of-two spacings (every point value stays
-    dyadic), two thirds of the interior values zero, so runs of zero pieces
-    separate the bumps as in the thm33 f."""
-    n = draw(st.integers(10, 40))
-    x = Dyadic(draw(st.integers(-40, 40)), -2)
-    pts = [(x, ZERO)]
-    for i in range(1, n):
-        x = x + Dyadic(1, draw(st.integers(-2, 1)))
-        zero = i == n - 1 or draw(st.integers(0, 2)) > 0
-        pts.append((x, ZERO if zero else Dyadic(draw(st.integers(1, 64)), -5)))
-    return PiecewiseLinear(pts)
+    """Either 10-40 breakpoints at power-of-two spacings (every point value
+    stays dyadic), two thirds of the interior values zero, so runs of zero
+    pieces separate the bumps as in the thm33 f; or a tent shaped like
+    thm31's, knots from 2^j down to ramps of width 2^-(2^j+j+1), possibly
+    mirrored to the negative side.  The knots and the values are then scaled
+    by independent powers of two, so they sit on different grids."""
+    if draw(st.integers(0, 3)):
+        n = draw(st.integers(10, 40))
+        x = Dyadic(draw(st.integers(-40, 40)), -2)
+        pts = [(x, ZERO)]
+        for i in range(1, n):
+            x = x + Dyadic(1, draw(st.integers(-2, 1)))
+            zero = i == n - 1 or draw(st.integers(0, 2)) > 0
+            pts.append((x, ZERO if zero else Dyadic(draw(st.integers(1, 64)), -5)))
+    else:
+        j = draw(st.integers(1, 4))
+        a, h = Dyadic(1, j), Dyadic(draw(st.integers(1, 64)), -j)
+        b, pad = a + Dyadic(1, -(2**j)), Dyadic(1, -(2**j) - j - 1)
+        pts = [(a - pad, ZERO), (a, h), (b, h), (b + pad, ZERO)]
+        if draw(st.booleans()):
+            pts = [(-x, v) for x, v in reversed(pts)]
+    x_scale, v_scale = (Dyadic(1, draw(st.integers(-6, 6))) for _ in range(2))
+    return PiecewiseLinear([(x * x_scale, v * v_scale) for x, v in pts])
 
 
 @st.composite
 def progressions(draw, f):
     """(start, step, count) placed before, inside one piece of, across, or past
-    f's support, or with its first or last point on a breakpoint."""
+    f's support, or with its first or last point on a breakpoint.  start and
+    step sit on grids from 8 bits finer to 8 bits coarser than f's knots."""
     lo, hi = f.xs[0], f.xs[-1]
-    step = Dyadic(draw(st.integers(1, 40)), -4)
+    unit = Dyadic(1, f.x_exp + draw(st.integers(-8, 8)))
+    step = unit * draw(st.integers(1, 40))
     if draw(st.booleans()):
         step = step + (hi - lo)  # wider than the support
     count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 200)))
-    offset = Dyadic(draw(st.integers(0, 200)), -4)
+    offset = Dyadic(1, f.x_exp + draw(st.integers(-8, 8))) * draw(st.integers(0, 200))
     where = draw(st.sampled_from(["before", "inside", "straddle", "past", "first-on-break", "last-on-break"]))
     if where == "before":
         start = lo - step * count - offset
@@ -408,7 +421,9 @@ def progressions(draw, f):
         step = (x1 - x0) * Dyadic(draw(st.integers(1, 64)), -12)
         count = min(count, -((start - x1) // step))  # every point below x1
     elif where == "straddle":
-        start = lo - offset - Dyadic(1, -4)
+        start = lo - offset - unit
+        while (hi - start) // step > 1000:  # keep the pointwise oracle small
+            step = step * 2
         count = max(count, -((start - hi) // step) + 1)  # last point at or past hi
     elif where == "past":
         start = hi + step + offset
@@ -419,12 +434,16 @@ def progressions(draw, f):
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_pruned_sum_pointwise_oracle(data):
+    """The integer kernel equals the sum of f at every point and, bit for
+    bit, the Dyadic kernel it replaced."""
     f = data.draw(pl_functions())
     start, step, count = data.draw(progressions(f))
     expect = sum((pl_eval(f, start + step * k) for k in range(count)), ZERO)
-    assert sum_pl_over_ap(f, start, step, count) == expect
+    got = sum_pl_over_ap(f, start, step, count)
+    assert got == expect
+    assert got == sum_pl_over_ap_dyadic(f, start, step, count)
 
 
 def test_pruned_sum_edge_cases():
@@ -443,15 +462,69 @@ def test_pruned_sum_edge_cases():
         assert sum_pl_over_ap(f, start, step, count) == expect, (start, step, count)
 
 
-def test_segment_inside_one_piece_tests_one_piece(monkeypatch):
-    """A segment on the decade-3 plateau [30, 31] of the thm33 f locates its
-    index range in one piece, not in every nonzero piece."""
-    calls = []
-    real = lattice._ap_index_range
-    monkeypatch.setattr(lattice, "_ap_index_range", lambda *a: calls.append(a) or real(*a))
-    got = sum_pl_over_ap(build_thm33(6).f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
+def test_a_piece_of_width_three_divides_last():
+    """On a piece of width 3 one point's value, 1/3, is not dyadic: both
+    kernels raise NotExact with the same message.  Three points sum to
+    0 + 1/3 + 2/3 = 1, which both return exactly."""
+    f = PiecewiseLinear([(ZERO, ZERO), (Dyadic(3), ONE), (Dyadic(4), ZERO)])
+    messages = []
+    for kernel in (sum_pl_over_ap, sum_pl_over_ap_dyadic):
+        with pytest.raises(NotExact) as exc:
+            kernel(f, ONE, ONE, 1)
+        messages.append(str(exc.value))
+        assert kernel(f, ZERO, ONE, 3) == ONE
+    assert messages[0] == messages[1] == "1*2^0 / 3*2^0 is not a dyadic rational"
+
+
+def test_a_run_aligned_past_the_span_guard_is_refused():
+    """Under a 64-bit guard both kernels raise GuardExceeded, and they agree
+    once the guard allows it.  The first two runs and their hats each fit
+    on their own grids, but not on the common one: the first run's step,
+    aligned to the hat's grid 2^-70, needs 69 bits; the second run is the
+    one point 2^-100, on whose grid the hat's knot -1 needs 101.  The third
+    run, 2^2000 and 2^2000 + 1, needs 2001 bits on its own grid, before it
+    meets f at all."""
+    peak = Dyadic(1, -10)
+    cases = [
+        (
+            PiecewiseLinear([(peak - Dyadic(1, -70), ZERO), (peak, ONE), (peak + Dyadic(1, -70), ZERO)]),
+            (ZERO, Dyadic(1, -2), 8),
+            ZERO,
+        ),
+        (
+            PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)]),
+            (Dyadic(1, -100), Dyadic(1, -100), 1),
+            ONE - Dyadic(1, -100),
+        ),
+        (PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)]), (Dyadic(1, 2000), ONE, 2), ZERO),
+    ]
+    for f, run, expect in cases:
+        old = set_span_guard(64)
+        try:
+            for kernel in (sum_pl_over_ap, sum_pl_over_ap_dyadic):
+                with pytest.raises(GuardExceeded):
+                    kernel(f, *run)
+        finally:
+            set_span_guard(old)
+        assert sum_pl_over_ap(f, *run) == sum_pl_over_ap_dyadic(f, *run) == expect
+
+
+def test_segment_inside_one_piece_tests_one_piece():
+    """A segment on the decade-3 plateau [30, 31] of the thm33 f sums one
+    piece, not every nonzero piece: the kernel reads the two end values of
+    each piece it visits, and only those."""
+    f = build_thm33(6).f
+    reads = []
+
+    class Reads(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
+
+    object.__setattr__(f, "v_ints", Reads(f.v_ints))
+    got = sum_pl_over_ap(f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
     assert got == Dyadic(200, -16)
-    assert len(calls) <= 2
+    assert 0 < len(reads) <= 2 * 2
 
 
 @st.composite
