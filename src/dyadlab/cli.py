@@ -19,7 +19,7 @@ import json
 import random
 import re
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import dense_divergence as dd
 from . import interior_gap as ig
@@ -99,56 +99,96 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Pending:
+    """A subcommand's parser, made and filled on first use.
+
+    It stands in a subparsers action's name -> parser map (`parser_class` of
+    `add_subparsers`), whose names alone give the choices, help and error
+    messages; argparse asks the parser of a name only when parsing reaches
+    it, through `parse_known_args`."""
+
+    def __init__(self, fill: Callable[[_Parser], None], **kwargs):
+        self._fill, self._kwargs, self._parser = fill, kwargs, None
+
+    def parse_known_args(self, args, namespace):
+        if self._parser is None:
+            self._parser = _Parser(**self._kwargs)
+            self._fill(self._parser)
+        return self._parser.parse_known_args(args, namespace)
+
+
+def _subcommands(parser: _Parser, dest: str, fills: dict[str, Callable[[_Parser], None]], helps: dict[str, str]) -> None:
+    """Register each name of `fills` (with its help, if any) as a required
+    subcommand of `parser`; its parser is built when parsing reaches it."""
+    sub = parser.add_subparsers(dest=dest, required=True, parser_class=_Pending)
+    for name, fill in fills.items():
+        sub.add_parser(name, fill=fill, **({"help": helps[name]} if name in helps else {}))
+
+
+def _constructions(fill: Callable[[str, _Parser], None]) -> Callable[[_Parser], None]:
+    """A command parser's fill: one subcommand per construction, each filled by `fill`."""
+    return lambda parser: _subcommands(
+        parser, "construction", {c: functools.partial(fill, c) for c in ("universal", "thm31", "thm33")}, {}
+    )
+
+
+def _fill_construct(construction: str, cp: _Parser) -> None:
+    if construction == "universal":
+        cp.add_argument("--limit", type=_parse_limit, required=True, metavar="j,k")
+    else:
+        cp.add_argument("--jmax", type=int, required=True)
+    if construction == "thm31":
+        cp.add_argument("--G", default=None, help="open-set JSON; records the selected tent indices")
+    cp.add_argument("--out", required=True)
+
+
+def _fill_verify(construction: str, vp: _Parser) -> None:
+    vp.add_argument("--suite", required=True, choices=[s for c, s in SUITES if c == construction])
+    vp.add_argument("--samples", type=int, default=10)
+    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--report", default=None)
+    if construction != "thm31":
+        vp.add_argument("--seq", default=None, help="artifact JSON to verify instead of an in-process build")
+    if construction == "universal":
+        vp.add_argument("--limit", type=_parse_limit, default=uv.IndexJK(2, 15), metavar="j,k")
+        vp.add_argument("--G", default=None, help="open-set JSON for the series suite")
+    else:
+        vp.add_argument("--jmax", type=int, default=12 if construction == "thm31" else 6)
+
+
+def _fill_eval(construction: str, ep: _Parser) -> None:
+    ep.add_argument("--xs", type=_parse_x, nargs="*", default=[])
+    ep.add_argument("--out", default="-")
+    if construction == "universal":
+        ep.add_argument("--limits", type=_parse_limit, nargs="+", required=True, metavar="j,k")
+    else:
+        ep.add_argument("--jmaxes", type=int, nargs="+", required=True)
+    if construction != "thm33":
+        ep.add_argument("--G", default=None)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The whole parser tree, built on the first `main` call and reused by
-    every later one in the process: parsing leaves it unchanged, and
-    building it costs about as much as a small verify run."""
+    """The root parser, built on the first `main` call and reused by every
+    later one in the process; parsing leaves it unchanged.  Every command and
+    construction is registered by name, and its parser is built the first
+    time parsing reaches it, so a run builds only the parsers on its path."""
     p = _Parser(prog="dyadlab", description=__doc__)
     p.add_argument("--span-guard", type=int, default=None, help="mantissa bit budget override")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build an artifact and write it as JSON")
-    csub = c.add_subparsers(dest="construction", required=True)
-    cu = csub.add_parser("universal")
-    cu.add_argument("--limit", type=_parse_limit, required=True, metavar="j,k")
-    cu.add_argument("--out", required=True)
-    c31 = csub.add_parser("thm31")
-    c31.add_argument("--jmax", type=int, required=True)
-    c31.add_argument("--G", default=None, help="open-set JSON; records the selected tent indices")
-    c31.add_argument("--out", required=True)
-    c33 = csub.add_parser("thm33")
-    c33.add_argument("--jmax", type=int, required=True)
-    c33.add_argument("--out", required=True)
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    vsub = v.add_subparsers(dest="construction", required=True)
-    verify = {}
-    for construction in dict.fromkeys(c for c, _ in SUITES):
-        vp = verify[construction] = vsub.add_parser(construction)
-        vp.add_argument("--suite", required=True, choices=[s for c, s in SUITES if c == construction])
-        vp.add_argument("--samples", type=int, default=10)
-        vp.add_argument("--seed", type=int, default=0)
-        vp.add_argument("--report", default=None)
-    for construction in ("universal", "thm33"):
-        verify[construction].add_argument("--seq", default=None, help="artifact JSON to verify instead of an in-process build")
-    verify["universal"].add_argument("--limit", type=_parse_limit, default=uv.IndexJK(2, 15), metavar="j,k")
-    verify["universal"].add_argument("--G", default=None, help="open-set JSON for the series suite")
-    verify["thm31"].add_argument("--jmax", type=int, default=12)
-    verify["thm33"].add_argument("--jmax", type=int, default=6)
-
-    e = sub.add_parser("eval", help="tabulate exact partial sums as CSV")
-    esub = e.add_subparsers(dest="construction", required=True)
-    evals = {}
-    for construction in ("universal", "thm31", "thm33"):
-        ep = evals[construction] = esub.add_parser(construction)
-        ep.add_argument("--xs", type=_parse_x, nargs="*", default=[])
-        ep.add_argument("--out", default="-")
-    evals["universal"].add_argument("--limits", type=_parse_limit, nargs="+", required=True, metavar="j,k")
-    for construction in ("thm31", "thm33"):
-        evals[construction].add_argument("--jmaxes", type=int, nargs="+", required=True)
-    for construction in ("universal", "thm31"):
-        evals[construction].add_argument("--G", default=None)
+    _subcommands(
+        p,
+        "command",
+        {
+            "construct": _constructions(_fill_construct),
+            "verify": _constructions(_fill_verify),
+            "eval": _constructions(_fill_eval),
+        },
+        {
+            "construct": "build an artifact and write it as JSON",
+            "verify": "run a verification suite",
+            "eval": "tabulate exact partial sums as CSV",
+        },
+    )
     return p
 
 

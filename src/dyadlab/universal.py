@@ -23,11 +23,13 @@ from .exactnum import (
     scaled_ints,
     span_guard,
 )
-from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic
+from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic, floor_sum
 from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport
 
-# Residue families `escape_measure` may visit per index: enough for row 2
-# through (2,4), a few seconds each at the top.
+# Work `escape_measure` may do per index: enumerated residue-families, runs
+# listed one per translate, and summed pieces.  Every step through (3,0)
+# needs at most 13; an artifact whose fine gaps split a comb component into
+# many grid cells can need billions; 4*10^6 take under a second.
 ESCAPE_BUDGET = 4_000_000
 
 
@@ -366,69 +368,142 @@ def _escape_report(i: IndexJK, grid: _EscapeGrid, measure: Dyadic) -> WitnessRep
     )
 
 
-def escape_measure(i: IndexJK, seq: GapBlockSeq) -> tuple[Dyadic, WitnessReport]:
-    """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window,
-    one residue class of the comb period at a time.
+def _residue_cells(rho: int, families: list[tuple], C: int, pi: int, windows: tuple) -> int:
+    """Cells rho + pi*s of the escape set that `families` cover, for one
+    residue rho: each family's runs of slots s, merged and clipped to the
+    windows [-j, aI) and [bI, j)."""
+    runs = []
+    for y, g, m, G, P, q, inv, _ in families:
+        k, off = divmod(y - rho, G)
+        if off:
+            continue
+        t0 = k * inv % P
+        if t0 >= m:
+            continue
+        top = (y - rho - g * t0) // pi + C  # one past the last slot of translate t0
+        last = (m - 1 - t0) // P  # translates t0 + P*r for r <= last
+        if q <= C:
+            runs.append((top - C - q * last, top))
+        else:
+            runs.extend((top - C - q * r, top - q * r) for r in range(last + 1))
+    if not runs:
+        return 0
+    runs.sort()
+    merged = [list(runs[0])]
+    for lo, hi in runs[1:]:
+        if lo > merged[-1][1]:
+            merged.append([lo, hi])
+        elif hi > merged[-1][1]:
+            merged[-1][1] = hi
+    cells = 0
+    for lo_x, hi_x in windows:
+        # slots s with lo_x <= rho + pi*s < hi_x
+        s_lo, s_hi = -((rho - lo_x) // pi), -((rho - hi_x) // pi)
+        for lo, hi in merged:
+            cells += max(0, min(hi, s_hi) - max(lo, s_lo))
+    return cells
 
-    In cells of the grid unit, a comb component is kappa cells wide and the comb repeats every pi cells.  Fix a residue rho
-    mod pi, a segment (first F, gap g, count m) and a cell offset d < kappa.
-    The translates t that put cell d of some component on a cell rho + pi*s
-    form one progression t = t0 mod pi/G, G = gcd(g, pi), and each next one
-    moves the comb by q = g/G slots s.  With C components and q <= C they
-    cover one run of slots; otherwise one run per translate.  The measure is
-    the number of cells of the merged runs in [-j, aI) ∪ [bI, j), counted
-    with ceiling divisions: O(pi * kappa * segments) steps whatever the
-    translate count.  `ESCAPE_BUDGET` bounds those residue families plus the
-    runs listed one per translate.
+
+def _summed_cells(family: tuple, C: int, pi: int, windows: tuple, lo: int, hi: int) -> tuple[int, int]:
+    """Cells one family (q <= C, q = -1 mod P) covers at its residues in
+    [lo, hi), summed over t0 in closed form, and the number of pieces summed.
+
+    Translate t0 + P*r puts the comb on the cells u + pi*s, u = y - g*t0, for
+    the slots s in [L, C), L = -q*floor((m-1-t0)/P), since q <= C joins the
+    runs.  Its residue (y + G*t0) mod pi steps by G, so [lo, hi) is at most
+    two t0 ranges.  A window [A, B) keeps the slots from ha = ceil((A-u)/pi)
+    to hb = ceil((B-u)/pi): min(C, hb) - max(L, ha) of them while hb > L and
+    ha < C, else none.  L takes at most two values for t0 < P, and ha, hb
+    never decrease in t0, so each range splits into a few pieces on which
+    the length is one floor-linear form, summed by `floor_sum`.
     """
-    grid = _escape_grid(i, seq)
+    y, g, m, G, P, q, _, T = family
+
+    def first(K: int, V: int) -> int:
+        """The least t0 with ceil((K + g*t0)/pi) >= V."""
+        return -((K - 1 - pi * (V - 1)) // g)
+
+    def ceil_sum(K: int, a: int, n: int) -> int:
+        """The sum of ceil((K + g*t0)/pi) over t0 in [a, a + n)."""
+        return floor_sum(n, pi, K + pi - 1 + g * a, g)
+
+    yk = y // G % P
+    k_lo, k_hi = (min(P, max(0, -((y % G - r) // G))) for r in (lo, hi))
+    t_drop = (m - 1) % P + 1  # floor((m-1-t0)/P) drops by one here
+    cells = pieces = 0
+    for shift in (0, P):
+        t_lo, t_hi = max(0, k_lo - yk + shift), min(T, k_hi - yk + shift)
+        for u, v in ((t_lo, min(t_hi, t_drop)), (max(t_lo, t_drop), t_hi)):
+            if u >= v:
+                continue
+            L = -q * ((m - 1 - u) // P)
+            for A, B in windows:
+                KA, KB = A - y, B - y
+                to_C, to_ha, live, dead = first(KB, C), first(KA, L), first(KB, L + 1), first(KA, C)
+                cuts = sorted({u, v, *(t for t in (to_C, to_ha, live, dead) if u < t < v)})
+                for a, b in zip(cuts, cuts[1:]):
+                    if live <= a < dead:
+                        top = C * (b - a) if a >= to_C else ceil_sum(KB, a, b - a)
+                        bottom = ceil_sum(KA, a, b - a) if a >= to_ha else L * (b - a)
+                        cells += top - bottom
+                        pieces += 1
+    return cells, pieces
+
+
+def _escape_cells(grid: _EscapeGrid, lo: int, hi: int) -> int:
+    """Cells of the escape set whose residue mod the comb period lies in [lo, hi).
+
+    In cells of the grid unit, a comb component is kappa cells wide and the
+    comb repeats every pi cells.  Fix a segment (first F, gap g, count m) and
+    a cell offset d < kappa: one family.  Its translate t puts cell d of a
+    component on the residue (y - g*t) mod pi, y = base - F + d, so with
+    G = gcd(g, pi) the translates t0 + P*r, P = pi/G, share a residue and
+    each next one moves the comb by q = g/G slots: the family hits
+    min(P, m) residues, one per t0.
+
+    The family with the most residues among those with q <= C and
+    q = -1 mod P (each step's own wide block) is summed in closed form
+    (`_summed_cells`).  Every residue another family hits is enumerated, its
+    families' runs merged (`_residue_cells`) and the summed family's own run
+    there taken back out.  `ESCAPE_BUDGET` bounds the enumerated
+    residue-families, the runs listed one per translate and the summed
+    pieces; it is checked before any residue is listed.
+    """
     C, pi, kappa = grid.components, grid.period, grid.width
     jneg, aI, bI, jpos = grid.window
-
-    shapes = []  # (first, g, m, G, P, q, 1/q mod P) per segment
-    work = 0
+    windows = ((jneg, aI), (bI, jpos))
+    shapes, summable = [], []  # (y at d = 0, g, m, G, P, q, 1/q mod P, residues hit)
+    listed = runs = 0
     for first, g, m in grid.segments:
         G = gcd(g, pi)
         P, q = pi // G, g // G
-        work += kappa * (pi + (m if q > C else 0))
-        shapes.append((first, g, m, G, P, q, pow(q, -1, P)))
+        shapes.append((grid.base - first, g, m, G, P, q, pow(q, -1, P), min(P, m)))
+        if g and q <= C and (q + 1) % P == 0:
+            summable.append(shapes[-1])
+        listed += kappa * min(P, m)
+        runs += kappa * m if q > C else 0
+    dense = [max(summable, key=lambda s: s[7])] if summable else []
+    summed, pieces = _summed_cells(dense[0], C, pi, windows, lo, hi) if dense else (0, 0)
+
+    work = (listed - sum(s[7] for s in dense)) * len(shapes) * kappa + runs + pieces
     # checked before any family is listed: a fine gap makes kappa huge
     if work > ESCAPE_BUDGET:
-        raise BudgetExceeded(f"{work} residue families exceeds budget {ESCAPE_BUDGET}")
-    # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
-    families = [(grid.base - first + d, *rest) for first, *rest in shapes for d in range(kappa)]
+        raise BudgetExceeded(f"escape work {work} exceeds budget {ESCAPE_BUDGET}")
+    families = [(y + d, *rest) for y, *rest in shapes for d in range(kappa)]
+    for s in dense:
+        families.remove(s)
+    hit = {r for y, g, *_, T in families for r in ((y - g * t) % pi for t in range(T)) if lo <= r < hi}
+    return summed + sum(
+        _residue_cells(rho, families + dense, C, pi, windows) - _residue_cells(rho, dense, C, pi, windows)
+        for rho in hit
+    )
 
-    cells = 0
-    for rho in range(pi):
-        runs = []
-        for y, g, m, G, P, q, inv in families:
-            k, off = divmod(y - rho, G)
-            if off:
-                continue
-            t0 = k * inv % P
-            if t0 >= m:
-                continue
-            top = (y - rho - g * t0) // pi + C  # one past the last slot of translate t0
-            last = (m - 1 - t0) // P  # translates t0 + P*r for r <= last
-            if q <= C:
-                runs.append((top - C - q * last, top))
-            else:
-                runs.extend((top - C - q * r, top - q * r) for r in range(last + 1))
-        if not runs:
-            continue
-        runs.sort()
-        merged = [list(runs[0])]
-        for lo, hi in runs[1:]:
-            if lo > merged[-1][1]:
-                merged.append([lo, hi])
-            elif hi > merged[-1][1]:
-                merged[-1][1] = hi
-        for lo_x, hi_x in ((jneg, aI), (bI, jpos)):
-            # slots s with lo_x <= rho + pi*s < hi_x
-            s_lo, s_hi = -((rho - lo_x) // pi), -((rho - hi_x) // pi)
-            for lo, hi in merged:
-                cells += max(0, min(hi, s_hi) - max(lo, s_lo))
-    measure = Dyadic(cells * grid.unit, grid.e)
+
+def escape_measure(i: IndexJK, seq: GapBlockSeq) -> tuple[Dyadic, WitnessReport]:
+    """Exact measure of [-j,j] ∩ (comb - prefix) minus the step's own window,
+    summed over all residues of the comb period by `_escape_cells`."""
+    grid = _escape_grid(i, seq)
+    measure = Dyadic(_escape_cells(grid, 0, grid.period) * grid.unit, grid.e)
     return measure, _escape_report(i, grid, measure)
 
 

@@ -5,6 +5,7 @@ oracle sizes; the library never enumerates.
 """
 
 from bisect import bisect_right
+from math import gcd
 from typing import Iterable, Iterator
 
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, PiecewiseLinear
@@ -101,3 +102,46 @@ def measure_per_window(parts: Iterable[DyInterval]) -> dict[int, Dyadic]:
             if lo < hi:
                 out[m] = out.get(m, ZERO) + (hi - lo)
     return out
+
+
+def escape_cells_by_residue(grid, lo: int, hi: int) -> int:
+    """Cells of the escape set whose residue mod the comb period lies in
+    [lo, hi), one residue at a time: every segment and cell offset is a
+    family of translates, each family's runs of slots at the residue are
+    merged and clipped to [-j, aI) and [bI, j).  O((hi - lo) * families);
+    `universal._escape_cells` must agree with it on every range."""
+    C, pi, kappa = grid.components, grid.period, grid.width
+    jneg, aI, bI, jpos = grid.window
+    families = []  # (y, g, m, G, P, q, 1/q mod P): cell x = y - g*t + pi*c
+    for first, g, m in grid.segments:
+        G = gcd(g, pi)
+        P, q = pi // G, g // G
+        families += [(grid.base - first + d, g, m, G, P, q, pow(q, -1, P)) for d in range(kappa)]
+    cells = 0
+    for rho in range(lo, hi):
+        runs = []
+        for y, g, m, G, P, q, inv in families:
+            k, off = divmod(y - rho, G)
+            if off:
+                continue
+            t0 = k * inv % P
+            if t0 >= m:
+                continue
+            top = (y - rho - g * t0) // pi + C  # one past the last slot of translate t0
+            last = (m - 1 - t0) // P  # translates t0 + P*r for r <= last
+            if q <= C:
+                runs.append((top - C - q * last, top))
+            else:
+                runs.extend((top - C - q * r, top - q * r) for r in range(last + 1))
+        runs.sort()
+        merged: list[list[int]] = []
+        for r_lo, r_hi in runs:
+            if merged and r_lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], r_hi)
+            else:
+                merged.append([r_lo, r_hi])
+        for lo_x, hi_x in ((jneg, aI), (bI, jpos)):
+            # slots s with lo_x <= rho + pi*s < hi_x
+            s_lo, s_hi = -((rho - lo_x) // pi), -((rho - hi_x) // pi)
+            cells += sum(max(0, min(r_hi, s_hi) - max(r_lo, s_lo)) for r_lo, r_hi in merged)
+    return cells

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dyadlab import lattice
+from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
 from dyadlab.exactnum import span_guard
@@ -115,12 +116,26 @@ class TestVerify:
         assert stdout.endswith("6 claims, 0 failures\n")
 
     def test_escape_budget_skip_is_counted(self, capsys, monkeypatch):
-        # (1,0) and (1,1) visit 3*16 and 3*32 residue families; (1,2) needs 3*64
-        monkeypatch.setattr(uv, "ESCAPE_BUDGET", 100)
-        code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "1,3")
+        # (1,0)-(1,2) each list 3 residues over 3 families and sum 4 pieces
+        # (13); (1,3), the last step of row 1, lists 1 residue over 2 families
+        # and sums 6 pieces (8)
+        monkeypatch.setattr(uv, "ESCAPE_BUDGET", 12)
+        code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "2,0")
         assert code == EXIT_SKIP
-        assert "PASS escape-measure/1,1 " in stdout
-        assert stdout.endswith("4 claims, 0 failures, 1 skipped\n")
+        assert "PASS escape-measure/1,3 " in stdout
+        assert stdout.endswith("5 claims, 0 failures, 3 skipped\n")
+
+    def test_escape_verifies_all_of_row_2(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "2,6")
+        assert code == EXIT_PASS
+        assert "PASS escape-measure/2,5 lhs=17592181850113*2^-62 rhs=11*2^-21\n" in stdout
+        assert stdout.endswith("11 claims, 0 failures\n")
+
+    def test_escape_verifies_through_3_0(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "3,1")
+        assert code == EXIT_PASS
+        assert "PASS escape-measure/3,0 " in stdout
+        assert stdout.endswith("22 claims, 0 failures\n")
 
     def test_series(self, capsys):
         code, _, _ = run(
@@ -485,6 +500,72 @@ def test_the_parser_is_built_once_and_reused_unchanged(capsys):
     helps = [run(capsys, "verify", "thm31", "--help") for _ in range(2)]
     assert helps[0] == helps[1] and helps[0][0] == EXIT_PASS and "--jmax" in helps[0][1]
     assert build_parser() is build_parser()
+
+
+def test_a_run_builds_only_the_parsers_on_its_path(capsys, monkeypatch):
+    """A fresh process builds the root parser and then one parser per
+    command word it parses; a later call in the process builds none."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        argv = ["verify", "universal", "--suite", "lemma", "--limit", "1,1"]
+        assert run(capsys, *argv)[0] == EXIT_PASS
+        assert built == ["dyadlab", "dyadlab verify", "dyadlab verify universal"]
+        assert run(capsys, *argv)[0] == EXIT_PASS
+        assert len(built) == 3
+    finally:
+        build_parser.cache_clear()
+
+
+# stdout of each --help at 80 columns: SHA-256 of the bytes the parser
+# printed when it still built all thirteen parsers up front
+HELP_SHA256 = {
+    "": "badbdedafd8270910af840bac6a38f77f9d1717af92e630ba97d5e545e271b30",
+    "construct": "b543d36f00c3e983ce29711e6787a657b1ca9375b13fcc0e35a3b3e0e8548d39",
+    "verify": "ef41df6e36dc6e2be047a393426649afa9a605faafc162ed0d4d4b48029ace21",
+    "eval": "85b09c1a33f812ec6aa91df32cf33364491db3d1c97869a015a7e7a15d0be4c9",
+    "construct universal": "6347234006ea907c9cd1cbd659bf896e5ef0a24bf12838565378cb2d85b7e2de",
+    "construct thm31": "bcef5818c4254b2063d013763340fca674f8739367c594f7ad636be7f9f8357d",
+    "construct thm33": "dfd81c49e631262bb8b398638a0a4d0d9d68552789e3a0ba2b1ccc0fcb4b1a58",
+    "verify universal": "f7fd5971677312e458aef463757a651f9e64032b705175abbb1af06059fe8730",
+    "verify thm31": "8ab9ed657d2978bf1c1fba93a827be3fb10dc5305d79478ec3aa530a7716fadc",
+    "verify thm33": "04cd3da100e982c1437cc2274a671b121e78d24057c761db47ebcc2550094b36",
+    "eval universal": "0127987a57dc479a4f9308c5a682abebdffa13b1b76b93627ea998101c0d0abe",
+    "eval thm31": "f9731db13f551fc98ccbbccb23b5dde004523ab88bcf8b1117a1606d6a171717",
+    "eval thm33": "46cba7b5e05a7788b1a4c16f2f1f369c3a9752450dd965d5c11e162727a7a4a6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256), ids=lambda c: c or "dyadlab")
+def test_help_bytes_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, stdout, stderr = run(capsys, *command.split(), "--help")
+    assert code == EXIT_PASS and stderr == ""
+    assert hashlib.sha256(stdout.encode()).hexdigest() == HELP_SHA256[command]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "dyadlab: error: argument command: invalid choice: 'bogus' (choose from 'construct', 'verify', 'eval')"),
+        (["verify", "bogus"], "dyadlab verify: error: argument construction: invalid choice: 'bogus' (choose from 'universal', 'thm31', 'thm33')"),
+        (["verify", "universal", "--suite", "bogus"], "dyadlab verify universal: error: argument --suite: invalid choice: 'bogus' (choose from 'lemma', 'gaps', 'integrality', 'covering', 'escape', 'series')"),
+        (["--span-guard", "abc", "verify", "universal", "--suite", "lemma"], "dyadlab: error: argument --span-guard: invalid int value: 'abc'"),
+        (["construct", "universal", "--out", "x.json"], "dyadlab construct universal: error: the following arguments are required: --limit"),
+        (["verify", "thm33", "--suite", "gaps", "--jmax", "two"], "dyadlab verify thm33: error: argument --jmax: invalid int value: 'two'"),
+        ([], "dyadlab: error: the following arguments are required: command"),
+        (["eval"], "dyadlab eval: error: the following arguments are required: construction"),
+    ],
+)
+def test_usage_error_bytes_are_pinned(capsys, argv, message):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", message + "\n")
 
 
 @functools.cache

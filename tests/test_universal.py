@@ -33,8 +33,8 @@ from dyadlab.universal import (
     steps_before,
 )
 from dyadlab import universal
-from dyadlab.universal import _escape_grid, _escape_report
-from oracles import components, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
+from oracles import components, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -412,7 +412,10 @@ def _escape_case(draw):
     """A step (1,k) and a short random prefix around its comb: random origin,
     1-4 blocks whose gaps lie on the comb's E^3 grid or 2-4x finer (so a
     component spans several grid cells), below the period, whole multiples of
-    it (past the component count too), or up to the comb's full span."""
+    it (past the component count too), up to the comb's full span, or
+    k*period - 2^a with 2^a < period and k <= 2^a, which move the comb by -1
+    mod the number of residues they hit (the closed-form sum's case, like
+    each step's own wide block)."""
     i = IndexJK(1, draw(st.integers(0, 2)))
     s = i.scale_exp()
     fine = 3 * s + draw(st.integers(0, 2))  # gaps on the 2^-fine grid
@@ -423,6 +426,7 @@ def _escape_case(draw):
         st.integers(1, 2 * per),
         st.integers(1, C + 4).map(lambda r: r * per),
         st.integers(1, C * per),
+        st.integers(0, fine - 2 * s - 1).flatmap(lambda a: st.integers(1, 1 << a).map(lambda k: k * per - (1 << a))),
     )
     blocks = draw(
         st.lists(
@@ -454,20 +458,77 @@ class TestEscapeMeasure:
         assert sum(c for _, _, c in grid.segments) == grid.translates
         assert escape_measure(i, seq) == escape_measure_bruteforce(i, seq)
 
-    def test_budget_counts_residue_families(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(_escape_case(), st.data())
+    @example((IndexJK(1, 0), GapBlockSeq(Dyadic(15), [GapBlock(Dyadic(15, -12), 40)])), None)  # gap -1 mod pi: summed
+    # the summed comb passes below bI = 1/2 within its first pi translates
+    @example((IndexJK(1, 1), GapBlockSeq(Dyadic(1032685, -15), [GapBlock(Dyadic(31, -15), 70)])), None)
+    def test_residue_ranges_match_the_loop(self, case, data):
+        i, seq = case
+        grid = _escape_grid(i, seq)
+        if data is None:
+            ranges = [(0, grid.period), (3, 11), (grid.period - 5, grid.period)]
+        else:
+            lo = data.draw(st.integers(0, grid.period), label="lo")
+            ranges = [(lo, data.draw(st.integers(lo, grid.period), label="hi"))]
+        for lo, hi in ranges:
+            assert _escape_cells(grid, lo, hi) == escape_cells_by_residue(grid, lo, hi)
+
+    @pytest.mark.parametrize("i", [*(IndexJK(1, k) for k in range(4)), *(IndexJK(2, k) for k in range(5))], ids=str)
+    def test_closed_form_matches_the_residue_loop(self, i):
+        # every residue of the comb period, one at a time: 2^20 of them at (2,4)
+        grid = _escape_grid(i, build_universal(i.successor()))
+        assert _escape_cells(grid, 0, grid.period) == escape_cells_by_residue(grid, 0, grid.period)
+
+    @pytest.mark.parametrize("i", [IndexJK(2, 15), IndexJK(3, 0)], ids=str)
+    def test_residue_ranges_at_large_periods_match_the_loop(self, i):
+        # the comb period is 2^31 and 2^48 residues: check ranges around
+        # both ends, every residue another family hits, the summed wide
+        # block's wrap, and random ranges
+        grid = _escape_grid(i, build_universal(i.successor()))
+        pi = grid.period
+        marks = [0, pi]
+        for first, g, m in grid.segments:
+            y = grid.base - first
+            marks += [(y - g * t) % pi for t in range(min(2, m))]
+        rng = random.Random(str(i))
+        marks += [rng.randrange(pi) for _ in range(20)]
+        for mark in marks:
+            lo = max(0, mark - rng.randrange(1, 200))
+            hi = min(pi, mark + rng.randrange(1, 200))
+            assert _escape_cells(grid, lo, hi) == escape_cells_by_residue(grid, lo, hi), (lo, hi)
+
+    @pytest.mark.parametrize(
+        "i, measure",
+        [(IndexJK(2, 5), Dyadic(17592181850113, -62)), (IndexJK(2, 6), Dyadic(68169712533505, -65))],
+        ids=str,
+    )
+    def test_default_budget_verifies_2_5_and_2_6(self, i, measure):
+        # 13 units of work each; the values were recorded with the residue
+        # loop, which needs a budget of 3 * 2^21 and 3 * 2^22 here
+        got, rep = escape_measure(i, build_universal(i.successor()))
+        assert got == measure and rep.passed and rep.params["prefix_covers_range"]
+
+    def test_budget_counts_residue_families_and_pieces(self, monkeypatch):
+        # (1,2) has 3 segments: the previous half block hits 1 residue and its
+        # own half block 2, each merged over the 3 families (9); its wide
+        # block is summed in 4 pieces (its residues wrap once, so 2 t0 ranges,
+        # each one piece per window)
         seq = build_universal(IndexJK(1, 3))
-        i = IndexJK(1, 2)  # 3 segments, comb period of 64 cells
-        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 64)
+        i = IndexJK(1, 2)
+        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 3 + 4)
         assert escape_measure(i, seq)[1].passed
-        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 64 - 1)
+        monkeypatch.setattr(universal, "ESCAPE_BUDGET", 3 * 3 + 4 - 1)
         with pytest.raises(BudgetExceeded):
             escape_measure(i, seq)
 
-    def test_default_budget_ends_after_2_4(self):
-        # 3 segments x 2^21 residues at (2,5); raised before any residue is visited
-        seq = build_universal(IndexJK(2, 6))
+    def test_a_fine_gap_is_refused_before_any_residue_is_listed(self):
+        # gaps on a grid 2^40 times finer than E^3 make each component 2^40
+        # cells, so 2^40 families at each of the comb's residues
+        i = IndexJK(1, 0)
+        seq = GapBlockSeq(Dyadic(15), [GapBlock(Dyadic(1, -52), 3), GapBlock(Dyadic(3, -52), 3)])
         with pytest.raises(BudgetExceeded):
-            escape_measure(IndexJK(2, 5), seq)
+            escape_measure(i, seq)
 
 
 class TestBorelCantelli:
