@@ -467,15 +467,18 @@ def _thm33_diverge(args, rng) -> list[WitnessReport]:
 
 
 def _thm33_converge(args, rng) -> list[WitnessReport]:
-    """Every sample reads the decade sums certified once for all of [4,5];
-    if that certificate fails, every sample sums its decades at its own x."""
+    """Every sample reads one report built from the decade sums certified
+    once for all of [4,5], with only its x and claim name changed; if that
+    certificate fails, every sample sums its decades at its own x."""
     cons = ig.build_thm33(args.jmax)
     certified = ig.shift_invariant_decade_sums(cons, Dyadic(4), Dyadic(5))
+    shared = certified and ig.convergence_tail_check(cons, Dyadic(4), certified)
     reports = []
     for s in range(args.samples):
         x = Dyadic(4) + Dyadic(rng.getrandbits(40), -40)
-        rep = ig.convergence_tail_check(cons, x, certified or ig.decade_sums(cons, x))
-        reports.append(dataclasses.replace(rep, claim=f"thm33-converge/sample{s}"))
+        rep = shared or ig.convergence_tail_check(cons, x, ig.decade_sums(cons, x))
+        params = {**rep.params, "x": str(x)}
+        reports.append(dataclasses.replace(rep, claim=f"thm33-converge/sample{s}", params=params))
     return reports
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator, NoReturn, Sequence
 
 from .exactnum import (
     Dyadic,
@@ -230,34 +230,49 @@ class CoverWitness:
 def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     """The explicit translate index carrying x into the comb at index i.
 
-    nx is found analytically by inverting the block prefix sums (indices reach
-    10^hundreds, scanning is not an option), then advanced by the floor of the
-    overshoot measured in comb widths.
+    Computed in ints on the grid 2^g, g the least exponent of x, E^3 and step
+    i's wide block (gap G from index n0 at value v0), once the span guard
+    admits their widths: nx = n0 + 1 + floor((a - x - v0)/G) is the first
+    translate past the comb base a, and the overshoot in comb widths advances
+    it.  `_covering_failure` refuses what leaves the block or misses the comb.
     """
     n0, n1 = step_indices(seq, i)
-    window = i.window
-    if not window.contains(x):
-        raise OutOfInterval(f"{x} outside {window} at {i}")
-    comb = i.comb
-    a, E2, E3 = comb.base, comb.period, comb.width
-    if x + seq.value_at(n0) > a:
+    s, v0, G = i.scale_exp(), seq.value_at(n0), seq.blocks[2 * i.position()].gap
+    g = min(x.e, v0.e, G.e, -3 * s)  # zero has exponent 0 > -3s
+    width = max(s + 1, *(d.m.bit_length() + d.e for d in (x, v0, G))) - g
+    if width > span_guard():
+        raise GuardExceeded(f"covering witness at {i} needs {width} bits on the grid 2^{g} (guard {span_guard()})")
+    X, V0, W = (d.m << d.e - g for d in (x, v0, G))
+    A, E2, E3 = 1 << s - g, 1 << -2 * s - g, 1 << -3 * s - g
+    J, u = (i.j << i.j) - i.k, -i.j - g  # bI = J*2^-j = J << u
+    if not (J - 1) << u <= X <= J << u:
+        raise OutOfInterval(f"{x} outside {i.window} at {i}")
+    if X + V0 > A:
         raise Violation(f"start value already past the comb base at {i}, x={x}")
+    q, r = divmod(A - X - V0, W)
+    nx, over = n0 + 1 + q, W - r  # the first translate past a, and x + v(nx) - a in (0, G]
+    comp = over // E3
+    land = over + W * comp  # landing - a
+    if nx + comp > n1 or over > E2 - E3 or land >= E2 << s or land % E2 > E3:
+        _covering_failure(x, i, seq, n1)
+    return CoverWitness(nx, nx + comp, Dyadic(A + land, g), comp)
+
+
+def _covering_failure(x: Dyadic, i: IndexJK, seq: GapBlockSeq, n1: int) -> NoReturn:
+    """Raise the first check that a witness leaving step i's wide block or
+    missing its comb fails, worded from the general `seq` methods."""
+    a, E2, E3 = i.a, Dyadic(1, -2 * i.scale_exp()), Dyadic(1, -3 * i.scale_exp())
     nx = seq.count_upto(a - x)
     if nx >= seq.total_count:
         raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
     overshoot = x + seq.value_at(nx) - a
-    if not overshoot > ZERO:
-        raise Violation(f"minimality broken: overshoot {overshoot} not positive")
     if overshoot > E2 - E3:
         raise Violation(f"overshoot {overshoot} exceeds one wide gap at {i}")
-    comp, _ = divmod(overshoot, E3)
-    nxp = nx + comp
-    landing = x + seq.value_at(nxp)
-    if not (0 <= comp < comb.count and comb.contains(landing)):
+    comp = overshoot // E3
+    landing = x + seq.value_at(nx + comp)
+    if not i.comb.contains(landing):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
-    if not (nx <= n1 and nxp <= n1):
-        raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
-    return CoverWitness(nx=nx, nxp=nxp, landing=landing, component=comp)
+    raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {i}")
 
 
 def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIntervalSet]]:

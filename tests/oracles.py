@@ -10,7 +10,8 @@ from typing import Iterable, Iterator
 
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, PiecewiseLinear
 from dyadlab.lattice import GapBlockSeq, PeriodicIntervalSet
-from dyadlab.universal import IndexJK
+from dyadlab.report import OutOfInterval, Violation
+from dyadlab.universal import CoverWitness, IndexJK, step_indices
 
 
 def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
@@ -73,6 +74,38 @@ def sum_pl_over_ap_dyadic(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count
         rise = (v1 - v0) * ((start - x0) * n + step * ksum)
         total = total + v0 * n + rise.div_exact(x1 - x0)
     return total
+
+
+def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
+    """The translate index carrying x into the comb at index i, in Dyadic
+    arithmetic over the whole prefix: nx by `seq.count_upto(a - x)`, then
+    advanced by the floor of the overshoot measured in comb widths.  The
+    integer kernel `universal.covering_witness` must return the same witness
+    and raise the same exception type and message."""
+    n0, n1 = step_indices(seq, i)
+    window = i.window
+    if not window.contains(x):
+        raise OutOfInterval(f"{x} outside {window} at {i}")
+    comb = i.comb
+    a, E2, E3 = comb.base, comb.period, comb.width
+    if x + seq.value_at(n0) > a:
+        raise Violation(f"start value already past the comb base at {i}, x={x}")
+    nx = seq.count_upto(a - x)
+    if nx >= seq.total_count:
+        raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
+    overshoot = x + seq.value_at(nx) - a
+    if not overshoot > ZERO:
+        raise Violation(f"minimality broken: overshoot {overshoot} not positive")
+    if overshoot > E2 - E3:
+        raise Violation(f"overshoot {overshoot} exceeds one wide gap at {i}")
+    comp, _ = divmod(overshoot, E3)
+    nxp = nx + comp
+    landing = x + seq.value_at(nxp)
+    if not (0 <= comp < comb.count and comb.contains(landing)):
+        raise Violation(f"landing {landing} missed component {comp} at {i}")
+    if not (nx <= n1 and nxp <= n1):
+        raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
+    return CoverWitness(nx=nx, nxp=nxp, landing=landing, component=comp)
 
 
 def smoothing_envelope(uG: Iterable[tuple[IndexJK, PeriodicIntervalSet]], deltas: Iterable[Dyadic]) -> PiecewiseLinear:

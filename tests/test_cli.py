@@ -748,6 +748,25 @@ def test_span_guard_override_moves_the_refusal(capsys):
     assert code == EXIT_PASS
 
 
+@pytest.mark.parametrize("bits, code, guard_line", [
+    ("64", EXIT_SKIP, "guard: aligned mantissa would need 65 bits (guard 64): 8388607*2^-1 + 2199026925567*2^-43"),
+    ("100", EXIT_SKIP, "guard: covering witness at (2,9) needs 101 bits on the grid 2^-75 (guard 100)"),
+    ("130", EXIT_PASS, None),
+])
+def test_covering_witness_meets_the_span_guard(capsys, bits, code, guard_line):
+    # the comb end of (2,15) needs 63 bits: a 64-bit guard refuses the build,
+    # 100 bits the witness of (2,9) on its grid 2^-75 (aligned before any int
+    # is formed), and 130 bits leave room for every step through (2,14)
+    got, stdout, stderr = run(
+        capsys, "--span-guard", bits, "verify", "universal", "--suite", "covering", "--limit", "2,15", "--samples", "1"
+    )
+    assert got == code
+    if guard_line:
+        assert stdout == "" and stderr.splitlines() == [guard_line]
+    else:
+        assert stderr == "" and stdout.endswith("19 claims, 0 failures\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

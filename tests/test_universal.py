@@ -34,7 +34,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import components, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from oracles import components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -287,6 +287,114 @@ class TestCoveringWitness:
     def test_out_of_interval(self, seq11):
         with pytest.raises(OutOfInterval):
             covering_witness(Dyadic(2), IndexJK(1, 0), seq11)
+
+
+def _witness_or_refusal(fn, x, i, seq):
+    """fn's witness, or the type and message of the exception it raises."""
+    try:
+        return fn(x, i, seq)
+    except (ArithmeticError, AssertionError, IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _samples_in(i, count, rng):
+    return [i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48) for _ in range(count)]
+
+
+def _with_blocks(seq, b, blocks, keep_rest=True):
+    """seq with block b replaced by `blocks`, and the blocks after it dropped unless keep_rest."""
+    rest = list(seq.blocks[b + 1 :]) if keep_rest else []
+    return GapBlockSeq(seq.origin, list(seq.blocks[:b]) + blocks + rest)
+
+
+class TestCoveringWitnessOracle:
+    """The integer witness against `covering_witness_dyadic`: the same
+    CoverWitness, or the same exception type and message."""
+
+    @pytest.fixture(scope="class")
+    def seq20(self):
+        return build_universal(IndexJK(2, 0))
+
+    def test_every_step_through_3_0(self):
+        seq = build_universal(IndexJK(3, 0))
+        rng = random.Random(4242)
+        for i in steps_before(IndexJK(3, 0)):
+            for x in [i.aI, i.bI, (i.aI + i.bI) * Dyadic(1, -1)] + _samples_in(i, 8, rng):
+                assert covering_witness(x, i, seq) == covering_witness_dyadic(x, i, seq), (i, x)
+
+    def test_every_step_through_5_319(self):
+        # the prefix covering-deep loads: 515 steps, one sample each
+        limit = IndexJK(5, 319)
+        seq = build_universal(limit)
+        rng = random.Random(5319)
+        for i in steps_before(limit):
+            (x,) = _samples_in(i, 1, rng)
+            assert covering_witness(x, i, seq) == covering_witness_dyadic(x, i, seq), (i, x)
+
+    def _assert_parity(self, seq, i, xs):
+        """Both kernels agree at every x; returns the refusals raised."""
+        refusals = []
+        for x in xs:
+            got = _witness_or_refusal(covering_witness, x, i, seq)
+            assert got == _witness_or_refusal(covering_witness_dyadic, x, i, seq), (i, x)
+            if isinstance(got, tuple):
+                refusals.append(got)
+        return refusals
+
+    @pytest.mark.parametrize("which", ["nx", "nxp"])
+    @pytest.mark.parametrize("moved, refusal", [(False, "landing "), (True, "witness indices ")])
+    def test_wide_block_one_count_short(self, seq20, which, moved, refusal):
+        # the wide block ends one point before the witness's nx (or nxp): the
+        # points it loses are dropped, or moved to a block of the same gap
+        # right after it so that only the step end moves
+        rng = random.Random(17)
+        for i in steps_before(IndexJK(2, 0)):
+            n0, _ = step_indices(seq20, i)
+            wide = seq20.blocks[2 * i.position()]
+            for x in [i.aI] + _samples_in(i, 3, rng):
+                short = getattr(covering_witness(x, i, seq20), which) - n0 - 1
+                if short < 1:
+                    continue
+                blocks = [GapBlock(wide.gap, short, wide.tag)]
+                if moved:
+                    blocks.append(GapBlock(wide.gap, wide.count - short))
+                refusals = self._assert_parity(_with_blocks(seq20, 2 * i.position(), blocks), i, [x])
+                assert len(refusals) == 1 and refusals[0][1].startswith(refusal), (i, x, refusals)
+
+    def test_start_value_past_the_comb_base(self, seq20):
+        i = IndexJK(1, 2)
+        half = seq20.blocks[2 * i.position() - 1]
+        seq = _with_blocks(seq20, 2 * i.position() - 1, [GapBlock(half.gap, half.count + (1 << 20), half.tag)])
+        refusals = self._assert_parity(seq, i, [i.aI, i.bI] + _samples_in(i, 10, random.Random(3)))
+        assert len(refusals) == 12
+        assert all(msg.startswith("start value already past the comb base at (1,2)") for _, msg in refusals)
+
+    def test_prefix_ending_inside_the_step(self, seq20):
+        i = IndexJK(1, 2)
+        wide = seq20.blocks[2 * i.position()]
+        rng = random.Random(5)
+        seq = _with_blocks(seq20, 2 * i.position(), [GapBlock(wide.gap, wide.count // 2, wide.tag)], keep_rest=False)
+        refusals = self._assert_parity(seq, i, [i.aI, i.bI] + _samples_in(i, 30, rng))
+        assert refusals and all(t is IndexError and msg.startswith("prefix too short") for t, msg in refusals)
+        # ending one point into the half block leaves every witness inside the step
+        half = seq20.blocks[2 * i.position() + 1]
+        seq = _with_blocks(seq20, 2 * i.position() + 1, [GapBlock(half.gap, 1, half.tag)], keep_rest=False)
+        assert self._assert_parity(seq, i, [i.aI, i.bI] + _samples_in(i, 10, rng)) == []
+
+    def test_wide_gap_widened_to_the_comb_period(self, seq20):
+        i = IndexJK(1, 2)
+        wide = seq20.blocks[2 * i.position()]
+        seq = _with_blocks(seq20, 2 * i.position(), [GapBlock(i.comb.period, wide.count, wide.tag)])
+        # at x = bI the first translate past a overshoots by a whole gap E^2
+        refusals = self._assert_parity(seq, i, [i.bI] + _samples_in(i, 30, random.Random(9)))
+        assert refusals[0] == (universal.Violation, f"overshoot {i.comb.period} exceeds one wide gap at (1,2)")
+        assert len(refusals) > 20 and all(msg.startswith("landing ") for _, msg in refusals[1:])
+
+    def test_x_outside_the_window(self, seq20):
+        i = IndexJK(1, 2)
+        xs = [i.aI - Dyadic(1, -60), i.bI + Dyadic(1, -60), Dyadic(100), Dyadic(-100)]
+        refusals = self._assert_parity(seq20, i, xs)
+        assert [t for t, _ in refusals] == [OutOfInterval] * 4
 
 
 class TestUGAndSeries:
