@@ -83,7 +83,16 @@ def _load_G(path: str | None, default: IntervalUnion) -> IntervalUnion:
 
 
 def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic) -> Dyadic:
-    return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
+    """lo + (hi - lo)*r*2^-48 for one 48-bit draw r, as one int expression on
+    the grid 2^(e-48), e the finer exponent of lo and hi.  Every operand of
+    the Dyadic form is below 2^(t+1), t the larger magnitude exponent, and a
+    multiple of 2^(e-48); when t + 49 - e passes the span guard the Dyadic
+    form runs instead, so that a refusal is worded by its sum."""
+    e = min(lo.e, hi.e)
+    if max(lo.m.bit_length() + lo.e, hi.m.bit_length() + hi.e) + 49 - e > span_guard():
+        return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
+    L = lo.m << lo.e - e
+    return Dyadic((L << 48) + ((hi.m << hi.e - e) - L) * rng.getrandbits(48), e - 48)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,6 +9,7 @@ contribution stays summable everywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -261,10 +262,17 @@ def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     beyond max(10, ceil|x|) stay under the geometric bound, term by term."""
     jmax = cons.jmax
     mx = max(LAMBDA2_MIN_J, abs(x).ceil())
-    lam2_windows = [it.lam2 for it in cons.items if it.lam2 is not None]
+    # the coarse windows are disjoint and sorted: shift them once, and sum
+    # each tent over only the runs whose span meets its support's interior,
+    # found by bisection; every other run adds exactly 0
+    runs = [(x + w.start, w.step, w.count) for it in cons.items if (w := it.lam2) is not None]
+    firsts = [first for first, _, _ in runs]
+    lasts = [first + step * (count - 1) for first, step, count in runs]
 
     def tent_total(j: int) -> Dyadic:
-        return sum_pl_over_runs(cons.item(j).tent, lam2_windows, shift=x)
+        f = cons.item(j).tent
+        lo = bisect_right(lasts, f.xs[0])
+        return sum_pl_over_runs(f, runs[lo : bisect_left(firsts, f.xs[-1], lo)], ZERO)
 
     head = ZERO
     for j in range(1, min(mx, jmax) + 1):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, NoReturn
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, scaled_ints, span_guard
 from .report import WitnessReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapBlock:
     """`count` consecutive gaps of identical size `gap`."""
 
@@ -37,27 +38,26 @@ class GapBlockSeq:
     """Strictly increasing sequence origin, origin+g1, ... stored by gap blocks.
 
     Index 0 is the origin; block b contributes indices (N_{b-1}, N_b] where
-    N_b is the cumulative gap count.
+    N_b is the cumulative gap count.  The value v_b at index N_b is kept as
+    the int V_b on one grid: v_b = V_b*2^g, g the least exponent of the
+    origin and of every block's total gap*count.  Every width on that grid
+    is checked against the span guard before its int is formed (see
+    `_cum_table`), and `block_start` reads (N_{b-1}, v_{b-1}) off the tables.
     """
 
     origin: Dyadic
     blocks: tuple[GapBlock, ...]
     _cum_counts: list[int] = field(init=False, compare=False)
-    _cum_values: list[Dyadic] = field(init=False, compare=False)
+    _cum_ints: list[int] = field(init=False, compare=False)
+    _grid: int = field(init=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        cum_counts = []
-        cum_values = []
-        n, v = 0, self.origin
-        for b in blocks:
-            n += b.count
-            v = v + b.gap * b.count
-            cum_counts.append(n)
-            cum_values.append(v)
+        cum_ints, grid = _cum_table(self.origin, blocks)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_cum_counts", cum_counts)
-        object.__setattr__(self, "_cum_values", cum_values)
+        object.__setattr__(self, "_cum_counts", list(accumulate(b.count for b in blocks)))
+        object.__setattr__(self, "_cum_ints", cum_ints)
+        object.__setattr__(self, "_grid", grid)
 
     @property
     def total_count(self) -> int:
@@ -66,11 +66,14 @@ class GapBlockSeq:
 
     @property
     def last_value(self) -> Dyadic:
-        return self._cum_values[-1] if self.blocks else self.origin
+        return self.block_start(len(self.blocks))[1]
 
-    def _block_start(self, b: int) -> tuple[int, Dyadic]:
-        """(index, value) of the point just before block b."""
-        return (self._cum_counts[b - 1], self._cum_values[b - 1]) if b else (0, self.origin)
+    def block_start(self, b: int) -> tuple[int, Dyadic]:
+        """(index, value) of the point just before block b, 0 <= b <= len(blocks):
+        (0, origin) for b = 0, and the last point for b = len(blocks)."""
+        if not 0 <= b <= len(self.blocks):
+            raise IndexError(f"block {b} outside [0, {len(self.blocks)}]")
+        return (self._cum_counts[b - 1], Dyadic(self._cum_ints[b - 1], self._grid)) if b else (0, self.origin)
 
     def value_at(self, n: int) -> Dyadic:
         """Exact n-th point via block-wise closed form."""
@@ -79,17 +82,21 @@ class GapBlockSeq:
         if n == 0:
             return self.origin
         b = bisect_left(self._cum_counts, n)
-        prev_n, prev_v = self._block_start(b)
+        prev_n, prev_v = self.block_start(b)
         return prev_v + self.blocks[b].gap * (n - prev_n)
 
     def count_upto(self, x: Dyadic) -> int:
-        """#{n : value_at(n) <= x}, exact, by inverting block prefix sums."""
+        """#{n : value_at(n) <= x}, exact, by inverting block prefix sums.
+
+        The blocks are bisected in ints: v_b <= x exactly when V_b <= floor(x*2^-g),
+        and origin <= x < last_value bounds that floor's width by the table's."""
         if x < self.origin:
             return 0
-        b = bisect_right(self._cum_values, x)
-        if b == len(self.blocks):
+        if x >= self.last_value:
             return self.total_count
-        prev_n, prev_v = self._block_start(b)
+        k = x.e - self._grid
+        b = bisect_right(self._cum_ints, x.m << k if k >= 0 else x.m >> -k)
+        prev_n, prev_v = self.block_start(b)
         return prev_n + 1 + (x - prev_v) // self.blocks[b].gap
 
     def index_of_step_boundary(self, block_index: int) -> int:
@@ -134,7 +141,7 @@ class GapBlockSeq:
         """
         out = [(self.origin, ONE, 1)] if n_lo <= 0 <= n_hi else []
         for b in range(bisect_left(self._cum_counts, max(n_lo, 1)), len(self.blocks)):
-            prev_n, prev_v = self._block_start(b)
+            prev_n, prev_v = self.block_start(b)
             lo = max(n_lo, prev_n + 1)
             hi = min(n_hi, self._cum_counts[b])
             if lo > hi:
@@ -155,16 +162,67 @@ class GapBlockSeq:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapBlockSeq":
         """Inverse of to_json_dict; a count is a string of ASCII digits or a
-        JSON integer, never a float."""
+        JSON integer, never a float.  Each block is read and checked in one
+        pass; the values the blocks reach are summed in ints by `_cum_table`."""
         blocks = []
         for b in data["blocks"]:
             count, tag = b["count"], b.get("tag", "")
-            if not (type(count) is int or (type(count) is str and count.isascii() and count.isdigit())):
+            # an ASCII str's digits are its bytes' digits, tested without the
+            # per-character Unicode lookup of str.isdigit
+            if not (type(count) is int or (type(count) is str and count.isascii() and count.encode().isdigit())):
                 raise ValueError(f"block count must be a decimal string or integer, got {count!r}")
             if not isinstance(tag, str):
                 raise ValueError(f"block tag must be a string, got {tag!r}")
             blocks.append(GapBlock(Dyadic.parse(b["gap"]), int(count), tag))
         return cls(Dyadic.parse(data["origin"]), blocks)
+
+
+def _cum_table(origin: Dyadic, blocks: tuple[GapBlock, ...]) -> tuple[list[int], int]:
+    """The values v_1, ..., v_B the blocks reach from the origin, as ints on
+    the grid 2^g, and g, the least exponent of the origin and of every
+    block's total gap*count.
+
+    The Dyadic loop v_b = v_{b-1} + gap*count this replaces checked each sum's
+    operands against the span guard on their own grid; that check is repeated
+    here exactly, reading v_{b-1}'s exponent off its int's trailing zeros, and
+    a sum that fails it is done in Dyadic to word the refusal.  The origin and
+    each total are shifted onto the common grid only once their widths there
+    fit the guard; a width that does not goes to `_table_refusal`.
+    """
+    guard = span_guard()
+    totals = []  # each block's gap*count as (m, e) with m odd: m*2^e
+    for b in blocks:
+        t = (b.count & -b.count).bit_length() - 1
+        totals.append((b.gap.m * (b.count >> t), b.gap.e + t))
+    g = min([e for _, e in totals] + ([origin.e] if origin.m else []), default=0)
+    V, ints = 0, []
+    if origin.m:
+        top = origin.m.bit_length() + origin.e  # 2^top bounds |origin|
+        if top - g > guard:
+            _table_refusal(origin, totals, g, top - g)
+        V = origin.m << origin.e - g
+    for n, (m, e) in enumerate(totals):
+        top = m.bit_length() + e
+        if V:
+            wide = max(V.bit_length() + g, top)
+            # the sum's own grid is no finer than g: test on g first
+            if wide - g > guard and wide - min(g + (V & -V).bit_length() - 1, e) > guard:
+                Dyadic(V, g) + Dyadic(m, e)  # raises GuardExceeded
+        if top - g > guard:
+            _table_refusal(Dyadic(V, g), totals[n:], g, top - g)
+        V += m << e - g
+        ints.append(V)
+    return ints, g
+
+
+def _table_refusal(v: Dyadic, totals: list[tuple[int, int]], g: int, width: int) -> NoReturn:
+    """Refuse a table whose value or block total needs `width` bits on the
+    grid 2^g: the Dyadic loop runs on from v over the block totals m*2^e, so
+    that a sum too wide on its own grid words the refusal; if every sum fits
+    there, the common grid does."""
+    for m, e in totals:
+        v = v + Dyadic(m, e)
+    raise GuardExceeded(f"gap-block table on the grid 2^{g} would need {width} bits (guard {span_guard()})")
 
 
 @dataclass(frozen=True)

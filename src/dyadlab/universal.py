@@ -67,12 +67,17 @@ class IndexJK:
     # and E = 2^-s, and the comb of 2^s closed intervals of width E^3 spaced E^2 from a.
 
     @property
+    def J(self) -> int:
+        """bI in units of 2^-j: j*2^j - k."""
+        return (self.j << self.j) - self.k
+
+    @property
     def aI(self) -> Dyadic:
-        return Dyadic(self.j) - Dyadic(self.k + 1, -self.j)
+        return Dyadic(self.J - 1, -self.j)
 
     @property
     def bI(self) -> Dyadic:
-        return Dyadic(self.j) - Dyadic(self.k, -self.j)
+        return Dyadic(self.J, -self.j)
 
     @property
     def window(self) -> DyInterval:
@@ -144,29 +149,40 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
 
     Each step (j,k) appends a wide block (gap E^2 - E^3) long enough to sweep
     its window across the comb, then a half-period block (gap E^2/2) that lands
-    exactly on the next step's starting value.  Both counts must come out as
-    positive integers; NotExact propagates otherwise.
+    exactly on the next step's starting value.
+
+    Both counts are closed forms in plain ints.  Step i (scale s) starts at
+    a - bI = 2^s - J*2^-j; its wide block, (2^s - 1)*2^-3s times
+    2^(2s-j) + 2^(s+1), ends 2^-(2s+1)*(2^s - 1)(2^(s-j+1) + 4) further on;
+    and the half block's count is the rest up to a' - bI' in units of its gap
+    2^-(2s+1), which must be positive (Violation otherwise).  Every value the
+    step's Dyadic sums met is a multiple of 2^-3s below 2^(s'+1), s' the next
+    scale; where s' + 3s + 1 passes the span guard, `_step_sums` runs those
+    sums first, so that one too wide words the refusal.
     """
     first = IndexJK(1, 0)
-    origin = first.a - first.bI
     blocks: list[GapBlock] = []
-    lam = origin
     for i in steps_before(limit):
-        comb = i.comb
-        E2 = comb.period
-        wide_count = (1 << (i.scale_exp() * 2 - i.j)) + (1 << (i.scale_exp() + 1))
-        wide_gap = E2 - comb.width
-        blocks.append(GapBlock(wide_gap, wide_count, f"{i.j},{i.k}:wide"))
-        lam = lam + wide_gap * wide_count
-        nxt = i.successor()
-        target = nxt.a - nxt.bI
-        half_gap = Dyadic(E2.m, E2.e - 1)
-        half_count_d = (target - lam).div_exact(half_gap)
-        if not half_count_d.is_integer() or half_count_d.m <= 0:
+        nxt, s, j = i.successor(), i.scale_exp(), i.j
+        s1, r = nxt.scale_exp(), 2 * s + 1
+        if s1 + 3 * s + 1 > span_guard():
+            _step_sums(i)
+        rest = ((1 << s1) - (1 << s) << r) - (nxt.J << r - nxt.j) + (i.J << r - j)
+        half = rest - ((1 << s) - 1) * ((1 << s - j + 1) + 4)
+        if half <= 0:
             raise Violation(f"half-block count at step {i} is not a positive integer")
-        blocks.append(GapBlock(half_gap, half_count_d.as_integer(), f"{i.j},{i.k}:half"))
-        lam = target
-    return GapBlockSeq(origin, blocks)
+        blocks.append(GapBlock(Dyadic((1 << s) - 1, -3 * s), (1 << 2 * s - j) + (1 << s + 1), f"{j},{i.k}:wide"))
+        blocks.append(GapBlock(Dyadic(1, -r), half, f"{j},{i.k}:half"))
+    return GapBlockSeq(first.a - first.bI, blocks)
+
+
+def _step_sums(i: IndexJK) -> None:
+    """Step i's Dyadic sums in the order the build did them before it went to
+    ints: the wide gap, the wide block's end, the next start and the half
+    block's span.  Each raises GuardExceeded if too wide for the span guard."""
+    comb, nxt, s = i.comb, i.successor(), i.scale_exp()
+    lam = i.a - i.bI + (comb.period - comb.width) * ((1 << 2 * s - i.j) + (1 << s + 1))
+    nxt.a - nxt.bI - lam
 
 
 def check_lemma_useful(i: IndexJK) -> WitnessReport:
@@ -192,18 +208,10 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     """Every step's end value divides by E^2, and the landing value by E'^2."""
     checked = 0
     for i in steps_before(limit):
-        _, n1 = step_indices(seq, i)
-        E, E_next = i.E, i.successor().E
-        try:
-            q1 = seq.value_at(n1).div_exact(E * E)
-            n0_next = seq.index_of_step_boundary(2 * i.position() + 1)
-            q2 = seq.value_at(n0_next).div_exact(E_next * E_next)
-        except ArithmeticError as exc:
-            return WitnessReport(
-                claim="integrality",
-                params={"failed_step": str(i), "error": str(exc)},
-                passed=False,
-            )
+        step_indices(seq, i)  # seq holds step i, tagged as i if tagged
+        E, E_next, t = i.E, i.successor().E, i.position()
+        q1 = seq.block_start(2 * t + 1)[1].div_exact(E * E)
+        q2 = seq.block_start(2 * t + 2)[1].div_exact(E_next * E_next)
         if not (q1.is_integer() and q2.is_integer()):
             return WitnessReport(
                 claim="integrality",
@@ -237,14 +245,15 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     it.  `_covering_failure` refuses what leaves the block or misses the comb.
     """
     n0, n1 = step_indices(seq, i)
-    s, v0, G = i.scale_exp(), seq.value_at(n0), seq.blocks[2 * i.position()].gap
+    t = 2 * i.position()
+    s, v0, G = i.scale_exp(), seq.block_start(t)[1], seq.blocks[t].gap
     g = min(x.e, v0.e, G.e, -3 * s)  # zero has exponent 0 > -3s
     width = max(s + 1, *(d.m.bit_length() + d.e for d in (x, v0, G))) - g
     if width > span_guard():
         raise GuardExceeded(f"covering witness at {i} needs {width} bits on the grid 2^{g} (guard {span_guard()})")
     X, V0, W = (d.m << d.e - g for d in (x, v0, G))
     A, E2, E3 = 1 << s - g, 1 << -2 * s - g, 1 << -3 * s - g
-    J, u = (i.j << i.j) - i.k, -i.j - g  # bI = J*2^-j = J << u
+    J, u = i.J, -i.j - g  # bI = J*2^-j = J << u
     if not (J - 1) << u <= X <= J << u:
         raise OutOfInterval(f"{x} outside {i.window} at {i}")
     if X + V0 > A:

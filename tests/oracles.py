@@ -9,9 +9,9 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, PiecewiseLinear
-from dyadlab.lattice import GapBlockSeq, PeriodicIntervalSet
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
 from dyadlab.report import OutOfInterval, Violation
-from dyadlab.universal import CoverWitness, IndexJK, step_indices
+from dyadlab.universal import CoverWitness, IndexJK, step_indices, steps_before
 
 
 def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
@@ -22,6 +22,53 @@ def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
         for _ in range(b.count):
             v = v + b.gap
             yield v
+
+
+def cum_values_dyadic(origin: Dyadic, blocks: Iterable[GapBlock]) -> list[Dyadic]:
+    """The values v_b = v_{b-1} + gap*count the blocks reach from the
+    origin, summed in Dyadic arithmetic: each sum checks the span guard on
+    its own operands.  `GapBlockSeq`'s int table must hold the same values
+    and refuse with the same message."""
+    v, out = origin, []
+    for b in blocks:
+        v = v + b.gap * b.count
+        out.append(v)
+    return out
+
+
+def build_universal_dyadic(limit: IndexJK) -> GapBlockSeq:
+    """The universal prefix through `limit`, stepped in Dyadic arithmetic:
+    the running value lam gains each wide block's gap*count, and the half
+    block's count is the rest up to the next start a' - bI', divided by its
+    gap.  `universal.build_universal`'s closed forms in ints must give the
+    same blocks and refuse with the same message."""
+    first = IndexJK(1, 0)
+    origin = first.a - first.bI
+    blocks: list[GapBlock] = []
+    lam = origin
+    for i in steps_before(limit):
+        comb = i.comb
+        E2 = comb.period
+        wide_count = (1 << (i.scale_exp() * 2 - i.j)) + (1 << (i.scale_exp() + 1))
+        wide_gap = E2 - comb.width
+        blocks.append(GapBlock(wide_gap, wide_count, f"{i.j},{i.k}:wide"))
+        lam = lam + wide_gap * wide_count
+        nxt = i.successor()
+        target = nxt.a - nxt.bI
+        half_gap = Dyadic(E2.m, E2.e - 1)
+        half_count_d = (target - lam).div_exact(half_gap)
+        if not half_count_d.is_integer() or half_count_d.m <= 0:
+            raise Violation(f"half-block count at step {i} is not a positive integer")
+        blocks.append(GapBlock(half_gap, half_count_d.as_integer(), f"{i.j},{i.k}:half"))
+        lam = target
+    return GapBlockSeq(origin, blocks)
+
+
+def sample_in_dyadic(rng, lo: Dyadic, hi: Dyadic) -> Dyadic:
+    """lo + (hi - lo)*r*2^-48 for one draw r = rng.getrandbits(48), in Dyadic
+    arithmetic; `cli._sample_in` must draw the same r and return the same
+    value, or refuse with the same message."""
+    return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
 
 
 def components(ps: PeriodicIntervalSet) -> Iterator[DyInterval]:

@@ -6,18 +6,20 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
-from dyadlab.exactnum import span_guard
+from dyadlab.exactnum import Dyadic, GuardExceeded, set_span_guard, span_guard
+from oracles import cum_values_dyadic, sample_in_dyadic
 
 
 def run(capsys, *argv):
@@ -613,8 +615,19 @@ def _mutated_artifacts(draw):
     return {"seq": data} if draw(st.booleans()) else data
 
 
+def _far_gaps(first: str, second: str, wrapped: bool = False) -> dict:
+    """A `--limit 1,1` artifact whose two gaps are `first` and `second`."""
+    data = {"origin": "15*2^0", "blocks": [
+        {"gap": first, "count": "160", "tag": "1,0:wide"},
+        {"gap": second, "count": "8148", "tag": "1,0:half"},
+    ]}
+    return {"seq": data} if wrapped else data
+
+
 @settings(max_examples=150, deadline=None)
 @given(_mutated_artifacts())
+@example(_far_gaps("1*2^99999999999", "1*2^-99999999999"))
+@example(_far_gaps("1*2^-99999999999", "1*2^99999999999", wrapped=True))
 def test_fuzzed_artifact_exits_cleanly(data):
     with tempfile.TemporaryDirectory() as d:
         art = os.path.join(d, "art.json")
@@ -630,6 +643,70 @@ def test_fuzzed_artifact_exits_cleanly(data):
                 code = main(argv)
             assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_SKIP), argv
             assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("gaps", [("1*2^99999999999", "1*2^-99999999999"), ("1*2^-99999999999", "1*2^99999999999")])
+def test_gaps_far_apart_are_refused_before_any_wide_int(capsys, tmp_path, gaps):
+    # the block totals lie ~2*10^11 bits apart: the loader checks their widths
+    # on the common grid before shifting any int, and the Dyadic sum that
+    # does not fit words the one-line refusal
+    data = _far_gaps(*gaps)
+    art = tmp_path / "far.json"
+    art.write_text(json.dumps(data))
+    blocks = [lattice.GapBlock(Dyadic.parse(b["gap"]), int(b["count"])) for b in data["blocks"]]
+    with pytest.raises(GuardExceeded) as exc:
+        cum_values_dyadic(Dyadic(15), blocks)
+    for suite in ("integrality", "covering", "escape", "gaps"):
+        code, stdout, stderr = run(capsys, "verify", "universal", "--suite", suite, "--limit", "1,1", "--seq", str(art))
+        assert (code, stdout, stderr) == (EXIT_SKIP, "", f"guard: {exc.value}\n"), suite
+
+
+_DYADICS = st.one_of(
+    st.just(Dyadic(0)),
+    st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-100, 100)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DYADICS, _DYADICS, st.sampled_from([64, 65, 80, 100, 130, 200, 1 << 20]), st.integers(0, 2**32))
+def test_sample_in_matches_the_dyadic_form(lo, hi, guard, seed):
+    # the same draw and the same value, or the same refusal, at any guard
+    outcomes = []
+    for sample in (cli._sample_in, sample_in_dyadic):
+        rng = random.Random(seed)
+        old = set_span_guard(guard)
+        try:
+            outcomes.append((sample(rng, lo, hi), rng.getstate()))
+        except GuardExceeded as exc:
+            outcomes.append((str(exc), rng.getstate()))
+        finally:
+            set_span_guard(old)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_artifact_loads_equal_to_the_build_at_every_block_start(capsys, tmp_path):
+    art = tmp_path / "u30.json"
+    assert run(capsys, "construct", "universal", "--limit", "3,0", "--out", str(art))[0] == EXIT_PASS
+    loaded, built = cli._load_seq(str(art)), uv.build_universal(uv.IndexJK(3, 0))
+    assert loaded == built
+    starts = range(len(built.blocks) + 1)
+    assert [loaded.block_start(b) for b in starts] == [built.block_start(b) for b in starts]
+
+
+def test_covering_and_integrality_read_no_point_by_index(capsys, tmp_path, monkeypatch):
+    # both suites read each step's start off `block_start`; `value_at`
+    # (a bisection and a wide multiply-add) is left to refusals and other suites
+    art = tmp_path / "u30.json"
+    assert run(capsys, "construct", "universal", "--limit", "3,0", "--out", str(art))[0] == EXIT_PASS
+    calls = []
+    value_at = lattice.GapBlockSeq.value_at
+    monkeypatch.setattr(lattice.GapBlockSeq, "value_at", lambda seq, n: calls.append(n) or value_at(seq, n))
+    assert cli._load_seq(str(art)).value_at(1) and calls == [1]  # the wrapper counts
+    calls.clear()
+    for suite, samples in (("covering", ["--samples", "2"]), ("integrality", [])):
+        argv = ["verify", "universal", "--suite", suite, "--limit", "3,0", *samples, "--seq", str(art)]
+        assert run(capsys, *argv)[0] == EXIT_PASS
+    assert calls == []
 
 
 _ENDPOINTS = st.sampled_from(

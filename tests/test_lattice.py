@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyadlab.dense_divergence import build_thm31
-from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard
+from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard, span_guard
 from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
     GapBlock,
@@ -20,7 +20,8 @@ from dyadlab.lattice import (
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
-from oracles import components, iter_points, pl_eval, sum_pl_over_ap_dyadic
+from dyadlab.universal import IndexJK, build_universal
+from oracles import components, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
 
 
 def dy(s: str) -> Dyadic:
@@ -155,6 +156,99 @@ def test_block_lookups_match_enumeration(seq):
                 if max(n_lo, 1, ends[b] + 1) <= min(n_hi, ends[b + 1])
             ]
             assert [gap for _, gap, _ in segs[len(origin) :]] == [seq.blocks[b].gap for b in met]
+
+
+# origins and gaps spread over wide exponent ranges, counts with many
+# trailing zeros: block totals land on grids far apart, as in an artifact
+spread_origins = st.one_of(st.just(ZERO), st.builds(Dyadic, st.integers(-(2**40), 2**40), st.integers(-60, 60)))
+spread_blocks = st.lists(
+    st.builds(
+        GapBlock,
+        st.builds(Dyadic, st.integers(1, 2**30), st.integers(-80, 80)),
+        st.builds(lambda c, t: c << t, st.integers(1, 2**20), st.integers(0, 40)),
+    ),
+    max_size=8,
+)
+
+
+@given(st.one_of(gap_block_seqs, st.builds(GapBlockSeq, spread_origins, spread_blocks)))
+@settings(max_examples=200, deadline=None)
+def test_block_start_is_the_point_before_the_block(seq):
+    assert seq.block_start(0) == (0, seq.origin)
+    for b in range(1, len(seq.blocks) + 1):
+        n = seq.index_of_step_boundary(b - 1)
+        assert seq.block_start(b) == (n, seq.value_at(n))
+    assert seq.block_start(len(seq.blocks))[1] == seq.last_value
+    for b in (-1, len(seq.blocks) + 1):
+        with pytest.raises(IndexError):
+            seq.block_start(b)
+
+
+def _table_or_refusal(make) -> list[Dyadic] | str:
+    try:
+        return make()
+    except GuardExceeded as exc:
+        return str(exc)
+
+
+def _assert_table_matches_the_dyadic_loop(origin: Dyadic, blocks: list[GapBlock], guard: int) -> None:
+    """The int table holds the values the Dyadic loop reaches and refuses
+    with its message.  Where every Dyadic sum fits its own grid but some value
+    does not fit the common one, the table alone refuses, naming that grid."""
+    old = set_span_guard(guard)
+    try:
+        got = _table_or_refusal(lambda: [GapBlockSeq(origin, blocks).block_start(b + 1)[1] for b in range(len(blocks))])
+        want = _table_or_refusal(lambda: cum_values_dyadic(origin, blocks))
+    finally:
+        set_span_guard(old)
+    if isinstance(got, str) and not isinstance(want, str):
+        totals = [origin] * bool(origin) + [b.gap * b.count for b in blocks]
+        g = min(t.e for t in totals)
+        assert max(t.m.bit_length() + t.e - g for t in totals) > guard
+        assert got.startswith(f"gap-block table on the grid 2^{g} would need ")
+    else:
+        assert got == want
+
+
+@given(spread_origins, spread_blocks, st.integers(64, 220))
+@settings(max_examples=400, deadline=None)
+def test_int_table_matches_the_dyadic_loop(origin, blocks, guard):
+    _assert_table_matches_the_dyadic_loop(origin, blocks, guard)
+
+
+@pytest.mark.parametrize(
+    "make, guards",
+    [
+        (lambda: build_universal(IndexJK(3, 5)), range(64, 200)),
+        (lambda: build_thm33(6).seq, range(64, 150)),
+    ],
+    ids=["universal-3,5", "thm33-6"],
+)
+def test_int_table_refuses_like_the_dyadic_loop_at_every_small_guard(make, guards):
+    seq = make()
+    for guard in guards:
+        _assert_table_matches_the_dyadic_loop(seq.origin, list(seq.blocks), guard)
+
+
+def test_values_too_far_apart_for_one_grid_are_refused():
+    # -2^K + 2^K = 0, and 0 + 2^-K adds without aligning anything: every
+    # Dyadic sum fits the guard, but the origin needs 2K + 1 bits on the grid 2^-K
+    K = 600_000
+    blocks = [GapBlock(Dyadic(1, K), 1), GapBlock(Dyadic(1, -K), 1)]
+    assert cum_values_dyadic(Dyadic(-1, K), blocks) == [ZERO, Dyadic(1, -K)]
+    with pytest.raises(GuardExceeded) as exc:
+        GapBlockSeq(Dyadic(-1, K), blocks)
+    assert str(exc.value) == f"gap-block table on the grid 2^-{K} would need {2 * K + 1} bits (guard {span_guard()})"
+    _assert_table_matches_the_dyadic_loop(Dyadic(-1, K), blocks, span_guard())
+
+
+def test_count_upto_far_from_the_table_forms_no_wide_int():
+    seq = universal_head()
+    assert seq.count_upto(Dyadic(1, 99999999999)) == seq.total_count
+    assert seq.count_upto(Dyadic(-1, 99999999999)) == 0
+    assert seq.count_upto(Dyadic(1, -99999999999)) == 0
+    # finer than the table's grid: the floor on the grid is a right shift
+    assert seq.count_upto(Dyadic((15 << 300) + 1, -300)) == 1
 
 
 class TestFloorSum:

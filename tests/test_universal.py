@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, ZERO
+from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, ZERO, set_span_guard
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
 from dyadlab.universal import (
     BudgetExceeded,
@@ -34,7 +34,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from oracles import build_universal_dyadic, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -169,6 +169,27 @@ class TestBuildUniversal:
         for limit in [IndexJK(1, 2), IndexJK(2, 1)]:
             seq = build_universal(limit)
             assert seq.last_value == limit.a - limit.bI
+
+    @pytest.mark.parametrize("limit", [IndexJK(1, 1), IndexJK(2, 15), IndexJK(3, 0), IndexJK(3, 47), IndexJK(5, 319)])
+    def test_closed_forms_match_the_dyadic_steps(self, limit):
+        assert build_universal(limit) == build_universal_dyadic(limit)
+
+    @pytest.mark.parametrize("limit", [IndexJK(2, 15), IndexJK(3, 5)])
+    def test_refuses_like_the_dyadic_steps_at_every_small_guard(self, limit):
+        refused = 0
+        for guard in range(64, 240):
+            outcomes = []
+            for build in (build_universal, build_universal_dyadic):
+                old = set_span_guard(guard)
+                try:
+                    outcomes.append(build(limit).to_json_dict())
+                except GuardExceeded as exc:
+                    outcomes.append(str(exc))
+                finally:
+                    set_span_guard(old)
+            assert outcomes[0] == outcomes[1], guard
+            refused += isinstance(outcomes[0], str)
+        assert refused > 10
 
     def test_perturbed_control_fails_monotonicity(self):
         seq = build_universal(IndexJK(2, 15))
