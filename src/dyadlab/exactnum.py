@@ -84,6 +84,9 @@ _HASH_MODULUS = sys.hash_info.modulus
 _BRIEF_MANTISSA = 10**40
 
 _DYADIC_RE = re.compile(r"^(-?\d+)(?:\*2\^(-?\d+))?$")
+# 'm*2^e' in ASCII digits with nothing around it, as `str` writes it: a string
+# this matches, _DYADIC_RE matches after strip() with the same groups.
+_ASCII_DYADIC = re.compile(r"(-?[0-9]+)\*2\^(-?[0-9]+)")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d+))?$")
 
 
@@ -109,6 +112,9 @@ class Dyadic:
     @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse 'm*2^e', a plain integer, or an exact decimal like '0.75'."""
+        if isinstance(text, str) and (f := _ASCII_DYADIC.fullmatch(text)):
+            m = int(f[1])
+            return _raw(m, int(f[2])) if m & 1 else cls(m, int(f[2]))
         s = text.strip() if isinstance(text, str) else ""
         m = _DYADIC_RE.match(s)
         if m:

@@ -33,6 +33,11 @@ class GapBlock:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
 
+# GapBlock's slot setters, for `from_json_dict`, which checks each field itself
+_new_block = object.__new__
+_set_gap, _set_count, _set_tag = GapBlock.gap.__set__, GapBlock.count.__set__, GapBlock.tag.__set__
+
+
 @dataclass(frozen=True, slots=True, repr=False)
 class GapBlockSeq:
     """Strictly increasing sequence origin, origin+g1, ... stored by gap blocks.
@@ -53,7 +58,7 @@ class GapBlockSeq:
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
-        cum_ints, grid = _cum_table(self.origin, blocks)
+        cum_ints, grid = _cum_table(self.origin, [_total(b.gap, b.count) for b in blocks])
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "_cum_counts", list(accumulate(b.count for b in blocks)))
         object.__setattr__(self, "_cum_ints", cum_ints)
@@ -71,9 +76,20 @@ class GapBlockSeq:
     def block_start(self, b: int) -> tuple[int, Dyadic]:
         """(index, value) of the point just before block b, 0 <= b <= len(blocks):
         (0, origin) for b = 0, and the last point for b = len(blocks)."""
+        pair = self.start_pair(b)
+        return (self._cum_counts[b - 1], Dyadic(*pair)) if b else (0, self.origin)
+
+    def start_pair(self, b: int) -> tuple[int, int]:
+        """The value just before block b (the origin for b = 0) as the
+        canonical (m, e) of m*2^e (m odd, or m = e = 0), read off the table
+        without a Dyadic; 0 <= b <= len(blocks), else IndexError."""
         if not 0 <= b <= len(self.blocks):
             raise IndexError(f"block {b} outside [0, {len(self.blocks)}]")
-        return (self._cum_counts[b - 1], Dyadic(self._cum_ints[b - 1], self._grid)) if b else (0, self.origin)
+        if not b:
+            return self.origin.m, self.origin.e
+        V = self._cum_ints[b - 1]
+        z = (V & -V).bit_length() - 1
+        return (V >> z, self._grid + z) if V else (0, 0)
 
     def value_at(self, n: int) -> Dyadic:
         """Exact n-th point via block-wise closed form."""
@@ -162,8 +178,8 @@ class GapBlockSeq:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapBlockSeq":
         """Inverse of to_json_dict; a count is a string of ASCII digits or a
-        JSON integer, never a float.  Each block is read and checked in one
-        pass; the values the blocks reach are summed in ints by `_cum_table`."""
+        JSON integer, never a float.  Each block is read, checked as
+        `GapBlock` checks it and built in one pass."""
         blocks = []
         for b in data["blocks"]:
             count, tag = b["count"], b.get("tag", "")
@@ -173,14 +189,29 @@ class GapBlockSeq:
                 raise ValueError(f"block count must be a decimal string or integer, got {count!r}")
             if not isinstance(tag, str):
                 raise ValueError(f"block tag must be a string, got {tag!r}")
-            blocks.append(GapBlock(Dyadic.parse(b["gap"]), int(count), tag))
+            gap, count = Dyadic.parse(b["gap"]), int(count)
+            if gap.m <= 0:
+                raise ValueError(f"gap must be positive, got {gap}")
+            if count < 1:
+                raise ValueError(f"count must be >= 1, got {count}")
+            block = _new_block(GapBlock)
+            _set_gap(block, gap)
+            _set_count(block, count)
+            _set_tag(block, tag)
+            blocks.append(block)
         return cls(Dyadic.parse(data["origin"]), blocks)
 
 
-def _cum_table(origin: Dyadic, blocks: tuple[GapBlock, ...]) -> tuple[list[int], int]:
+def _total(gap: Dyadic, count: int) -> tuple[int, int]:
+    """gap*count as (m, e) with m odd: m*2^e."""
+    t = (count & -count).bit_length() - 1
+    return gap.m * (count >> t), gap.e + t
+
+
+def _cum_table(origin: Dyadic, totals: list[tuple[int, int]]) -> tuple[list[int], int]:
     """The values v_1, ..., v_B the blocks reach from the origin, as ints on
     the grid 2^g, and g, the least exponent of the origin and of every
-    block's total gap*count.
+    block's total gap*count m*2^e (`totals`, from `_total`).
 
     The Dyadic loop v_b = v_{b-1} + gap*count this replaces checked each sum's
     operands against the span guard on their own grid; that check is repeated
@@ -188,13 +219,18 @@ def _cum_table(origin: Dyadic, blocks: tuple[GapBlock, ...]) -> tuple[list[int],
     a sum that fails it is done in Dyadic to word the refusal.  The origin and
     each total are shifted onto the common grid only once their widths there
     fit the guard; a width that does not goes to `_table_refusal`.
+
+    A sum's own grid is no finer than the common one, so when the origin, the
+    totals and the running values all fit the guard on the common grid, no
+    sum can fail its own check and the table is one `accumulate`.
     """
     guard = span_guard()
-    totals = []  # each block's gap*count as (m, e) with m odd: m*2^e
-    for b in blocks:
-        t = (b.count & -b.count).bit_length() - 1
-        totals.append((b.gap.m * (b.count >> t), b.gap.e + t))
-    g = min([e for _, e in totals] + ([origin.e] if origin.m else []), default=0)
+    terms = totals + [(origin.m, origin.e)] if origin.m else totals  # every nonzero operand, as m*2^e
+    g = min((e for _, e in terms), default=0)
+    if max((m.bit_length() + e for m, e in terms), default=g) - g <= guard:
+        ints = list(accumulate((m << e - g for m, e in totals), initial=origin.m << origin.e - g if origin.m else 0))
+        if max(map(abs, ints[:-1]), default=0).bit_length() <= guard:
+            return ints[1:], g
     V, ints = 0, []
     if origin.m:
         top = origin.m.bit_length() + origin.e  # 2^top bounds |origin|

@@ -205,19 +205,19 @@ def check_lemma_useful(i: IndexJK) -> WitnessReport:
 
 
 def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
-    """Every step's end value divides by E^2, and the landing value by E'^2."""
+    """Every step's end value divides by E^2, and the landing value by E'^2:
+    E^2 = 2^-2s divides a value m*2^e (`start_pair`) exactly when e >= -2s."""
     checked = 0
     for i in steps_before(limit):
         step_indices(seq, i)  # seq holds step i, tagged as i if tagged
-        E, E_next, t = i.E, i.successor().E, i.position()
-        q1 = seq.block_start(2 * t + 1)[1].div_exact(E * E)
-        q2 = seq.block_start(2 * t + 2)[1].div_exact(E_next * E_next)
-        if not (q1.is_integer() and q2.is_integer()):
+        s, s1, t = i.scale_exp(), i.successor().scale_exp(), i.position()
+        (m1, e1), (m2, e2) = seq.start_pair(2 * t + 1), seq.start_pair(2 * t + 2)
+        if e1 < -2 * s or e2 < -2 * s1:
             return WitnessReport(
                 claim="integrality",
                 params={"failed_step": str(i)},
-                lhs=str(q1),
-                rhs=str(q2),
+                lhs=str(Dyadic(m1, e1 + 2 * s)),
+                rhs=str(Dyadic(m2, e2 + 2 * s1)),
                 passed=False,
             )
         checked += 1
@@ -239,19 +239,19 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     """The explicit translate index carrying x into the comb at index i.
 
     Computed in ints on the grid 2^g, g the least exponent of x, E^3 and step
-    i's wide block (gap G from index n0 at value v0), once the span guard
-    admits their widths: nx = n0 + 1 + floor((a - x - v0)/G) is the first
-    translate past the comb base a, and the overshoot in comb widths advances
-    it.  `_covering_failure` refuses what leaves the block or misses the comb.
+    i's wide block (gap G from index n0 at value v0, as `start_pair` reads it),
+    once the span guard admits their widths: nx = n0 + 1 + floor((a - x - v0)/G)
+    is the first translate past the comb base a, and the overshoot in comb
+    widths advances it.  `_covering_failure` refuses what leaves the block or misses the comb.
     """
     n0, n1 = step_indices(seq, i)
     t = 2 * i.position()
-    s, v0, G = i.scale_exp(), seq.block_start(t)[1], seq.blocks[t].gap
-    g = min(x.e, v0.e, G.e, -3 * s)  # zero has exponent 0 > -3s
-    width = max(s + 1, *(d.m.bit_length() + d.e for d in (x, v0, G))) - g
+    (vm, ve), G, s = seq.start_pair(t), seq.blocks[t].gap, i.scale_exp()
+    g = min(x.e, ve, G.e, -3 * s)  # zero has exponent 0 > -3s
+    width = max(s + 1, x.m.bit_length() + x.e, vm.bit_length() + ve, G.m.bit_length() + G.e) - g
     if width > span_guard():
         raise GuardExceeded(f"covering witness at {i} needs {width} bits on the grid 2^{g} (guard {span_guard()})")
-    X, V0, W = (d.m << d.e - g for d in (x, v0, G))
+    X, V0, W = x.m << x.e - g, vm << ve - g, G.m << G.e - g
     A, E2, E3 = 1 << s - g, 1 << -2 * s - g, 1 << -3 * s - g
     J, u = i.J, -i.j - g  # bI = J*2^-j = J << u
     if not (J - 1) << u <= X <= J << u:

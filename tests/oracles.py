@@ -4,14 +4,57 @@ Each one lists every point or interval explicitly, so it is only usable at
 oracle sizes; the library never enumerates.
 """
 
+import re
 from bisect import bisect_right
 from math import gcd
 from typing import Iterable, Iterator
 
-from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, PiecewiseLinear
+from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
-from dyadlab.report import OutOfInterval, Violation
+from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, step_indices, steps_before
+
+_DYADIC_RE = re.compile(r"^(-?\d+)(?:\*2\^(-?\d+))?$")
+_DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d+))?$")
+
+
+def parse_dyadic_regex(text) -> Dyadic:
+    """'m*2^e', a plain integer or an exact decimal, by regular expressions
+    alone on the stripped text (so Unicode digits and surrounding whitespace
+    pass).  `Dyadic.parse`, with its ASCII fast path, must return the same
+    value or raise the same exception type and message."""
+    s = text.strip() if isinstance(text, str) else ""
+    m = _DYADIC_RE.match(s)
+    if m:
+        return Dyadic(int(m.group(1)), int(m.group(2) or 0))
+    d = _DECIMAL_RE.match(s)
+    if d:
+        sign = -1 if d.group(1) else 1
+        digits = d.group(2) + (d.group(3) or "")
+        ndec = len(d.group(3) or "")
+        num = sign * int(digits)
+        five = 5**ndec
+        if num % five:
+            raise NotExact(f"{text!r} is not a dyadic rational")
+        return Dyadic(num // five, -ndec)
+    raise ValueError(f"cannot parse dyadic scalar from {text!r}")
+
+
+def seq_from_json_checked(data: dict) -> GapBlockSeq:
+    """A gap-block artifact read through the checked constructors: each
+    block by `GapBlock`, which validates its gap and count, and the table by
+    `GapBlockSeq(origin, blocks)`.  `GapBlockSeq.from_json_dict`, which
+    checks and builds each block in one pass, must return an equal sequence
+    with the same table, or raise the same exception type and message."""
+    blocks = []
+    for b in data["blocks"]:
+        count, tag = b["count"], b.get("tag", "")
+        if not (type(count) is int or (type(count) is str and count.isascii() and count.isdigit())):
+            raise ValueError(f"block count must be a decimal string or integer, got {count!r}")
+        if not isinstance(tag, str):
+            raise ValueError(f"block tag must be a string, got {tag!r}")
+        blocks.append(GapBlock(parse_dyadic_regex(b["gap"]), int(count), tag))
+    return GapBlockSeq(parse_dyadic_regex(data["origin"]), blocks)
 
 
 def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
@@ -62,6 +105,26 @@ def build_universal_dyadic(limit: IndexJK) -> GapBlockSeq:
         blocks.append(GapBlock(half_gap, half_count_d.as_integer(), f"{i.j},{i.k}:half"))
         lam = target
     return GapBlockSeq(origin, blocks)
+
+
+def check_integrality_dyadic(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
+    """Every step's end value divides by E^2, and the landing value by E'^2,
+    tested by dividing each `block_start` value in Dyadic arithmetic.
+    `universal.check_integrality`, which reads exponents off the int table,
+    must return an identical report or raise the same exception."""
+    checked = 0
+    for i in steps_before(limit):
+        step_indices(seq, i)
+        E, E_next, t = i.E, i.successor().E, i.position()
+        q1 = seq.block_start(2 * t + 1)[1].div_exact(E * E)
+        q2 = seq.block_start(2 * t + 2)[1].div_exact(E_next * E_next)
+        if not (q1.is_integer() and q2.is_integer()):
+            return WitnessReport(claim="integrality", params={"failed_step": str(i)}, lhs=str(q1), rhs=str(q2), passed=False)
+        checked += 1
+    params = {"steps": checked, "limit": str(limit)}
+    if not checked:
+        params["informational"] = True
+    return WitnessReport(claim="integrality", params=params, passed=True)
 
 
 def sample_in_dyadic(rng, lo: Dyadic, hi: Dyadic) -> Dyadic:

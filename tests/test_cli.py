@@ -19,7 +19,7 @@ from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
 from dyadlab.exactnum import Dyadic, GuardExceeded, set_span_guard, span_guard
-from oracles import cum_values_dyadic, sample_in_dyadic
+from oracles import cum_values_dyadic, sample_in_dyadic, seq_from_json_checked
 
 
 def run(capsys, *argv):
@@ -661,6 +661,50 @@ def test_gaps_far_apart_are_refused_before_any_wide_int(capsys, tmp_path, gaps):
         assert (code, stdout, stderr) == (EXIT_SKIP, "", f"guard: {exc.value}\n"), suite
 
 
+def _loaded_or_refusal(load, data):
+    try:
+        seq = load(data)
+    except Exception as exc:  # every refusal the loader can raise: its type and message must match
+        return type(exc), str(exc)
+    return seq, seq._cum_ints, seq._grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_artifacts(), st.sampled_from([64, 100, 1 << 20]))
+@example(_far_gaps("1*2^99999999999", "1*2^-99999999999"), 1 << 20)
+@example(_far_gaps("1*2^-40", "0*2^0"), 1 << 20)
+def test_one_pass_loader_matches_the_checked_constructors(data, guard):
+    # `from_json_dict` checks and builds each block in one pass, without
+    # `GapBlock`'s own validation: the same sequence and table, or the same refusal
+    data = data["seq"] if "seq" in data else data
+    old = set_span_guard(guard)
+    try:
+        got = _loaded_or_refusal(lattice.GapBlockSeq.from_json_dict, data)
+        want = _loaded_or_refusal(seq_from_json_checked, data)
+    finally:
+        set_span_guard(old)
+    assert got == want
+
+
+@pytest.mark.parametrize("block, message", [
+    ({"gap": "0*2^0", "count": "160"}, "gap must be positive, got 0*2^0"),
+    ({"gap": "-1*2^-8", "count": "160"}, "gap must be positive, got -1*2^-8"),
+    ({"gap": "1*2^-8", "count": "0"}, "count must be >= 1, got 0"),
+    ({"gap": "1*2^-8", "count": 0}, "count must be >= 1, got 0"),
+    ({"gap": "1*2^-8", "count": "1_0"}, "block count must be a decimal string or integer, got '1_0'"),
+    ({"gap": "1*2^-8", "count": True}, "block count must be a decimal string or integer, got True"),
+    ({"gap": "1*2^-8", "count": 1.0}, "block count must be a decimal string or integer, got 1.0"),
+])
+def test_a_bad_block_is_a_one_line_refusal(capsys, tmp_path, block, message):
+    data = json.loads(_u11_artifact())
+    data["blocks"][0] = {**block, "tag": "1,0:wide"}
+    art = tmp_path / "bad.json"
+    art.write_text(json.dumps(data))
+    for suite in ("integrality", "covering", "gaps"):
+        got = run(capsys, "verify", "universal", "--suite", suite, "--limit", "1,1", "--seq", str(art))
+        assert got == (EXIT_USAGE, "", f"error: {art}: not a gap-block artifact (ValueError: {message})\n"), suite
+
+
 _DYADICS = st.one_of(
     st.just(Dyadic(0)),
     st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(-100, 100)),
@@ -702,6 +746,22 @@ def test_covering_and_integrality_read_no_point_by_index(capsys, tmp_path, monke
     value_at = lattice.GapBlockSeq.value_at
     monkeypatch.setattr(lattice.GapBlockSeq, "value_at", lambda seq, n: calls.append(n) or value_at(seq, n))
     assert cli._load_seq(str(art)).value_at(1) and calls == [1]  # the wrapper counts
+    calls.clear()
+    for suite, samples in (("covering", ["--samples", "2"]), ("integrality", [])):
+        argv = ["verify", "universal", "--suite", suite, "--limit", "3,0", *samples, "--seq", str(art)]
+        assert run(capsys, *argv)[0] == EXIT_PASS
+    assert calls == []
+
+
+def test_covering_and_integrality_form_no_block_start(capsys, tmp_path, monkeypatch):
+    # both suites read each step's values off the int table as (m, e) pairs
+    # (`start_pair`); `block_start` and its Dyadic are left to other queries
+    art = tmp_path / "u30.json"
+    assert run(capsys, "construct", "universal", "--limit", "3,0", "--out", str(art))[0] == EXIT_PASS
+    calls = []
+    block_start = lattice.GapBlockSeq.block_start
+    monkeypatch.setattr(lattice.GapBlockSeq, "block_start", lambda seq, b: calls.append(b) or block_start(seq, b))
+    assert cli._load_seq(str(art)).last_value and calls == [len(uv.build_universal(uv.IndexJK(3, 0)).blocks)]
     calls.clear()
     for suite, samples in (("covering", ["--samples", "2"]), ("integrality", [])):
         argv = ["verify", "universal", "--suite", suite, "--limit", "3,0", *samples, "--seq", str(art)]
@@ -825,11 +885,14 @@ def test_span_guard_override_moves_the_refusal(capsys):
     assert code == EXIT_PASS
 
 
-@pytest.mark.parametrize("bits, code, guard_line", [
+_COVERING_GUARDS = [
     ("64", EXIT_SKIP, "guard: aligned mantissa would need 65 bits (guard 64): 8388607*2^-1 + 2199026925567*2^-43"),
     ("100", EXIT_SKIP, "guard: covering witness at (2,9) needs 101 bits on the grid 2^-75 (guard 100)"),
     ("130", EXIT_PASS, None),
-])
+]
+
+
+@pytest.mark.parametrize("bits, code, guard_line", _COVERING_GUARDS)
 def test_covering_witness_meets_the_span_guard(capsys, bits, code, guard_line):
     # the comb end of (2,15) needs 63 bits: a 64-bit guard refuses the build,
     # 100 bits the witness of (2,9) on its grid 2^-75 (aligned before any int
@@ -837,6 +900,22 @@ def test_covering_witness_meets_the_span_guard(capsys, bits, code, guard_line):
     got, stdout, stderr = run(
         capsys, "--span-guard", bits, "verify", "universal", "--suite", "covering", "--limit", "2,15", "--samples", "1"
     )
+    assert got == code
+    if guard_line:
+        assert stdout == "" and stderr.splitlines() == [guard_line]
+    else:
+        assert stderr == "" and stdout.endswith("19 claims, 0 failures\n")
+
+
+@pytest.mark.parametrize("bits, code, guard_line", _COVERING_GUARDS)
+def test_covering_witness_meets_the_span_guard_on_an_artifact(capsys, tmp_path, bits, code, guard_line):
+    # the same lines from a (2,15) artifact written at the default guard: at
+    # 64 bits loading its table meets the sum the build met, at 100 bits the
+    # witness of (2,9) reads v0 off the table with the exponent the build had
+    art = tmp_path / "u215.json"
+    assert run(capsys, "construct", "universal", "--limit", "2,15", "--out", str(art))[0] == EXIT_PASS
+    argv = ["verify", "universal", "--suite", "covering", "--limit", "2,15", "--samples", "1", "--seq", str(art)]
+    got, stdout, stderr = run(capsys, "--span-guard", bits, *argv)
     assert got == code
     if guard_line:
         assert stdout == "" and stderr.splitlines() == [guard_line]

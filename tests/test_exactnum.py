@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dyadlab.exactnum import (
     Dyadic,
@@ -25,7 +25,7 @@ from dyadlab.exactnum import (
     set_span_guard,
     span_guard,
 )
-from oracles import pl_eval, total_length
+from oracles import parse_dyadic_regex, pl_eval, total_length
 
 
 def frac(d: Dyadic) -> Fraction:
@@ -377,6 +377,60 @@ def test_operators_on_two_dyadics_bypass_init(monkeypatch, b):
     assert Dyadic(6, -4) == Dyadic(3, -3) and len(calls) == 2  # the patch is live
     for r in results[:5]:
         assert_canonical(r)
+
+
+def _parsed_or_refusal(parse, text):
+    try:
+        d = parse(text)
+    except (ValueError, NotExact) as exc:
+        return type(exc), str(exc)
+    assert_canonical(d)
+    return d.m, d.e
+
+
+# near-misses of 'm*2^e': ASCII digits, the signs and separators int() takes
+# or the pattern refuses, whitespace, a trailing newline and a non-ASCII digit
+_PARSE_CHARS = st.sampled_from(list("0123456789-+*^_. \t\n") + ["\u0661", "*2^"])
+_PARSE_TEXTS = st.one_of(
+    st.lists(_PARSE_CHARS, max_size=12).map("".join),
+    st.builds(
+        lambda a, b, m, e: f"{a}{m}*2^{b}{e}",
+        st.sampled_from(["", "-", "+", " ", "\u0661", "--"]),
+        st.sampled_from(["", "-", "+", "_", "\n"]),
+        st.integers(0, 10**30),
+        st.integers(0, 10**6),
+    ),
+    st.builds(str, st.builds(Dyadic, st.integers(-(2**200), 2**200), st.integers(-(10**6), 10**6))),
+    st.none(),
+    st.integers(),
+)
+
+
+@given(_PARSE_TEXTS)
+@example("\u0661*2^-3")
+@example(" 5*2^-1 ")
+@example("5*2^-1\n")
+@example("+1*2^3")
+@example("1_0*2^3")
+@example("5*2^")
+@example("5*2^+1")
+@example("-0*2^5")
+@example("0.1")
+@example("5*2^1_0")
+@example("5*2^1 ")
+@example("5 *2^1")
+def test_parse_matches_the_regex_only_parser(text):
+    # the ASCII fast path takes only what the regular expressions take with
+    # the same groups: the same value, or the same exception and message
+    assert _parsed_or_refusal(Dyadic.parse, text) == _parsed_or_refusal(parse_dyadic_regex, text)
+
+
+def test_parse_edge_cases():
+    assert dy("\u0661*2^-3") == Dyadic(1, -3)
+    assert dy(" 5*2^-1 ") == Dyadic(5, -1)
+    for text in ("+1*2^3", "1_0*2^3", "5*2^", "5*2^+1"):
+        with pytest.raises(ValueError, match=r"^cannot parse dyadic scalar from "):
+            dy(text)
 
 
 class TestDyInterval:

@@ -34,6 +34,10 @@ CASES = {
     "verify-thm33-diverge": ["verify", "thm33", "--suite", "diverge", "--jmax", "4", "--samples", "5", "--report", "{out}"],
     "verify-thm33-converge": ["verify", "thm33", "--suite", "converge", "--jmax", "4", "--samples", "5", "--report", "{out}"],
     "verify-thm33-probe": ["verify", "thm33", "--suite", "probe", "--jmax", "4", "--samples", "5", "--report", "{out}"],
+    # the --seq read path: each reads the artifact `construct universal --limit 2,3` wrote
+    "verify-universal-covering-seq": ["verify", "universal", "--suite", "covering", "--limit", "2,3", "--seq", "{seq}", "--report", "{out}"],
+    "verify-universal-integrality-seq": ["verify", "universal", "--suite", "integrality", "--limit", "2,3", "--seq", "{seq}", "--report", "{out}"],
+    "verify-universal-gaps-seq": ["verify", "universal", "--suite", "gaps", "--limit", "2,3", "--seq", "{seq}", "--report", "{out}"],
     "construct-universal": ["construct", "universal", "--limit", "2,3", "--out", "{out}"],
     "construct-thm31-G": ["construct", "thm31", "--jmax", "10", "--G", "{G}", "--out", "{out}"],
     "construct-thm33": ["construct", "thm33", "--jmax", "3", "--out", "{out}"],
@@ -63,9 +67,12 @@ EXPECTED = {
     "verify-thm33-gaps": (0, "a5436862e8c2e5260e880b48f8e1c08de6ff07ce7a1941c89527d928e00245b2"),
     "verify-thm33-probe": (0, "648e0b45bbbfecc0fd80143c5e3a19ae7e935e04cd2365277e8d2d9698e4a5df"),
     "verify-universal-covering": (0, "9d838d6e6d90039db60a91b81b9d90ecf694310b523c3718632cf48e8dcf6731"),
+    "verify-universal-covering-seq": (0, "9d838d6e6d90039db60a91b81b9d90ecf694310b523c3718632cf48e8dcf6731"),
     "verify-universal-escape": (0, "53e662acecb67bf24bce7e51d054fb85865887f4ffe11e106d659974eba70da9"),
     "verify-universal-gaps": (0, "1156a8b74c1eee5d358a77df31c590e15a2832dd08bf2d4106d60b6d8dadc07c"),
+    "verify-universal-gaps-seq": (0, "1156a8b74c1eee5d358a77df31c590e15a2832dd08bf2d4106d60b6d8dadc07c"),
     "verify-universal-integrality": (0, "eb30394ece4fe7340ca60ebfc5bf50461a82c40f33c401970f3ebb3f1751c753"),
+    "verify-universal-integrality-seq": (0, "eb30394ece4fe7340ca60ebfc5bf50461a82c40f33c401970f3ebb3f1751c753"),
     "verify-universal-lemma": (0, "d984d1cbd0c3b1cbf4d1f16d9166044bdb6c97913fec475a7553b24e356df4d0"),
     "verify-universal-series": (0, "93c5cd756b62fecaa23f98916d35e48e884bb67cdf1c3790eda6aaec6abb48c7"),
 }
@@ -75,7 +82,11 @@ def run_case(name, tmp_path, capsys):
     out = tmp_path / "out"
     g = tmp_path / "g.json"
     g.write_text(json.dumps(G_THM31))
-    argv = [a.format(out=out, G=g) for a in CASES[name]]
+    seq = tmp_path / "seq.json"
+    if "{seq}" in CASES[name]:
+        assert main(["construct", "universal", "--limit", "2,3", "--out", str(seq)]) == 0
+        capsys.readouterr()
+    argv = [a.format(out=out, G=g, seq=seq) for a in CASES[name]]
     code = main(argv)
     stdout = capsys.readouterr().out
     return code, hashlib.sha256(out.read_bytes() + stdout.encode()).hexdigest()

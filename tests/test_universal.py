@@ -34,7 +34,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import build_universal_dyadic, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from oracles import build_universal_dyadic, check_integrality_dyadic, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -237,6 +237,57 @@ class TestLemmaAndIntegrality:
         assert rep.params["failed_step"] == "(1,0)"
 
 
+class TestIntegralityOracle:
+    """`check_integrality` reads exponents off the int table; the Dyadic
+    division oracle must give an identical report, sides included."""
+
+    @pytest.fixture(scope="class")
+    def seq30(self):
+        return build_universal(IndexJK(3, 0))
+
+    def test_every_built_limit_through_3_0(self, seq30):
+        for limit in indices_through(IndexJK(3, 0)):
+            for seq in (seq30, build_universal(limit)):
+                rep = check_integrality(seq, limit)
+                assert rep == check_integrality_dyadic(seq, limit), limit
+                assert rep.passed and rep.params["steps"] == limit.position()
+
+    def _outcome(self, fn, seq, limit):
+        try:
+            return fn(seq, limit)
+        except (ArithmeticError, IndexError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    def test_tampered_artifacts(self, seq30):
+        # a half block one count longer or shorter, or a wide gap tripled, at
+        # each step: later steps' scales divide what those shift, so they pass;
+        # so does the origin moved by E^2 of step (1,0), which makes that
+        # step's quotient odd (exponent exactly -2s); a wide block one count
+        # off, or the origin moved by 2^-40, fails
+        limit, failed = IndexJK(2, 3), []
+        blocks = seq30.blocks[: 2 * limit.position()]
+        cases = [GapBlockSeq(seq30.origin + d, blocks) for d in (Dyadic(1, -8), Dyadic(1, -40))]
+        for b, blk in enumerate(blocks):
+            for tweak in ((blk.gap, blk.count + 1), (blk.gap, blk.count - 1), (blk.gap * 3, blk.count)):
+                cases.append(_with_blocks(GapBlockSeq(seq30.origin, blocks), b, [GapBlock(*tweak, blk.tag)]))
+        for seq in cases:
+            got = self._outcome(check_integrality, seq, limit)
+            assert got == self._outcome(check_integrality_dyadic, seq, limit)
+            if not got.passed:
+                failed.append((got.params["failed_step"], got.lhs, got.rhs))
+        # the origin moved by 2^-40 and each wide count fail, with a side that is not an integer
+        assert len(failed) == 1 + 2 * limit.position()
+        assert all("*2^-" in lhs or "*2^-" in rhs for _, lhs, rhs in failed)
+
+    def test_a_prefix_one_block_short(self, seq30):
+        # the last step's landing value is missing: the same IndexError
+        limit = IndexJK(2, 3)
+        seq = GapBlockSeq(seq30.origin, seq30.blocks[: 2 * limit.position() - 1])
+        got = self._outcome(check_integrality, seq, limit)
+        assert got == self._outcome(check_integrality_dyadic, seq, limit)
+        assert got[0] is IndexError
+
+
 @pytest.fixture(scope="module")
 def seq11():
     return build_universal(IndexJK(1, 1))
@@ -410,6 +461,51 @@ class TestCoveringWitnessOracle:
         refusals = self._assert_parity(seq, i, [i.bI] + _samples_in(i, 30, random.Random(9)))
         assert refusals[0] == (universal.Violation, f"overshoot {i.comb.period} exceeds one wide gap at (1,2)")
         assert len(refusals) > 20 and all(msg.startswith("landing ") for _, msg in refusals[1:])
+
+    def test_tweaked_origins(self, seq20):
+        # step (1,0) reads the origin itself, canonical; an origin moved so
+        # that step (1,1) starts at exactly zero reads a zero off the table
+        rng, t11 = random.Random(23), 2 * IndexJK(1, 1).position()
+        v11 = seq20.block_start(t11)[1]
+        origins = [seq20.origin + Dyadic(1, -20), seq20.origin - Dyadic(3, -9), ZERO, seq20.origin - v11, Dyadic(1, 300)]
+        refused = checked = 0
+        for origin in origins:
+            seq = GapBlockSeq(origin, seq20.blocks)
+            for i in steps_before(IndexJK(2, 0)):
+                xs = [i.aI, i.bI] + _samples_in(i, 3, rng)
+                refused += len(self._assert_parity(seq, i, xs))
+                checked += len(xs)
+        assert GapBlockSeq(seq20.origin - v11, seq20.blocks).start_pair(t11) == (0, 0)
+        assert GapBlockSeq(ZERO, seq20.blocks).start_pair(0) == (0, 0)
+        assert 0 < refused < checked
+
+    @pytest.mark.parametrize("guard", [64, 80, 100, 120])
+    def test_lowered_span_guard(self, guard):
+        # the width on the grid 2^g, g taken with v0's own exponent (the
+        # Dyadic `block_start` reads), decides a refusal and words it exactly;
+        # below the guard the witness is the oracle's at the default guard
+        # (a far origin makes v0 the widest operand of step (1,0))
+        limit, rng, kinds = IndexJK(2, 15), random.Random(guard), set()
+        built = build_universal(limit)
+        for seq in (built, GapBlockSeq(Dyadic(1, guard - 4), built.blocks)):
+            for i in steps_before(limit if seq is built else IndexJK(1, 1)):
+                t, s = 2 * i.position(), i.scale_exp()
+                v0, G = seq.block_start(t)[1], seq.blocks[t].gap
+                for x in [i.aI, i.bI] + _samples_in(i, 2, rng):
+                    g = min(x.e, v0.e, G.e, -3 * s)
+                    width = max(s + 1, *(d.m.bit_length() + d.e for d in (x, v0, G))) - g
+                    want = _witness_or_refusal(covering_witness_dyadic, x, i, seq)
+                    old = set_span_guard(guard)
+                    try:
+                        got = _witness_or_refusal(covering_witness, x, i, seq)
+                    finally:
+                        set_span_guard(old)
+                    if width > guard:
+                        want = (GuardExceeded, f"covering witness at {i} needs {width} bits on the grid 2^{g} (guard {guard})")
+                    assert got == want, (i, x)
+                    kinds.add((seq is built, width > guard))
+        # built widths run from 17 to 125 bits; the far origin's step is refused
+        assert kinds == {(True, True), (True, False), (False, True)}
 
     def test_x_outside_the_window(self, seq20):
         i = IndexJK(1, 2)
