@@ -30,6 +30,7 @@ from .exactnum import (
     GuardExceeded,
     IntervalUnion,
     NotExact,
+    grid_error,
     set_span_guard,
     span_guard,
 )
@@ -84,13 +85,14 @@ def _load_G(path: str | None, default: IntervalUnion) -> IntervalUnion:
 
 def _sample_in(rng: random.Random, lo: Dyadic, hi: Dyadic) -> Dyadic:
     """lo + (hi - lo)*r*2^-48 for one 48-bit draw r, as one int expression on
-    the grid 2^(e-48), e the finer exponent of lo and hi.  Every operand of
-    the Dyadic form is below 2^(t+1), t the larger magnitude exponent, and a
-    multiple of 2^(e-48); when t + 49 - e passes the span guard the Dyadic
-    form runs instead, so that a refusal is worded by its sum."""
+    the grid 2^(e-48), e the finer exponent of lo and hi.  Every operand is
+    below 2^(t+1), t the larger magnitude exponent, so it needs at most
+    t + 49 - e bits on that grid; past the span guard that is GuardExceeded,
+    raised before r is drawn."""
     e = min(lo.e, hi.e)
-    if max(lo.m.bit_length() + lo.e, hi.m.bit_length() + hi.e) + 49 - e > span_guard():
-        return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
+    width = max(lo.m.bit_length() + lo.e, hi.m.bit_length() + hi.e) + 49 - e
+    if width > span_guard():
+        raise grid_error("sampled point", width, e - 48)
     L = lo.m << lo.e - e
     return Dyadic((L << 48) + ((hi.m << hi.e - e) - L) * rng.getrandbits(48), e - 48)
 
@@ -522,11 +524,11 @@ def _cmd_verify(args) -> int:
     for option, suites in reads.items():
         if vars(args).get(option) and args.suite not in suites:
             raise ValueError(f"--{option} is not read by the {args.construction} {args.suite} suite")
-    reports = SUITES[args.construction, args.suite](args, random.Random(args.seed))
+    reports = sorted(SUITES[args.construction, args.suite](args, random.Random(args.seed)), key=lambda r: r.claim)
     failures = [r for r in reports if not r.passed]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
     asserted = any(not r.params.get("informational") for r in reports)
-    for r in sorted(reports, key=lambda r: r.claim):
+    for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.claim} lhs={r.lhs} rhs={r.rhs}")
     print(

@@ -42,6 +42,11 @@ class GuardExceeded(ArithmeticError):
     """An operation would allocate a mantissa above the configured bit limit."""
 
 
+def grid_error(what: str, width: int, g: int) -> GuardExceeded:
+    """The one refusal of every int kernel: `what` needs `width` bits on the grid 2^g."""
+    return GuardExceeded(f"{what} needs {width} bits on the grid 2^{g} (guard {_span_guard})")
+
+
 class NotExact(ArithmeticError):
     """The result of an operation is not a dyadic rational."""
 
@@ -428,7 +433,7 @@ def scaled_ints(values: Sequence[Dyadic]) -> tuple[list[int], int]:
     for v in values:
         shift = v.e - e
         if v.m and v.m.bit_length() + shift > _span_guard:
-            raise GuardExceeded(f"common grid would need {v.m.bit_length() + shift} bits")
+            raise grid_error("common grid", v.m.bit_length() + shift, e)
         out.append(v.m << shift if v.m else 0)
     return out, e
 

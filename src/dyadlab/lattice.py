@@ -12,9 +12,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, NoReturn
+from typing import Iterable
 
-from .exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, scaled_ints, span_guard
+from .exactnum import Dyadic, DyInterval, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, scaled_ints, span_guard
 from .report import WitnessReport
 
 
@@ -45,9 +45,8 @@ class GapBlockSeq:
     Index 0 is the origin; block b contributes indices (N_{b-1}, N_b] where
     N_b is the cumulative gap count.  The value v_b at index N_b is kept as
     the int V_b on one grid: v_b = V_b*2^g, g the least exponent of the
-    origin and of every block's total gap*count.  Every width on that grid
-    is checked against the span guard before its int is formed (see
-    `_cum_table`), and `block_start` reads (N_{b-1}, v_{b-1}) off the tables.
+    origin and of every block's total gap*count, checked against the span
+    guard by `_cum_table`; `block_start` reads (N_{b-1}, v_{b-1}) off the tables.
     """
 
     origin: Dyadic
@@ -213,52 +212,22 @@ def _cum_table(origin: Dyadic, totals: list[tuple[int, int]]) -> tuple[list[int]
     the grid 2^g, and g, the least exponent of the origin and of every
     block's total gap*count m*2^e (`totals`, from `_total`).
 
-    The Dyadic loop v_b = v_{b-1} + gap*count this replaces checked each sum's
-    operands against the span guard on their own grid; that check is repeated
-    here exactly, reading v_{b-1}'s exponent off its int's trailing zeros, and
-    a sum that fails it is done in Dyadic to word the refusal.  The origin and
-    each total are shifted onto the common grid only once their widths there
-    fit the guard; a width that does not goes to `_table_refusal`.
-
-    A sum's own grid is no finer than the common one, so when the origin, the
-    totals and the running values all fit the guard on the common grid, no
-    sum can fail its own check and the table is one `accumulate`.
+    The widths of the origin and of every total on that grid are checked
+    against the span guard before any of them is shifted onto it, so no
+    huge int is formed; after one `accumulate`, every table value, the last
+    included, is checked too.  Either check refuses with GuardExceeded.
     """
     guard = span_guard()
     terms = totals + [(origin.m, origin.e)] if origin.m else totals  # every nonzero operand, as m*2^e
     g = min((e for _, e in terms), default=0)
-    if max((m.bit_length() + e for m, e in terms), default=g) - g <= guard:
-        ints = list(accumulate((m << e - g for m, e in totals), initial=origin.m << origin.e - g if origin.m else 0))
-        if max(map(abs, ints[:-1]), default=0).bit_length() <= guard:
-            return ints[1:], g
-    V, ints = 0, []
-    if origin.m:
-        top = origin.m.bit_length() + origin.e  # 2^top bounds |origin|
-        if top - g > guard:
-            _table_refusal(origin, totals, g, top - g)
-        V = origin.m << origin.e - g
-    for n, (m, e) in enumerate(totals):
-        top = m.bit_length() + e
-        if V:
-            wide = max(V.bit_length() + g, top)
-            # the sum's own grid is no finer than g: test on g first
-            if wide - g > guard and wide - min(g + (V & -V).bit_length() - 1, e) > guard:
-                Dyadic(V, g) + Dyadic(m, e)  # raises GuardExceeded
-        if top - g > guard:
-            _table_refusal(Dyadic(V, g), totals[n:], g, top - g)
-        V += m << e - g
-        ints.append(V)
+    width = max((m.bit_length() + e for m, e in terms), default=g) - g
+    if width > guard:
+        raise grid_error("gap-block table", width, g)
+    ints = list(accumulate((m << e - g for m, e in totals), initial=origin.m << origin.e - g if origin.m else 0))[1:]
+    width = max(map(abs, ints), default=0).bit_length()
+    if width > guard:
+        raise grid_error("gap-block table", width, g)
     return ints, g
-
-
-def _table_refusal(v: Dyadic, totals: list[tuple[int, int]], g: int, width: int) -> NoReturn:
-    """Refuse a table whose value or block total needs `width` bits on the
-    grid 2^g: the Dyadic loop runs on from v over the block totals m*2^e, so
-    that a sum too wide on its own grid words the refusal; if every sum fits
-    there, the common grid does."""
-    for m, e in totals:
-        v = v + Dyadic(m, e)
-    raise GuardExceeded(f"gap-block table on the grid 2^{g} would need {width} bits (guard {span_guard()})")
 
 
 @dataclass(frozen=True)
@@ -367,10 +336,6 @@ def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIn
     return floor_sum(n, p, a0, s) - floor_sum(n, p, a0 - w - 1, s)
 
 
-def _grid_error(width: int, e: int) -> GuardExceeded:
-    return GuardExceeded(f"aligned run on the grid 2^{e} would need {width} bits (guard {span_guard()})")
-
-
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
     """Exact sum of f(start + k*step) over k in [0, count).
 
@@ -402,7 +367,7 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     er = min(start.e, step.e)
     width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
     if width > guard:
-        raise _grid_error(width, er)
+        raise grid_error("aligned run", width, er)
     S, D = start.m << (start.e - er), step.m << (step.e - er)
     L = S + D * (count - 1)
     # a run that misses the interior of f's support adds 0: compare it with
@@ -420,7 +385,7 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
         e, drop = er, -k
     width = max(S.bit_length(), L.bit_length(), D.bit_length())
     if width > guard:
-        raise _grid_error(width, e)
+        raise grid_error("aligned run", width, e)
     # (`if drop`: shifting a wide int by 0 still copies it)
     first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
     end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
@@ -432,7 +397,7 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
         x0, x1 = (X[i] << drop, X[i + 1] << drop) if drop else (X[i], X[i + 1])
         width = max(x0.bit_length(), x1.bit_length())
         if width > guard:
-            raise _grid_error(width, e)
+            raise grid_error("aligned run", width, e)
         # the knots relative to the start: small even where the grid is wide
         r0, r1 = x0 - S, x1 - S
         k_lo = max(0, -(-r0 // D))  # ceil(r0/D)

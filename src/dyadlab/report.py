@@ -44,8 +44,7 @@ class WitnessReport:
 
 
 def write_reports(path: str, reports: Iterable[WitnessReport]) -> None:
-    """Write reports sorted by claim key, byte-stable for a fixed input."""
-    items = sorted(reports, key=lambda r: r.claim)
-    text = json.dumps([r.to_json_dict() for r in items], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Write reports in the order given (sorted by claim key by the caller)."""
+    text = json.dumps([r.to_json_dict() for r in reports], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, takewhile
 from math import gcd
-from typing import Iterator, NoReturn, Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import (
     Dyadic,
@@ -20,6 +20,7 @@ from .exactnum import (
     GuardExceeded,
     IntervalUnion,
     ZERO,
+    grid_error,
     scaled_ints,
     span_guard,
 )
@@ -155,18 +156,14 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
     a - bI = 2^s - J*2^-j; its wide block, (2^s - 1)*2^-3s times
     2^(2s-j) + 2^(s+1), ends 2^-(2s+1)*(2^s - 1)(2^(s-j+1) + 4) further on;
     and the half block's count is the rest up to a' - bI' in units of its gap
-    2^-(2s+1), which must be positive (Violation otherwise).  Every value the
-    step's Dyadic sums met is a multiple of 2^-3s below 2^(s'+1), s' the next
-    scale; where s' + 3s + 1 passes the span guard, `_step_sums` runs those
-    sums first, so that one too wide words the refusal.
+    2^-(2s+1), which must be positive (Violation otherwise).  The table of
+    `GapBlockSeq` checks every value, a - bI at `limit` included, against the span guard.
     """
     first = IndexJK(1, 0)
     blocks: list[GapBlock] = []
     for i in steps_before(limit):
         nxt, s, j = i.successor(), i.scale_exp(), i.j
         s1, r = nxt.scale_exp(), 2 * s + 1
-        if s1 + 3 * s + 1 > span_guard():
-            _step_sums(i)
         rest = ((1 << s1) - (1 << s) << r) - (nxt.J << r - nxt.j) + (i.J << r - j)
         half = rest - ((1 << s) - 1) * ((1 << s - j + 1) + 4)
         if half <= 0:
@@ -174,15 +171,6 @@ def build_universal(limit: IndexJK) -> GapBlockSeq:
         blocks.append(GapBlock(Dyadic((1 << s) - 1, -3 * s), (1 << 2 * s - j) + (1 << s + 1), f"{j},{i.k}:wide"))
         blocks.append(GapBlock(Dyadic(1, -r), half, f"{j},{i.k}:half"))
     return GapBlockSeq(first.a - first.bI, blocks)
-
-
-def _step_sums(i: IndexJK) -> None:
-    """Step i's Dyadic sums in the order the build did them before it went to
-    ints: the wide gap, the wide block's end, the next start and the half
-    block's span.  Each raises GuardExceeded if too wide for the span guard."""
-    comb, nxt, s = i.comb, i.successor(), i.scale_exp()
-    lam = i.a - i.bI + (comb.period - comb.width) * ((1 << 2 * s - i.j) + (1 << s + 1))
-    nxt.a - nxt.bI - lam
 
 
 def check_lemma_useful(i: IndexJK) -> WitnessReport:
@@ -242,7 +230,9 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     i's wide block (gap G from index n0 at value v0, as `start_pair` reads it),
     once the span guard admits their widths: nx = n0 + 1 + floor((a - x - v0)/G)
     is the first translate past the comb base a, and the overshoot in comb
-    widths advances it.  `_covering_failure` refuses what leaves the block or misses the comb.
+    widths advances it.  IndexError when nx is past the prefix; Violation
+    when the overshoot exceeds one wide gap, the landing misses the comb or
+    the witness leaves the block (read as extended past its end).
     """
     n0, n1 = step_indices(seq, i)
     t = 2 * i.position()
@@ -250,7 +240,7 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     g = min(x.e, ve, G.e, -3 * s)  # zero has exponent 0 > -3s
     width = max(s + 1, x.m.bit_length() + x.e, vm.bit_length() + ve, G.m.bit_length() + G.e) - g
     if width > span_guard():
-        raise GuardExceeded(f"covering witness at {i} needs {width} bits on the grid 2^{g} (guard {span_guard()})")
+        raise grid_error(f"covering witness at {i}", width, g)
     X, V0, W = x.m << x.e - g, vm << ve - g, G.m << G.e - g
     A, E2, E3 = 1 << s - g, 1 << -2 * s - g, 1 << -3 * s - g
     J, u = i.J, -i.j - g  # bI = J*2^-j = J << u
@@ -262,26 +252,15 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     nx, over = n0 + 1 + q, W - r  # the first translate past a, and x + v(nx) - a in (0, G]
     comp = over // E3
     land = over + W * comp  # landing - a
-    if nx + comp > n1 or over > E2 - E3 or land >= E2 << s or land % E2 > E3:
-        _covering_failure(x, i, seq, n1)
-    return CoverWitness(nx, nx + comp, Dyadic(A + land, g), comp)
-
-
-def _covering_failure(x: Dyadic, i: IndexJK, seq: GapBlockSeq, n1: int) -> NoReturn:
-    """Raise the first check that a witness leaving step i's wide block or
-    missing its comb fails, worded from the general `seq` methods."""
-    a, E2, E3 = i.a, Dyadic(1, -2 * i.scale_exp()), Dyadic(1, -3 * i.scale_exp())
-    nx = seq.count_upto(a - x)
     if nx >= seq.total_count:
         raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
-    overshoot = x + seq.value_at(nx) - a
-    if overshoot > E2 - E3:
-        raise Violation(f"overshoot {overshoot} exceeds one wide gap at {i}")
-    comp = overshoot // E3
-    landing = x + seq.value_at(nx + comp)
-    if not i.comb.contains(landing):
-        raise Violation(f"landing {landing} missed component {comp} at {i}")
-    raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {i}")
+    if over > E2 - E3:
+        raise Violation(f"overshoot {Dyadic(over, g)} exceeds one wide gap at {i}")
+    if land >= E2 << s or land % E2 > E3:
+        raise Violation(f"landing {Dyadic(A + land, g)} missed component {comp} at {i}")
+    if nx + comp > n1:
+        raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {i}")
+    return CoverWitness(nx, nx + comp, Dyadic(A + land, g), comp)
 
 
 def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIntervalSet]]:

@@ -70,8 +70,9 @@ def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
 def cum_values_dyadic(origin: Dyadic, blocks: Iterable[GapBlock]) -> list[Dyadic]:
     """The values v_b = v_{b-1} + gap*count the blocks reach from the
     origin, summed in Dyadic arithmetic: each sum checks the span guard on
-    its own operands.  `GapBlockSeq`'s int table must hold the same values
-    and refuse with the same message."""
+    its own operands.  `GapBlockSeq`'s int table must hold the same values,
+    and refuse wherever a sum here does: it checks every term and value on
+    the common grid, no coarser than any sum's own."""
     v, out = origin, []
     for b in blocks:
         v = v + b.gap * b.count
@@ -84,7 +85,8 @@ def build_universal_dyadic(limit: IndexJK) -> GapBlockSeq:
     the running value lam gains each wide block's gap*count, and the half
     block's count is the rest up to the next start a' - bI', divided by its
     gap.  `universal.build_universal`'s closed forms in ints must give the
-    same blocks and refuse with the same message."""
+    same blocks, and raise GuardExceeded at the same span guards: there the
+    prefix's int table refuses, its last value a' - bI' included."""
     first = IndexJK(1, 0)
     origin = first.a - first.bI
     blocks: list[GapBlock] = []
@@ -130,7 +132,8 @@ def check_integrality_dyadic(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
 def sample_in_dyadic(rng, lo: Dyadic, hi: Dyadic) -> Dyadic:
     """lo + (hi - lo)*r*2^-48 for one draw r = rng.getrandbits(48), in Dyadic
     arithmetic; `cli._sample_in` must draw the same r and return the same
-    value, or refuse with the same message."""
+    value, or raise GuardExceeded, as it does wherever an operand may pass
+    the span guard on the grid of the result, so wherever a sum here does."""
     return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
 
 
@@ -190,8 +193,11 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     """The translate index carrying x into the comb at index i, in Dyadic
     arithmetic over the whole prefix: nx by `seq.count_upto(a - x)`, then
     advanced by the floor of the overshoot measured in comb widths.  The
-    integer kernel `universal.covering_witness` must return the same witness
-    and raise the same exception type and message."""
+    integer kernel `universal.covering_witness` must return the same witness.
+    Past step i's wide block it checks that block extended, so where a
+    witness leaves the block its refusal may name another check than this,
+    and on a prefix cut short inside the block it raises Violation where
+    this raises IndexError; the covering suite reports either as a FAIL."""
     n0, n1 = step_indices(seq, i)
     window = i.window
     if not window.contains(x):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
-from dyadlab.exactnum import Dyadic, GuardExceeded, set_span_guard, span_guard
+from dyadlab.exactnum import ONE, ZERO, Dyadic, GuardExceeded, PiecewiseLinear, set_span_guard, span_guard
 from oracles import cum_values_dyadic, sample_in_dyadic, seq_from_json_checked
 
 
@@ -321,13 +322,30 @@ class TestVerify:
         assert stderr.startswith("guard: decade 19 fine block count needs 1048578 bits")
 
     @pytest.mark.parametrize("command", ["verify", "construct", "eval"])
-    def test_wide_guard_operand_prints_by_width(self, capsys, tmp_path, command):
-        # at jmax 18 every count fits a 524293-bit guard, but the last
-        # decade's end value 178 + (2^524289 - 1)*2^-524288 does not
+    def test_wide_table_is_refused_in_one_line(self, capsys, tmp_path, command):
+        # at jmax 18 every count fits a 524293-bit guard, but the table's
+        # grid 2^-524288, set by the last decade's fine total, does not hold 178
         code, stdout, stderr = run(capsys, "--span-guard", "524293", *self._thm33_argv(command, "18", tmp_path))
         assert code == EXIT_SKIP and stdout == ""
+        assert stderr == "guard: gap-block table needs 524296 bits on the grid 2^-524288 (guard 524293)\n"
+
+    def test_wide_guard_operand_prints_by_width(self, capsys, tmp_path):
+        # the table of this artifact, on the grid 2^0, fits a 5020-bit guard;
+        # the series suite's Dyadic sum of a sample x on the grid 2^-49 and
+        # the first point 2^5000 + 16 does not, and that point's 4997-bit
+        # mantissa is printed by its width
+        data = {"origin": "15*2^0", "blocks": [
+            {"gap": f"{2**5000 + 1}*2^0", "count": "1", "tag": "1,0:wide"},
+            {"gap": "1*2^0", "count": "1", "tag": "1,0:half"},
+        ]}
+        art = tmp_path / "wide.json"
+        art.write_text(json.dumps(data))
+        argv = ["verify", "universal", "--suite", "series", "--limit", "1,1", "--samples", "1", "--seq", str(art)]
+        code, stdout, stderr = run(capsys, "--span-guard", "5020", *argv)
+        assert code == EXIT_SKIP and stdout == ""
         assert len(stderr.splitlines()) == 1 and len(stderr) < 1024
-        assert stderr == "guard: aligned mantissa would need 524296 bits (guard 524293): 89*2^1 + <524289-bit mantissa>*2^-524288\n"
+        assert stderr.startswith("guard: aligned mantissa would need 5050 bits (guard 5020): ")
+        assert stderr.endswith(" + <4997-bit mantissa>*2^4\n")
 
     def test_help_still_prints_usage(self, capsys):
         code, stdout, stderr = run(capsys, "verify", "thm33", "--help")
@@ -648,17 +666,21 @@ def test_fuzzed_artifact_exits_cleanly(data):
 @pytest.mark.parametrize("gaps", [("1*2^99999999999", "1*2^-99999999999"), ("1*2^-99999999999", "1*2^99999999999")])
 def test_gaps_far_apart_are_refused_before_any_wide_int(capsys, tmp_path, gaps):
     # the block totals lie ~2*10^11 bits apart: the loader checks their widths
-    # on the common grid before shifting any int, and the Dyadic sum that
-    # does not fit words the one-line refusal
+    # on the common grid before shifting any int and refuses in one line,
+    # where the Dyadic loop refuses too
     data = _far_gaps(*gaps)
     art = tmp_path / "far.json"
     art.write_text(json.dumps(data))
     blocks = [lattice.GapBlock(Dyadic.parse(b["gap"]), int(b["count"])) for b in data["blocks"]]
-    with pytest.raises(GuardExceeded) as exc:
+    with pytest.raises(GuardExceeded):
         cum_values_dyadic(Dyadic(15), blocks)
+    terms = [Dyadic(15)] + [b.gap * b.count for b in blocks]
+    g = min(t.e for t in terms)
+    width = max(t.m.bit_length() + t.e for t in terms) - g
+    line = f"guard: gap-block table needs {width} bits on the grid 2^{g} (guard {span_guard()})\n"
     for suite in ("integrality", "covering", "escape", "gaps"):
         code, stdout, stderr = run(capsys, "verify", "universal", "--suite", suite, "--limit", "1,1", "--seq", str(art))
-        assert (code, stdout, stderr) == (EXIT_SKIP, "", f"guard: {exc.value}\n"), suite
+        assert (code, stdout, stderr) == (EXIT_SKIP, "", line), suite
 
 
 def _loaded_or_refusal(load, data):
@@ -714,18 +736,54 @@ _DYADICS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_DYADICS, _DYADICS, st.sampled_from([64, 65, 80, 100, 130, 200, 1 << 20]), st.integers(0, 2**32))
 def test_sample_in_matches_the_dyadic_form(lo, hi, guard, seed):
-    # the same draw and the same value, or the same refusal, at any guard
+    # the same draw and the same value, or GuardExceeded: exactly when an
+    # operand may need more than the guard's bits on the grid 2^(e-48), e
+    # the finer exponent of lo and hi, and so wherever the Dyadic form refuses
+    e = min(lo.e, hi.e)
+    width = max(lo.m.bit_length() + lo.e, hi.m.bit_length() + hi.e) + 49 - e
     outcomes = []
     for sample in (cli._sample_in, sample_in_dyadic):
         rng = random.Random(seed)
         old = set_span_guard(guard)
         try:
             outcomes.append((sample(rng, lo, hi), rng.getstate()))
-        except GuardExceeded as exc:
-            outcomes.append((str(exc), rng.getstate()))
+        except GuardExceeded:
+            outcomes.append(GuardExceeded)
         finally:
             set_span_guard(old)
-    assert outcomes[0] == outcomes[1]
+    got, want = outcomes
+    assert got == (GuardExceeded if width > guard else want)
+
+
+_U11 = uv.build_universal(uv.IndexJK(1, 1))
+_FAR_ORIGIN_U11 = lattice.GapBlockSeq(Dyadic(1, 60), _U11.blocks)
+_HAT = PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)])
+
+
+@pytest.mark.parametrize(
+    "what, refused",
+    [
+        # the origin 2^80 needs 88 bits on the grid 2^-7 of (1,0)'s wide total
+        ("gap-block table", lambda: lattice.GapBlockSeq(Dyadic(1, 80), _U11.blocks)),
+        # the run 2^2000, 2^2000 + 1 needs 2001 bits on its own grid
+        ("aligned run", lambda: lattice.sum_pl_over_ap(_HAT, Dyadic(1, 2000), ONE, 2)),
+        # x = 1 and E^3 = 2^-12 fit on the grid 2^-12, the far origin 2^60 (v0) does not
+        ("covering witness at (1,0)", lambda: uv.covering_witness(ONE, uv.IndexJK(1, 0), _FAR_ORIGIN_U11)),
+        # 2^20 beside 2^-60 needs 21 + 48 + 61 bits on the grid 2^-108
+        ("sampled point", lambda: cli._sample_in(random.Random(0), Dyadic(1, -60), Dyadic(1, 20))),
+    ],
+    ids=["table", "run", "witness", "sample"],
+)
+def test_every_int_kernel_refusal_has_one_shape(what, refused):
+    old = set_span_guard(64)
+    try:
+        with pytest.raises(GuardExceeded) as exc:
+            refused()
+    finally:
+        set_span_guard(old)
+    shape = re.fullmatch(r"(.+) needs (\d+) bits on the grid 2\^(-?\d+) \(guard (\d+)\)", str(exc.value))
+    assert shape, str(exc.value)
+    assert shape[1] == what and int(shape[2]) > int(shape[4]) == 64
 
 
 def test_artifact_loads_equal_to_the_build_at_every_block_start(capsys, tmp_path):
@@ -886,7 +944,7 @@ def test_span_guard_override_moves_the_refusal(capsys):
 
 
 _COVERING_GUARDS = [
-    ("64", EXIT_SKIP, "guard: aligned mantissa would need 65 bits (guard 64): 8388607*2^-1 + 2199026925567*2^-43"),
+    ("64", EXIT_SKIP, "guard: gap-block table needs 89 bits on the grid 2^-59 (guard 64)"),
     ("100", EXIT_SKIP, "guard: covering witness at (2,9) needs 101 bits on the grid 2^-75 (guard 100)"),
     ("130", EXIT_PASS, None),
 ]
@@ -894,7 +952,7 @@ _COVERING_GUARDS = [
 
 @pytest.mark.parametrize("bits, code, guard_line", _COVERING_GUARDS)
 def test_covering_witness_meets_the_span_guard(capsys, bits, code, guard_line):
-    # the comb end of (2,15) needs 63 bits: a 64-bit guard refuses the build,
+    # the comb end of (2,15) needs 63 bits: a 64-bit guard refuses the build's table,
     # 100 bits the witness of (2,9) on its grid 2^-75 (aligned before any int
     # is formed), and 130 bits leave room for every step through (2,14)
     got, stdout, stderr = run(
@@ -910,7 +968,7 @@ def test_covering_witness_meets_the_span_guard(capsys, bits, code, guard_line):
 @pytest.mark.parametrize("bits, code, guard_line", _COVERING_GUARDS)
 def test_covering_witness_meets_the_span_guard_on_an_artifact(capsys, tmp_path, bits, code, guard_line):
     # the same lines from a (2,15) artifact written at the default guard: at
-    # 64 bits loading its table meets the sum the build met, at 100 bits the
+    # 64 bits loading its table meets the check the build met, at 100 bits the
     # witness of (2,9) reads v0 off the table with the exponent the build had
     art = tmp_path / "u215.json"
     assert run(capsys, "construct", "universal", "--limit", "2,15", "--out", str(art))[0] == EXIT_PASS
@@ -921,6 +979,20 @@ def test_covering_witness_meets_the_span_guard_on_an_artifact(capsys, tmp_path, 
         assert stdout == "" and stderr.splitlines() == [guard_line]
     else:
         assert stderr == "" and stdout.endswith("19 claims, 0 failures\n")
+
+
+@pytest.mark.parametrize("limit, bits", [("2,15", "90"), ("3,5", "155")])
+def test_an_artifact_refuses_at_the_guard_its_build_refuses(capsys, tmp_path, limit, bits):
+    # at these guards only the prefix's last value, the start of `limit`,
+    # is too wide for the table's grid: loading the artifact for the
+    # integrality suite meets the same table check as the build
+    art = tmp_path / "u.json"
+    assert run(capsys, "construct", "universal", "--limit", limit, "--out", str(art))[0] == EXIT_PASS
+    built = run(capsys, "--span-guard", bits, "construct", "universal", "--limit", limit, "--out", str(tmp_path / "x.json"))
+    argv = ["verify", "universal", "--suite", "integrality", "--limit", limit, "--seq", str(art)]
+    loaded = run(capsys, "--span-guard", bits, *argv)
+    assert loaded == built
+    assert loaded[0] == EXIT_SKIP and loaded[2].startswith("guard: gap-block table needs ") and len(loaded[2].splitlines()) == 1
 
 
 @pytest.mark.parametrize(

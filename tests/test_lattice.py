@@ -184,30 +184,34 @@ def test_block_start_is_the_point_before_the_block(seq):
             seq.block_start(b)
 
 
-def _table_or_refusal(make) -> list[Dyadic] | str:
-    try:
-        return make()
-    except GuardExceeded as exc:
-        return str(exc)
-
-
 def _assert_table_matches_the_dyadic_loop(origin: Dyadic, blocks: list[GapBlock], guard: int) -> None:
-    """The int table holds the values the Dyadic loop reaches and refuses
-    with its message.  Where every Dyadic sum fits its own grid but some value
-    does not fit the common one, the table alone refuses, naming that grid."""
+    """The int table holds the values the Dyadic loop reaches, and refuses
+    exactly when the origin, a block total or a value reached (the last
+    included) needs more than `guard` bits on the common grid 2^g, g the
+    least exponent of the origin and the totals.  Each Dyadic sum checks
+    its operands on its own grid, no finer than 2^g, so wherever the loop
+    refuses, the table does too."""
+    values = cum_values_dyadic(origin, blocks)
+    terms = [t for t in [origin, *(b.gap * b.count for b in blocks)] if t]
+    g = min((t.e for t in terms), default=0)
+    needed = max((t.m.bit_length() + t.e - g for t in terms + values if t), default=0)
     old = set_span_guard(guard)
     try:
-        got = _table_or_refusal(lambda: [GapBlockSeq(origin, blocks).block_start(b + 1)[1] for b in range(len(blocks))])
-        want = _table_or_refusal(lambda: cum_values_dyadic(origin, blocks))
+        try:
+            got = [GapBlockSeq(origin, blocks).block_start(b + 1)[1] for b in range(len(blocks))]
+        except GuardExceeded:
+            got = GuardExceeded
+        try:
+            want = cum_values_dyadic(origin, blocks)
+        except GuardExceeded:
+            want = GuardExceeded
     finally:
         set_span_guard(old)
-    if isinstance(got, str) and not isinstance(want, str):
-        totals = [origin] * bool(origin) + [b.gap * b.count for b in blocks]
-        g = min(t.e for t in totals)
-        assert max(t.m.bit_length() + t.e - g for t in totals) > guard
-        assert got.startswith(f"gap-block table on the grid 2^{g} would need ")
+    assert got == (GuardExceeded if needed > guard else values)
+    if want is GuardExceeded:
+        assert got is GuardExceeded
     else:
-        assert got == want
+        assert want == values
 
 
 @given(spread_origins, spread_blocks, st.integers(64, 220))
@@ -238,7 +242,7 @@ def test_values_too_far_apart_for_one_grid_are_refused():
     assert cum_values_dyadic(Dyadic(-1, K), blocks) == [ZERO, Dyadic(1, -K)]
     with pytest.raises(GuardExceeded) as exc:
         GapBlockSeq(Dyadic(-1, K), blocks)
-    assert str(exc.value) == f"gap-block table on the grid 2^-{K} would need {2 * K + 1} bits (guard {span_guard()})"
+    assert str(exc.value) == f"gap-block table needs {2 * K + 1} bits on the grid 2^-{K} (guard {span_guard()})"
     _assert_table_matches_the_dyadic_loop(Dyadic(-1, K), blocks, span_guard())
 
 
