@@ -259,7 +259,9 @@ def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
 
 def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     """Summability skeleton for the coarse family: the per-tent contributions
-    beyond max(10, ceil|x|) stay under the geometric bound, term by term."""
+    beyond max(10, ceil|x|) stay under the geometric bound, term by term.
+    Through jmax 10 no tent lies beyond that cutoff, and the report is
+    informational."""
     jmax = cons.jmax
     mx = max(LAMBDA2_MIN_J, abs(x).ceil())
     # the coarse windows are disjoint and sorted: shift them once, and sum
@@ -295,6 +297,7 @@ def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
             "head": str(head),
             "total": str(head + tail_actual),
             "unbuilt_tail_majorant": str(Dyadic(1, -jmax)),
+            **({"informational": True} if jmax <= LAMBDA2_MIN_J else {}),
         },
         lhs=str(tail_actual),
         rhs=str(tail_bound),

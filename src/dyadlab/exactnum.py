@@ -308,13 +308,6 @@ class Dyadic:
                 return NotImplemented
         return self.m == other.m and self.e == other.e
 
-    def __ne__(self, other) -> bool:
-        if type(other) is not Dyadic:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.m != other.m or self.e != other.e
-
     def __lt__(self, other) -> bool:
         if type(other) is not Dyadic:
             other = _coerce(other)

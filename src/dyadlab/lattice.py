@@ -247,12 +247,6 @@ class PeriodicIntervalSet:
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
-    def contains(self, x: Dyadic) -> bool:
-        if x < self.base:
-            return False
-        i, r = divmod(x - self.base, self.period)
-        return i < self.count and r <= self.width
-
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a + b*i)/m) for i in [0, n); m > 0, a and b arbitrary.

@@ -10,7 +10,7 @@ that must be integers, and any remainder is a construction bug, not noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, takewhile
+from itertools import accumulate
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -34,7 +34,7 @@ from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport
 ESCAPE_BUDGET = 4_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class IndexJK:
     """Lexicographic index (j, k) with j >= 1 and 0 <= k < 2j*2^j; it fixes
     its step's window [j - (k+1)2^-j, j - k*2^-j] and scale s = 2j*2^j + k."""
@@ -116,20 +116,20 @@ def require_span(limit: IndexJK) -> None:
     raise GuardExceeded(f"limit {limit}: b = 2^s + 2^-s needs {need} bits (guard {guard})")
 
 
-def indices_through(limit: IndexJK) -> Iterator[IndexJK]:
-    """All indices from (1,0) through `limit`, inclusive."""
-    i = IndexJK(1, 0)
-    while True:
-        yield i
-        if i == limit:
-            return
-        i = i.successor()
-
-
 def steps_before(limit: IndexJK) -> Iterator[IndexJK]:
     """Indices whose full step the prefix `build_universal(limit)` carries:
-    all of `indices_through(limit)` except `limit` itself."""
-    return takewhile(lambda i: i != limit, indices_through(limit))
+    every index before `limit`, row by row."""
+    for j in range(1, limit.j):
+        for k in range(row_width(j)):
+            yield IndexJK(j, k)
+    for k in range(limit.k):
+        yield IndexJK(limit.j, k)
+
+
+def indices_through(limit: IndexJK) -> Iterator[IndexJK]:
+    """All indices from (1,0) through `limit`, inclusive."""
+    yield from steps_before(limit)
+    yield limit
 
 
 def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:

@@ -144,6 +144,14 @@ def components(ps: PeriodicIntervalSet) -> Iterator[DyInterval]:
         yield DyInterval.closed(lo, lo + ps.width)
 
 
+def comb_contains(ps: PeriodicIntervalSet, x: Dyadic) -> bool:
+    """Whether x lies in one of the closed intervals of `ps`, by one divmod."""
+    if x < ps.base:
+        return False
+    i, r = divmod(x - ps.base, ps.period)
+    return i < ps.count and r <= ps.width
+
+
 def total_length(parts: Iterable[DyInterval]) -> Dyadic:
     """Sum of part lengths: the measure of a union whose parts do not overlap."""
     return sum((p.hi - p.lo for p in parts), ZERO)
@@ -217,7 +225,7 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     comp, _ = divmod(overshoot, E3)
     nxp = nx + comp
     landing = x + seq.value_at(nxp)
-    if not (0 <= comp < comb.count and comb.contains(landing)):
+    if not (0 <= comp < comb.count and comb_contains(comb, landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
     if not (nx <= n1 and nxp <= n1):
         raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")

@@ -23,6 +23,7 @@ from dyadlab import dense_divergence as dd
 from dyadlab import interior_gap as ig
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_PASS, main
+from oracles import comb_contains
 
 _T0 = time.monotonic()
 
@@ -91,7 +92,7 @@ def test_criterion_4_covering(seq_3_0):
                 total += 1
                 try:
                     w = uv.covering_witness(x, i, seq_3_0)
-                    if not (ps.contains(w.landing) and w.nx <= n1 and w.nxp <= n1):
+                    if not (comb_contains(ps, w.landing) and w.nx <= n1 and w.nxp <= n1):
                         failures += 1
                 except (uv.Violation, IndexError):
                     failures += 1

@@ -126,6 +126,7 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "universal", "--suite", "escape", "--limit", "2,0")
         assert code == EXIT_SKIP
         assert "PASS escape-measure/1,3 " in stdout
+        assert "SKIP escape-measure/1,0 lhs= rhs=\n" in stdout
         assert stdout.endswith("5 claims, 0 failures, 3 skipped\n")
 
     def test_escape_verifies_all_of_row_2(self, capsys):
@@ -453,9 +454,9 @@ _SMALLEST_SIZES = {
     ids=lambda v: "=".join(v) if isinstance(v, tuple) else v,
 )
 def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, size):
-    """thm31 cross and density assert no claim below j = 10, so they exit 3."""
+    """thm31 cross, density and tail assert no claim through j = 10, so they exit 3."""
     code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, *size, "--samples", "2")
-    if (construction, suite) in {("thm31", "cross"), ("thm31", "density")}:
+    if (construction, suite) in {("thm31", "cross"), ("thm31", "density"), ("thm31", "tail")}:
         assert code == EXIT_SKIP and stdout.endswith(", no claim asserted\n"), stdout
     else:
         assert code == EXIT_PASS, stdout
@@ -467,6 +468,7 @@ def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, s
     [
         ["thm31", "--suite", "cross", "--jmax", "9"],
         ["thm31", "--suite", "density", "--jmax", "1"],
+        ["thm31", "--suite", "tail", "--jmax", "10", "--samples", "3"],
         ["thm33", "--suite", "converge", "--samples", "0"],
         ["universal", "--suite", "covering", "--limit", "1,3", "--samples", "0"],
         ["thm33", "--suite", "probe", "--samples", "0"],
@@ -478,6 +480,7 @@ def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):
     code, stdout, stderr = run(capsys, "verify", *argv)
     assert code == EXIT_SKIP and stderr == ""
     assert "FAIL" not in stdout and stdout.endswith(" 0 failures, no claim asserted\n"), stdout
+    assert "PASS " not in stdout, "an informational report prints INFO"
 
 
 def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch):

@@ -229,7 +229,8 @@ def _report_bytes(rep) -> str:
 
 class TestShiftInvariantDecadeSums:
     def test_every_decade_certified_over_4_5(self):
-        for jmax in range(1, 13):
+        """Every size the default guard builds: jmax 19 is refused at the build."""
+        for jmax in range(1, 19):
             got = shift_invariant_decade_sums(build_thm33(jmax), Dyadic(4), Dyadic(5))
             assert got == [Dyadic(5, -(2**j + 2)) for j in range(1, jmax + 1)]
 

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from dyadlab import interior_gap as ig
-from dyadlab.cli import main
+from dyadlab.cli import EXIT_FAIL, main
 
 G_THM31 = ["(-4*2^0,4*2^0)"]
 
@@ -57,7 +57,7 @@ EXPECTED = {
     "eval-thm31-shared": (0, "03135725359960bc13b71fe20ee1e616a8bc0b706610a49c9fb7c2e61287a576"),
     "eval-thm33": (0, "d5f5d235ad405889c8104b7d977926c229eae10a783f6ef2dc91b7a85f7ec65f"),
     "eval-universal": (0, "c90cfb48d950823b7f9c4dbe910c28754ff854fb4b894a85a0d0a6b8c607b194"),
-    "verify-thm31-cross": (0, "1376755424eb2be99f2c08d45a83b238ea22a3f7e24ee52cae05256763a478f0"),
+    "verify-thm31-cross": (0, "ffee79d96d9241711f70ca2d794cbf4add6723160a72d04e73920a82428dd69b"),
     "verify-thm31-density": (0, "9134cc9fa9a98c1a697f3b5151c4e7e4840300e98e725a5612a4ec9c36c7cd6a"),
     "verify-thm31-lower": (0, "a6673e9c0b91e6479b031c5fd9c4131351f5d371875f16c0c1f1d5ab25af1070"),
     "verify-thm31-outside": (0, "f793974b4098e6fe6d80a1d4e0190574ab88457d212c03c7eec54fceee032767"),
@@ -97,11 +97,22 @@ def test_output_bytes(name, tmp_path, capsys):
     assert run_case(name, tmp_path, capsys) == EXPECTED[name]
 
 
-def test_converge_without_a_certified_table_sums_each_sample_at_x(tmp_path, capsys, monkeypatch):
-    """If [4,5] fails to certify, every sample sums its own decades, and the
-    bytes are the pinned ones."""
-    real, calls = ig.decade_sums, []
+def test_converge_whose_table_fails_to_certify_is_a_violation(tmp_path, capsys, monkeypatch):
+    """If [4,5] fails to certify, the run stops with one stderr line, exit 1
+    and no report: there is no second path."""
     monkeypatch.setattr(ig, "shift_invariant_decade_sums", lambda *a: None)
-    monkeypatch.setattr(ig, "decade_sums", lambda *a: calls.append(a) or real(*a))
+    out = tmp_path / "out"
+    code = main(["verify", "thm33", "--suite", "converge", "--jmax", "4", "--report", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_FAIL and captured.out == "" and not out.exists()
+    assert captured.err.startswith("claim violation: ") and len(captured.err.splitlines()) == 1
+
+
+def test_converge_reads_the_certified_table_alone(tmp_path, capsys, monkeypatch):
+    """converge never sums the decades at a sample's own x."""
+
+    def per_x(*a):
+        raise AssertionError("decade_sums called")
+
+    monkeypatch.setattr(ig, "decade_sums", per_x)
     assert run_case("verify-thm33-converge", tmp_path, capsys) == EXPECTED["verify-thm33-converge"]
-    assert len(calls) == 5

@@ -6,9 +6,14 @@ Code only tests reach belongs in `tests/` (enumeration oracles live in
 or an attribute anywhere in the package fails here, unless `KEEP` names it
 with its reason.
 
-The check is by name, not by binding: a method whose name collides with a
+That check is by name, not by binding: a method whose name collides with a
 name used elsewhere (for example `measure`, a local variable in
-`universal.py`) counts as used and is not caught.
+`universal.py`) counts as used and is not caught.  So a second check runs the
+command line: every `tests/test_report_bytes.py` case plus `RUNS` (the usage
+error, refusals and the merged open set those cases miss), in one fresh
+interpreter under `sys.setprofile`, and fails on any non-dunder `def`,
+nested ones included, that never ran and that `KEEP` does not name.  The
+interpreter is fresh because the parsers are built once per process.
 
 A parameter default earns its place only if `src/dyadlab` both relies on it
 and overrides it: some call there omits the parameter and some call passes
@@ -26,7 +31,13 @@ no module imports another's `_name`, and no `__all__` restates the surface.
 
 import ast
 import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from test_report_bytes import CASES, G_THM31
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dyadlab"
 
@@ -37,6 +48,34 @@ KEEP = {
     "main.argv": "tests and the benchmark pass it; the console script and `python -m dyadlab` read sys.argv",
     "escape_measure_bruteforce.budget": "the benchmark reads it",
 }
+
+# command lines the execution check runs beyond the report-bytes cases;
+# "{G2}" is an open set of three parts, two of which merge
+RUNS = [
+    ["eval", "thm31", "--jmaxes", "3", "--xs", "0", "--G", "{G2}"],
+    ["verify", "universal", "--suite", "lemma", "--limit", "x"],
+    ["--span-guard", "64", "eval", "thm33", "--jmaxes", "2", "--xs", "1*2^-100"],
+    ["--span-guard", "64", "eval", "thm31", "--jmaxes", "3", "--xs", "1*2^-100"],
+]
+
+# Runs each argv list read from stdin through `main`, output discarded, and
+# prints every code object called as [file, first line, name].
+_TRACE = """
+import contextlib, io, json, sys
+codes = {}
+
+def hook(frame, event, arg):
+    if event == "call":
+        codes[id(frame.f_code)] = frame.f_code
+
+sys.setprofile(hook)
+from dyadlab.cli import main
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+sys.setprofile(None)
+print(json.dumps([[c.co_filename, c.co_firstlineno, c.co_name] for c in codes.values()]))
+"""
 
 _CONSTRUCTION_BASE = {"exactnum", "report", "lattice"}
 LAYERS = {
@@ -231,3 +270,34 @@ def test_every_src_default_is_relied_on_and_overridden_in_src():
 def test_modules_import_only_their_layers():
     findings = _layer_findings(_trees())
     assert not findings, "\n".join(findings)
+
+
+def _ran(tmp_path) -> set[tuple[str, int, str]]:
+    """(file, first line, name) of every code object the corpus calls."""
+    (tmp_path / "g.json").write_text(json.dumps(G_THM31))
+    (tmp_path / "g2.json").write_text(json.dumps(["(0,1)", "[1,2)", "(5,6)"]))
+    paths = {"out": tmp_path / "out", "G": tmp_path / "g.json", "G2": tmp_path / "g2.json", "seq": tmp_path / "seq.json"}
+    corpus = [["construct", "universal", "--limit", "2,3", "--out", "{seq}"], *CASES.values(), *RUNS]
+    corpus = [[a.format(**paths) for a in argv] for argv in corpus]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE],
+        input=json.dumps(corpus),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        check=True,
+    )
+    return {tuple(code) for code in json.loads(proc.stdout)}
+
+
+def test_every_src_function_runs_under_the_command_line(tmp_path):
+    ran = _ran(tmp_path)
+    unrun = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_trees()[path.name]):
+            if not isinstance(node, _FUNCTION) or node.name in KEEP or (node.name.startswith("__") and node.name.endswith("__")):
+                continue
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            if (str(path), first, node.name) not in ran:
+                unrun.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unrun, f"no command runs: {unrun}"

@@ -34,7 +34,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import build_universal_dyadic, check_integrality_dyadic, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -102,6 +102,14 @@ class TestStepGeometry:
     def test_indices_from_sequence(self):
         seq = build_universal(IndexJK(1, 1))
         assert step_indices(seq, IndexJK(1, 0)) == (0, 160)
+
+    def test_row_walk_is_the_successor_chain(self):
+        chain = [IndexJK(1, 0)]
+        while chain[-1] != IndexJK(3, 5):  # across the ends of rows 1 and 2
+            chain.append(chain[-1].successor())
+        for n, limit in enumerate(chain):
+            assert list(indices_through(limit)) == chain[: n + 1]
+            assert [i.position() for i in steps_before(limit)] == list(range(n))
 
     def test_steps_before_stops_short_of_the_limit(self):
         assert list(steps_before(IndexJK(1, 0))) == []
@@ -312,7 +320,7 @@ class TestCoveringWitness:
         w = covering_witness(Dyadic(1), IndexJK(1, 0), seq11)
         assert w.nx == 1
         assert w.nxp == 16
-        assert IndexJK(1, 0).comb.contains(w.landing)
+        assert comb_contains(IndexJK(1, 0).comb, w.landing)
         assert w.component == 15
 
     def test_against_enumeration(self, seq11):
@@ -336,10 +344,10 @@ class TestCoveringWitness:
             nxp_brute = nx_brute + int(overshoot / e3)
             assert w.nxp == nxp_brute
             assert w.landing == x + pts[nxp_brute]
-            assert ps.contains(w.landing)
+            assert comb_contains(ps, w.landing)
             # the advanced index never lands before the first brute-force hit window
             first_hit = next(
-                n for n, v in enumerate(pts[nx_brute:], start=nx_brute) if ps.contains(x + v)
+                n for n, v in enumerate(pts[nx_brute:], start=nx_brute) if comb_contains(ps, x + v)
             )
             assert first_hit <= w.nxp
 
@@ -354,7 +362,7 @@ class TestCoveringWitness:
                 for _ in range(20):
                     x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(40), -40)
                     w = covering_witness(x, i, seq)
-                    assert ps.contains(w.landing)
+                    assert comb_contains(ps, w.landing)
                     assert w.nx <= n1 and w.nxp <= n1
 
     def test_out_of_interval(self, seq11):
@@ -543,12 +551,12 @@ class TestUGAndSeries:
         rng = random.Random(31415)
         for _ in range(25):
             x = Dyadic(rng.randint(-3000, 3000), -10)
-            brute = sum(1 for v in pts if any(ps.contains(x + v) for _, ps in uG))
+            brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
             assert fG_prefix_sums(x, uG, seq)[-1] == brute
         # targeted points that actually land: window points of (1,0) and (1,1)
         for xs in ("0.75", "0.5", "1", "0.25", "0"):
             x = dy(xs)
-            brute = sum(1 for v in pts if any(ps.contains(x + v) for _, ps in uG))
+            brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
             assert fG_prefix_sums(x, uG, seq)[-1] == brute
 
     def test_covering_implies_hit(self):
