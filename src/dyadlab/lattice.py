@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
-from .exactnum import Dyadic, DyInterval, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, scaled_ints, span_guard
+from .exactnum import Dyadic, DyInterval, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, span_guard
 from .report import WitnessReport
 
 
@@ -313,21 +313,51 @@ def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval
 
 
 def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:
-    """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion."""
-    if not step > ZERO:
+    """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion.
+
+    The work is done in plain ints on one grid 2^g, g the least exponent
+    among the nonzero values of start, step and the comb's base, period and
+    width.  Before any of them is shifted onto that grid, the span guard is
+    checked once against the widest of start, step, base, width and
+    period*count there, plus one bit for the carry of the clip end
+    base + period*count: GuardExceeded if that does not fit.  Points at or
+    beyond the clip end can alias into the residue window without any
+    component existing there, so only the k with base <= start + k*step <
+    base + period*count are counted: two ceiling divisions relative to the
+    start, clipped to [0, count), and 0 at once if none is left.  The rest
+    is two floor_sum calls.
+    """
+    if step.m <= 0:
         raise ValueError("step must be positive")
-    # clip to the span covered by full periods: points at or beyond
-    # base + count*period can alias into the residue window without any
-    # component existing there
-    clip = DyInterval(ps.base, ps.base + ps.period * ps.count, True, False)
-    k_lo, k_hi = _ap_index_range(start, step, clip)
-    k_lo, k_hi = max(0, k_lo), min(count - 1, k_hi)
+    base, period, width = ps.base, ps.period, ps.width
+    sm, se, dm, de, bm, be, wm, we = start.m, start.e, step.m, step.e, base.m, base.e, width.m, width.e
+    span = period.m * ps.count
+    # a zero value stands in as the step, so it moves neither g nor the widest
+    top = dm.bit_length() + de
+    g = min(de, period.e, se if sm else de, be if bm else de, we if wm else de)
+    bits = max(
+        top,
+        span.bit_length() + period.e,
+        sm.bit_length() + se if sm else top,
+        bm.bit_length() + be if bm else top,
+        wm.bit_length() + we if wm else top,
+    ) - g + 1
+    if bits > span_guard():
+        raise grid_error("comb count", bits, g)
+    S = sm << se - g if sm else 0
+    B = bm << be - g if bm else 0
+    D = dm << de - g
+    # k_lo = ceil((B - S)/D) and k_hi = ceil((B + P*count - S)/D) - 1, clipped to [0, count)
+    r = B - S - 1
+    k_lo = r // D + 1 if r >= 0 else 0
+    k_hi = min(count - 1, (r + (span << period.e - g)) // D)
     if k_hi < k_lo:
         return 0
-    n = k_hi - k_lo + 1
-    (a0, s, p, w), _ = scaled_ints((start + step * k_lo - ps.base, step, ps.period, ps.width))
-    # residue in [0, w]  <=>  floor(a/p) - floor((a - w - 1)/p) == 1
-    return floor_sum(n, p, a0, s) - floor_sum(n, p, a0 - w - 1, s)
+    n, a0 = k_hi - k_lo + 1, S + D * k_lo - B
+    P = period.m << period.e - g
+    W = wm << we - g if wm else 0
+    # residue in [0, W]  <=>  floor(a/P) - floor((a - W - 1)/P) == 1
+    return floor_sum(n, P, a0, D) - floor_sum(n, P, a0 - W - 1, D)
 
 
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:

@@ -230,9 +230,10 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     i's wide block (gap G from index n0 at value v0, as `start_pair` reads it),
     once the span guard admits their widths: nx = n0 + 1 + floor((a - x - v0)/G)
     is the first translate past the comb base a, and the overshoot in comb
-    widths advances it.  IndexError when nx is past the prefix; Violation
-    when the overshoot exceeds one wide gap, the landing misses the comb or
-    the witness leaves the block (read as extended past its end).
+    widths advances it.  Once nx is past the block, IndexError when the
+    whole prefix stays at or below a - x; Violation when the overshoot
+    exceeds one wide gap, the landing misses the comb or the witness leaves
+    the block (read as extended past its end).
     """
     n0, n1 = step_indices(seq, i)
     t = 2 * i.position()
@@ -252,8 +253,13 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     nx, over = n0 + 1 + q, W - r  # the first translate past a, and x + v(nx) - a in (0, G]
     comp = over // E3
     land = over + W * comp  # landing - a
-    if nx >= seq.total_count:
-        raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
+    if nx > n1:
+        # past the block, the prefix is too short when x + last_value <= a:
+        # compared on the grid 2^g, the last value's side rounded, so no int grows
+        lm, le = seq.start_pair(len(seq.blocks))
+        k = le - g
+        if (lm <= A - X >> k) if k >= 0 else (-(-lm >> -k) <= A - X):
+            raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
     if over > E2 - E3:
         raise Violation(f"overshoot {Dyadic(over, g)} exceeds one wide gap at {i}")
     if land >= E2 << s or land % E2 > E3:

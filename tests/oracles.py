@@ -9,8 +9,8 @@ from bisect import bisect_right
 from math import gcd
 from typing import Iterable, Iterator
 
-from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
+from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, floor_sum
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, step_indices, steps_before
 
@@ -152,6 +152,26 @@ def comb_contains(ps: PeriodicIntervalSet, x: Dyadic) -> bool:
     return i < ps.count and r <= ps.width
 
 
+def count_ap_in_periodic_dyadic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:
+    """#{k in [0, count) : start + k*step in ps} in Dyadic arithmetic: the
+    index range inside the clip [base, base + period*count) by two divmods,
+    then the residue test by two floor sums on `scaled_ints` of the first
+    point's offset, step, period and width.  The integer kernel
+    `lattice.count_ap_in_periodic` must return the same count."""
+    if not step > ZERO:
+        raise ValueError("step must be positive")
+    q, r = divmod(ps.base - start, step)
+    k_lo = max(0, q + 1 if r else q)
+    q, r = divmod(ps.base + ps.period * ps.count - start, step)
+    k_hi = min(count - 1, q if r else q - 1)
+    if k_hi < k_lo:
+        return 0
+    n = k_hi - k_lo + 1
+    (a0, s, p, w), _ = scaled_ints((start + step * k_lo - ps.base, step, ps.period, ps.width))
+    # residue in [0, w]  <=>  floor(a/p) - floor((a - w - 1)/p) == 1
+    return floor_sum(n, p, a0, s) - floor_sum(n, p, a0 - w - 1, s)
+
+
 def total_length(parts: Iterable[DyInterval]) -> Dyadic:
     """Sum of part lengths: the measure of a union whose parts do not overlap."""
     return sum((p.hi - p.lo for p in parts), ZERO)
@@ -204,8 +224,8 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     integer kernel `universal.covering_witness` must return the same witness.
     Past step i's wide block it checks that block extended, so where a
     witness leaves the block its refusal may name another check than this,
-    and on a prefix cut short inside the block it raises Violation where
-    this raises IndexError; the covering suite reports either as a FAIL."""
+    or be a Violation where this reads a landing index past a prefix cut
+    short and raises IndexError; the covering suite reports either as a FAIL."""
     n0, n1 = step_indices(seq, i)
     window = i.window
     if not window.contains(x):

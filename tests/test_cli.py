@@ -774,8 +774,10 @@ _HAT = PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)])
         ("covering witness at (1,0)", lambda: uv.covering_witness(ONE, uv.IndexJK(1, 0), _FAR_ORIGIN_U11)),
         # 2^20 beside 2^-60 needs 21 + 48 + 61 bits on the grid 2^-108
         ("sampled point", lambda: cli._sample_in(random.Random(0), Dyadic(1, -60), Dyadic(1, 20))),
+        # (2,15)'s comb, base 2^31 and width 2^-93, needs 126 bits on the grid 2^-93
+        ("comb count", lambda: lattice.count_ap_in_periodic(ONE, ONE, 1, uv.IndexJK(2, 15).comb)),
     ],
-    ids=["table", "run", "witness", "sample"],
+    ids=["table", "run", "witness", "sample", "comb"],
 )
 def test_every_int_kernel_refusal_has_one_shape(what, refused):
     old = set_span_guard(64)

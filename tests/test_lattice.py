@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dyadlab import exactnum
 from dyadlab.dense_divergence import build_thm31
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard, span_guard
 from dyadlab.interior_gap import build_thm33
@@ -20,8 +21,8 @@ from dyadlab.lattice import (
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
-from dyadlab.universal import IndexJK, build_universal
-from oracles import comb_contains, components, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
+from dyadlab.universal import IndexJK, build_universal, indices_through
+from oracles import comb_contains, components, count_ap_in_periodic_dyadic, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
 
 
 def dy(s: str) -> Dyadic:
@@ -400,6 +401,138 @@ class TestCountApInPeriodic:
                     ps.base * two, ps.period * two, ps.width * two, ps.count
                 )
                 assert count_ap_in_periodic(start * two, step * two, count, scaled) == got
+
+
+def _comb_count_width(start, step, ps):
+    """(width, g) as `count_ap_in_periodic` documents them: g the least
+    exponent among the nonzero values of start, step, base, period and
+    width, and the widest of start, step, base, width and period*count on
+    the grid 2^g, plus one bit for the carry of the clip end."""
+    terms = [(v.m, v.e) for v in (start, step, ps.base, ps.width) if v.m] + [(ps.period.m * ps.count, ps.period.e)]
+    g = min(e for _, e in terms)
+    return max(m.bit_length() + e for m, e in terms) - g + 1, g
+
+
+def _assert_comb_count_matches(case, want, guard) -> bool:
+    """Under `guard` the integer kernel refuses exactly when its documented
+    width does not fit, in the one refusal shape, and otherwise returns
+    `want`, the Dyadic oracle's count at the default guard; returns whether
+    it refused."""
+    start, step, _, ps = case
+    width, g = _comb_count_width(start, step, ps)
+    old = set_span_guard(guard)
+    try:
+        got = count_ap_in_periodic(*case)
+    except GuardExceeded as exc:
+        got = (GuardExceeded, str(exc))
+    finally:
+        set_span_guard(old)
+    if width > guard:
+        want = (GuardExceeded, f"comb count needs {width} bits on the grid 2^{g} (guard {guard})")
+    assert got == want, case
+    return width > guard
+
+
+@st.composite
+def comb_cases(draw):
+    """(start, step, count, comb) shaped like `TestCountApInPeriodic._random_case`,
+    with zero widths, starts on a component's edges (or one fine
+    unit off them), negative starts, counts whose last point straddles the
+    clip end, the whole case scaled by 2^shift, and the start alone moved by
+    2^skew so that the common grid is wider than the smallest guards."""
+    e = draw(st.integers(-6, 0))
+    period = Dyadic(draw(st.integers(2, 160)), e)
+    width = Dyadic(draw(st.integers(0, 1000)), e - 3)
+    while not width < period:
+        width = Dyadic(width.m // 2, width.e)
+    pcount = draw(st.integers(1, 40))
+    base = Dyadic(draw(st.integers(-400, 400)), e)
+    step = Dyadic(draw(st.integers(1, 250)), e - draw(st.integers(1, 3)))
+    where = draw(st.sampled_from(["any", "negative", "lo-edge", "hi-edge", "straddle"]))
+    if where == "any":
+        start = Dyadic(draw(st.integers(-3000, 3000)), e - 1)
+    elif where == "negative":
+        start = Dyadic(draw(st.integers(-(2**40), -1)), e - draw(st.integers(0, 8)))
+    else:
+        lo = base + period * draw(st.integers(0, pcount))
+        start = (lo + width if where == "hi-edge" else lo) + Dyadic(draw(st.integers(-1, 1)), e - 4)
+    count = draw(st.integers(0, 3000))
+    if where == "straddle":
+        # the last point lands within two steps of the clip end
+        count = max(0, (base + period * pcount - start) // step + draw(st.integers(-2, 2)))
+    shift, skew = draw(st.integers(-80, 80)), draw(st.sampled_from([0, 0, -120, -70, -40, 40, 70, 120]))
+    two = Dyadic(1, shift)
+    ps = PeriodicIntervalSet(base * two, period * two, width * two, pcount)
+    return Dyadic(start.m, start.e + shift + skew), step * two, count, ps
+
+
+@given(comb_cases(), st.sampled_from([64, 65, 80, 100, 128, 1 << 20]))
+@settings(max_examples=600, deadline=None)
+# the start one unit below the base, with width = period - 1: that point's
+# residue is in the window, but it lies before the clip
+@example((Dyadic(-1), ONE, 10, PeriodicIntervalSet(ZERO, Dyadic(4), Dyadic(3), 2)), 64)
+# a zero start on a grid of positive exponents: its exponent 0 sets no grid
+@example((ZERO, Dyadic(1, 89), 2100, PeriodicIntervalSet(Dyadic(1, 100), Dyadic(1, 90), Dyadic(1, 88), 4)), 64)
+def test_comb_count_matches_the_dyadic_oracle(case, guard):
+    _assert_comb_count_matches(case, count_ap_in_periodic_dyadic(*case), guard)
+
+
+@pytest.fixture(scope="module")
+def series_calls():
+    """The calls the series suite makes at its operating point: every
+    (block, comb) pair of `build_universal(IndexJK(2, 15))`, each block's
+    run shifted by 20 sampled x in the comb's own window: 15,600 calls,
+    whose starts have mantissas of up to 121 bits."""
+    limit = IndexJK(2, 15)
+    seq = build_universal(limit)
+    runs = seq.segments_in_range(0, seq.total_count - 1)
+    rng = random.Random(215)
+    calls = []
+    for i in indices_through(limit):
+        for _ in range(20):
+            x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48)
+            calls += [(x + first, gap, count, i.comb) for first, gap, count in runs]
+    return calls
+
+
+def test_comb_count_at_the_series_operating_point(series_calls):
+    # each call's own width and one bit less as a guard, and the ends of the
+    # range: the kernel refuses exactly where its documented test says, and
+    # everywhere else counts as the oracle does
+    refused, widths = {64: 0, 1 << 20: 0}, set()
+    for call in series_calls:
+        want, width = count_ap_in_periodic_dyadic(*call), _comb_count_width(call[0], call[1], call[3])[0]
+        widths.add(width)
+        for guard in {64, 1 << 20, max(64, width - 1), max(64, width)}:
+            hit = _assert_comb_count_matches(call, want, guard)
+            if guard in refused:
+                refused[guard] += hit
+    # (1,0)'s comb fits 64 bits, (2,15)'s needs 126
+    assert 0 < refused[64] < len(series_calls) and refused[1 << 20] == 0 and max(widths) == 126
+    assert any(count_ap_in_periodic(*call) for call in series_calls)
+
+
+def test_comb_count_forms_no_dyadic(series_calls, monkeypatch):
+    """The integer kernel builds no `Dyadic` on the series suite's calls:
+    neither through the constructor nor through `exactnum._raw`, which the
+    operators use."""
+    built = []
+    init, raw = Dyadic.__init__, exactnum._raw
+
+    def counting_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    def counting_raw(m, e):
+        built.append("_raw")
+        return raw(m, e)
+
+    monkeypatch.setattr(Dyadic, "__init__", counting_init)
+    monkeypatch.setattr(exactnum, "_raw", counting_raw)
+    hits = sum(count_ap_in_periodic(*call) for call in series_calls)
+    assert hits and built == []
+    # the counters do see a Dyadic built either way
+    assert -Dyadic(3) == Dyadic(-3) and built == ["__init__", "_raw", "__init__"]
 
 
 class TestSumPlOverAp:

@@ -392,7 +392,9 @@ class TestCoveringWitnessOracle:
     """The integer witness against `covering_witness_dyadic`: the same
     CoverWitness, or the same exception type on these prefixes.  Past step
     i's wide block the integer kernel reads the block extended, so its
-    message may name another check than the oracle's."""
+    message may name another check than the oracle's, and on a prefix cut
+    short its type may differ where the oracle reads a landing point past
+    the prefix."""
 
     @pytest.fixture(scope="class")
     def seq20(self):
@@ -448,6 +450,38 @@ class TestCoveringWitnessOracle:
                     blocks.append(GapBlock(wide.gap, wide.count - short))
                 refusals = self._assert_parity(_with_blocks(seq20, 2 * i.position(), blocks), i, [x])
                 assert len(refusals) == 1 and refusals[0][1].startswith("witness indices "), (i, x, refusals)
+
+    def test_wide_block_cut_short_before_a_finer_point(self, seq20):
+        # the wide block ends one point before the witness's nx, and one
+        # point ends the prefix: a half gap on, one 2^-200 further (finer
+        # than x's grid), or exactly at a - x or 2^-200 short of it: nx on
+        # the block extended lies past it, and wherever x + last_value <= a
+        # both kernels raise IndexError, prefix too short, with one message.
+        # Elsewhere the witness leaves the step: the kernel says so, where
+        # the oracle may first read its landing point past the prefix
+        # (IndexError from value_at)
+        rng, too_short, left = random.Random(21), 0, 0
+        for i in steps_before(IndexJK(2, 0)):
+            n0, _ = step_indices(seq20, i)
+            t = 2 * i.position()
+            wide, half = seq20.blocks[t], seq20.blocks[t + 1]
+            for x in _samples_in(i, 20, rng):
+                nx = covering_witness(x, i, seq20).nx
+                if nx - n0 - 1 < 1:
+                    continue
+                rest = i.a - x - seq20.value_at(nx - 1)
+                for tail in [half.gap, half.gap + Dyadic(1, -200), rest, rest - Dyadic(1, -200)]:
+                    seq = _with_blocks(seq20, t, [GapBlock(wide.gap, nx - n0 - 1, wide.tag), GapBlock(tail, 1, half.tag)], keep_rest=False)
+                    got = _witness_or_refusal(covering_witness, x, i, seq)
+                    want = _witness_or_refusal(covering_witness_dyadic, x, i, seq)
+                    if want[1].startswith("prefix too short"):
+                        assert got == want, (i, x, tail)
+                        too_short += 1
+                    else:
+                        assert got[0] is universal.Violation and got[1].startswith("witness indices "), (i, x, tail, got)
+                        assert want[0] in (universal.Violation, IndexError), (i, x, tail, want)
+                        left += 1
+        assert too_short > 200 and left > 60
 
     def test_start_value_past_the_comb_base(self, seq20):
         i = IndexJK(1, 2)
