@@ -286,36 +286,26 @@ def _universal_integrality(args, rng) -> list[WitnessReport]:
 
 
 def _universal_covering(args, rng) -> list[WitnessReport]:
+    """A report per step before --limit, and one per failed sample.  A sample
+    is `_sample_in`'s point in the step's window, formed as one int: ((J-1)*2^48
+    + r)*2^(-j-48), r one 48-bit draw.  Its guard check is left out: in [-j, j]
+    it needs j + bitlen(j) + 49 bits at most, below 64 for j <= 2, and below the
+    4j*2^j + 3 bits `uv.require_span` asks of a limit past a row j >= 3."""
     seq = _universal_seq(args)
+    params, rhs = {"samples": args.samples, "seed": args.seed}, str(args.samples)
+    if not args.samples:
+        params["informational"] = True  # no sample, nothing asserted
     reports = []
-    for i in uv.steps_before(args.limit):
-        lo, hi = i.aI, i.bI
-        ok = 0
-        for s in range(args.samples):
-            x = _sample_in(rng, lo, hi)
+    for step in uv.step_walk(seq, args.limit):
+        claim, low, e, ok = f"covering/{step.j},{step.k}", (step.J - 1) << 48, -step.j - 48, 0
+        for n in range(args.samples):
+            x = Dyadic(low + rng.getrandbits(48), e)
             try:
-                uv.covering_witness(x, i, seq)
+                uv.covering_witness(x, step)
                 ok += 1
             except (Violation, IndexError) as exc:
-                reports.append(
-                    WitnessReport(
-                        claim=f"covering/{i.j},{i.k}/sample{s}",
-                        params={"x": str(x), "error": str(exc)},
-                        passed=False,
-                    )
-                )
-        params = {"samples": args.samples, "seed": args.seed}
-        if not args.samples:
-            params["informational"] = True  # no sample, nothing asserted
-        reports.append(
-            WitnessReport(
-                claim=f"covering/{i.j},{i.k}",
-                params=params,
-                lhs=str(ok),
-                rhs=str(args.samples),
-                passed=ok == args.samples,
-            )
-        )
+                reports.append(WitnessReport(f"{claim}/sample{n}", {"x": str(x), "error": str(exc)}, passed=False))
+        reports.append(WitnessReport(claim, params, str(ok), rhs, ok == args.samples))
     return reports
 
 
@@ -529,14 +519,12 @@ def _cmd_verify(args) -> int:
     failures = [r for r in reports if not r.passed]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
     asserted = any(not r.params.get("informational") for r in reports)
+    lines = []
     for r in reports:
         status = "SKIP" if r.params.get("skipped") else "INFO" if r.params.get("informational") else "PASS"
-        print(f"{status if r.passed else 'FAIL'} {r.claim} lhs={r.lhs} rhs={r.rhs}")
-    print(
-        f"{len(reports)} claims, {len(failures)} failures"
-        + (f", {skipped} skipped" if skipped else "")
-        + ("" if asserted else ", no claim asserted")
-    )
+        lines.append(f"{status if r.passed else 'FAIL'} {r.claim} lhs={r.lhs} rhs={r.rhs}\n")
+    summary = f"{len(reports)} claims, {len(failures)} failures" + (f", {skipped} skipped" if skipped else "")
+    sys.stdout.write("".join(lines) + summary + ("" if asserted else ", no claim asserted") + "\n")
     if args.report:
         write_reports(args.report, reports)
     if failures:

@@ -9,6 +9,7 @@ that must be integers, and any remainder is a construction bug, not noise.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
@@ -132,17 +133,38 @@ def indices_through(limit: IndexJK) -> Iterator[IndexJK]:
     yield limit
 
 
-def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
-    """Absolute indices (n0, n1) at which step i starts and ends in `seq`."""
-    t = i.position()
-    if 2 * t >= len(seq.blocks):
-        raise IndexError(f"sequence prefix has no step {i}: {len(seq.blocks)} blocks")
-    tag = seq.blocks[2 * t].tag
-    if tag and not tag.startswith(f"{i.j},{i.k}:"):
-        raise ValueError(f"block {2 * t} tagged {tag!r}, expected step {i}")
-    n0 = seq.index_of_step_boundary(2 * t - 1) if t else 0
-    n1 = seq.index_of_step_boundary(2 * t)
-    return n0, n1
+class Step(namedtuple("Step", "j k J s b n0 n1 vm ve gap seq")):
+    """Step (j, k) of the prefix `seq`, as `step_walk` reads it: window
+    [(J-1)*2^-j, J*2^-j], scale s, and wide block b = 2*position of gap `gap`,
+    holding the indices (n0, n1] after its start value vm*2^ve (canonical,
+    as `start_pair` reads it).  It prints as its index, (j,k)."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return f"({self.j},{self.k})"
+
+
+def step_walk(seq: GapBlockSeq, limit: IndexJK) -> Iterator[Step]:
+    """The steps before `limit`, row by row, each read once off the tables of
+    `seq`: IndexError at a step with no block in `seq`, ValueError at one
+    whose wide block is tagged as another step."""
+    blocks, counts, ints, grid = seq.blocks, seq._cum_counts, seq._cum_ints, seq._grid
+    b, n0, vm, ve = 0, 0, seq.origin.m, seq.origin.e
+    for j in range(1, limit.j + 1):
+        width = row_width(j)
+        for k in range(width if j < limit.j else limit.k):
+            if b >= len(blocks):
+                raise IndexError(f"sequence prefix has no step ({j},{k}): {len(blocks)} blocks")
+            gap, tag = blocks[b].gap, blocks[b].tag
+            if tag and not tag.startswith(f"{j},{k}:"):
+                raise ValueError(f"block {b} tagged {tag!r}, expected step ({j},{k})")
+            if b:
+                n0, V = counts[b - 1], ints[b - 1]
+                z = (V & -V).bit_length() - 1
+                vm, ve = (V >> z, grid + z) if V else (0, 0)
+            yield Step(j, k, (j << j) - k, width + k, b, n0, counts[b], vm, ve, gap, seq)
+            b += 2
 
 
 def build_universal(limit: IndexJK) -> GapBlockSeq:
@@ -196,18 +218,13 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     """Every step's end value divides by E^2, and the landing value by E'^2:
     E^2 = 2^-2s divides a value m*2^e (`start_pair`) exactly when e >= -2s."""
     checked = 0
-    for i in steps_before(limit):
-        step_indices(seq, i)  # seq holds step i, tagged as i if tagged
-        s, s1, t = i.scale_exp(), i.successor().scale_exp(), i.position()
-        (m1, e1), (m2, e2) = seq.start_pair(2 * t + 1), seq.start_pair(2 * t + 2)
+    for step in step_walk(seq, limit):
+        s, b = step.s, step.b
+        s1 = s + 1 if step.k + 1 < row_width(step.j) else row_width(step.j + 1)  # the successor's scale
+        (m1, e1), (m2, e2) = seq.start_pair(b + 1), seq.start_pair(b + 2)
         if e1 < -2 * s or e2 < -2 * s1:
-            return WitnessReport(
-                claim="integrality",
-                params={"failed_step": str(i)},
-                lhs=str(Dyadic(m1, e1 + 2 * s)),
-                rhs=str(Dyadic(m2, e2 + 2 * s1)),
-                passed=False,
-            )
+            lhs, rhs = str(Dyadic(m1, e1 + 2 * s)), str(Dyadic(m2, e2 + 2 * s1))
+            return WitnessReport("integrality", {"failed_step": str(step)}, lhs, rhs, passed=False)
         checked += 1
     params = {"steps": checked, "limit": str(limit)}
     if not checked:
@@ -215,19 +232,18 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     return WitnessReport(claim="integrality", params=params, passed=True)
 
 
-@dataclass(frozen=True)
-class CoverWitness:
-    nx: int
-    nxp: int
-    landing: Dyadic
-    component: int
+class CoverWitness(namedtuple("CoverWitness", "nx nxp landing component")):
+    """Translate nx is the first past the comb base a for x, and translate
+    nxp = nx + component carries x to `landing`, on that comb component."""
+
+    __slots__ = ()
 
 
-def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
-    """The explicit translate index carrying x into the comb at index i.
+def covering_witness(x: Dyadic, step: Step) -> CoverWitness:
+    """The explicit translate index carrying x into the comb of `step`.
 
-    Computed in ints on the grid 2^g, g the least exponent of x, E^3 and step
-    i's wide block (gap G from index n0 at value v0, as `start_pair` reads it),
+    Computed in ints on the grid 2^g, g the least exponent of x, E^3 and the
+    step's wide block (gap G from index n0 at value v0, as `step_walk` reads it),
     once the span guard admits their widths: nx = n0 + 1 + floor((a - x - v0)/G)
     is the first translate past the comb base a, and the overshoot in comb
     widths advances it.  Once nx is past the block, IndexError when the
@@ -235,20 +251,18 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
     exceeds one wide gap, the landing misses the comb or the witness leaves
     the block (read as extended past its end).
     """
-    n0, n1 = step_indices(seq, i)
-    t = 2 * i.position()
-    (vm, ve), G, s = seq.start_pair(t), seq.blocks[t].gap, i.scale_exp()
+    j, _, J, s, _, n0, n1, vm, ve, G, seq = step
     g = min(x.e, ve, G.e, -3 * s)  # zero has exponent 0 > -3s
     width = max(s + 1, x.m.bit_length() + x.e, vm.bit_length() + ve, G.m.bit_length() + G.e) - g
     if width > span_guard():
-        raise grid_error(f"covering witness at {i}", width, g)
+        raise grid_error(f"covering witness at {step}", width, g)
     X, V0, W = x.m << x.e - g, vm << ve - g, G.m << G.e - g
     A, E2, E3 = 1 << s - g, 1 << -2 * s - g, 1 << -3 * s - g
-    J, u = i.J, -i.j - g  # bI = J*2^-j = J << u
+    u = -j - g  # bI = J*2^-j = J << u
     if not (J - 1) << u <= X <= J << u:
-        raise OutOfInterval(f"{x} outside {i.window} at {i}")
+        raise OutOfInterval(f"{x} outside {IndexJK(j, step.k).window} at {step}")
     if X + V0 > A:
-        raise Violation(f"start value already past the comb base at {i}, x={x}")
+        raise Violation(f"start value already past the comb base at {step}, x={x}")
     q, r = divmod(A - X - V0, W)
     nx, over = n0 + 1 + q, W - r  # the first translate past a, and x + v(nx) - a in (0, G]
     comp = over // E3
@@ -259,13 +273,13 @@ def covering_witness(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:
         lm, le = seq.start_pair(len(seq.blocks))
         k = le - g
         if (lm <= A - X >> k) if k >= 0 else (-(-lm >> -k) <= A - X):
-            raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {i}")
+            raise IndexError(f"prefix too short: no translate beyond comb base for x={x} at {step}")
     if over > E2 - E3:
-        raise Violation(f"overshoot {Dyadic(over, g)} exceeds one wide gap at {i}")
-    if land >= E2 << s or land % E2 > E3:
-        raise Violation(f"landing {Dyadic(A + land, g)} missed component {comp} at {i}")
+        raise Violation(f"overshoot {Dyadic(over, g)} exceeds one wide gap at {step}")
+    if land >= E2 << s or land & E2 - 1 > E3:  # past the comb, or between components
+        raise Violation(f"landing {Dyadic(A + land, g)} missed component {comp} at {step}")
     if nx + comp > n1:
-        raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {i}")
+        raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {step}")
     return CoverWitness(nx, nx + comp, Dyadic(A + land, g), comp)
 
 
@@ -292,10 +306,8 @@ def fG_prefix_sums(
     distinct indices live in disjoint ranges [a, a + E], so the per-comb counts
     add without double counting.
     """
-    return list(accumulate(
-        sum(count_ap_in_periodic(x + first, gap, count, ps) for _, ps in uG)
-        for first, gap, count in seq.segments_in_range(0, seq.total_count - 1)
-    ))
+    runs = ((x + first, gap, count) for first, gap, count in seq.segments_in_range(0, seq.total_count - 1))
+    return list(accumulate(sum(count_ap_in_periodic(start, gap, count, ps) for _, ps in uG) for start, gap, count in runs))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, floor_sum
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
-from dyadlab.universal import CoverWitness, IndexJK, step_indices, steps_before
+from dyadlab.universal import CoverWitness, IndexJK, Step, step_walk, steps_before
 
 _DYADIC_RE = re.compile(r"^(-?\d+)(?:\*2\^(-?\d+))?$")
 _DECIMAL_RE = re.compile(r"^(-?)(\d+)(?:\.(\d+))?$")
@@ -65,6 +65,27 @@ def iter_points(seq: GapBlockSeq) -> Iterator[Dyadic]:
         for _ in range(b.count):
             v = v + b.gap
             yield v
+
+
+def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
+    """Absolute indices (n0, n1) at which step i starts and ends in `seq`,
+    located on its own by i's position; `universal.step_walk`, which reads
+    every step in one pass, must place it the same, or raise the same."""
+    t = i.position()
+    if 2 * t >= len(seq.blocks):
+        raise IndexError(f"sequence prefix has no step {i}: {len(seq.blocks)} blocks")
+    tag = seq.blocks[2 * t].tag
+    if tag and not tag.startswith(f"{i.j},{i.k}:"):
+        raise ValueError(f"block {2 * t} tagged {tag!r}, expected step {i}")
+    n0 = seq.index_of_step_boundary(2 * t - 1) if t else 0
+    n1 = seq.index_of_step_boundary(2 * t)
+    return n0, n1
+
+
+def step_at(seq: GapBlockSeq, i: IndexJK) -> Step:
+    """Step i of `seq`, the last one `universal.step_walk` reads before i's successor."""
+    *_, step = step_walk(seq, i.successor())
+    return step
 
 
 def cum_values_dyadic(origin: Dyadic, blocks: Iterable[GapBlock]) -> list[Dyadic]:
@@ -221,11 +242,13 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     """The translate index carrying x into the comb at index i, in Dyadic
     arithmetic over the whole prefix: nx by `seq.count_upto(a - x)`, then
     advanced by the floor of the overshoot measured in comb widths.  The
-    integer kernel `universal.covering_witness` must return the same witness.
-    Past step i's wide block it checks that block extended, so where a
-    witness leaves the block its refusal may name another check than this,
-    or be a Violation where this reads a landing index past a prefix cut
-    short and raises IndexError; the covering suite reports either as a FAIL."""
+    integer kernel `universal.covering_witness` at `step_at(seq, i)` must
+    return the same witness, or raise the same exception type.  The witness
+    indices are checked against the step end before the landing point is
+    read, so a landing index past a prefix cut short is the kernel's
+    Violation.  Past step i's wide block the kernel checks that block
+    extended, so where a witness leaves the block its refusal may name
+    another check than this; the covering suite reports either as a FAIL."""
     n0, n1 = step_indices(seq, i)
     window = i.window
     if not window.contains(x):
@@ -244,11 +267,11 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
         raise Violation(f"overshoot {overshoot} exceeds one wide gap at {i}")
     comp, _ = divmod(overshoot, E3)
     nxp = nx + comp
+    if not (nx <= n1 and nxp <= n1):
+        raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
     landing = x + seq.value_at(nxp)
     if not (0 <= comp < comb.count and comb_contains(comb, landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
-    if not (nx <= n1 and nxp <= n1):
-        raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
     return CoverWitness(nx=nx, nxp=nxp, landing=landing, component=comp)
 
 

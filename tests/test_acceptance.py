@@ -23,7 +23,7 @@ from dyadlab import dense_divergence as dd
 from dyadlab import interior_gap as ig
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_PASS, main
-from oracles import comb_contains
+from oracles import comb_contains, step_at, step_indices
 
 _T0 = time.monotonic()
 
@@ -85,13 +85,13 @@ def test_criterion_4_covering(seq_3_0):
     for j in (1, 2):
         for k in range(uv.row_width(j)):
             i = uv.IndexJK(j, k)
-            _, n1 = uv.step_indices(seq_3_0, i)
-            ps = i.comb
+            _, n1 = step_indices(seq_3_0, i)
+            ps, step = i.comb, step_at(seq_3_0, i)
             for _ in range(1000):
                 x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48)
                 total += 1
                 try:
-                    w = uv.covering_witness(x, i, seq_3_0)
+                    w = uv.covering_witness(x, step)
                     if not (comb_contains(ps, w.landing) and w.nx <= n1 and w.nxp <= n1):
                         failures += 1
                 except (uv.Violation, IndexError):
@@ -101,7 +101,7 @@ def test_criterion_4_covering(seq_3_0):
     spot_ok = True
     for k in range(4):
         i = uv.IndexJK(1, k)
-        n0, n1 = uv.step_indices(seq_3_0, i)
+        n0, n1 = step_indices(seq_3_0, i)
         a, e3 = i.a, i.comb.width
         lam = seq_3_0.value_at(n0)
         gap = seq_3_0.blocks[2 * i.position()].gap
@@ -112,7 +112,7 @@ def test_criterion_4_covering(seq_3_0):
         assert len(pts) <= 10_001
         for frac_bits in (3, 4, 5):
             x = i.aI + (i.bI - i.aI) * Dyadic(1, -frac_bits)
-            w = uv.covering_witness(x, i, seq_3_0)
+            w = uv.covering_witness(x, step_at(seq_3_0, i))
             nx_brute = n0 + next(t for t, v in enumerate(pts) if x + v > a)
             q_brute = (x + pts[nx_brute - n0] - a) // e3
             spot_ok = spot_ok and w.nx == nx_brute and w.nxp == nx_brute + q_brute

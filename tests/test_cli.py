@@ -20,7 +20,7 @@ from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
 from dyadlab.exactnum import ONE, ZERO, Dyadic, GuardExceeded, PiecewiseLinear, set_span_guard, span_guard
-from oracles import cum_values_dyadic, sample_in_dyadic, seq_from_json_checked
+from oracles import cum_values_dyadic, sample_in_dyadic, seq_from_json_checked, step_at
 
 
 def run(capsys, *argv):
@@ -771,7 +771,7 @@ _HAT = PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)])
         # the run 2^2000, 2^2000 + 1 needs 2001 bits on its own grid
         ("aligned run", lambda: lattice.sum_pl_over_ap(_HAT, Dyadic(1, 2000), ONE, 2)),
         # x = 1 and E^3 = 2^-12 fit on the grid 2^-12, the far origin 2^60 (v0) does not
-        ("covering witness at (1,0)", lambda: uv.covering_witness(ONE, uv.IndexJK(1, 0), _FAR_ORIGIN_U11)),
+        ("covering witness at (1,0)", lambda: uv.covering_witness(ONE, step_at(_FAR_ORIGIN_U11, uv.IndexJK(1, 0)))),
         # 2^20 beside 2^-60 needs 21 + 48 + 61 bits on the grid 2^-108
         ("sampled point", lambda: cli._sample_in(random.Random(0), Dyadic(1, -60), Dyadic(1, 20))),
         # (2,15)'s comb, base 2^31 and width 2^-93, needs 126 bits on the grid 2^-93
@@ -984,6 +984,47 @@ def test_covering_witness_meets_the_span_guard_on_an_artifact(capsys, tmp_path, 
         assert stdout == "" and stderr.splitlines() == [guard_line]
     else:
         assert stderr == "" and stdout.endswith("19 claims, 0 failures\n")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_samples_are_the_points_sample_in_draws(capsys, monkeypatch, seed):
+    # the covering suite forms each sample as one int on its window's grid:
+    # at every step through (5,319) it is the point `_sample_in` draws from
+    # a twin Random, and the witness kernel gets it with its own step
+    limit, drawn, witness = uv.IndexJK(5, 319), [], uv.covering_witness
+    monkeypatch.setattr(uv, "covering_witness", lambda x, step: drawn.append((str(step), x)) or witness(x, step))
+    argv = ["verify", "universal", "--suite", "covering", "--limit", "5,319", "--samples", "2", "--seed", str(seed)]
+    assert run(capsys, *argv)[0] == EXIT_PASS
+    twin = random.Random(seed)
+    assert drawn == [(str(i), cli._sample_in(twin, i.aI, i.bI)) for i in uv.steps_before(limit) for _ in range(2)]
+
+
+def test_covering_samples_fit_every_guard_that_admits_their_step():
+    # `_sample_in` refuses a point wider than the span guard; the covering
+    # suite leaves that check out, since a guard that admits a limit past
+    # step i (64 bits at least, and 2s' + 1 for s' the scale of i's
+    # successor, by `require_span`) fits every point of i's window: through
+    # row 7 by drawing one, past it by the bound j + bitlen(j) + 49 on its width
+    rng = random.Random(7)
+    for i in uv.indices_through(uv.IndexJK(7, 0)):
+        old = set_span_guard(max(64, 2 * i.successor().scale_exp() + 1))
+        try:
+            cli._sample_in(rng, i.aI, i.bI)
+        finally:
+            set_span_guard(old)
+    assert all(j + j.bit_length() + 49 < 4 * j * 2**j + 3 for j in range(3, 200))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covering_at_the_least_guard(capsys, seed):
+    # at 64 bits the largest limit the covering suite admits is (2,0): all
+    # of row 1 passes, and past it the first refusal is the witness's own
+    argv = ["verify", "universal", "--suite", "covering", "--samples", "3", "--seed", str(seed), "--limit"]
+    code, stdout, stderr = run(capsys, "--span-guard", "64", *argv, "2,0")
+    assert (code, stderr) == (EXIT_PASS, "") and stdout.endswith("4 claims, 0 failures\n")
+    code, stdout, stderr = run(capsys, "--span-guard", "64", *argv, "2,1")
+    assert (code, stdout) == (EXIT_SKIP, "")
+    assert stderr == "guard: covering witness at (2,0) needs 67 bits on the grid 2^-50 (guard 64)\n"
 
 
 @pytest.mark.parametrize("limit, bits", [("2,15", "90"), ("3,5", "155")])

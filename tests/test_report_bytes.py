@@ -14,6 +14,7 @@ import pytest
 
 from dyadlab import interior_gap as ig
 from dyadlab.cli import EXIT_FAIL, main
+from dyadlab.universal import IndexJK
 
 G_THM31 = ["(-4*2^0,4*2^0)"]
 
@@ -116,3 +117,26 @@ def test_converge_reads_the_certified_table_alone(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(ig, "decade_sums", per_x)
     assert run_case("verify-thm33-converge", tmp_path, capsys) == EXPECTED["verify-thm33-converge"]
+
+
+def test_covering_fails_where_a_wide_block_is_cut_short(tmp_path, capsys):
+    """An artifact whose step (1,2) wide block holds half its points: from
+    that step on some sampled witnesses leave their step, and each prints
+    FAIL with its x and error; the run exits 1."""
+    seq, out = tmp_path / "seq.json", tmp_path / "out"
+    assert main(["construct", "universal", "--limit", "2,3", "--out", str(seq)]) == 0
+    capsys.readouterr()
+    data = json.loads(seq.read_text())
+    wide = data["blocks"][2 * IndexJK(1, 2).position()]
+    assert wide["tag"] == "1,2:wide"
+    wide["count"] = str(int(wide["count"]) // 2)
+    seq.write_text(json.dumps(data))
+    argv = ["verify", "universal", "--suite", "covering", "--limit", "2,3", "--samples", "3", "--seq", str(seq), "--report", str(out)]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    failed = [r for r in report if not r["pass"] and "/sample" in r["claim"]]
+    assert failed and all(set(r["params"]) == {"x", "error"} for r in failed)
+    assert any(r["claim"] == "covering/1,1" and r["pass"] for r in report)
+    digest = hashlib.sha256(out.read_bytes() + stdout.encode()).hexdigest()
+    assert (code, digest) == (EXIT_FAIL, "365c45bd02bedf7c86c2a0b62ef691418b3de64175ebe436259f4f6e4f0c1fe8")

@@ -15,6 +15,7 @@ from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, Z
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
 from dyadlab.universal import (
     BudgetExceeded,
+    CoverWitness,
     IndexJK,
     OutOfInterval,
     borel_cantelli_partial,
@@ -29,12 +30,12 @@ from dyadlab.universal import (
     indices_through,
     row_width,
     smoothing_measure,
-    step_indices,
+    step_walk,
     steps_before,
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, support, total_length
+from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, step_at, step_indices, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -297,6 +298,40 @@ class TestIntegralityOracle:
         assert got[0] is IndexError
 
 
+class TestStepWalk:
+    """`step_walk` reads every step in one pass; `step_indices` locates one
+    step on its own.  Both must place each step alike, or refuse alike."""
+
+    def test_places_every_step_as_located_one_by_one(self):
+        built = build_universal(IndexJK(3, 0))
+        v11 = built.block_start(2 * IndexJK(1, 1).position())[1]
+        # the origin moved so that step (1,1) starts at exactly zero
+        for seq in (built, GapBlockSeq(built.origin - v11, built.blocks)):
+            for limit in (IndexJK(1, 0), IndexJK(2, 3), IndexJK(3, 0)):
+                steps = list(step_walk(seq, limit))
+                assert [str(st) for st in steps] == [str(i) for i in steps_before(limit)]
+                for i, st in zip(steps_before(limit), steps):
+                    assert (st.n0, st.n1) == step_indices(seq, i), i
+                    assert (st.J, st.s, st.b) == (i.J, i.scale_exp(), 2 * i.position()), i
+                    assert ((st.vm, st.ve), st.gap, st.seq) == (seq.start_pair(st.b), seq.blocks[st.b].gap, seq), i
+
+    def test_refuses_as_step_indices_does(self):
+        seq, limit = build_universal(IndexJK(2, 3)), IndexJK(2, 3)
+        wide = seq.blocks[6]  # step (1,3)
+        cases = [
+            (GapBlockSeq(seq.origin, seq.blocks[:9]), IndexJK(2, 1)),
+            (_with_blocks(seq, 6, [GapBlock(wide.gap, wide.count, "1,2:wide")]), IndexJK(1, 3)),
+        ]
+        for bad, i in cases:
+            with pytest.raises((IndexError, ValueError)) as want:
+                step_indices(bad, i)
+            with pytest.raises(want.type) as got:
+                list(step_walk(bad, limit))
+            assert str(got.value) == str(want.value)
+        # an untagged block is not checked
+        assert len(list(step_walk(_with_blocks(seq, 6, [GapBlock(wide.gap, wide.count)]), limit))) == limit.position()
+
+
 @pytest.fixture(scope="module")
 def seq11():
     return build_universal(IndexJK(1, 1))
@@ -305,19 +340,19 @@ def seq11():
 class TestCoveringWitness:
 
     def test_x_three_quarters(self, seq11):
-        w = covering_witness(dy("0.75"), IndexJK(1, 0), seq11)
+        w = witness(dy("0.75"), IndexJK(1, 0), seq11)
         assert (w.nx, w.nxp) == (69, 80)
         assert w.landing == Dyadic(16) + Dyadic(11, -8)
         assert w.component == 11
 
     def test_x_half(self, seq11):
-        w = covering_witness(dy("0.5"), IndexJK(1, 0), seq11)
+        w = witness(dy("0.5"), IndexJK(1, 0), seq11)
         assert (w.nx, w.nxp) == (137, 144)
         assert w.landing == Dyadic(16) + Dyadic(7, -8)
         assert w.component == 7
 
     def test_x_one(self, seq11):
-        w = covering_witness(Dyadic(1), IndexJK(1, 0), seq11)
+        w = witness(Dyadic(1), IndexJK(1, 0), seq11)
         assert w.nx == 1
         assert w.nxp == 16
         assert comb_contains(IndexJK(1, 0).comb, w.landing)
@@ -337,7 +372,7 @@ class TestCoveringWitness:
         e3 = Fraction(1, 2**12)
         for _ in range(50):
             x = dy("0.5") + Dyadic(rng.getrandbits(20), -21)
-            w = covering_witness(x, IndexJK(1, 0), seq11)
+            w = witness(x, IndexJK(1, 0), seq11)
             nx_brute = next(n for n, v in enumerate(pts) if x + v > a)
             assert w.nx == nx_brute
             overshoot = Fraction((x + pts[nx_brute] - a).m, 2 ** -(x + pts[nx_brute] - a).e)
@@ -358,16 +393,21 @@ class TestCoveringWitness:
             for k in range(row_width(j)):
                 i = IndexJK(j, k)
                 _, n1 = step_indices(seq, i)
-                ps = i.comb
+                ps, step = i.comb, step_at(seq, i)
                 for _ in range(20):
                     x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(40), -40)
-                    w = covering_witness(x, i, seq)
+                    w = covering_witness(x, step)
                     assert comb_contains(ps, w.landing)
                     assert w.nx <= n1 and w.nxp <= n1
 
     def test_out_of_interval(self, seq11):
         with pytest.raises(OutOfInterval):
-            covering_witness(Dyadic(2), IndexJK(1, 0), seq11)
+            witness(Dyadic(2), IndexJK(1, 0), seq11)
+
+
+def witness(x, i, seq):
+    """The integer kernel's witness for x at step i of seq."""
+    return covering_witness(x, step_at(seq, i))
 
 
 def _witness_or_refusal(fn, x, i, seq):
@@ -392,9 +432,7 @@ class TestCoveringWitnessOracle:
     """The integer witness against `covering_witness_dyadic`: the same
     CoverWitness, or the same exception type on these prefixes.  Past step
     i's wide block the integer kernel reads the block extended, so its
-    message may name another check than the oracle's, and on a prefix cut
-    short its type may differ where the oracle reads a landing point past
-    the prefix."""
+    message may name another check than the oracle's."""
 
     @pytest.fixture(scope="class")
     def seq20(self):
@@ -405,26 +443,26 @@ class TestCoveringWitnessOracle:
         rng = random.Random(4242)
         for i in steps_before(IndexJK(3, 0)):
             for x in [i.aI, i.bI, (i.aI + i.bI) * Dyadic(1, -1)] + _samples_in(i, 8, rng):
-                assert covering_witness(x, i, seq) == covering_witness_dyadic(x, i, seq), (i, x)
+                assert witness(x, i, seq) == covering_witness_dyadic(x, i, seq), (i, x)
 
     def test_every_step_through_5_319(self):
         # the prefix covering-deep loads: 515 steps, one sample each
         limit = IndexJK(5, 319)
         seq = build_universal(limit)
         rng = random.Random(5319)
-        for i in steps_before(limit):
+        for i, step in zip(steps_before(limit), step_walk(seq, limit), strict=True):
             (x,) = _samples_in(i, 1, rng)
-            assert covering_witness(x, i, seq) == covering_witness_dyadic(x, i, seq), (i, x)
+            assert covering_witness(x, step) == covering_witness_dyadic(x, i, seq), (i, x)
 
     def _assert_parity(self, seq, i, xs):
         """Both kernels return the same witness or raise the same exception
         type at every x; returns the integer kernel's refusals."""
         refusals = []
         for x in xs:
-            got = _witness_or_refusal(covering_witness, x, i, seq)
+            got = _witness_or_refusal(witness, x, i, seq)
             want = _witness_or_refusal(covering_witness_dyadic, x, i, seq)
-            if isinstance(got, tuple):
-                assert isinstance(want, tuple) and got[0] is want[0], (i, x, got, want)
+            if not isinstance(got, CoverWitness):
+                assert not isinstance(want, CoverWitness) and got[0] is want[0], (i, x, got, want)
                 refusals.append(got)
             else:
                 assert got == want, (i, x)
@@ -442,7 +480,7 @@ class TestCoveringWitnessOracle:
             n0, _ = step_indices(seq20, i)
             wide = seq20.blocks[2 * i.position()]
             for x in [i.aI] + _samples_in(i, 3, rng):
-                short = getattr(covering_witness(x, i, seq20), which) - n0 - 1
+                short = getattr(witness(x, i, seq20), which) - n0 - 1
                 if short < 1:
                     continue
                 blocks = [GapBlock(wide.gap, short, wide.tag)]
@@ -457,29 +495,29 @@ class TestCoveringWitnessOracle:
         # than x's grid), or exactly at a - x or 2^-200 short of it: nx on
         # the block extended lies past it, and wherever x + last_value <= a
         # both kernels raise IndexError, prefix too short, with one message.
-        # Elsewhere the witness leaves the step: the kernel says so, where
-        # the oracle may first read its landing point past the prefix
-        # (IndexError from value_at)
+        # Elsewhere the witness leaves the step: the kernel says so, and the
+        # oracle raises Violation too, before it would read a landing point
+        # past the prefix
         rng, too_short, left = random.Random(21), 0, 0
         for i in steps_before(IndexJK(2, 0)):
             n0, _ = step_indices(seq20, i)
             t = 2 * i.position()
             wide, half = seq20.blocks[t], seq20.blocks[t + 1]
             for x in _samples_in(i, 20, rng):
-                nx = covering_witness(x, i, seq20).nx
+                nx = witness(x, i, seq20).nx
                 if nx - n0 - 1 < 1:
                     continue
                 rest = i.a - x - seq20.value_at(nx - 1)
                 for tail in [half.gap, half.gap + Dyadic(1, -200), rest, rest - Dyadic(1, -200)]:
                     seq = _with_blocks(seq20, t, [GapBlock(wide.gap, nx - n0 - 1, wide.tag), GapBlock(tail, 1, half.tag)], keep_rest=False)
-                    got = _witness_or_refusal(covering_witness, x, i, seq)
+                    got = _witness_or_refusal(witness, x, i, seq)
                     want = _witness_or_refusal(covering_witness_dyadic, x, i, seq)
                     if want[1].startswith("prefix too short"):
                         assert got == want, (i, x, tail)
                         too_short += 1
                     else:
                         assert got[0] is universal.Violation and got[1].startswith("witness indices "), (i, x, tail, got)
-                        assert want[0] in (universal.Violation, IndexError), (i, x, tail, want)
+                        assert want[0] is got[0], (i, x, tail, want)
                         left += 1
         assert too_short > 200 and left > 60
 
@@ -547,7 +585,7 @@ class TestCoveringWitnessOracle:
                     want = _witness_or_refusal(covering_witness_dyadic, x, i, seq)
                     old = set_span_guard(guard)
                     try:
-                        got = _witness_or_refusal(covering_witness, x, i, seq)
+                        got = _witness_or_refusal(witness, x, i, seq)
                     finally:
                         set_span_guard(old)
                     if width > guard:
