@@ -154,17 +154,20 @@ def _fill_construct(construction: str, cp: _Parser) -> None:
 
 
 def _fill_verify(construction: str, vp: _Parser) -> None:
+    """The construction's suites, and each file option one of them reads (`SUITES`)."""
+    reads = {option for (c, _), (_, files) in SUITES.items() if c == construction for option in files}
     vp.add_argument("--suite", required=True, choices=[s for c, s in SUITES if c == construction])
     vp.add_argument("--samples", type=int, default=10)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--report", default=None)
-    if construction != "thm31":
+    if "seq" in reads:
         vp.add_argument("--seq", default=None, help="artifact JSON to verify instead of an in-process build")
     if construction == "universal":
         vp.add_argument("--limit", type=_parse_limit, default=uv.IndexJK(2, 15), metavar="j,k")
-        vp.add_argument("--G", default=None, help="open-set JSON for the series suite")
     else:
         vp.add_argument("--jmax", type=int, default=12 if construction == "thm31" else 6)
+    if "G" in reads:
+        vp.add_argument("--G", default=None, help="open-set JSON for the series suite")
 
 
 def _fill_eval(construction: str, ep: _Parser) -> None:
@@ -247,11 +250,22 @@ def _load_seq(path: str) -> GapBlockSeq:
         raise ValueError(f"{path}: not a gap-block artifact ({type(exc).__name__}: {exc})") from None
 
 
+def check_monotone_gaps(seq: GapBlockSeq) -> WitnessReport:
+    """Gaps must be non-increasing across the whole sequence."""
+    blocks = seq.blocks
+    for i, (a, b) in enumerate(zip(blocks, blocks[1:])):
+        if a.gap < b.gap:
+            params = {"block": i, "tag": a.tag, "next_tag": b.tag, "first_violating_index": seq.cum_counts[i] + 1}
+            return WitnessReport("gap-monotonicity", params, str(a.gap), str(b.gap), passed=False)
+    ends = (str(blocks[0].gap), str(blocks[-1].gap)) if blocks else ("", "")
+    return WitnessReport("gap-monotonicity", {"blocks": len(blocks)}, *ends, passed=True)
+
+
 def _gaps(args, built: GapBlockSeq, **key) -> list[WitnessReport]:
     """Gap monotonicity of the artifact (or the build) and its match with the build."""
     seq = _load_seq(args.seq) if args.seq else built
     return [
-        seq.check_monotone_gaps(),
+        check_monotone_gaps(seq),
         WitnessReport(
             claim="artifact-matches-construction",
             params={**key, "blocks": len(seq.blocks)},
@@ -488,34 +502,34 @@ def _thm33_probe(args, rng) -> list[WitnessReport]:
     return [ig.thm34_probe(ig.build_thm33(args.jmax), Dyadic.parse("4.5"), args.samples, args.seed)]
 
 
+# each suite's op and the file options it reads; every other suite refuses them
 SUITES = {
-    ("universal", "lemma"): _universal_lemma,
-    ("universal", "gaps"): _universal_gaps,
-    ("universal", "integrality"): _universal_integrality,
-    ("universal", "covering"): _universal_covering,
-    ("universal", "escape"): _universal_escape,
-    ("universal", "series"): _universal_series,
-    ("thm31", "lower"): _thm31_lower,
-    ("thm31", "outside"): _thm31_outside,
-    ("thm31", "cross"): _thm31_cross,
-    ("thm31", "density"): _thm31_density,
-    ("thm31", "tail"): _thm31_tail,
-    ("thm33", "gaps"): _thm33_gaps,
-    ("thm33", "diverge"): _thm33_diverge,
-    ("thm33", "converge"): _thm33_converge,
-    ("thm33", "probe"): _thm33_probe,
+    ("universal", "lemma"): (_universal_lemma, ()),
+    ("universal", "gaps"): (_universal_gaps, ("seq",)),
+    ("universal", "integrality"): (_universal_integrality, ("seq",)),
+    ("universal", "covering"): (_universal_covering, ("seq",)),
+    ("universal", "escape"): (_universal_escape, ("seq",)),
+    ("universal", "series"): (_universal_series, ("seq", "G")),
+    ("thm31", "lower"): (_thm31_lower, ()),
+    ("thm31", "outside"): (_thm31_outside, ()),
+    ("thm31", "cross"): (_thm31_cross, ()),
+    ("thm31", "density"): (_thm31_density, ()),
+    ("thm31", "tail"): (_thm31_tail, ()),
+    ("thm33", "gaps"): (_thm33_gaps, ("seq",)),
+    ("thm33", "diverge"): (_thm33_diverge, ()),
+    ("thm33", "converge"): (_thm33_converge, ()),
+    ("thm33", "probe"): (_thm33_probe, ()),
 }
 
 
 def _cmd_verify(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    # the suites that read each file option; every other suite refuses it
-    reads = {"seq": {"gaps", "integrality", "covering", "escape", "series"}, "G": {"series"}}
-    for option, suites in reads.items():
-        if vars(args).get(option) and args.suite not in suites:
+    op, reads = SUITES[args.construction, args.suite]
+    for option in ("seq", "G"):
+        if vars(args).get(option) and option not in reads:
             raise ValueError(f"--{option} is not read by the {args.construction} {args.suite} suite")
-    reports = sorted(SUITES[args.construction, args.suite](args, random.Random(args.seed)), key=lambda r: r.claim)
+    reports = sorted(op(args, random.Random(args.seed)), key=lambda r: r.claim)
     failures = [r for r in reports if not r.passed]
     skipped = sum(1 for r in reports if r.params.get("skipped"))
     asserted = any(not r.params.get("informational") for r in reports)

@@ -504,11 +504,12 @@ def _as_dyadic(x) -> Dyadic:
 
 @dataclass(frozen=True, slots=True, repr=False)
 class IntervalUnion:
-    """Ordered union of pairwise-disjoint, non-mergeable intervals.
+    """An open set: the ordered union of pairwise-disjoint open intervals.
 
-    Two parts never touch: any overlap or flush adjacency (where the shared
-    endpoint belongs to at least one side) is merged on construction from any
-    iterable of intervals, so the representation is canonical and the total
+    Every part must be open (ValueError otherwise).  Overlapping parts are
+    merged on construction from any iterable of intervals; parts that only
+    share an endpoint, such as (a,b) and (b,c), stay apart, since that point
+    belongs to neither.  So the representation is canonical and the total
     measure is a plain sum.
     """
 
@@ -516,10 +517,12 @@ class IntervalUnion:
 
     def __post_init__(self):
         merged: list[DyInterval] = []
-        # open lo sorts after closed lo at the same point
-        for iv in sorted(self.parts, key=lambda iv: (iv.lo, not iv.closed_lo)):
-            if merged and _touches(merged[-1], iv):
-                merged[-1] = _merge(merged[-1], iv)
+        for iv in sorted(self.parts, key=lambda iv: iv.lo):
+            if iv.closed_lo or iv.closed_hi:
+                raise ValueError(f"open-set part {iv} is not an open interval")
+            if merged and iv.lo < merged[-1].hi:
+                if iv.hi > merged[-1].hi:
+                    merged[-1] = DyInterval.open(merged[-1].lo, iv.hi)
             else:
                 merged.append(iv)
         object.__setattr__(self, "parts", tuple(merged))
@@ -536,27 +539,6 @@ class IntervalUnion:
     @classmethod
     def from_json(cls, items: Iterable[str]) -> "IntervalUnion":
         return cls(DyInterval.parse(s) for s in items)
-
-
-def _touches(a: DyInterval, b: DyInterval) -> bool:
-    # b.lo >= a.lo by sort order; they merge unless a strictly positive gap
-    # remains, or they share only an endpoint excluded from both.
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.closed_hi or b.closed_lo
-    return False
-
-
-def _merge(a: DyInterval, b: DyInterval) -> DyInterval:
-    if b.hi > a.hi:
-        hi, closed_hi = b.hi, b.closed_hi
-    elif b.hi == a.hi:
-        hi, closed_hi = a.hi, a.closed_hi or b.closed_hi
-    else:
-        hi, closed_hi = a.hi, a.closed_hi
-    closed_lo = a.closed_lo or (b.lo == a.lo and b.closed_lo)
-    return DyInterval(a.lo, hi, closed_lo, closed_hi)
 
 
 @dataclass(frozen=True, slots=True, repr=False, init=False)

@@ -10,32 +10,31 @@ never by iterating periods.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
 from .exactnum import Dyadic, DyInterval, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, span_guard
-from .report import WitnessReport
 
 
-@dataclass(frozen=True, slots=True)
-class GapBlock:
-    """`count` consecutive gaps of identical size `gap`."""
+class GapBlock(namedtuple("GapBlock", "gap count tag")):
+    """`count` consecutive gaps of identical size `gap`, checked on every
+    path that builds one: the constructor, and `_make`, which `_replace`
+    calls."""
 
-    gap: Dyadic
-    count: int
-    tag: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gap > ZERO:
-            raise ValueError(f"gap must be positive, got {self.gap}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+    def __new__(cls, gap: Dyadic, count: int, tag: str = ""):
+        if gap.m <= 0:
+            raise ValueError(f"gap must be positive, got {gap}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        return tuple.__new__(cls, (gap, count, tag))
 
-
-# GapBlock's slot setters, for `from_json_dict`, which checks each field itself
-_new_block = object.__new__
-_set_gap, _set_count, _set_tag = GapBlock.gap.__set__, GapBlock.count.__set__, GapBlock.tag.__set__
+    @classmethod
+    def _make(cls, iterable) -> "GapBlock":
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -46,27 +45,29 @@ class GapBlockSeq:
     N_b is the cumulative gap count.  The value v_b at index N_b is kept as
     the int V_b on one grid: v_b = V_b*2^g, g the least exponent of the
     origin and of every block's total gap*count, checked against the span
-    guard by `_cum_table`; `block_start` reads (N_{b-1}, v_{b-1}) off the tables.
+    guard by `_cum_table`.  The tables are public and read-only:
+    `cum_counts` holds N_1..N_B, `cum_ints` V_1..V_B and `grid` g;
+    `block_start` reads (N_{b-1}, v_{b-1}) off them.
     """
 
     origin: Dyadic
     blocks: tuple[GapBlock, ...]
-    _cum_counts: list[int] = field(init=False, compare=False)
-    _cum_ints: list[int] = field(init=False, compare=False)
-    _grid: int = field(init=False, compare=False)
+    cum_counts: list[int] = field(init=False, compare=False)
+    cum_ints: list[int] = field(init=False, compare=False)
+    grid: int = field(init=False, compare=False)
 
     def __post_init__(self):
         blocks = tuple(self.blocks)
         cum_ints, grid = _cum_table(self.origin, [_total(b.gap, b.count) for b in blocks])
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_cum_counts", list(accumulate(b.count for b in blocks)))
-        object.__setattr__(self, "_cum_ints", cum_ints)
-        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "cum_counts", list(accumulate(b.count for b in blocks)))
+        object.__setattr__(self, "cum_ints", cum_ints)
+        object.__setattr__(self, "grid", grid)
 
     @property
     def total_count(self) -> int:
         """Number of points, origin included."""
-        return (self._cum_counts[-1] if self.blocks else 0) + 1
+        return (self.cum_counts[-1] if self.blocks else 0) + 1
 
     @property
     def last_value(self) -> Dyadic:
@@ -76,7 +77,7 @@ class GapBlockSeq:
         """(index, value) of the point just before block b, 0 <= b <= len(blocks):
         (0, origin) for b = 0, and the last point for b = len(blocks)."""
         pair = self.start_pair(b)
-        return (self._cum_counts[b - 1], Dyadic(*pair)) if b else (0, self.origin)
+        return (self.cum_counts[b - 1], Dyadic(*pair)) if b else (0, self.origin)
 
     def start_pair(self, b: int) -> tuple[int, int]:
         """The value just before block b (the origin for b = 0) as the
@@ -86,9 +87,9 @@ class GapBlockSeq:
             raise IndexError(f"block {b} outside [0, {len(self.blocks)}]")
         if not b:
             return self.origin.m, self.origin.e
-        V = self._cum_ints[b - 1]
+        V = self.cum_ints[b - 1]
         z = (V & -V).bit_length() - 1
-        return (V >> z, self._grid + z) if V else (0, 0)
+        return (V >> z, self.grid + z) if V else (0, 0)
 
     def value_at(self, n: int) -> Dyadic:
         """Exact n-th point via block-wise closed form."""
@@ -96,7 +97,7 @@ class GapBlockSeq:
             raise IndexError(f"index {n} outside [0, {self.total_count})")
         if n == 0:
             return self.origin
-        b = bisect_left(self._cum_counts, n)
+        b = bisect_left(self.cum_counts, n)
         prev_n, prev_v = self.block_start(b)
         return prev_v + self.blocks[b].gap * (n - prev_n)
 
@@ -109,8 +110,8 @@ class GapBlockSeq:
             return 0
         if x >= self.last_value:
             return self.total_count
-        k = x.e - self._grid
-        b = bisect_right(self._cum_ints, x.m << k if k >= 0 else x.m >> -k)
+        k = x.e - self.grid
+        b = bisect_right(self.cum_ints, x.m << k if k >= 0 else x.m >> -k)
         prev_n, prev_v = self.block_start(b)
         return prev_n + 1 + (x - prev_v) // self.blocks[b].gap
 
@@ -118,34 +119,7 @@ class GapBlockSeq:
         """Absolute index of the last point of the given block."""
         if block_index < 0 or block_index >= len(self.blocks):
             raise IndexError(f"block {block_index} outside [0, {len(self.blocks)})")
-        return self._cum_counts[block_index]
-
-    def check_monotone_gaps(self) -> WitnessReport:
-        """Gaps must be non-increasing across the whole sequence."""
-        for i in range(len(self.blocks) - 1):
-            a, b = self.blocks[i], self.blocks[i + 1]
-            if a.gap < b.gap:
-                return WitnessReport(
-                    claim="gap-monotonicity",
-                    params={
-                        "block": i,
-                        "tag": a.tag,
-                        "next_tag": b.tag,
-                        "first_violating_index": self._cum_counts[i] + 1,
-                    },
-                    lhs=str(a.gap),
-                    rhs=str(b.gap),
-                    passed=False,
-                )
-        last = str(self.blocks[-1].gap) if self.blocks else ""
-        first = str(self.blocks[0].gap) if self.blocks else ""
-        return WitnessReport(
-            claim="gap-monotonicity",
-            params={"blocks": len(self.blocks)},
-            lhs=first,
-            rhs=last,
-            passed=True,
-        )
+        return self.cum_counts[block_index]
 
     def segments_in_range(self, n_lo: int, n_hi: int) -> list[tuple[Dyadic, Dyadic, int]]:
         """Runs covering indices [n_lo, n_hi] as (value of first index, gap,
@@ -155,10 +129,10 @@ class GapBlockSeq:
         when the range holds it; its gap is a placeholder.
         """
         out = [(self.origin, ONE, 1)] if n_lo <= 0 <= n_hi else []
-        for b in range(bisect_left(self._cum_counts, max(n_lo, 1)), len(self.blocks)):
+        for b in range(bisect_left(self.cum_counts, max(n_lo, 1)), len(self.blocks)):
             prev_n, prev_v = self.block_start(b)
             lo = max(n_lo, prev_n + 1)
-            hi = min(n_hi, self._cum_counts[b])
+            hi = min(n_hi, self.cum_counts[b])
             if lo > hi:
                 break
             gap = self.blocks[b].gap
@@ -177,8 +151,8 @@ class GapBlockSeq:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapBlockSeq":
         """Inverse of to_json_dict; a count is a string of ASCII digits or a
-        JSON integer, never a float.  Each block is read, checked as
-        `GapBlock` checks it and built in one pass."""
+        JSON integer, never a float, and a tag a string.  `GapBlock` checks
+        each gap and count."""
         blocks = []
         for b in data["blocks"]:
             count, tag = b["count"], b.get("tag", "")
@@ -188,16 +162,7 @@ class GapBlockSeq:
                 raise ValueError(f"block count must be a decimal string or integer, got {count!r}")
             if not isinstance(tag, str):
                 raise ValueError(f"block tag must be a string, got {tag!r}")
-            gap, count = Dyadic.parse(b["gap"]), int(count)
-            if gap.m <= 0:
-                raise ValueError(f"gap must be positive, got {gap}")
-            if count < 1:
-                raise ValueError(f"count must be >= 1, got {count}")
-            block = _new_block(GapBlock)
-            _set_gap(block, gap)
-            _set_count(block, count)
-            _set_tag(block, tag)
-            blocks.append(block)
+            blocks.append(GapBlock(Dyadic.parse(b["gap"]), int(count), tag))
         return cls(Dyadic.parse(data["origin"]), blocks)
 
 

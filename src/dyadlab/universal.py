@@ -149,7 +149,7 @@ def step_walk(seq: GapBlockSeq, limit: IndexJK) -> Iterator[Step]:
     """The steps before `limit`, row by row, each read once off the tables of
     `seq`: IndexError at a step with no block in `seq`, ValueError at one
     whose wide block is tagged as another step."""
-    blocks, counts, ints, grid = seq.blocks, seq._cum_counts, seq._cum_ints, seq._grid
+    blocks, counts, ints, grid = seq.blocks, seq.cum_counts, seq.cum_ints, seq.grid
     b, n0, vm, ve = 0, 0, seq.origin.m, seq.origin.e
     for j in range(1, limit.j + 1):
         width = row_width(j)
@@ -232,9 +232,9 @@ def check_integrality(seq: GapBlockSeq, limit: IndexJK) -> WitnessReport:
     return WitnessReport(claim="integrality", params=params, passed=True)
 
 
-class CoverWitness(namedtuple("CoverWitness", "nx nxp landing component")):
+class CoverWitness(namedtuple("CoverWitness", "nx nxp component")):
     """Translate nx is the first past the comb base a for x, and translate
-    nxp = nx + component carries x to `landing`, on that comb component."""
+    nxp = nx + component carries x onto that comb component."""
 
     __slots__ = ()
 
@@ -249,7 +249,8 @@ def covering_witness(x: Dyadic, step: Step) -> CoverWitness:
     widths advances it.  Once nx is past the block, IndexError when the
     whole prefix stays at or below a - x; Violation when the overshoot
     exceeds one wide gap, the landing misses the comb or the witness leaves
-    the block (read as extended past its end).
+    the block (read as extended past its end).  A `Dyadic` is formed only
+    to word a refusal.
     """
     j, _, J, s, _, n0, n1, vm, ve, G, seq = step
     g = min(x.e, ve, G.e, -3 * s)  # zero has exponent 0 > -3s
@@ -280,7 +281,7 @@ def covering_witness(x: Dyadic, step: Step) -> CoverWitness:
         raise Violation(f"landing {Dyadic(A + land, g)} missed component {comp} at {step}")
     if nx + comp > n1:
         raise Violation(f"witness indices {nx},{nx + comp} exceed step end {n1} at {step}")
-    return CoverWitness(nx, nx + comp, Dyadic(A + land, g), comp)
+    return CoverWitness(nx, nx + comp, comp)
 
 
 def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIntervalSet]]:

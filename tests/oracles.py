@@ -43,9 +43,10 @@ def parse_dyadic_regex(text) -> Dyadic:
 def seq_from_json_checked(data: dict) -> GapBlockSeq:
     """A gap-block artifact read through the checked constructors: each
     block by `GapBlock`, which validates its gap and count, and the table by
-    `GapBlockSeq(origin, blocks)`.  `GapBlockSeq.from_json_dict`, which
-    checks and builds each block in one pass, must return an equal sequence
-    with the same table, or raise the same exception type and message."""
+    `GapBlockSeq(origin, blocks)`, with every gap parsed by regular
+    expressions.  `GapBlockSeq.from_json_dict`, with its ASCII fast paths,
+    must return an equal sequence with the same table, or raise the same
+    exception type and message."""
     blocks = []
     for b in data["blocks"]:
         count, tag = b["count"], b.get("tag", "")
@@ -272,7 +273,7 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     landing = x + seq.value_at(nxp)
     if not (0 <= comp < comb.count and comb_contains(comb, landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
-    return CoverWitness(nx=nx, nxp=nxp, landing=landing, component=comp)
+    return CoverWitness(nx=nx, nxp=nxp, component=comp)
 
 
 def smoothing_envelope(uG: Iterable[tuple[IndexJK, PeriodicIntervalSet]], deltas: Iterable[Dyadic]) -> PiecewiseLinear:

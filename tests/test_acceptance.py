@@ -22,7 +22,7 @@ from dyadlab.exactnum import PiecewiseLinear
 from dyadlab import dense_divergence as dd
 from dyadlab import interior_gap as ig
 from dyadlab import universal as uv
-from dyadlab.cli import EXIT_PASS, main
+from dyadlab.cli import EXIT_PASS, check_monotone_gaps, main
 from oracles import comb_contains, step_at, step_indices
 
 _T0 = time.monotonic()
@@ -66,11 +66,11 @@ def test_criterion_1_lemma_sweep():
 
 
 def test_criterion_2_gap_monotonicity(seq_2_15):
-    ok = seq_2_15.check_monotone_gaps().passed
-    ok = ok and ig.build_thm33(6).seq.check_monotone_gaps().passed
+    ok = check_monotone_gaps(seq_2_15).passed
+    ok = ok and check_monotone_gaps(ig.build_thm33(6).seq).passed
     blocks = list(seq_2_15.blocks)
     blocks[5] = GapBlock(blocks[5].gap * 4, blocks[5].count, blocks[5].tag)
-    ok = ok and not GapBlockSeq(seq_2_15.origin, blocks).check_monotone_gaps().passed
+    ok = ok and not check_monotone_gaps(GapBlockSeq(seq_2_15.origin, blocks)).passed
     _report(2, "gap monotonicity through (2,15) and thm33(6); negative control fails", ok)
 
 
@@ -92,7 +92,7 @@ def test_criterion_4_covering(seq_3_0):
                 total += 1
                 try:
                     w = uv.covering_witness(x, step)
-                    if not (comb_contains(ps, w.landing) and w.nx <= n1 and w.nxp <= n1):
+                    if not (comb_contains(ps, x + seq_3_0.value_at(w.nxp)) and w.nx <= n1 and w.nxp <= n1):
                         failures += 1
                 except (uv.Violation, IndexError):
                     failures += 1

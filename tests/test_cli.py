@@ -232,6 +232,25 @@ class TestVerify:
         assert len(stderr.strip().splitlines()) == 1
         assert "cannot parse interval from" in stderr or str(g) in stderr
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "universal", "--suite", "series", "--limit", "1,1", "--samples", "1"],
+            ["construct", "thm31", "--jmax", "3", "--out", "{out}"],
+            ["eval", "thm31", "--jmaxes", "3", "--xs", "0"],
+        ],
+        ids=["verify", "construct", "eval"],
+    )
+    def test_open_set_with_a_closed_part_is_usage_error(self, capsys, tmp_path, argv):
+        # the theorem covers open G only, so a part that is not open is refused
+        g, out = tmp_path / "G.json", tmp_path / "out.json"
+        g.write_text('["[0,1]"]')
+        argv = [a.format(out=out) for a in argv]
+        code, stdout, stderr = run(capsys, *argv, "--G", str(g))
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert stderr == "error: open-set part [0*2^0,1*2^0] is not an open interval\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("suite", ["integrality", "covering", "escape", "series"])
     def test_short_artifact_is_usage_error(self, capsys, tmp_path, suite):
         art = tmp_path / "u11.json"
@@ -691,7 +710,7 @@ def _loaded_or_refusal(load, data):
         seq = load(data)
     except Exception as exc:  # every refusal the loader can raise: its type and message must match
         return type(exc), str(exc)
-    return seq, seq._cum_ints, seq._grid
+    return seq, seq.cum_ints, seq.grid
 
 
 @settings(max_examples=150, deadline=None)
@@ -699,8 +718,8 @@ def _loaded_or_refusal(load, data):
 @example(_far_gaps("1*2^99999999999", "1*2^-99999999999"), 1 << 20)
 @example(_far_gaps("1*2^-40", "0*2^0"), 1 << 20)
 def test_one_pass_loader_matches_the_checked_constructors(data, guard):
-    # `from_json_dict` checks and builds each block in one pass, without
-    # `GapBlock`'s own validation: the same sequence and table, or the same refusal
+    # `from_json_dict` checks each block's input format, then builds it
+    # through `GapBlock`: the same sequence and table, or the same refusal
     data = data["seq"] if "seq" in data else data
     old = set_span_guard(guard)
     try:
@@ -721,6 +740,11 @@ def test_one_pass_loader_matches_the_checked_constructors(data, guard):
     ({"gap": "1*2^-8", "count": 1.0}, "block count must be a decimal string or integer, got 1.0"),
 ])
 def test_a_bad_block_is_a_one_line_refusal(capsys, tmp_path, block, message):
+    if message.startswith(("gap must", "count must")):
+        # the loader's refusal is the constructor's own
+        with pytest.raises(ValueError) as exc:
+            lattice.GapBlock(Dyadic.parse(block["gap"]), int(block["count"]), "1,0:wide")
+        assert str(exc.value) == message
     data = json.loads(_u11_artifact())
     data["blocks"][0] = {**block, "tag": "1,0:wide"}
     art = tmp_path / "bad.json"

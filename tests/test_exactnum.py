@@ -456,20 +456,36 @@ class TestDyInterval:
         assert g.covers(DyInterval(ZERO, ONE, False, True))
 
 
+_LOWS = st.builds(Dyadic, st.integers(-64, 64), st.integers(-4, 2))
+_WIDTHS = st.builds(Dyadic, st.integers(1, 32), st.integers(-4, 1))
+_OPEN_PARTS = st.lists(st.builds(lambda lo, w: DyInterval.open(lo, lo + w), _LOWS, _WIDTHS), max_size=10)
+
+
+def _swept_measure(ivs) -> Fraction:
+    """The measure of a union of open intervals, by one sweep over them as fractions."""
+    total, reach = Fraction(0), None
+    for lo, hi in sorted((frac(iv.lo), frac(iv.hi)) for iv in ivs):
+        start = lo if reach is None else max(lo, reach)
+        if hi > start:
+            total += hi - start
+        reach = hi if reach is None else max(reach, hi)
+    return total
+
+
 class TestIntervalUnion:
     def test_insert_examples(self):
         u = IntervalUnion()
-        u1 = IntervalUnion([*u.parts, DyInterval.closed(0, 1)])
+        u1 = IntervalUnion([*u.parts, DyInterval.open(0, 1)])
         assert len(u1.parts) == 1
-        u2 = IntervalUnion([*u1.parts, DyInterval.closed(1, 2)])
-        assert len(u2.parts) == 1 and str(u2.parts[0]) == "[0*2^0,1*2^1]"
-        piece = DyInterval.closed(Dyadic(16) + Dyadic(11, -8), Dyadic(16) + Dyadic(11, -8) + Dyadic(1, -12))
+        u2 = IntervalUnion([*u1.parts, DyInterval.open(dy("0.5"), 2)])
+        assert len(u2.parts) == 1 and str(u2.parts[0]) == "(0*2^0,1*2^1)"
+        piece = DyInterval.open(Dyadic(16) + Dyadic(11, -8), Dyadic(16) + Dyadic(11, -8) + Dyadic(1, -12))
         v = IntervalUnion([*IntervalUnion([*u.parts, piece]).parts, piece])
         assert len(v.parts) == 1
         assert total_length(v.parts) == Dyadic(1, -12)
 
     def test_open_sets_do_not_merge_at_excluded_point(self):
-        u = IntervalUnion([DyInterval(ZERO, ONE, True, False), DyInterval(ONE, Dyadic(2), False, True)])
+        u = IntervalUnion([DyInterval.open(ZERO, ONE), DyInterval.open(ONE, Dyadic(2))])
         assert len(u.parts) == 2
         assert total_length(u.parts) == Dyadic(2)
 
@@ -479,15 +495,8 @@ class TestIntervalUnion:
             ivs = []
             for _ in range(rng.randint(1, 12)):
                 lo = Dyadic(rng.randint(-64, 64), rng.randint(-4, 2))
-                width = Dyadic(rng.randint(0, 32), rng.randint(-4, 1))
-                closed = rng.random() < 0.5 or not width
-                ivs.append(
-                    DyInterval(lo, lo + width, True, True)
-                    if closed
-                    else DyInterval(lo, lo + width, rng.random() < 0.5, False)
-                    if width
-                    else DyInterval(lo, lo, True, True)
-                )
+                width = Dyadic(rng.randint(1, 32), rng.randint(-4, 1))
+                ivs.append(DyInterval.open(lo, lo + width))
             base = IntervalUnion(ivs)
             for _ in range(3):
                 rng.shuffle(ivs)
@@ -497,27 +506,26 @@ class TestIntervalUnion:
                 assert total_length(u.parts) == total_length(base.parts)
                 assert u == base
 
-    def test_measure_against_fraction_sweep_oracle(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            ivs = []
-            for _ in range(rng.randint(1, 10)):
-                lo = Dyadic(rng.randint(-32, 32), rng.randint(-3, 1))
-                width = Dyadic(rng.randint(1, 16), rng.randint(-3, 0))
-                ivs.append(DyInterval.closed(lo, lo + width))
-            u = IntervalUnion(ivs)
-            # oracle: merge closed intervals as fractions
-            spans = sorted((frac(i.lo), frac(i.hi)) for i in ivs)
-            total = Fraction(0)
-            cur_lo, cur_hi = spans[0]
-            for lo, hi in spans[1:]:
-                if lo <= cur_hi:
-                    cur_hi = max(cur_hi, hi)
-                else:
-                    total += cur_hi - cur_lo
-                    cur_lo, cur_hi = lo, hi
-            total += cur_hi - cur_lo
-            assert frac(total_length(u.parts)) == total
+    @given(_OPEN_PARTS.flatmap(lambda ivs: st.tuples(st.just(ivs), st.permutations(ivs))))
+    def test_measure_against_fraction_sweep_oracle(self, case):
+        ivs, shuffled = case
+        u = IntervalUnion(ivs)
+        assert frac(total_length(u.parts)) == _swept_measure(ivs)
+        assert IntervalUnion(shuffled) == u
+        assert all(p.hi <= q.lo for p, q in zip(u.parts, u.parts[1:]))
+
+    @given(
+        _OPEN_PARTS,
+        _LOWS,
+        _WIDTHS,
+        st.sampled_from([(True, True), (True, False), (False, True)]),
+        st.integers(0, 10),
+        st.booleans(),
+    )
+    def test_a_part_that_is_not_open_raises(self, ivs, lo, width, closed, at, point):
+        bad = DyInterval(lo, lo, True, True) if point else DyInterval(lo, lo + width, *closed)
+        with pytest.raises(ValueError, match=r"^open-set part .* is not an open interval$"):
+            IntervalUnion(ivs[:at] + [bad] + ivs[at:])
 
     def test_contains_interval(self):
         g = IntervalUnion([DyInterval.open(0, 2), DyInterval.open(5, 9)])
@@ -527,7 +535,7 @@ class TestIntervalUnion:
         assert g.contains_interval(DyInterval.closed(6, 7))
 
     def test_json_roundtrip(self):
-        g = IntervalUnion([DyInterval.open(0, 2), DyInterval.closed(5, 9)])
+        g = IntervalUnion([DyInterval.open(0, 2), DyInterval.open(5, 9)])
         assert IntervalUnion.from_json([str(p) for p in g.parts]) == g
 
 

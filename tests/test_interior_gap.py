@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from dyadlab.cli import check_monotone_gaps
 from dyadlab.exactnum import Dyadic, ZERO
 from dyadlab.interior_gap import (
     build_thm33,
@@ -53,14 +54,14 @@ class TestBuild:
 
     def test_monotone_gaps_up_to_6(self):
         for jmax in range(1, 7):
-            assert build_thm33(jmax).seq.check_monotone_gaps().passed
+            assert check_monotone_gaps(build_thm33(jmax).seq).passed
 
     def test_perturbed_control_fails(self, cons6):
         from dyadlab.lattice import GapBlock, GapBlockSeq
 
         blocks = list(cons6.seq.blocks)
         blocks[2] = GapBlock(blocks[2].gap * 4, blocks[2].count, blocks[2].tag)
-        assert not GapBlockSeq(ZERO, blocks).check_monotone_gaps().passed
+        assert not check_monotone_gaps(GapBlockSeq(ZERO, blocks)).passed
 
     def test_function_values(self, cons6):
         f = cons6.f

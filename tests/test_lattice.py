@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyadlab import exactnum
+from dyadlab.cli import check_monotone_gaps
 from dyadlab.dense_divergence import build_thm31
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard, span_guard
 from dyadlab.interior_gap import build_thm33
@@ -92,13 +93,13 @@ class TestGapBlockSeq:
                 assert seq.value_at(c) > x
 
     def test_monotone_gaps_check(self):
-        assert universal_head().check_monotone_gaps().passed
+        assert check_monotone_gaps(universal_head()).passed
         bad = GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 1), GapBlock(Dyadic(2), 1)])
-        rep = bad.check_monotone_gaps()
+        rep = check_monotone_gaps(bad)
         assert not rep.passed
         assert rep.params["first_violating_index"] == 2
         single = GapBlockSeq(ZERO, [GapBlock(Dyadic(1, -3), 5)])
-        assert single.check_monotone_gaps().passed
+        assert check_monotone_gaps(single).passed
 
     def test_json_roundtrip(self):
         seq = universal_head()

@@ -25,8 +25,10 @@ and a method's `self` or `cls` is not a position.  `KEEP` names the
 exceptions as `function.parameter`.
 
 A leading underscore is the one statement of what a module keeps to itself:
-no module imports another's `_name`, and no `__all__` restates the surface.
-`LAYERS` lists the package modules each module may import.
+no module imports another's `_name`, no `__all__` restates the surface, and
+no module reads a non-dunder `_name` attribute off anything but `self` or
+`cls`, so one object's private fields stay its own.  `LAYERS` lists the
+package modules each module may import.
 """
 
 import ast
@@ -47,10 +49,11 @@ KEEP = {
     "smoothing_measure": "acceptance criterion 9; library-only, as the README records",
     "main.argv": "tests and the benchmark pass it; the console script and `python -m dyadlab` read sys.argv",
     "escape_measure_bruteforce.budget": "the benchmark reads it",
+    "_make": "`GapBlock._replace` builds through it, so `GapBlock.__new__` checks that path too",
 }
 
 # command lines the execution check runs beyond the report-bytes cases;
-# "{G2}" is an open set of three parts, two of which merge
+# "{G2}" is an open set of three open parts, two of which overlap and merge
 RUNS = [
     ["eval", "thm31", "--jmaxes", "3", "--xs", "0", "--G", "{G2}"],
     ["verify", "universal", "--suite", "lemma", "--limit", "x"],
@@ -82,7 +85,7 @@ LAYERS = {
     "__init__": set(),
     "exactnum": set(),
     "report": set(),
-    "lattice": {"exactnum", "report"},
+    "lattice": {"exactnum"},
     "universal": _CONSTRUCTION_BASE,
     "dense_divergence": _CONSTRUCTION_BASE,
     "interior_gap": _CONSTRUCTION_BASE,
@@ -272,10 +275,33 @@ def test_modules_import_only_their_layers():
     assert not findings, "\n".join(findings)
 
 
+def _private_reads(trees) -> list[str]:
+    """Every `x._name` (dunders aside) whose `x` is not the name `self` or `cls`."""
+    return [
+        f"{fname}:{node.lineno}: {ast.unparse(node)}"
+        for fname, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    findings = _private_reads(_trees())
+    assert not findings, "\n".join(findings)
+
+
+def test_private_read_check_sees_a_private_read():
+    tree = ast.parse("def f(seq, self):\n    return seq._grid, self._grid, seq.__class__, seq.grid\n")
+    assert _private_reads({"m.py": tree}) == ["m.py:2: seq._grid"]
+
+
 def _ran(tmp_path) -> set[tuple[str, int, str]]:
     """(file, first line, name) of every code object the corpus calls."""
     (tmp_path / "g.json").write_text(json.dumps(G_THM31))
-    (tmp_path / "g2.json").write_text(json.dumps(["(0,1)", "[1,2)", "(5,6)"]))
+    (tmp_path / "g2.json").write_text(json.dumps(["(0,1)", "(1*2^-1,2)", "(5,6)"]))
     paths = {"out": tmp_path / "out", "G": tmp_path / "g.json", "G2": tmp_path / "g2.json", "seq": tmp_path / "seq.json"}
     corpus = [["construct", "universal", "--limit", "2,3", "--out", "{seq}"], *CASES.values(), *RUNS]
     corpus = [[a.format(**paths) for a in argv] for argv in corpus]

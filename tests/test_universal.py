@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dyadlab.cli import check_monotone_gaps
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, ZERO, set_span_guard
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
 from dyadlab.universal import (
@@ -169,7 +170,7 @@ class TestBuildUniversal:
 
     def test_monotone_gaps_through_2_15(self):
         seq = build_universal(IndexJK(2, 15))
-        assert seq.check_monotone_gaps().passed
+        assert check_monotone_gaps(seq).passed
         # and each wide gap strictly exceeds the following half gap
         for a, b in zip(seq.blocks, seq.blocks[1:]):
             assert a.gap > b.gap
@@ -206,7 +207,7 @@ class TestBuildUniversal:
         blocks = list(seq.blocks)
         bad = GapBlock(blocks[3].gap * 3, blocks[3].count, blocks[3].tag)
         tampered = GapBlockSeq(seq.origin, blocks[:3] + [bad] + blocks[4:])
-        assert not tampered.check_monotone_gaps().passed
+        assert not check_monotone_gaps(tampered).passed
 
 
 class TestLemmaAndIntegrality:
@@ -342,20 +343,20 @@ class TestCoveringWitness:
     def test_x_three_quarters(self, seq11):
         w = witness(dy("0.75"), IndexJK(1, 0), seq11)
         assert (w.nx, w.nxp) == (69, 80)
-        assert w.landing == Dyadic(16) + Dyadic(11, -8)
+        assert dy("0.75") + seq11.value_at(w.nxp) == Dyadic(16) + Dyadic(11, -8)
         assert w.component == 11
 
     def test_x_half(self, seq11):
         w = witness(dy("0.5"), IndexJK(1, 0), seq11)
         assert (w.nx, w.nxp) == (137, 144)
-        assert w.landing == Dyadic(16) + Dyadic(7, -8)
+        assert dy("0.5") + seq11.value_at(w.nxp) == Dyadic(16) + Dyadic(7, -8)
         assert w.component == 7
 
     def test_x_one(self, seq11):
         w = witness(Dyadic(1), IndexJK(1, 0), seq11)
         assert w.nx == 1
         assert w.nxp == 16
-        assert comb_contains(IndexJK(1, 0).comb, w.landing)
+        assert comb_contains(IndexJK(1, 0).comb, Dyadic(1) + seq11.value_at(w.nxp))
         assert w.component == 15
 
     def test_against_enumeration(self, seq11):
@@ -378,8 +379,7 @@ class TestCoveringWitness:
             overshoot = Fraction((x + pts[nx_brute] - a).m, 2 ** -(x + pts[nx_brute] - a).e)
             nxp_brute = nx_brute + int(overshoot / e3)
             assert w.nxp == nxp_brute
-            assert w.landing == x + pts[nxp_brute]
-            assert comb_contains(ps, w.landing)
+            assert comb_contains(ps, x + seq11.value_at(w.nxp))
             # the advanced index never lands before the first brute-force hit window
             first_hit = next(
                 n for n, v in enumerate(pts[nx_brute:], start=nx_brute) if comb_contains(ps, x + v)
@@ -397,7 +397,7 @@ class TestCoveringWitness:
                 for _ in range(20):
                     x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(40), -40)
                     w = covering_witness(x, step)
-                    assert comb_contains(ps, w.landing)
+                    assert comb_contains(ps, x + seq.value_at(w.nxp))
                     assert w.nx <= n1 and w.nxp <= n1
 
     def test_out_of_interval(self, seq11):
@@ -695,20 +695,22 @@ class TestEscape:
         measure, _ = escape_measure_bruteforce(i, seq)
         ps = i.comb
         pts = list(iter_points(seq))
+        # the pieces are taken open, and the zero-length ones dropped: the
+        # endpoints they lose have measure zero
         pieces = []
         window = DyInterval.closed(Dyadic(-1), Dyadic(1))
         for v in pts:
             for comp in components(ps):
                 lo, hi = comp.lo - v, comp.hi - v
-                if hi < window.lo or lo > window.hi:
+                if hi <= window.lo or lo >= window.hi:
                     continue
-                pieces.append(DyInterval.closed(max(lo, window.lo), min(hi, window.hi)))
+                pieces.append(DyInterval.open(max(lo, window.lo), min(hi, window.hi)))
         union = IntervalUnion(pieces)
         inside = IntervalUnion(
             [
-                DyInterval.closed(max(p.lo, i.aI), min(p.hi, i.bI))
+                DyInterval.open(max(p.lo, i.aI), min(p.hi, i.bI))
                 for p in union.parts
-                if not (p.hi < i.aI or p.lo > i.bI)
+                if not (p.hi <= i.aI or p.lo >= i.bI)
             ]
         )
         assert measure == total_length(union.parts) - total_length(inside.parts)

@@ -20,6 +20,12 @@ def intervals(draw):
 
 
 @st.composite
+def open_intervals(draw):
+    lo, hi = sorted((draw(dyadics), draw(dyadics)))
+    return DyInterval.open(lo, hi if hi > lo else lo + 1)
+
+
+@st.composite
 def piecewise(draw):
     xs = sorted(set(draw(st.lists(dyadics, min_size=2, max_size=8))))
     if len(xs) < 2:
@@ -47,7 +53,7 @@ def test_interval_rebuilt_is_equal(iv):
     _assert_value(iv, DyInterval(iv.lo, iv.hi, iv.closed_lo, iv.closed_hi), "closed_hi")
 
 
-@given(st.lists(intervals(), max_size=8).flatmap(lambda ivs: st.tuples(st.just(ivs), st.permutations(ivs))))
+@given(st.lists(open_intervals(), max_size=8).flatmap(lambda ivs: st.tuples(st.just(ivs), st.permutations(ivs))))
 def test_union_is_equal_across_part_orders(case):
     ivs, shuffled = case
     g = IntervalUnion(ivs)
@@ -67,13 +73,25 @@ def test_gap_seq_rebuilt_is_equal(seq):
     _assert_value(seq, GapBlockSeq(seq.origin, list(seq.blocks)), "origin")
     assert (copy.total_count, copy.last_value) == (seq.total_count, seq.last_value)
     with pytest.raises(AttributeError):
-        seq._cum_counts = []
+        seq.cum_counts = []
+
+
+def test_gap_block_checks_every_path_that_builds_one():
+    block = GapBlock(Dyadic(1), 3, "tag")
+    assert block._replace(count=4) == GapBlock(Dyadic(1), 4, "tag")
+    assert type(block._replace(tag="")) is GapBlock
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+        block._replace(count=0)
+    with pytest.raises(ValueError, match=r"^gap must be positive, got -1\*2\^0$"):
+        block._replace(gap=Dyadic(-1))
+    with pytest.raises(ValueError, match=r"^gap must be positive, got 0\*2\^0$"):
+        GapBlock._make([ZERO, 3, "tag"])
 
 
 def test_unequal_values_differ():
     iv = DyInterval.closed(0, 1)
     assert iv != DyInterval(iv.lo, iv.hi, True, False)
-    assert IntervalUnion([iv]) != IntervalUnion([DyInterval.open(0, 1)])
+    assert IntervalUnion([DyInterval.open(0, 1)]) != IntervalUnion([DyInterval.open(0, 2)])
     seq = GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 3)])
     assert seq != GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 4)])
     assert seq != GapBlockSeq(ZERO, [GapBlock(Dyadic(1), 3, "tag")])
