@@ -112,6 +112,11 @@ class Dyadic:
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default
+        # slot-state restore would go through the raising __setattr__
+        return Dyadic, (self.m, self.e)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
-from .lattice import GapBlock, GapBlockSeq, shift_invariant_sum, sum_pl_over_runs
+from .lattice import GapBlock, GapBlockSeq, merged_runs, shift_invariant_sum, sum_pl_over_runs
 from .report import OutOfInterval, WitnessReport
 
 
@@ -21,7 +21,8 @@ from .report import OutOfInterval, WitnessReport
 class Thm33Construction:
     """Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
     fine block ends on the first point of the next one.  The runs of every
-    decade are cut from `seq` once, here, and left out of `==`."""
+    decade are cut from `seq` once, here, and left out of `==`: two per
+    decade, its first point 10j-10 joined to the coarse run that follows it."""
 
     jmax: int
     seq: GapBlockSeq
@@ -31,7 +32,7 @@ class Thm33Construction:
     def __post_init__(self):
         bounds = [0] + [self.seq.index_of_step_boundary(2 * j - 1) for j in range(1, self.jmax)]
         bounds.append(self.seq.total_count)
-        runs = tuple(tuple(self.seq.segments_in_range(lo, end - 1)) for lo, end in zip(bounds, bounds[1:]))
+        runs = tuple(tuple(merged_runs(self.seq.segments_in_range(lo, end - 1))) for lo, end in zip(bounds, bounds[1:]))
         object.__setattr__(self, "_runs", runs)
 
     def decade_runs(self, j: int) -> tuple[tuple[Dyadic, Dyadic, int], ...]:

@@ -271,7 +271,7 @@ def lattice_run(iv: DyInterval, step: Dyadic) -> tuple[Dyadic, Dyadic, int]:
 
 def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval) -> int:
     """#{k in [0, count) : start + k*step in iv}, in O(1) big-integer steps."""
-    if not step > ZERO:
+    if step.m <= 0:
         raise ValueError("step must be positive")
     k_lo, k_hi = _ap_index_range(start, step, iv)
     return max(0, min(count - 1, k_hi) - max(0, k_lo) + 1)
@@ -342,12 +342,19 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     must each fit, else GuardExceeded.  Only the pieces [x_i, x_{i+1}) that
     meet the span are visited, found by bisecting the int knots with the
     aligned start and last point shifted down to the knot grid (exact for
-    `<=` against grid points).  Each piece's index range is two ceiling
-    divisions, its sum an arithmetic series divided exactly by the odd part
-    of x_{i+1} - x_i (NotExact if that does not divide), and the pieces are
-    added at one exponent, so each call builds a single Dyadic.
+    `<=` against grid points).  Each piece is summed from delta, the
+    distance from its left knot x0 to the first run point at or after it:
+    at the first piece visited, the start's offset from x0, reduced mod the
+    step when the run starts before x0 (the one division of an offset that
+    grows with the start's distance from f), then carried across each piece
+    with ints no wider than the pieces.  A piece's point
+    count comes from delta and its width, or from L - x0 when the run's last
+    point L lies in it; its sum is an arithmetic series divided exactly by
+    the odd part of x_{i+1} - x_i (NotExact if that does not divide), and
+    the pieces are added at one exponent, so each call builds a single
+    Dyadic.
     """
-    if not step > ZERO:
+    if step.m <= 0:
         raise ValueError("step must be positive")
     if count < 1:
         return ZERO
@@ -357,7 +364,9 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
     if width > guard:
         raise grid_error("aligned run", width, er)
-    S, D = start.m << (start.e - er), step.m << (step.e - er)
+    # (here and below, the `if`: shifting a wide int by 0 still copies it)
+    S = start.m << start.e - er if start.e != er else start.m
+    D = step.m << step.e - er
     L = S + D * (count - 1)
     # a run that misses the interior of f's support adds 0: compare it with
     # the end knots by rounding the finer side, before anything is aligned;
@@ -375,37 +384,38 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
     width = max(S.bit_length(), L.bit_length(), D.bit_length())
     if width > guard:
         raise grid_error("aligned run", width, e)
-    # (`if drop`: shifting a wide int by 0 still copies it)
     first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
     end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
+    # delta is the distance from each piece's left knot x0 to the first run
+    # point at or after it: one division at the first piece, where the start
+    # may lie many grid units before x0, then carried across each piece
+    x1 = X[first] << drop if drop else X[first]
+    r = S - x1
+    delta = r if r >= 0 else r % D
     pieces = []  # (sum, t): a piece's sum is sum*2^(v_exp - t)
     for i in range(first, end):
+        x0, x1 = x1, (X[i + 1] << drop if drop else X[i + 1])
+        w = x1 - x0
+        # the points in [x0, x1), up to L when the run ends in the piece
+        n = ((L - x0 if L < x1 else w - 1) - delta) // D + 1
         v0, v1 = V[i], V[i + 1]
-        if not v0 and not v1:
-            continue
-        x0, x1 = (X[i] << drop, X[i + 1] << drop) if drop else (X[i], X[i + 1])
-        width = max(x0.bit_length(), x1.bit_length())
-        if width > guard:
-            raise grid_error("aligned run", width, e)
-        # the knots relative to the start: small even where the grid is wide
-        r0, r1 = x0 - S, x1 - S
-        k_lo = max(0, -(-r0 // D))  # ceil(r0/D)
-        k_hi = min(count - 1, -(-r1 // D) - 1)  # ceil(r1/D) - 1
-        if k_hi < k_lo:
-            continue
-        n = k_hi - k_lo + 1
-        # n*v0 + (v1-v0)*(D*(k_lo+...+k_hi) - n*r0)/(r1-r0), in units of
-        # 2^v_exp; r1 - r0 = w*2^t with w odd, and dividing by w last keeps
-        # the sum exact even when the bare slope is not dyadic
-        w = r1 - r0
-        t = (w & -w).bit_length() - 1
-        rise = (v1 - v0) * (D * ((k_lo + k_hi) * n // 2) - n * r0)
-        if w >> t != 1:
-            q, r = divmod(rise, w >> t)
-            if r:
-                raise NotExact(f"{Dyadic(rise, f.v_exp + e)} / {Dyadic(w, e)} is not a dyadic rational")
-            rise = q
-        pieces.append(((n * v0 << t) + rise, t))
+        if v0 or v1:
+            width = max(x0.bit_length(), x1.bit_length())
+            if width > guard:
+                raise grid_error("aligned run", width, e)
+            if n:
+                # n*v0 + (v1-v0)*(n*delta + D*n(n-1)/2)/w, in units of 2^v_exp;
+                # w = w'*2^t with w' odd, and dividing by w' last keeps the
+                # sum exact even when the bare slope is not dyadic
+                t = (w & -w).bit_length() - 1
+                rise = (v1 - v0) * (n * delta + D * (n * (n - 1) >> 1))
+                if w >> t != 1:
+                    q, r = divmod(rise, w >> t)
+                    if r:
+                        raise NotExact(f"{Dyadic(rise, f.v_exp + e)} / {Dyadic(w, e)} is not a dyadic rational")
+                    rise = q
+                pieces.append(((n * v0 << t) + rise, t))
+        delta += n * D - w
     if not pieces:
         return ZERO
     t_max = max(t for _, t in pieces)
@@ -433,7 +443,7 @@ def shift_invariant_sum(
     sum_pl_over_ap, whatever the length of [lo, hi].
     """
     first, step, count = run
-    if not step > ZERO:
+    if step.m <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -457,6 +467,22 @@ def shift_invariant_sum(
         kinks.update(lo + (x - first - lo) % step for x in xs[p : q + 1])
     values = {sum_pl_over_ap(f, t + first, step, count) for t in kinks if t <= hi}
     return values.pop() if len(values) == 1 else None
+
+
+def merged_runs(runs: Iterable[tuple[Dyadic, Dyadic, int]]) -> list[tuple[Dyadic, Dyadic, int]]:
+    """The same points as `runs` (first, gap, count), in the same order, with
+    each run joined onto the run before it when the earlier one is a single
+    point or has the same gap, and the later one starts exactly one gap (its
+    own) past the earlier one's end."""
+    out: list[tuple[Dyadic, Dyadic, int]] = []
+    for first, gap, count in runs:
+        if out:
+            f0, g0, n0 = out[-1]
+            if (n0 == 1 or g0 == gap) and first == f0 + g0 * (n0 - 1) + gap:
+                out[-1] = (f0, gap, n0 + count)
+                continue
+        out.append((first, gap, count))
+    return out
 
 
 def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:

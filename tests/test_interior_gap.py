@@ -95,6 +95,22 @@ class TestBuild:
             with pytest.raises(IndexError):
                 cons6.decade_runs(j)
 
+    @pytest.mark.parametrize("jmax", [1, 2, 3, 6])
+    def test_two_runs_per_decade(self, jmax):
+        """Every decade is one coarse run, its first point 10j-10 (the origin
+        for decade 1) joined to the coarse block at the same gap, then one
+        fine run: the points of `segments_in_range`, in the same order."""
+        cons = build_thm33(jmax)
+        for j in range(1, jmax + 1):
+            X = 2 ** (2**j)
+            coarse, fine = Dyadic(1, -(2**j)), Dyadic(1, -(2 ** (j + 1)))
+            assert cons.decade_runs(j) == (
+                (Dyadic(10 * j - 10), coarse, 8 * X + 1),
+                (Dyadic(10 * j - 2) + fine, fine, 2 * X * X - 1),
+            )
+        head = cons.seq.segments_in_range(0, cons.seq.index_of_step_boundary(1) - 1)
+        assert [(first, count) for first, _, count in head[:2]] == [(ZERO, 1), (Dyadic(1, -2), 32)]
+
 
 class TestDivergence:
     def test_anchor_x0(self, cons6):

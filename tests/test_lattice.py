@@ -1,6 +1,7 @@
 """Gap-block sequences and lattice-counting checks against enumeration oracles."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dyadlab.lattice import (
     count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
+    merged_runs,
     shift_invariant_sum,
     sum_pl_over_ap,
     sum_pl_over_runs,
@@ -759,6 +761,80 @@ def test_segment_inside_one_piece_tests_one_piece():
     assert 0 < len(reads) <= 2 * 2
 
 
+def _outcome(kernel, *args):
+    """A kernel's value, or the type and message of the refusal it raised."""
+    try:
+        return kernel(*args)
+    except (NotExact, GuardExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def wide_grid_cases(draw):
+    """(f, start, step, count) with f's knots on a grid from 2^-64 down to
+    2^-4096: one or two bumps near a small centre, pieces 1 to 7 grid units
+    wide (an odd width past 1 can make a piece's sum not dyadic), and a step
+    of a few grid units.  The run starts up to 2^20 units before f (so the
+    start relative to a knot is as wide as the grid), or inside a piece;
+    it ends inside a piece, past f, or has one point."""
+    g = draw(st.sampled_from([64, 65, 127, 512, 1000, 4096]) | st.integers(64, 4096))
+    unit = Dyadic(1, -g)
+    x = Dyadic(draw(st.integers(-16, 16)), draw(st.integers(-2, 2)))
+    pts = [(x, ZERO)]
+    for bump in range(draw(st.integers(1, 2))):
+        if bump:
+            x = x + unit * draw(st.integers(1, 7))
+            pts.append((x, ZERO))
+        for _ in range(draw(st.integers(1, 3))):
+            x = x + unit * draw(st.integers(1, 7))
+            pts.append((x, Dyadic(draw(st.integers(1, 64)), draw(st.integers(-g, 0)))))
+        x = x + unit * draw(st.integers(1, 7))
+        pts.append((x, ZERO))
+    f = PiecewiseLinear(pts)
+    step = unit * Dyadic(draw(st.integers(1, 9)), draw(st.integers(-3, 1)))
+    if draw(st.booleans()):
+        far = Dyadic(draw(st.integers(1, 2**20)), -g + draw(st.integers(0, g + 4)))
+        start = f.xs[0] - far - unit * draw(st.integers(0, 7))
+    else:
+        i = draw(st.integers(0, len(f.xs) - 2))
+        start = f.xs[i] + (f.xs[i + 1] - f.xs[i]) * Dyadic(draw(st.integers(0, 63)), -6)
+    end = draw(st.sampled_from(["one", "inside", "past"]))
+    if end == "one":
+        count = 1
+    elif end == "inside":
+        i = draw(st.integers(0, len(f.xs) - 2))
+        x0, x1 = f.xs[i], f.xs[i + 1]
+        target = x0 + (x1 - x0) * Dyadic(draw(st.integers(0, 63)), -6)
+        count = max(1, (target - start) // step + 1)
+    else:
+        count = max(1, (f.xs[-1] - start) // step + 1 + draw(st.integers(0, 5)))
+    return f, start, step, count
+
+
+@given(wide_grid_cases(), st.sampled_from([64, 128, 1024, 4100, 4200]))
+@settings(max_examples=400, deadline=None)
+def test_wide_grid_sum_matches_the_dyadic_kernel(case, guard):
+    """On knot grids down to 2^-4096, with runs starting far before f in
+    grid units, the integer kernel returns the Dyadic kernel's sum bit for
+    bit, or raises the same NotExact with the same message.  Under a tighter
+    guard it gives that same outcome or refuses in its one shape, naming a
+    width past the guard.  The two kernels' refusals are not compared: the
+    Dyadic one refuses a sum of far-apart exponents that the integer one
+    forms on a narrow grid, and the integer one refuses a run too wide on
+    its own grid before finding that it misses f."""
+    want = _outcome(sum_pl_over_ap_dyadic, *case)
+    assert _outcome(sum_pl_over_ap, *case) == want
+    old = set_span_guard(guard)
+    try:
+        got = _outcome(sum_pl_over_ap, *case)
+    finally:
+        set_span_guard(old)
+    if got != want:
+        kind, message = got
+        refusal = re.fullmatch(rf"aligned run needs (\d+) bits on the grid 2\^-?\d+ \(guard {guard}\)", message)
+        assert kind is GuardExceeded and refusal and int(refusal[1]) > guard, (got, want)
+
+
 @st.composite
 def shift_cases(draw):
     """(f, run, lo, hi) on a grid of step/16.  f's knots sit on a grid of
@@ -847,6 +923,73 @@ def test_shift_invariant_sum_refuses_a_component_the_run_covers_only_in_part(pts
     run = (dy(first), ONE, 4)
     assert shift_invariant_sum(f, run, dy(lo), dy(hi)) is None
     assert sum_pl_over_ap(f, dy(lo) + run[0], ONE, 4) != sum_pl_over_ap(f, dy(moved) + run[0], ONE, 4)
+
+
+@pytest.mark.parametrize("step", [ZERO, Dyadic(-1, -3)])
+def test_every_run_kernel_refuses_a_step_not_positive(step):
+    f = PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)])
+    calls = [
+        lambda: sum_pl_over_ap(f, ZERO, step, 3),
+        lambda: count_ap_in_interval(ZERO, step, 3, DyInterval.closed(0, 1)),
+        lambda: count_ap_in_periodic(ZERO, step, 3, PeriodicIntervalSet(ZERO, ONE, ZERO, 2)),
+        lambda: shift_invariant_sum(f, (ZERO, step, 3), ZERO, ONE),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^step must be positive$"):
+            call()
+
+
+def _points(runs):
+    return [first + gap * k for first, gap, count in runs for k in range(count)]
+
+
+# gaps from a small set, so that neighbouring blocks often share one
+repeating_gap_seqs = st.builds(
+    GapBlockSeq,
+    st.builds(Dyadic, st.integers(-64, 64), st.integers(-3, 1)),
+    st.lists(
+        st.builds(GapBlock, st.sampled_from([Dyadic(1, -2), Dyadic(3, -3), ONE]), st.integers(1, 6)),
+        min_size=1,
+        max_size=10,
+    ),
+)
+
+
+@given(repeating_gap_seqs, st.data())
+@settings(max_examples=200, deadline=None)
+def test_merged_runs_sum_like_the_runs_they_join(seq, data):
+    """Over any index range of a gap-block prefix, `merged_runs` lists the
+    same points in the same order, joins every pair it may (a single point
+    or an equal gap, then exactly one gap on), and at random shifts the
+    sum of f over the merged runs is the sum over the unmerged ones."""
+    n = seq.total_count
+    n_lo = data.draw(st.integers(0, n - 1))
+    runs = seq.segments_in_range(n_lo, data.draw(st.integers(n_lo, n - 1)))
+    merged = merged_runs(runs)
+    assert _points(merged) == _points(runs)
+    assert all(count >= 1 for _, _, count in merged)
+    for (f0, g0, n0), (f1, g1, _) in zip(merged, merged[1:]):
+        assert not ((n0 == 1 or g0 == g1) and f1 == f0 + g0 * (n0 - 1) + g1)
+    f = data.draw(pl_functions())
+    for _ in range(3):
+        shift = Dyadic(data.draw(st.integers(-(2**12), 2**12)), data.draw(st.integers(-8, 2)))
+        assert sum_pl_over_runs(f, merged, shift) == sum_pl_over_runs(f, runs, shift)
+
+
+def test_merged_runs_examples():
+    half = Dyadic(1, -1)
+    assert merged_runs([]) == []
+    # a single point joins a run one gap on, whatever its own gap
+    assert merged_runs([(ZERO, ONE, 1), (half, half, 3)]) == [(ZERO, half, 4)]
+    # equal gaps chain; a run at another gap after a longer run does not join
+    two, three = Dyadic(2), Dyadic(3)
+    assert merged_runs([(ZERO, half, 2), (ONE, half, 2), (two, half, 1), (three, ONE, 2)]) == [
+        (ZERO, half, 5),
+        (three, ONE, 2),
+    ]
+    # nor does a run that starts two gaps on, after a run or a single point
+    assert merged_runs([(ZERO, half, 2), (Dyadic(3, -1), half, 2)]) == [(ZERO, half, 2), (Dyadic(3, -1), half, 2)]
+    assert merged_runs([(ZERO, half, 1), (ONE, half, 2)]) == [(ZERO, half, 1), (ONE, half, 2)]
 
 
 def test_shift_invariant_sum_thm33_coarse_runs_over_4_5():

@@ -1,10 +1,14 @@
 """The frozen value types: a rebuilt copy compares and hashes equal, and no
 field can be assigned."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO
+from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import GapBlock, GapBlockSeq
 
 dyadics = st.builds(Dyadic, st.integers(-(2**20), 2**20), st.integers(-12, 12))
@@ -74,6 +78,38 @@ def test_gap_seq_rebuilt_is_equal(seq):
     assert (copy.total_count, copy.last_value) == (seq.total_count, seq.last_value)
     with pytest.raises(AttributeError):
         seq.cum_counts = []
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@given(dyadics, gap_seqs, piecewise())
+def test_values_copy_and_pickle_equal(how, d, seq, f):
+    """A Dyadic, a GapBlock, a GapBlockSeq (its tables too) and a
+    PiecewiseLinear (its int grids too) come back equal from copy, deepcopy
+    and a pickle round trip; a Dyadic stays canonical."""
+    again = COPIES[how](d)
+    assert (again, type(again), again.m, again.e) == (d, Dyadic, d.m, d.e)
+    for block in seq.blocks:
+        assert COPIES[how](block) == block and type(COPIES[how](block)) is GapBlock
+    seq2 = COPIES[how](seq)
+    assert seq2 == seq
+    assert (seq2.cum_counts, seq2.cum_ints, seq2.grid) == (seq.cum_counts, seq.cum_ints, seq.grid)
+    f2 = COPIES[how](f)
+    assert f2 == f and (f2.x_ints, f2.x_exp, f2.v_ints, f2.v_exp) == (f.x_ints, f.x_exp, f.v_ints, f.v_exp)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_thm33_construction_copies_with_its_runs(how):
+    cons = build_thm33(3)
+    again = COPIES[how](cons)
+    assert again == cons
+    assert [again.decade_runs(j) for j in (1, 2, 3)] == [cons.decade_runs(j) for j in (1, 2, 3)]
 
 
 def test_gap_block_checks_every_path_that_builds_one():
