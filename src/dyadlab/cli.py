@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import itertools
 import json
@@ -494,7 +493,7 @@ def _thm33_converge(args, rng) -> list[WitnessReport]:
     for s in range(args.samples):
         x = Dyadic(4) + Dyadic(rng.getrandbits(40), -40)
         params = {**shared.params, "x": str(x)}
-        reports.append(dataclasses.replace(shared, claim=f"thm33-converge/sample{s}", params=params))
+        reports.append(WitnessReport(f"thm33-converge/sample{s}", params, shared.lhs, shared.rhs, shared.passed))
     return reports
 
 

@@ -10,11 +10,11 @@ contribution stays summable everywhere.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import count_ap_in_interval, lattice_run, sum_pl_over_ap, sum_pl_over_runs
+from .lattice import RunSums, count_ap_in_interval, lattice_run, sum_pl_over_ap, sum_pl_over_runs
 from .report import OutOfInterval, WitnessReport
 
 LAMBDA2_MIN_J = 10
@@ -89,12 +89,16 @@ def tripled(iv: DyInterval) -> DyInterval:
 
 @dataclass(frozen=True)
 class Thm31Item:
+    """Tent j with its windows and `lam1_sums`, the `RunSums` table of the
+    tent over its own fine window, left out of `==`."""
+
     j: int
     interval: DyInterval
     tripled: DyInterval
     tent: PiecewiseLinear
     lam1: APWindow
     lam2: APWindow | None
+    lam1_sums: RunSums = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,16 +158,8 @@ def build_thm31(jmax: int) -> Thm31Construction:
         step1 = Dyadic(1, -(2**j) - j)
         lam1 = APWindow(*lattice_run(DyInterval.closed(a - iv.hi, b - iv.lo), step1))
         lam2 = APWindow(*lattice_run(_coarse_span(j), Dyadic(1, -j))) if j >= LAMBDA2_MIN_J else None
-        items.append(
-            Thm31Item(
-                j=j,
-                interval=iv,
-                tripled=tripled(iv),
-                tent=tent(j),
-                lam1=lam1,
-                lam2=lam2,
-            )
-        )
+        f = tent(j)
+        items.append(Thm31Item(j, iv, tripled(iv), f, lam1, lam2, RunSums(f, [lam1])))
     return Thm31Construction(jmax=jmax, items=tuple(items))
 
 
@@ -172,7 +168,7 @@ def lower_bound_check(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
     it = cons.item(j)
     if not it.interval.contains(x):
         raise OutOfInterval(f"{x} outside {it.interval} at j={j}")
-    s = sum_pl_over_ap(it.tent, x + it.lam1.start, it.lam1.step, it.lam1.count)
+    s = it.lam1_sums.at(x)
     return WitnessReport(
         claim=f"thm31-lower/{j}",
         params={"j": j, "x": str(x)},
@@ -189,7 +185,7 @@ def outside_zero_check(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRep
     jj = Dyadic(j)
     if x < -jj or x > jj or it.tripled.contains(x):
         raise OutOfInterval(f"{x} not in [-{j}, {j}] minus the tripled interval")
-    s = sum_pl_over_ap(it.tent, x + it.lam1.start, it.lam1.step, it.lam1.count)
+    s = it.lam1_sums.at(x)
     return WitnessReport(
         claim=f"thm31-outside/{j}",
         params={"j": j, "x": str(x)},

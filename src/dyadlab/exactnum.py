@@ -553,13 +553,15 @@ class PiecewiseLinear:
     Linear between consecutive breakpoints, zero outside their span; the first
     and last values must be zero and all values nonnegative.  The knots and
     the values are also kept as ints on one power-of-two grid each,
-    xs[i] = x_ints[i]*2^x_exp and vs[i] = v_ints[i]*2^v_exp, for the
-    integer kernels in `lattice`; those fields are left out of `==`.
+    xs[i] = x_ints[i]*2^x_exp and vs[i] = v_ints[i]*2^v_exp, with the piece
+    widths x_gaps[i] = x_ints[i+1] - x_ints[i], for the integer kernels in
+    `lattice`; those fields are left out of `==`.
     """
 
     xs: tuple[Dyadic, ...]
     vs: tuple[Dyadic, ...]
     x_ints: tuple[int, ...] = field(compare=False)
+    x_gaps: tuple[int, ...] = field(compare=False)
     x_exp: int = field(compare=False)
     v_ints: tuple[int, ...] = field(compare=False)
     v_exp: int = field(compare=False)
@@ -583,6 +585,7 @@ class PiecewiseLinear:
         x_ints, x_exp = scaled_ints(xs)
         v_ints, v_exp = scaled_ints(vs)
         object.__setattr__(self, "x_ints", tuple(x_ints))
+        object.__setattr__(self, "x_gaps", tuple(b - a for a, b in zip(x_ints, x_ints[1:])))
         object.__setattr__(self, "x_exp", x_exp)
         object.__setattr__(self, "v_ints", tuple(v_ints))
         object.__setattr__(self, "v_exp", v_exp)

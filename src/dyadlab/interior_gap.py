@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
-from .lattice import GapBlock, GapBlockSeq, merged_runs, shift_invariant_sum, sum_pl_over_runs
+from .lattice import GapBlock, GapBlockSeq, RunSums, merged_runs, shift_invariant_sum
 from .report import OutOfInterval, WitnessReport
 
 
@@ -21,25 +21,26 @@ from .report import OutOfInterval, WitnessReport
 class Thm33Construction:
     """Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
     fine block ends on the first point of the next one.  The runs of every
-    decade are cut from `seq` once, here, and left out of `==`: two per
-    decade, its first point 10j-10 joined to the coarse run that follows it."""
+    decade are cut from `seq` once, here: two per decade, its first point
+    10j-10 joined to the coarse run that follows it.  `tables` holds one
+    `RunSums` of f over each decade's runs, left out of `==`."""
 
     jmax: int
     seq: GapBlockSeq
     f: PiecewiseLinear
-    _runs: tuple[tuple[tuple[Dyadic, Dyadic, int], ...], ...] = field(init=False, repr=False, compare=False)
+    tables: tuple[RunSums, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = [0] + [self.seq.index_of_step_boundary(2 * j - 1) for j in range(1, self.jmax)]
         bounds.append(self.seq.total_count)
-        runs = tuple(tuple(merged_runs(self.seq.segments_in_range(lo, end - 1))) for lo, end in zip(bounds, bounds[1:]))
-        object.__setattr__(self, "_runs", runs)
+        runs = (merged_runs(self.seq.segments_in_range(lo, end - 1)) for lo, end in zip(bounds, bounds[1:]))
+        object.__setattr__(self, "tables", tuple(RunSums(self.f, r) for r in runs))
 
     def decade_runs(self, j: int) -> tuple[tuple[Dyadic, Dyadic, int], ...]:
         """The decade-j points, [10j-10, 10j), as runs (first, gap, count)."""
         if not 1 <= j <= self.jmax:
             raise IndexError(f"decade {j} outside [1, {self.jmax}]")
-        return self._runs[j - 1]
+        return self.tables[j - 1].runs
 
 
 def build_thm33(jmax: int) -> Thm33Construction:
@@ -74,7 +75,7 @@ def build_thm33(jmax: int) -> Thm33Construction:
 
 def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
     """Exact sum of f(x + point) over the points of each decade 1..jmax."""
-    return [sum_pl_over_runs(cons.f, cons.decade_runs(j), x) for j in range(1, cons.jmax + 1)]
+    return [table.at(x) for table in cons.tables]
 
 
 def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic] | None:
@@ -143,10 +144,10 @@ def thm34_probe(cons: Thm33Construction, xc: Dyadic, samples: int, seed: int) ->
     top = Dyadic(10 * cons.jmax)
     failures = []
     checked = []
+    majorants = [Dyadic(1, 1 - 2**j) + Dyadic(1, 1 - 2 ** (j + 1)) for j in range(1, cons.jmax + 1)]
     for s in range(samples):
         y = xc + (top - xc) * Dyadic(rng.getrandbits(40), -40)
-        for j, t in enumerate(decade_sums(cons, y), 1):
-            mu = Dyadic(1, 1 - 2**j) + Dyadic(1, 1 - 2 ** (j + 1))
+        for j, (t, mu) in enumerate(zip(decade_sums(cons, y), majorants), 1):
             if t > mu:
                 failures.append({"sample": s, "y": str(y), "j": j, "sum": str(t), "majorant": str(mu)})
         checked.append(str(y))

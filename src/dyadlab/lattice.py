@@ -326,83 +326,100 @@ def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIn
 
 
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
-    """Exact sum of f(start + k*step) over k in [0, count).
+    """Exact sum of f(start + k*step) over k in [0, count): the one run of
+    `sum_pl_over_runs` at shift zero, with no table built."""
+    return sum_pl_over_runs(f, ((start, step, count),), ZERO)
 
-    Splits the index range at f's breakpoints and sums each linear piece as an
-    arithmetic series; the value at the final breakpoint is zero by the compact
-    support invariant, so half-open segment windows lose nothing.
 
-    The work is done in plain ints on f's integer grids (`x_ints`, `x_exp`,
-    `v_ints`, `v_exp`).  A run whose span [start, start + (count-1)*step]
-    misses the interior of f's support returns zero before anything is
-    aligned to f.  Otherwise start and step are aligned once to the grid 2^e,
-    e the least of the knot, start and step exponents.  The span guard is
-    checked on the run's own grid and then on that common one: the run's
-    first and last points, its step, and the knots of each piece it visits
-    must each fit, else GuardExceeded.  Only the pieces [x_i, x_{i+1}) that
-    meet the span are visited, found by bisecting the int knots with the
-    aligned start and last point shifted down to the knot grid (exact for
-    `<=` against grid points).  Each piece is summed from delta, the
-    distance from its left knot x0 to the first run point at or after it:
-    at the first piece visited, the start's offset from x0, reduced mod the
-    step when the run starts before x0 (the one division of an offset that
-    grows with the start's distance from f), then carried across each piece
-    with ints no wider than the pieces.  A piece's point
-    count comes from delta and its width, or from L - x0 when the run's last
-    point L lies in it; its sum is an arithmetic series divided exactly by
-    the odd part of x_{i+1} - x_i (NotExact if that does not divide), and
-    the pieces are added at one exponent, so each call builds a single
-    Dyadic.
-    """
-    if step.m <= 0:
-        raise ValueError("step must be positive")
-    if count < 1:
-        return ZERO
-    guard = span_guard()
-    # the run on its own grid 2^er, its width checked before it is formed
-    er = min(start.e, step.e)
-    width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
-    if width > guard:
-        raise grid_error("aligned run", width, er)
-    # (here and below, the `if`: shifting a wide int by 0 still copies it)
-    S = start.m << start.e - er if start.e != er else start.m
-    D = step.m << step.e - er
-    L = S + D * (count - 1)
-    # a run that misses the interior of f's support adds 0: compare it with
-    # the end knots by rounding the finer side, before anything is aligned;
-    # then align to the finer grid 2^e, the knots shifted up by `drop`
-    X, V = f.x_ints, f.v_ints
-    k = er - f.x_exp
-    if k >= 0:
-        if L <= X[0] >> k or S >= -(-X[-1] >> k):
-            return ZERO
-        S, D, L, e, drop = S << k, D << k, L << k, f.x_exp, 0
-    else:
-        if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
-            return ZERO
-        e, drop = er, -k
-    width = max(S.bit_length(), L.bit_length(), D.bit_length())
-    if width > guard:
-        raise grid_error("aligned run", width, e)
+def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
+    """Exact sum of f(shift + first + k*gap) over every run (first, gap,
+    count) and k in [0, count), in ints, as one Dyadic.  Each run's start
+    shift + first (`_shifted`) and gap must fit the span guard on their own
+    grid 2^er, else GuardExceeded; a run that misses the interior of f's
+    support then adds zero before anything is aligned to f.  Otherwise its
+    start, gap and last point must fit on the grid 2^e, e the least of er
+    and the knot exponent, and `_pieces` sums the pieces they visit."""
+    guard, X, out = span_guard(), f.x_ints, [0, 0]
+    for first, step, count in runs:
+        if step.m <= 0:
+            raise ValueError("step must be positive")
+        if count < 1:
+            continue
+        start = _shifted(shift, first, step) if shift.m else first
+        er = min(start.e, step.e)
+        width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
+        if width > guard:
+            raise grid_error("aligned run", width, er)
+        # (here and below, the `if`: shifting a wide int by 0 still copies it)
+        S = start.m << start.e - er if start.e != er else start.m
+        D = step.m << step.e - er
+        L = S + D * (count - 1)
+        # a run that misses the interior of f's support adds 0: compare it with
+        # the end knots by rounding the finer side, before anything is aligned;
+        # then align to the finer grid 2^e, the knots shifted up by `drop`
+        k = er - f.x_exp
+        if k >= 0:
+            if L <= X[0] >> k or S >= -(-X[-1] >> k):
+                continue
+            S, D, L, e, drop = S << k, D << k, L << k, f.x_exp, 0
+        else:
+            if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
+                continue
+            e, drop = er, -k
+        width = max(S.bit_length(), L.bit_length(), D.bit_length())
+        if width > guard:
+            raise grid_error("aligned run", width, e)
+        _pieces(f, X, f.x_gaps, drop, e, S, D, L, guard, out)
+    return Dyadic(out[0], f.v_exp - out[1])
+
+
+def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
+    """x + first, exactly.  A finer term below half the coarser one's unit
+    2^b leaves it the coarser term's top bit, one lower if a borrow reaches
+    it, so the run's own width check is made before the sum is formed."""
+    if not first.m:
+        return x
+    am, a, bm, b = (x.m, x.e, first.m, first.e) if x.e <= first.e else (first.m, first.e, x.m, x.e)
+    if am.bit_length() < b - a:
+        g = min(a, step.e)
+        top = b + (abs(bm) - ((am < 0) != (bm < 0))).bit_length()
+        width = max(top - g, step.m.bit_length() + step.e - g)
+        if width > span_guard():
+            raise grid_error("aligned run", width, g)
+    return Dyadic(am + (bm << b - a), a)
+
+
+def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, L: int, guard: int | None, out: list) -> None:
+    """The one piece loop: add to out = [p, t], the sum p*2^(v_exp - t),
+    each nonzero piece of f that the run S, S + D, ..., L visits, in ints
+    on the grid 2^e where the knots are X << drop and the piece widths
+    W << drop (with a `guard`, a nonzero piece's knots must fit it).  Each
+    piece is summed from delta, the distance from its left knot x0 to the
+    first run point at or after it: the start's offset at the first piece,
+    reduced mod D (by the low bits when D is a power of two), then carried
+    across the pieces.  Its point count comes from delta and its width, or
+    from L - x0 when L lies in it (f is 0 at its last knot, so half-open
+    pieces lose nothing), and its sum is an arithmetic series divided last
+    by the odd part of its width, NotExact if that fails."""
+    V = f.v_ints
     first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
     end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
-    # delta is the distance from each piece's left knot x0 to the first run
-    # point at or after it: one division at the first piece, where the start
-    # may lie many grid units before x0, then carried across each piece
     x1 = X[first] << drop if drop else X[first]
-    r = S - x1
-    delta = r if r >= 0 else r % D
-    pieces = []  # (sum, t): a piece's sum is sum*2^(v_exp - t)
+    if S >= x1:
+        delta = S - x1
+    elif D & (D - 1):
+        delta = (S - x1) % D
+    else:  # a mask of a negative wide int would copy it
+        delta = ((S & D - 1) - (x1 & D - 1)) & D - 1
     for i in range(first, end):
         x0, x1 = x1, (X[i + 1] << drop if drop else X[i + 1])
-        w = x1 - x0
+        w = W[i] << drop if drop else W[i]
         # the points in [x0, x1), up to L when the run ends in the piece
         n = ((L - x0 if L < x1 else w - 1) - delta) // D + 1
         v0, v1 = V[i], V[i + 1]
         if v0 or v1:
-            width = max(x0.bit_length(), x1.bit_length())
-            if width > guard:
-                raise grid_error("aligned run", width, e)
+            if guard is not None and max(x0.bit_length(), x1.bit_length()) > guard:
+                raise grid_error("aligned run", max(x0.bit_length(), x1.bit_length()), e)
             if n:
                 # n*v0 + (v1-v0)*(n*delta + D*n(n-1)/2)/w, in units of 2^v_exp;
                 # w = w'*2^t with w' odd, and dividing by w' last keeps the
@@ -414,12 +431,12 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
                     if r:
                         raise NotExact(f"{Dyadic(rise, f.v_exp + e)} / {Dyadic(w, e)} is not a dyadic rational")
                     rise = q
-                pieces.append(((n * v0 << t) + rise, t))
+                q = (n * v0 << t) + rise
+                if t > out[1]:
+                    out[:] = (out[0] << t - out[1]) + q, t
+                else:
+                    out[0] += q << out[1] - t
         delta += n * D - w
-    if not pieces:
-        return ZERO
-    t_max = max(t for _, t in pieces)
-    return Dyadic(sum(p << (t_max - t) for p, t in pieces), f.v_exp - t_max)
 
 
 def shift_invariant_sum(
@@ -485,10 +502,45 @@ def merged_runs(runs: Iterable[tuple[Dyadic, Dyadic, int]]) -> list[tuple[Dyadic
     return out
 
 
-def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
-    """Exact sum of f(shift + first + k*gap) over every run (first, gap, count)
-    and k in [0, count)."""
-    total = ZERO
-    for first, gap, count in runs:
-        total = total + sum_pl_over_ap(f, shift + first, gap, count)
-    return total
+class RunSums:
+    """f and fixed runs (first, gap, count): `at(x)` is `sum_pl_over_runs(f,
+    runs, x)` read off one int table, the runs' first and last points and
+    gaps and f's knots aligned to one grid once, and lifted again only for
+    a finer shift.  When every width there, the shift's too, fits the span
+    guard with a bit to spare, no check can refuse and none is made;
+    otherwise `at(x)` is `sum_pl_over_runs`."""
+
+    __slots__ = ("f", "runs", "_grid", "_width", "_knots", "_gaps", "_ints")
+
+    def __init__(self, f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]]):
+        self.f, self.runs, self._ints = f, tuple(runs), None
+        self._grid = min([f.x_exp] + [e for first, gap, _ in self.runs for e in (first.e if first.m else gap.e, gap.e)])
+
+    def _lift(self, g: int, guard: int) -> bool:
+        """Form the table on the grid 2^g if every width there, bounded
+        first, fits, and every gap is positive."""
+        X, xe = self.f.x_ints, self.f.x_exp
+        width = max([max(X[0].bit_length(), X[-1].bit_length()) + xe - g] + [
+            max(first.m.bit_length() + first.e - g if first.m else 0, gap.m.bit_length() + gap.e - g + (count - 1).bit_length()) + 1
+            for first, gap, count in self.runs
+        ])
+        if width + 1 > guard or any(gap.m <= 0 for _, gap, _ in self.runs):
+            return False
+        lifted = [(first.m << first.e - g if first.m else 0, gap.m << gap.e - g, count) for first, gap, count in self.runs]
+        self._ints = [(F, D, F + D * (count - 1)) for F, D, count in lifted if count > 0]
+        self._knots, self._gaps = tuple(v << xe - g for v in X), tuple(v << xe - g for v in self.f.x_gaps)
+        self._grid, self._width = g, width
+        return True
+
+    def at(self, x: Dyadic) -> Dyadic:
+        guard = span_guard()
+        g = min(self._grid, x.e) if x.m else self._grid
+        lifted = (self._ints is not None and g == self._grid) or self._lift(g, guard)
+        if not lifted or max(self._width, x.m.bit_length() + x.e - g if x.m else 0) + 1 > guard:
+            return sum_pl_over_runs(self.f, self.runs, x)
+        xg, X, out = x.m << x.e - g, self._knots, [0, 0]
+        for F, D, L in self._ints:
+            S, L = F + xg, L + xg
+            if L > X[0] and S < X[-1]:
+                _pieces(self.f, X, self._gaps, 0, g, S, D, L, None, out)
+        return Dyadic(out[0], self.f.v_exp - out[1])

@@ -9,8 +9,8 @@ exhausted budget.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 class OutOfInterval(ValueError):
@@ -25,26 +25,68 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class WitnessReport:
-    claim: str
-    params: dict[str, Any] = field(default_factory=dict)
-    lhs: str = ""
-    rhs: str = ""
-    passed: bool = True
+    """An immutable record, built through its slot descriptors as
+    `exactnum._raw` builds a Dyadic; equal when every field is equal."""
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "claim": self.claim,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-        }
+    __slots__ = ("claim", "params", "lhs", "rhs", "passed")
+
+    def __init__(self, claim: str, params: dict[str, Any] | None = None, lhs: str = "", rhs: str = "", passed: bool = True):
+        _set_claim(self, claim)
+        _set_params(self, {} if params is None else params)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_passed(self, passed)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("WitnessReport is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return WitnessReport, (self.claim, self.params, self.lhs, self.rhs, self.passed)
+
+    def __eq__(self, other):  # (so __hash__ is None: params is a dict)
+        return self.__reduce__() == other.__reduce__() if type(other) is WitnessReport else NotImplemented
+
+
+_set_claim, _set_params, _set_lhs, _set_rhs, _set_passed = (getattr(WitnessReport, n).__set__ for n in WitnessReport.__slots__)
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _encoded(value) -> str:
+    """A value as `_dumps` writes it, a str or bool without calling it."""
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value)
+    return "true" if value is True else "false" if value is False else _dumps(value)
 
 
 def write_reports(path: str, reports: Iterable[WitnessReport]) -> None:
-    """Write reports in the order given (sorted by claim key by the caller)."""
-    text = json.dumps([r.to_json_dict() for r in reports], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    """Write reports in the order given (sorted by claim key by the caller),
+    byte for byte as one `_dumps` of their objects.  When reports share a
+    params dict, or a list or dict in one, each params dict and non-str
+    value is encoded once, by identity (the memo holds it: no id reuse)."""
+    reports = list(reports)
+    ps = [r.params for r in reports]
+    inner = [id(v) for p in ps if type(p) is dict for v in p.values() if type(v) in (list, dict)]
+    if len(set(map(id, ps))) == len(ps) and len(set(inner)) == len(inner):
+        text = _dumps([{"claim": r.claim, "params": r.params, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed} for r in reports])
+    else:
+        memo: dict[int, tuple[Any, str]] = {}
+
+        def once(value, encode=_encoded) -> str:
+            if id(value) not in memo:
+                memo[id(value)] = value, encode(value)
+            return memo[id(value)][1]
+
+        def params(p) -> str:  # a non-str key falls back to `_dumps`
+            if type(p) is not dict or any(type(k) is not str for k in p):
+                return _dumps(p)
+            return "{" + ",".join(f"{_encoded(k)}:{_encoded(v) if type(v) is str else once(v)}" for k, v in sorted(p.items())) + "}"
+
+        text = "[" + ",".join(
+            f'{{"claim":{_encoded(r.claim)},"lhs":{_encoded(r.lhs)},"params":{once(r.params, params)},'
+            f'"pass":{_encoded(r.passed)},"rhs":{_encoded(r.rhs)}}}' for r in reports
+        ) + "]"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")

@@ -4,6 +4,7 @@ Each one lists every point or interval explicitly, so it is only usable at
 oracle sizes; the library never enumerates.
 """
 
+import json
 import re
 from bisect import bisect_right
 from math import gcd
@@ -346,3 +347,16 @@ def escape_cells_by_residue(grid, lo: int, hi: int) -> int:
             s_lo, s_hi = -((rho - lo_x) // pi), -((rho - hi_x) // pi)
             cells += sum(max(0, min(r_hi, s_hi) - max(r_lo, s_lo)) for r_lo, r_hi in merged)
     return cells
+
+
+def report_json_dict(r: WitnessReport) -> dict:
+    """A report as the JSON object its report file holds."""
+    return {"claim": r.claim, "params": r.params, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
+
+
+def write_reports_json(path: str, reports: Iterable[WitnessReport]) -> None:
+    """The report file as one `json.dumps` of every report's object, the
+    bytes `report.write_reports` must write."""
+    text = json.dumps([report_json_dict(r) for r in reports], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")

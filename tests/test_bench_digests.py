@@ -1,12 +1,12 @@
-"""Replay of the benchmark's recorded tent-sums ops.
+"""Replay of the benchmark's recorded ops, every workload.
 
 `bench/digests.json` holds the exit code and report SHA-256 of the first
-ops of each benchmark workload at the default seed, and the SHA-256 of each
-set-up artifact.  This test builds the tent-sums artifacts from
-`bench/workloads.json` into a temporary directory, runs every recorded
-tent-sums op in-process and compares both, so a change to a report byte on
-that workload fails here before the benchmark reports it.  Both files are
-only read.
+ops of each benchmark workload at the default seed (a report digest only
+where the op exits 0), and the SHA-256 of each set-up artifact.  This test
+builds each workload's artifacts from `bench/workloads.json` into a
+temporary directory, runs every recorded op of that workload in-process and
+compares both, so a change to a report byte or an exit code fails here
+before the benchmark reports it.  Both files are only read.
 """
 
 import hashlib
@@ -16,10 +16,13 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import pytest
+
 from dyadlab.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
-WORKLOAD = "tent-sums"
+WORKLOADS = json.loads((BENCH / "workloads.json").read_text())["workloads"]
+RECORDED = json.loads((BENCH / "digests.json").read_text())
 
 
 def _sha256(path: Path) -> str:
@@ -31,20 +34,20 @@ def _run(argv: list[str]) -> int:
         return main(argv)
 
 
-def test_recorded_tent_sums_ops_replay_byte_for_byte(tmp_path):
-    workload = json.loads((BENCH / "workloads.json").read_text())["workloads"][WORKLOAD]
-    recorded = json.loads((BENCH / "digests.json").read_text())
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_recorded_ops_replay_byte_for_byte(tmp_path, name):
+    workload = WORKLOADS[name]
     art = tmp_path / "art"
     art.mkdir()
     for argv in workload["setup"]:
         assert _run([a.format(art=art) for a in argv]) == 0, argv
-    assert {p.name: _sha256(p) for p in art.iterdir()} == recorded["artifacts"][WORKLOAD]
+    assert {p.name: _sha256(p) for p in art.iterdir()} == RECORDED["artifacts"][name]
 
     # an op key is its template's argv with the seed filled in and {art} left as is
     templates = [
         re.compile(re.escape(" ".join(tpl["argv"])).replace(re.escape("{seed}"), r"\d+")) for tpl in workload["pass"]
     ]
-    ops = {key: want for key, want in recorded["ops"].items() if any(t.fullmatch(key) for t in templates)}
+    ops = {key: want for key, want in RECORDED["ops"].items() if any(t.fullmatch(key) for t in templates)}
     assert all(any(t.fullmatch(key) for key in ops) for t in templates)
     report = tmp_path / "report.json"
     wrong = []

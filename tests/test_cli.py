@@ -517,6 +517,37 @@ def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch
     assert counts[0] == counts[1] > 0
 
 
+@pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["thm33", "--suite", "diverge", "--jmax", "8"], 8),
+        (["thm33", "--suite", "probe", "--jmax", "8"], 8),
+        (["thm31", "--suite", "lower", "--jmax", "16"], 16),
+        (["thm31", "--suite", "outside", "--jmax", "16"], 16),
+    ],
+    ids=["diverge", "probe", "lower", "outside"],
+)
+def test_each_run_table_is_built_once_whatever_the_samples(capsys, monkeypatch, argv, tables):
+    """One `RunSums` table per thm33 decade or thm31 item is built per op,
+    and every sum the suite asks for is read off those tables on their
+    fast path: more samples mean more `at` calls, not more tables, and no
+    call of the checked kernel `sum_pl_over_runs` at all."""
+    built, reads, one_shot = [], [], []
+    init, at = lattice.RunSums.__init__, lattice.RunSums.at
+    monkeypatch.setattr(lattice.RunSums, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(lattice.RunSums, "at", lambda self, x: reads.append(x) or at(self, x))
+    monkeypatch.setattr(lattice, "sum_pl_over_runs", lambda *a: one_shot.append(a))
+    counts = []
+    for samples in ("5", "40"):
+        built.clear()
+        reads.clear()
+        code, _, _ = run(capsys, "verify", *argv, "--samples", samples)
+        assert code == EXIT_PASS
+        counts.append((len(built), len(reads)))
+    assert counts[0][0] == counts[1][0] == tables
+    assert 0 < counts[0][1] < counts[1][1] and one_shot == []
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(

@@ -17,7 +17,7 @@ from dyadlab.interior_gap import (
     thm34_probe,
 )
 from dyadlab.universal import OutOfInterval
-from oracles import iter_points, pl_eval
+from oracles import iter_points, pl_eval, report_json_dict
 
 
 def dy(s: str) -> Dyadic:
@@ -241,7 +241,7 @@ class TestConvergence:
 
 
 def _report_bytes(rep) -> str:
-    return json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(report_json_dict(rep), sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 class TestShiftInvariantDecadeSums:

@@ -16,6 +16,7 @@ from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
     PeriodicIntervalSet,
+    RunSums,
     count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
@@ -835,6 +836,96 @@ def test_wide_grid_sum_matches_the_dyadic_kernel(case, guard):
         assert kind is GuardExceeded and refusal and int(refusal[1]) > guard, (got, want)
 
 
+def _exact_sum(a: Dyadic, b: Dyadic) -> Dyadic:
+    """a + b under no span guard."""
+    e = min(a.e, b.e)
+    return Dyadic((a.m << a.e - e) + (b.m << b.e - e), e)
+
+
+def _table_outcome_wanted(f, runs, x):
+    """What `RunSums(f, runs).at(x)` must give under the guard in force: the
+    one-run kernel on each run from the exact start x + first, the first
+    refusal winning and the values added exactly."""
+    total = Fraction(0)
+    for first, step, count in runs:
+        got = _outcome(sum_pl_over_ap, f, _exact_sum(x, first), step, count)
+        if not isinstance(got, Dyadic):
+            return got
+        total += Fraction(got.m) * Fraction(2) ** got.e
+    return total
+
+
+@st.composite
+def table_cases(draw):
+    """(f, runs, shifts): f and one run as `wide_grid_cases` draws them,
+    the run moved back by the first shift so that it meets f there, up to
+    two more runs moved by small grid multiples, and four shifts: on f's
+    grid, coarser, finer, zero, or far below every grid."""
+    f, start, step, count = draw(wide_grid_cases())
+    g = f.x_exp
+    shift = st.one_of(
+        st.just(ZERO),
+        st.builds(Dyadic, st.integers(-(2**12), 2**12), st.integers(g - 8, 4)),
+        st.builds(Dyadic, st.integers(1, 2**60) | st.integers(-(2**60), -1), st.integers(g - 200, g + 200)),
+        st.builds(Dyadic, st.sampled_from([1, -1, 3]), st.sampled_from([-(10**6), -5000, 5000])),
+    )
+    shifts = [draw(shift) for _ in range(4)]
+    first = _exact_sum(start, -shifts[0])
+    runs = [(first, step, count)]
+    for _ in range(draw(st.integers(0, 2))):
+        moved = Dyadic(draw(st.integers(-64, 64)), draw(st.integers(g - 4, 2)))
+        runs.append((_exact_sum(first, moved), step * draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 40))))
+    return f, runs, shifts
+
+
+@given(table_cases(), st.sampled_from([64, 128, 1024, 4100, 4200, 1 << 20]))
+@settings(max_examples=300, deadline=None)
+@example(
+    (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(3, -1), Dyadic(1, -3), 9)], [Dyadic(1, -(10**6))] * 4),
+    64,
+)
+@example(
+    (
+        PiecewiseLinear([(ZERO, ZERO), (Dyadic(1, -100), ONE), (Dyadic(1, -99), ZERO)]),
+        [(ZERO, Dyadic(1, -102), 5)],
+        [ZERO, Dyadic(1, 24), Dyadic(1, 25), Dyadic(1, 30)],
+    ),
+    128,
+)
+def test_run_table_matches_the_kernel_on_the_exact_start(case, guard):
+    """At every shift, one table of f over the runs gives the one-run
+    kernel's outcome on the exact start x + first, summed over the runs:
+    the same value, NotExact or GuardExceeded message, whether the table is
+    lifted, on its fast path or past the guard.  A shift far below every
+    grid (2^-10^6) is refused in the kernel's shape before it is formed;
+    once a table fits the guard, a shift 2^24, 2^25 or 2^30, 127 to 133
+    bits on its grid 2^-102, is summed, is summed or is refused."""
+    f, runs, shifts = case
+    table = RunSums(f, runs)
+    old = set_span_guard(guard)
+    try:
+        for x in shifts:
+            want = _table_outcome_wanted(f, runs, x)
+            got = _outcome(table.at, x)
+            assert (Fraction(got.m) * Fraction(2) ** got.e if isinstance(got, Dyadic) else got) == want, (x, got, want)
+            assert _outcome(sum_pl_over_runs, f, runs, x) == got
+    finally:
+        set_span_guard(old)
+
+
+def test_a_far_shift_is_refused_before_it_is_aligned():
+    """A shift of 2^-10^9 is refused at once, in the run kernel's shape on
+    the start's own grid, by the table and by `sum_pl_over_runs`."""
+    f = PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)])
+    runs = [(Dyadic(1, -1), Dyadic(1, -3), 9)]
+    x = Dyadic(1, -(10**9))
+    message = f"aligned run needs 1000000000 bits on the grid 2^-1000000000 (guard {span_guard()})"
+    for call in (RunSums(f, runs).at, lambda x: sum_pl_over_runs(f, runs, x)):
+        with pytest.raises(GuardExceeded) as exc:
+            call(x)
+        assert str(exc.value) == message
+
+
 @st.composite
 def shift_cases(draw):
     """(f, run, lo, hi) on a grid of step/16.  f's knots sit on a grid of
@@ -933,6 +1024,8 @@ def test_every_run_kernel_refuses_a_step_not_positive(step):
         lambda: count_ap_in_interval(ZERO, step, 3, DyInterval.closed(0, 1)),
         lambda: count_ap_in_periodic(ZERO, step, 3, PeriodicIntervalSet(ZERO, ONE, ZERO, 2)),
         lambda: shift_invariant_sum(f, (ZERO, step, 3), ZERO, ONE),
+        lambda: sum_pl_over_runs(f, [(ONE, ONE, 2), (ZERO, step, 3)], Dyadic(1, -3)),
+        lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).at(Dyadic(1, -3)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^step must be positive$"):

@@ -53,12 +53,14 @@ KEEP = {
 }
 
 # command lines the execution check runs beyond the report-bytes cases;
-# "{G2}" is an open set of three open parts, two of which overlap and merge
+# "{G2}" is an open set of three open parts, two of which overlap and merge;
+# the last run's tent 2^7 + 2^-128 is a Dyadic sum past a 64-bit guard
 RUNS = [
     ["eval", "thm31", "--jmaxes", "3", "--xs", "0", "--G", "{G2}"],
     ["verify", "universal", "--suite", "lemma", "--limit", "x"],
     ["--span-guard", "64", "eval", "thm33", "--jmaxes", "2", "--xs", "1*2^-100"],
     ["--span-guard", "64", "eval", "thm31", "--jmaxes", "3", "--xs", "1*2^-100"],
+    ["--span-guard", "64", "verify", "thm31", "--suite", "lower", "--jmax", "7"],
 ]
 
 # Runs each argv list read from stdin through `main`, output discarded, and

@@ -36,7 +36,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, smoothing_envelope, step_at, step_indices, support, total_length
+from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, report_json_dict, smoothing_envelope, step_at, step_indices, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -889,7 +889,7 @@ class TestSmoothing:
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_j1_report_recorded(self, k):
         rep = smoothing_measure(combs(1, range(4)), build_universal(IndexJK(2, k)))
-        assert json.dumps(rep.to_json_dict(), sort_keys=True, separators=(",", ":")) == SMOOTHING_J1
+        assert json.dumps(report_json_dict(rep), sort_keys=True, separators=(",", ":")) == SMOOTHING_J1
 
     def test_envelope_adds_the_reported_support(self):
         uG = combs(1, range(4))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO
+from dyadlab.dense_divergence import build_thm31
 from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import GapBlock, GapBlockSeq
 
@@ -101,7 +102,7 @@ def test_values_copy_and_pickle_equal(how, d, seq, f):
     assert seq2 == seq
     assert (seq2.cum_counts, seq2.cum_ints, seq2.grid) == (seq.cum_counts, seq.cum_ints, seq.grid)
     f2 = COPIES[how](f)
-    assert f2 == f and (f2.x_ints, f2.x_exp, f2.v_ints, f2.v_exp) == (f.x_ints, f.x_exp, f.v_ints, f.v_exp)
+    assert f2 == f and (f2.x_ints, f2.x_gaps, f2.x_exp, f2.v_ints, f2.v_exp) == (f.x_ints, f.x_gaps, f.x_exp, f.v_ints, f.v_exp)
 
 
 @pytest.mark.parametrize("how", COPIES)
@@ -110,6 +111,28 @@ def test_thm33_construction_copies_with_its_runs(how):
     again = COPIES[how](cons)
     assert again == cons
     assert [again.decade_runs(j) for j in (1, 2, 3)] == [cons.decade_runs(j) for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("lifted", [False, True])
+def test_constructions_copy_with_their_run_tables(how, lifted):
+    """thm33's decade tables and thm31's fine-window tables come back from
+    copy, deepcopy and pickle with the same f, runs and sums, before and
+    after a shift on a finer grid has lifted them; they are left out of
+    `==`."""
+    x = Dyadic(3, -50)
+    cons, cons31 = build_thm33(3), build_thm31(4)
+    tables = list(cons.tables) + [it.lam1_sums for it in cons31.items]
+    if lifted:
+        for t in tables:
+            t.at(x)
+    again, again31 = COPIES[how](cons), COPIES[how](cons31)
+    assert again == cons and again31 == cons31
+    copied = list(again.tables) + [it.lam1_sums for it in again31.items]
+    assert [(t.f, t.runs) for t in copied] == [(t.f, t.runs) for t in tables]
+    assert [t.at(x) for t in copied] == [t.at(x) for t in tables]
+    object.__setattr__(again31.items[0], "lam1_sums", again31.items[1].lam1_sums)
+    assert again31 == cons31
 
 
 def test_gap_block_checks_every_path_that_builds_one():
