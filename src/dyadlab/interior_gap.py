@@ -13,28 +13,20 @@ import random
 from dataclasses import dataclass, field
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
-from .lattice import GapBlock, GapBlockSeq, RunSums, merged_runs, shift_invariant_sum
+from .lattice import GapBlock, GapBlockSeq, RunSums, shift_invariant_sum
 from .report import OutOfInterval, WitnessReport
 
 
 @dataclass(frozen=True)
 class Thm33Construction:
     """Decade j is gap blocks 2j-2 (coarse) and 2j-1 (fine); each decade's
-    fine block ends on the first point of the next one.  The runs of every
-    decade are cut from `seq` once, here: two per decade, its first point
-    10j-10 joined to the coarse run that follows it.  `tables` holds one
-    `RunSums` of f over each decade's runs, left out of `==`."""
+    fine block ends on the first point of the next one.  `tables` holds one
+    `RunSums` of f over each decade's two runs, left out of `==`."""
 
     jmax: int
     seq: GapBlockSeq
     f: PiecewiseLinear
-    tables: tuple[RunSums, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bounds = [0] + [self.seq.index_of_step_boundary(2 * j - 1) for j in range(1, self.jmax)]
-        bounds.append(self.seq.total_count)
-        runs = (merged_runs(self.seq.segments_in_range(lo, end - 1)) for lo, end in zip(bounds, bounds[1:]))
-        object.__setattr__(self, "tables", tuple(RunSums(self.f, r) for r in runs))
+    tables: tuple[RunSums, ...] = field(repr=False, compare=False)
 
     def decade_runs(self, j: int) -> tuple[tuple[Dyadic, Dyadic, int], ...]:
         """The decade-j points, [10j-10, 10j), as runs (first, gap, count)."""
@@ -44,33 +36,33 @@ class Thm33Construction:
 
 
 def build_thm33(jmax: int) -> Thm33Construction:
+    """Decade j, in X = 2^(2^j): 8X gaps 1/X from 10j-10, then 2X^2 gaps
+    1/X^2 from 10j-2 (one fewer at j = jmax, so the prefix stops below
+    10*jmax), and a bump of height 1/X^2 on the knots 10j - 1/4, 10j,
+    10j + 1, 10j + 5/4.  Its points [10j-10, 10j) are two runs: 10j-10 and
+    the coarse points, then the fine points above 10j-2."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    blocks = []
+    blocks, knots, runs = [], [], []
     for j in range(1, jmax + 1):
         # the fine count, the widest, has 2^(j+1) + 2 bits: refuse it before
         # it is computed, not after (at large j it would not fit in memory)
         bits = 2 ** (j + 1) + 2
         if bits > span_guard():
             raise GuardExceeded(f"decade {j} fine block count needs {bits} bits (guard {span_guard()})")
-        coarse = Dyadic(1, -(2**j))
-        fine = Dyadic(1, -(2 ** (j + 1)))
-        fine_count = 2 * 2 ** (2 ** (j + 1))
-        if j == jmax:
-            fine_count -= 1  # stop one step short of 10*jmax, the next decade's point
-        blocks.append(GapBlock(coarse, 8 * 2 ** (2**j), f"decade-{j}:coarse"))
-        blocks.append(GapBlock(fine, fine_count, f"decade-{j}:fine"))
-    seq = GapBlockSeq(ZERO, blocks)
-
-    breakpoints = []
-    for j in range(1, jmax + 1):
-        h = Dyadic(1, -(2 ** (j + 1)))
+        X = 2 ** (2**j)
+        coarse, fine = Dyadic(1, -(2**j)), Dyadic(1, -(2 ** (j + 1)))
+        blocks.append(GapBlock(coarse, 8 * X, f"decade-{j}:coarse"))
+        blocks.append(GapBlock(fine, 2 * X * X - (j == jmax), f"decade-{j}:fine"))
         base = Dyadic(10 * j)
-        breakpoints.append((base - Dyadic(1, -2), ZERO))
-        breakpoints.append((base, h))
-        breakpoints.append((base + 1, h))
-        breakpoints.append((base + Dyadic(5, -2), ZERO))
-    return Thm33Construction(jmax=jmax, seq=seq, f=PiecewiseLinear(breakpoints))
+        knots += [(base - Dyadic(1, -2), ZERO), (base, fine), (base + 1, fine), (base + Dyadic(5, -2), ZERO)]
+        # 10j - 2 + 1/X^2 written whole, not summed: the table below is the
+        # one width check a prefix too wide for the span guard meets
+        fine_first = Dyadic((10 * j - 2) * X * X + 1, fine.e)
+        runs.append([(Dyadic(10 * j - 10), coarse, 8 * X + 1), (fine_first, fine, 2 * X * X - 1)])
+    seq = GapBlockSeq(ZERO, blocks)
+    f = PiecewiseLinear(knots)
+    return Thm33Construction(jmax, seq, f, tuple(RunSums(f, r) for r in runs))
 
 
 def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:

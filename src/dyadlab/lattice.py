@@ -115,12 +115,6 @@ class GapBlockSeq:
         prev_n, prev_v = self.block_start(b)
         return prev_n + 1 + (x - prev_v) // self.blocks[b].gap
 
-    def index_of_step_boundary(self, block_index: int) -> int:
-        """Absolute index of the last point of the given block."""
-        if block_index < 0 or block_index >= len(self.blocks):
-            raise IndexError(f"block {block_index} outside [0, {len(self.blocks)})")
-        return self.cum_counts[block_index]
-
     def segments_in_range(self, n_lo: int, n_hi: int) -> list[tuple[Dyadic, Dyadic, int]]:
         """Runs covering indices [n_lo, n_hi] as (value of first index, gap,
         number of indices), one per block met.
@@ -484,22 +478,6 @@ def shift_invariant_sum(
         kinks.update(lo + (x - first - lo) % step for x in xs[p : q + 1])
     values = {sum_pl_over_ap(f, t + first, step, count) for t in kinks if t <= hi}
     return values.pop() if len(values) == 1 else None
-
-
-def merged_runs(runs: Iterable[tuple[Dyadic, Dyadic, int]]) -> list[tuple[Dyadic, Dyadic, int]]:
-    """The same points as `runs` (first, gap, count), in the same order, with
-    each run joined onto the run before it when the earlier one is a single
-    point or has the same gap, and the later one starts exactly one gap (its
-    own) past the earlier one's end."""
-    out: list[tuple[Dyadic, Dyadic, int]] = []
-    for first, gap, count in runs:
-        if out:
-            f0, g0, n0 = out[-1]
-            if (n0 == 1 or g0 == gap) and first == f0 + g0 * (n0 - 1) + gap:
-                out[-1] = (f0, gap, n0 + count)
-                continue
-        out.append((first, gap, count))
-    return out
 
 
 class RunSums:

@@ -79,8 +79,8 @@ def step_indices(seq: GapBlockSeq, i: IndexJK) -> tuple[int, int]:
     tag = seq.blocks[2 * t].tag
     if tag and not tag.startswith(f"{i.j},{i.k}:"):
         raise ValueError(f"block {2 * t} tagged {tag!r}, expected step {i}")
-    n0 = seq.index_of_step_boundary(2 * t - 1) if t else 0
-    n1 = seq.index_of_step_boundary(2 * t)
+    n0 = seq.cum_counts[2 * t - 1] if t else 0
+    n1 = seq.cum_counts[2 * t]
     return n0, n1
 
 

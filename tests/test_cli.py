@@ -473,9 +473,11 @@ _SMALLEST_SIZES = {
     ids=lambda v: "=".join(v) if isinstance(v, tuple) else v,
 )
 def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, size):
-    """thm31 cross, density and tail assert no claim through j = 10, so they exit 3."""
+    """thm31 cross, density and tail assert no claim through j = 10, and thm33
+    diverge none with one decade, so they exit 3."""
     code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, *size, "--samples", "2")
-    if (construction, suite) in {("thm31", "cross"), ("thm31", "density"), ("thm31", "tail")}:
+    no_claim = {("thm31", "cross"), ("thm31", "density"), ("thm31", "tail")}
+    if (construction, suite) in no_claim or (construction, suite, size) == ("thm33", "diverge", ("--jmax", "1")):
         assert code == EXIT_SKIP and stdout.endswith(", no claim asserted\n"), stdout
     else:
         assert code == EXIT_PASS, stdout
@@ -491,6 +493,7 @@ def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, s
         ["thm33", "--suite", "converge", "--samples", "0"],
         ["universal", "--suite", "covering", "--limit", "1,3", "--samples", "0"],
         ["thm33", "--suite", "probe", "--samples", "0"],
+        ["thm33", "--suite", "diverge", "--jmax", "1", "--samples", "1"],
         ["universal", "--suite", "integrality", "--limit", "1,0"],
     ],
 )

@@ -169,22 +169,22 @@ class TestOutsideZero:
 
 class TestCrossTerms:
     def test_j0_10_neighbors(self, cons12):
-        assert cross_term_zero_check(cons12, 10, 9, ZERO).passed
-        assert cross_term_zero_check(cons12, 10, 11, ZERO).passed
+        assert cross_term_zero_check(cons12, 10, 9).passed
+        assert cross_term_zero_check(cons12, 10, 11).passed
         for j in (1, 5, 12):
             if j != 10:
-                rep = cross_term_zero_check(cons12, 10, j, ZERO)
+                rep = cross_term_zero_check(cons12, 10, j)
                 assert rep.passed and Dyadic.parse(rep.lhs) == ZERO
 
     def test_small_j0_informational(self, cons12):
-        rep = cross_term_zero_check(cons12, 1, 2, ZERO)
+        rep = cross_term_zero_check(cons12, 1, 2)
         assert rep.passed and rep.params["informational"]
         # value is still exact and reported
         Dyadic.parse(rep.lhs)
 
     def test_rejects_equal_indices(self, cons12):
         with pytest.raises(ValueError):
-            cross_term_zero_check(cons12, 3, 3, ZERO)
+            cross_term_zero_check(cons12, 3, 3)
 
 
 class TestLambda2:

@@ -108,8 +108,37 @@ class TestBuild:
                 (Dyadic(10 * j - 10), coarse, 8 * X + 1),
                 (Dyadic(10 * j - 2) + fine, fine, 2 * X * X - 1),
             )
-        head = cons.seq.segments_in_range(0, cons.seq.index_of_step_boundary(1) - 1)
+        head = cons.seq.segments_in_range(0, cons.seq.cum_counts[1] - 1)
         assert [(first, count) for first, _, count in head[:2]] == [(ZERO, 1), (Dyadic(1, -2), 32)]
+
+    @pytest.mark.parametrize("jmax", [1, 2])
+    def test_decade_runs_enumerate_the_decade(self, jmax):
+        """The closed-form runs of decade j list exactly the points of `seq`
+        in [10j-10, 10j), in order."""
+        cons = build_thm33(jmax)
+        points = list(iter_points(cons.seq))
+        for j in range(1, jmax + 1):
+            runs = cons.decade_runs(j)
+            got = [first + gap * k for first, gap, count in runs for k in range(count)]
+            assert got == [p for p in points if Dyadic(10 * j - 10) <= p < Dyadic(10 * j)], j
+
+    @pytest.mark.parametrize("jmax", range(1, 9))
+    def test_decade_runs_match_the_table(self, jmax):
+        """Each decade's coarse run is the point before block 2j-2, 10j-10,
+        and that block; its fine run is block 2j-1 less its last point when
+        that is 10j, the next decade's first: first point, last point and
+        count read off `cum_counts` and `start_pair` through `block_start`."""
+        cons = build_thm33(jmax)
+        seq = cons.seq
+        for j in range(1, jmax + 1):
+            (n0, v0), (n1, v1), (n2, v2) = (seq.block_start(b) for b in (2 * j - 2, 2 * j - 1, 2 * j))
+            assert v0 == Dyadic(10 * j - 10) and v2 <= Dyadic(10 * j)
+            at_next = v2 == Dyadic(10 * j)
+            assert at_next == (j < jmax)
+            fine = seq.blocks[2 * j - 1].gap
+            want = [(v0, v1, n1 - n0 + 1), (v1 + fine, v2 - fine if at_next else v2, n2 - n1 - at_next)]
+            runs = cons.decade_runs(j)
+            assert [(first, first + gap * (count - 1), count) for first, gap, count in runs] == want, j
 
 
 class TestDivergence:

@@ -20,7 +20,6 @@ from dyadlab.lattice import (
     count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
-    merged_runs,
     shift_invariant_sum,
     sum_pl_over_ap,
     sum_pl_over_runs,
@@ -181,7 +180,7 @@ spread_blocks = st.lists(
 def test_block_start_is_the_point_before_the_block(seq):
     assert seq.block_start(0) == (0, seq.origin)
     for b in range(1, len(seq.blocks) + 1):
-        n = seq.index_of_step_boundary(b - 1)
+        n = seq.cum_counts[b - 1]
         assert seq.block_start(b) == (n, seq.value_at(n))
     assert seq.block_start(len(seq.blocks))[1] == seq.last_value
     for b in (-1, len(seq.blocks) + 1):
@@ -1030,59 +1029,6 @@ def test_every_run_kernel_refuses_a_step_not_positive(step):
     for call in calls:
         with pytest.raises(ValueError, match=r"^step must be positive$"):
             call()
-
-
-def _points(runs):
-    return [first + gap * k for first, gap, count in runs for k in range(count)]
-
-
-# gaps from a small set, so that neighbouring blocks often share one
-repeating_gap_seqs = st.builds(
-    GapBlockSeq,
-    st.builds(Dyadic, st.integers(-64, 64), st.integers(-3, 1)),
-    st.lists(
-        st.builds(GapBlock, st.sampled_from([Dyadic(1, -2), Dyadic(3, -3), ONE]), st.integers(1, 6)),
-        min_size=1,
-        max_size=10,
-    ),
-)
-
-
-@given(repeating_gap_seqs, st.data())
-@settings(max_examples=200, deadline=None)
-def test_merged_runs_sum_like_the_runs_they_join(seq, data):
-    """Over any index range of a gap-block prefix, `merged_runs` lists the
-    same points in the same order, joins every pair it may (a single point
-    or an equal gap, then exactly one gap on), and at random shifts the
-    sum of f over the merged runs is the sum over the unmerged ones."""
-    n = seq.total_count
-    n_lo = data.draw(st.integers(0, n - 1))
-    runs = seq.segments_in_range(n_lo, data.draw(st.integers(n_lo, n - 1)))
-    merged = merged_runs(runs)
-    assert _points(merged) == _points(runs)
-    assert all(count >= 1 for _, _, count in merged)
-    for (f0, g0, n0), (f1, g1, _) in zip(merged, merged[1:]):
-        assert not ((n0 == 1 or g0 == g1) and f1 == f0 + g0 * (n0 - 1) + g1)
-    f = data.draw(pl_functions())
-    for _ in range(3):
-        shift = Dyadic(data.draw(st.integers(-(2**12), 2**12)), data.draw(st.integers(-8, 2)))
-        assert sum_pl_over_runs(f, merged, shift) == sum_pl_over_runs(f, runs, shift)
-
-
-def test_merged_runs_examples():
-    half = Dyadic(1, -1)
-    assert merged_runs([]) == []
-    # a single point joins a run one gap on, whatever its own gap
-    assert merged_runs([(ZERO, ONE, 1), (half, half, 3)]) == [(ZERO, half, 4)]
-    # equal gaps chain; a run at another gap after a longer run does not join
-    two, three = Dyadic(2), Dyadic(3)
-    assert merged_runs([(ZERO, half, 2), (ONE, half, 2), (two, half, 1), (three, ONE, 2)]) == [
-        (ZERO, half, 5),
-        (three, ONE, 2),
-    ]
-    # nor does a run that starts two gaps on, after a run or a single point
-    assert merged_runs([(ZERO, half, 2), (Dyadic(3, -1), half, 2)]) == [(ZERO, half, 2), (Dyadic(3, -1), half, 2)]
-    assert merged_runs([(ZERO, half, 1), (ONE, half, 2)]) == [(ZERO, half, 1), (ONE, half, 2)]
 
 
 def test_shift_invariant_sum_thm33_coarse_runs_over_4_5():
