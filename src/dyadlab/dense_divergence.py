@@ -9,8 +9,8 @@ contribution stays summable everywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
@@ -58,27 +58,24 @@ def enum_intervals(count: int) -> list[tuple[int, DyInterval]]:
                 if (level, k) in seen:
                     continue
                 r = len(emitted) + 1
-                if r < scale:
-                    continue
-                lo, hi = Dyadic(k - 1, -level), Dyadic(k, -level)
-                if lo < Dyadic(-r) or hi > Dyadic(r):
+                if r < scale or k - 1 < -r * scale or k > r * scale:
                     continue
                 seen.add((level, k))
-                emitted.append((r, DyInterval.closed(lo, hi)))
+                emitted.append((r, DyInterval.closed(Dyadic(k - 1, -level), Dyadic(k, -level))))
                 if len(emitted) == count:
                     return emitted
     return emitted
 
 
 def tent(j: int) -> PiecewiseLinear:
-    """Height 2^-j plateau on [2^j, 2^j + 2^-2^j], ramps of width 2^(-2^j-j-1)."""
+    """Height 2^-j plateau on [2^j, 2^j + 2^-2^j], ramps of width 2^(-2^j-j-1):
+    on the grid 2^-(2^j+j+1) the knots are A - 1, A, A + 2^(j+1) and
+    A + 2^(j+1) + 1, A = 2^(2^j+2j+1), written down without aligning them."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    a = Dyadic(1, j)
-    b = a + Dyadic(1, -(2**j))
-    pad = Dyadic(1, -(2**j) - j - 1)
-    h = Dyadic(1, -j)
-    return PiecewiseLinear([(a - pad, ZERO), (a, h), (b, h), (b + pad, ZERO)])
+    g, A, h = -(2**j) - j - 1, 1 << 2**j + 2 * j + 1, Dyadic(1, -j)
+    B = A + (2 << j)
+    return PiecewiseLinear([(Dyadic(A - 1, g), ZERO), (Dyadic(1, j), h), (Dyadic(B, g), h), (Dyadic(B + 1, g), ZERO)])
 
 
 def tripled(iv: DyInterval) -> DyInterval:
@@ -108,6 +105,12 @@ class Thm31Construction:
 
     def item(self, j: int) -> Thm31Item:
         return self.items[j - 1]
+
+    @cached_property
+    def tail_tables(self) -> tuple[RunSums, ...]:
+        """One `RunSums` per tent over the coarse runs of Λ2, built on first use."""
+        runs = [w for it in self.items if (w := it.lam2) is not None]
+        return tuple(RunSums(it.tent, runs) for it in self.items)
 
     def lambda_windows(self) -> list[APWindow]:
         """All lattice windows of Λ = Λ1 ∪ Λ2, fine and coarse."""
@@ -149,15 +152,20 @@ def _coarse_span(j: int) -> DyInterval:
 
 
 def build_thm31(jmax: int) -> Thm31Construction:
+    """Item j in closed form from j and its interval [lo, hi] of level l:
+    the fine window starts at 2^j - hi with step 2^-(2^j+j) and holds
+    2^j + 2^(2^j+j-l) + 1 points, one plateau plus the interval's sweep;
+    from j = 10 the coarse window holds the (2^(j-1) + 2) * 2^j points of
+    step 2^-j after 2^(j-1) + 2(j-1)."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
     items = []
     for j, iv in enum_intervals(jmax):
-        a = Dyadic(1, j)
-        b = a + Dyadic(1, -(2**j))
-        step1 = Dyadic(1, -(2**j) - j)
-        lam1 = APWindow(*lattice_run(DyInterval.closed(a - iv.hi, b - iv.lo), step1))
-        lam2 = APWindow(*lattice_run(_coarse_span(j), Dyadic(1, -j))) if j >= LAMBDA2_MIN_J else None
+        level = -(iv.hi - iv.lo).e
+        lam1 = APWindow(Dyadic(1, j) - iv.hi, Dyadic(1, -(2**j) - j), (1 << j) + (1 << 2**j + j - level) + 1)
+        lam2 = None
+        if j >= LAMBDA2_MIN_J:
+            lam2 = APWindow(Dyadic(((1 << j - 1) + 2 * (j - 1) << j) + 1, -j), Dyadic(1, -j), (1 << j - 1) + 2 << j)
         f = tent(j)
         items.append(Thm31Item(j, iv, tripled(iv), f, lam1, lam2, RunSums(f, [lam1])))
     return Thm31Construction(jmax=jmax, items=tuple(items))
@@ -258,26 +266,13 @@ def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
     informational."""
     jmax = cons.jmax
     mx = max(LAMBDA2_MIN_J, abs(x).ceil())
-    # the coarse windows are disjoint and sorted: shift them once, and sum
-    # each tent over only the runs whose span meets its support's interior,
-    # found by bisection; every other run adds exactly 0
-    runs = [(x + w.start, w.step, w.count) for it in cons.items if (w := it.lam2) is not None]
-    firsts = [first for first, _, _ in runs]
-    lasts = [first + step * (count - 1) for first, step, count in runs]
-
-    def tent_total(j: int) -> Dyadic:
-        f = cons.item(j).tent
-        lo = bisect_right(lasts, f.xs[0])
-        return sum_pl_over_runs(f, runs[lo : bisect_left(firsts, f.xs[-1], lo)], ZERO)
-
-    head = ZERO
-    for j in range(1, min(mx, jmax) + 1):
-        head = head + tent_total(j)
+    totals = [table.at(x) for table in cons.tail_tables]
+    head = sum(totals[: min(mx, jmax)], ZERO)
     tail_actual = ZERO
     tail_bound = ZERO
     ok = True
     for j in range(mx + 1, jmax + 1):
-        cj = tent_total(j)
+        cj = totals[j - 1]
         tail_actual = tail_actual + cj
         tail_bound = tail_bound + Dyadic(1, -j)
         if cj > Dyadic(1, -j):

@@ -554,8 +554,8 @@ class PiecewiseLinear:
     and last values must be zero and all values nonnegative.  The knots and
     the values are also kept as ints on one power-of-two grid each,
     xs[i] = x_ints[i]*2^x_exp and vs[i] = v_ints[i]*2^v_exp, with the piece
-    widths x_gaps[i] = x_ints[i+1] - x_ints[i], for the integer kernels in
-    `lattice`; those fields are left out of `==`.
+    widths x_gaps[i] = x_ints[i+1] - x_ints[i], each positive, for the
+    integer kernels in `lattice`; those fields are left out of `==`.
     """
 
     xs: tuple[Dyadic, ...]
@@ -572,20 +572,22 @@ class PiecewiseLinear:
             raise ValueError("need at least two breakpoints")
         xs = tuple(p[0] for p in pts)
         vs = tuple(p[1] for p in pts)
-        for i in range(len(xs) - 1):
-            if not xs[i] < xs[i + 1]:
-                raise ValueError(f"breakpoints not strictly increasing at {xs[i]}")
         if vs[0] or vs[-1]:
             raise ValueError("support must be compact: first and last values must be 0")
         for v in vs:
-            if v < ZERO:
+            if v.m < 0:
                 raise ValueError("values must be nonnegative")
+        # the order is checked on the int grid: one subtraction per piece
+        x_ints, x_exp = scaled_ints(xs)
+        x_gaps = tuple(b - a for a, b in zip(x_ints, x_ints[1:]))
+        for i, w in enumerate(x_gaps):
+            if w <= 0:
+                raise ValueError(f"breakpoints not strictly increasing at {xs[i]}")
+        v_ints, v_exp = scaled_ints(vs)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "vs", vs)
-        x_ints, x_exp = scaled_ints(xs)
-        v_ints, v_exp = scaled_ints(vs)
         object.__setattr__(self, "x_ints", tuple(x_ints))
-        object.__setattr__(self, "x_gaps", tuple(b - a for a, b in zip(x_ints, x_ints[1:])))
+        object.__setattr__(self, "x_gaps", x_gaps)
         object.__setattr__(self, "x_exp", x_exp)
         object.__setattr__(self, "v_ints", tuple(v_ints))
         object.__setattr__(self, "v_exp", v_exp)

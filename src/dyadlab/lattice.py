@@ -363,8 +363,13 @@ def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, in
         width = max(S.bit_length(), L.bit_length(), D.bit_length())
         if width > guard:
             raise grid_error("aligned run", width, e)
-        _pieces(f, X, f.x_gaps, drop, e, S, D, L, guard, out)
+        _pieces(f, X, f.x_gaps, drop, e, S, D, _log2(D), L, guard, out)
     return Dyadic(out[0], f.v_exp - out[1])
+
+
+def _log2(D: int) -> int:
+    """log2 of a positive D that is a power of two, else -1."""
+    return -1 if D & D - 1 else D.bit_length() - 1
 
 
 def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
@@ -383,25 +388,27 @@ def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
     return Dyadic(am + (bm << b - a), a)
 
 
-def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, L: int, guard: int | None, out: list) -> None:
+def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, s: int, L: int, guard: int | None, out: list) -> None:
     """The one piece loop: add to out = [p, t], the sum p*2^(v_exp - t),
     each nonzero piece of f that the run S, S + D, ..., L visits, in ints
     on the grid 2^e where the knots are X << drop and the piece widths
-    W << drop (with a `guard`, a nonzero piece's knots must fit it).  Each
-    piece is summed from delta, the distance from its left knot x0 to the
-    first run point at or after it: the start's offset at the first piece,
-    reduced mod D (by the low bits when D is a power of two), then carried
-    across the pieces.  Its point count comes from delta and its width, or
-    from L - x0 when L lies in it (f is 0 at its last knot, so half-open
-    pieces lose nothing), and its sum is an arithmetic series divided last
-    by the odd part of its width, NotExact if that fails."""
-    V = f.v_ints
+    W << drop (with a `guard`, a nonzero piece's knots must fit it).
+    D = 2^s when s >= 0, and then every product and quotient by D is a
+    shift.  Each piece is summed from delta, the distance from its left
+    knot x0 to the first run point at or after it: the start's offset at
+    the first piece, reduced mod D (by the low bits when D is a power of
+    two), then carried across the pieces.  Its point count comes from delta
+    and its width, or from L - x0 when L lies in it (f is 0 at its last
+    knot, so half-open pieces lose nothing), and its sum is an arithmetic
+    series divided last by the odd part of its width, NotExact if that
+    fails."""
+    V, (p, tp) = f.v_ints, out
     first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
     end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
     x1 = X[first] << drop if drop else X[first]
     if S >= x1:
         delta = S - x1
-    elif D & (D - 1):
+    elif s < 0:
         delta = (S - x1) % D
     else:  # a mask of a negative wide int would copy it
         delta = ((S & D - 1) - (x1 & D - 1)) & D - 1
@@ -409,28 +416,32 @@ def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, L: int,
         x0, x1 = x1, (X[i + 1] << drop if drop else X[i + 1])
         w = W[i] << drop if drop else W[i]
         # the points in [x0, x1), up to L when the run ends in the piece
-        n = ((L - x0 if L < x1 else w - 1) - delta) // D + 1
+        r = (L - x0 if L < x1 else w - 1) - delta
+        n = (r >> s if s >= 0 else r // D) + 1
         v0, v1 = V[i], V[i + 1]
         if v0 or v1:
             if guard is not None and max(x0.bit_length(), x1.bit_length()) > guard:
                 raise grid_error("aligned run", max(x0.bit_length(), x1.bit_length()), e)
             if n:
                 # n*v0 + (v1-v0)*(n*delta + D*n(n-1)/2)/w, in units of 2^v_exp;
-                # w = w'*2^t with w' odd, and dividing by w' last keeps the
-                # sum exact even when the bare slope is not dyadic
+                # w = odd*2^t, and dividing by odd last keeps the sum exact
+                # even when the bare slope is not dyadic
                 t = (w & -w).bit_length() - 1
-                rise = (v1 - v0) * (n * delta + D * (n * (n - 1) >> 1))
-                if w >> t != 1:
-                    q, r = divmod(rise, w >> t)
+                odd = w >> t
+                tri = n * (n - 1) >> 1
+                rise = (v1 - v0) * (n * delta + (tri << s if s >= 0 else D * tri))
+                if odd != 1:
+                    q, r = divmod(rise, odd)
                     if r:
                         raise NotExact(f"{Dyadic(rise, f.v_exp + e)} / {Dyadic(w, e)} is not a dyadic rational")
                     rise = q
                 q = (n * v0 << t) + rise
-                if t > out[1]:
-                    out[:] = (out[0] << t - out[1]) + q, t
+                if t > tp:
+                    p, tp = (p << t - tp) + q, t
                 else:
-                    out[0] += q << out[1] - t
-        delta += n * D - w
+                    p += q << tp - t
+        delta += (n << s if s >= 0 else n * D) - w
+    out[:] = p, tp
 
 
 def shift_invariant_sum(
@@ -482,43 +493,72 @@ def shift_invariant_sum(
 
 class RunSums:
     """f and fixed runs (first, gap, count): `at(x)` is `sum_pl_over_runs(f,
-    runs, x)` read off one int table, the runs' first and last points and
-    gaps and f's knots aligned to one grid once, and lifted again only for
-    a finer shift.  When every width there, the shift's too, fits the span
-    guard with a bit to spare, no check can refuse and none is made;
-    otherwise `at(x)` is `sum_pl_over_runs`."""
+    runs, x)` read off one int table, built once and lifted again only for
+    a finer shift.  The runs and the shift lie on a grid 2^c, f's knots and
+    piece widths on 2^g, g = min(c, x_exp), and each run keeps its reach:
+    the shifts lo < x < hi that carry it into the interior of f's support,
+    whose end knots are rounded out onto 2^c.  A shift outside a run's
+    reach adds 0 after two comparisons.  Where the knots are finer than the
+    runs and no gap is narrower than the rounded support, a run can put at
+    most one point in it: the runs stay on their own grid, so the reach and
+    that point are narrow ints, and only a run whose point lies in the
+    support is aligned to f.  Otherwise c = g, and the runs are aligned
+    once.  When every width on 2^g, the shift's too,
+    fits the span guard with a bit to spare, no check can refuse and none
+    is made; otherwise `at(x)` is `sum_pl_over_runs`."""
 
-    __slots__ = ("f", "runs", "_grid", "_width", "_knots", "_gaps", "_ints")
+    __slots__ = ("f", "runs", "_grid", "_width", "_knots", "_gaps", "_ints", "_ends", "_lift_by")
 
     def __init__(self, f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]]):
         self.f, self.runs, self._ints = f, tuple(runs), None
-        self._grid = min([f.x_exp] + [e for first, gap, _ in self.runs for e in (first.e if first.m else gap.e, gap.e)])
+        self._grid = min([e for first, gap, _ in self.runs for e in (first.e if first.m else gap.e, gap.e)], default=f.x_exp)
 
-    def _lift(self, g: int, guard: int) -> bool:
-        """Form the table on the grid 2^g if every width there, bounded
-        first, fits, and every gap is positive."""
-        X, xe = self.f.x_ints, self.f.x_exp
+    def _lift(self, c: int, guard: int) -> bool:
+        """Form the table for shifts on the grid 2^c if every width on 2^g,
+        bounded first, fits, and every gap is positive."""
+        X, W, xe = self.f.x_ints, self.f.x_gaps, self.f.x_exp
+        g = min(c, xe)
         width = max([max(X[0].bit_length(), X[-1].bit_length()) + xe - g] + [
             max(first.m.bit_length() + first.e - g if first.m else 0, gap.m.bit_length() + gap.e - g + (count - 1).bit_length()) + 1
             for first, gap, count in self.runs
         ])
         if width + 1 > guard or any(gap.m <= 0 for _, gap, _ in self.runs):
             return False
-        lifted = [(first.m << first.e - g if first.m else 0, gap.m << gap.e - g, count) for first, gap, count in self.runs]
-        self._ints = [(F, D, F + D * (count - 1)) for F, D, count in lifted if count > 0]
-        self._knots, self._gaps = tuple(v << xe - g for v in X), tuple(v << xe - g for v in self.f.x_gaps)
-        self._grid, self._width = g, width
+        k = c - xe
+        if k > 0:  # the end knots onto 2^c, the first one down, the last one up
+            K0, K3 = X[0] >> k, -(-X[-1] >> k)
+            if any(gap.m << gap.e - c < K3 - K0 for _, gap, _ in self.runs):
+                c, k = xe, 0  # a run may put two points in the support: align the runs to the knots once
+        if k < 0:
+            X, W = tuple(v << -k for v in X), tuple(v << -k for v in W)
+        if k <= 0:
+            K0, K3 = X[0], X[-1]
+        ints = []
+        for first, gap, count in self.runs:
+            if count > 0:
+                F, D = first.m << first.e - c if first.m else 0, gap.m << gap.e - c
+                L = F + D * (count - 1)
+                Dg = D << k if k > 0 else D
+                ints.append((K0 - L, K3 - F, F, D, L, Dg, _log2(Dg)))
+        self._knots, self._gaps, self._ints, self._ends = X, W, ints, (K0, K3)
+        self._grid, self._width, self._lift_by = c, width, max(k, 0)
         return True
 
     def at(self, x: Dyadic) -> Dyadic:
-        guard = span_guard()
-        g = min(self._grid, x.e) if x.m else self._grid
-        lifted = (self._ints is not None and g == self._grid) or self._lift(g, guard)
-        if not lifted or max(self._width, x.m.bit_length() + x.e - g if x.m else 0) + 1 > guard:
-            return sum_pl_over_runs(self.f, self.runs, x)
-        xg, X, out = x.m << x.e - g, self._knots, [0, 0]
-        for F, D, L in self._ints:
-            S, L = F + xg, L + xg
-            if L > X[0] and S < X[-1]:
-                _pieces(self.f, X, self._gaps, 0, g, S, D, L, None, out)
-        return Dyadic(out[0], self.f.v_exp - out[1])
+        guard, f, m, e = span_guard(), self.f, x.m, x.e
+        if m and e < self._grid or self._ints is None:
+            if not self._lift(min(self._grid, e) if m else self._grid, guard):
+                return sum_pl_over_runs(f, self.runs, x)
+        c, k = self._grid, self._lift_by
+        if max(self._width, m.bit_length() + e - c + k if m else 0) + 1 > guard:
+            return sum_pl_over_runs(f, self.runs, x)
+        xc, (K0, K3), out = m << e - c, self._ends, [0, 0]
+        for lo, hi, F, D, L, Dg, s in self._ints:
+            if lo < xc < hi:
+                S, L = F + xc, L + xc
+                if k:  # sparse: the one run point that can lie in the support's interior
+                    if (S if S > K0 else S + ((K0 - S) // D + 1) * D) >= min(K3, L + 1):
+                        continue
+                    S, L = S << k, L << k
+                _pieces(f, self._knots, self._gaps, 0, c - k, S, Dg, s, L, None, out)
+        return Dyadic(out[0], f.v_exp - out[1])

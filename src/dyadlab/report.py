@@ -88,5 +88,6 @@ def write_reports(path: str, reports: Iterable[WitnessReport]) -> None:
             f'{{"claim":{_encoded(r.claim)},"lhs":{_encoded(r.lhs)},"params":{once(r.params, params)},'
             f'"pass":{_encoded(r.passed)},"rhs":{_encoded(r.rhs)}}}' for r in reports
         ) + "]"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
+    data = (text + "\n").encode("ascii")  # a binary write: text mode would import a codec first
+    with open(path, "wb") as fh:
+        fh.write(data)

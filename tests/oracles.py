@@ -6,12 +6,13 @@ oracle sizes; the library never enumerates.
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from math import gcd
 from typing import Iterable, Iterator
 
+from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, enum_intervals, tripled
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, floor_sum
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, floor_sum, lattice_run, sum_pl_over_runs
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, Step, step_walk, steps_before
 
@@ -360,3 +361,68 @@ def write_reports_json(path: str, reports: Iterable[WitnessReport]) -> None:
     text = json.dumps([report_json_dict(r) for r in reports], sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
+
+
+def tent_dyadic(j: int) -> PiecewiseLinear:
+    """Tent j by `Dyadic` arithmetic: plateau [a, b] = [2^j, 2^j + 2^-2^j]
+    of height 2^-j, each end padded by 2^(-2^j-j-1).  `dense_divergence.tent`
+    must give the same knots, values and int grids."""
+    a = Dyadic(1, j)
+    b = a + Dyadic(1, -(2**j))
+    pad = Dyadic(1, -(2**j) - j - 1)
+    h = Dyadic(1, -j)
+    return PiecewiseLinear([(a - pad, ZERO), (a, h), (b, h), (b + pad, ZERO)])
+
+
+def build_thm31_dyadic(jmax: int) -> Thm31Construction:
+    """thm31 with every window cut by `lattice_run` from its interval in
+    `Dyadic` arithmetic: the fine lattice 2^-(2^j+j)Z clipped to
+    [2^j - hi, 2^j + 2^-2^j - lo], the coarse 2^-jZ to
+    (2^(j-1) + 2(j-1), 2^j + 2j].  `build_thm31`, in closed form, must
+    build an equal construction, or refuse at the same span guard."""
+    items = []
+    for j, iv in enum_intervals(jmax):
+        a = Dyadic(1, j)
+        b = a + Dyadic(1, -(2**j))
+        lam1 = APWindow(*lattice_run(DyInterval.closed(a - iv.hi, b - iv.lo), Dyadic(1, -(2**j) - j)))
+        span = DyInterval(Dyadic(1, j - 1) + Dyadic(2 * (j - 1)), Dyadic(1, j) + Dyadic(2 * j), False, True)
+        lam2 = APWindow(*lattice_run(span, Dyadic(1, -j))) if j >= LAMBDA2_MIN_J else None
+        f = tent_dyadic(j)
+        items.append(Thm31Item(j, iv, tripled(iv), f, lam1, lam2, RunSums(f, [lam1])))
+    return Thm31Construction(jmax=jmax, items=tuple(items))
+
+
+def lambda2_total_check_bisect(cons: Thm31Construction, x: Dyadic) -> WitnessReport:
+    """The coarse-family tail report with every tent summed over Λ2 shifted
+    by x: the coarse windows shifted once, and each tent summed by
+    `sum_pl_over_runs` over only the windows whose span meets its support's
+    interior, found by bisection.  `lambda2_total_check`, which reads each
+    tent's sum off its table, must give an equal report."""
+    jmax = cons.jmax
+    mx = max(LAMBDA2_MIN_J, abs(x).ceil())
+    runs = [(x + w.start, w.step, w.count) for it in cons.items if (w := it.lam2) is not None]
+    firsts = [first for first, _, _ in runs]
+    lasts = [first + step * (count - 1) for first, step, count in runs]
+
+    def tent_total(j: int) -> Dyadic:
+        f = cons.item(j).tent
+        lo = bisect_right(lasts, f.xs[0])
+        return sum_pl_over_runs(f, runs[lo : bisect_left(firsts, f.xs[-1], lo)], ZERO)
+
+    head = sum((tent_total(j) for j in range(1, min(mx, jmax) + 1)), ZERO)
+    tail = [tent_total(j) for j in range(mx + 1, jmax + 1)]
+    return WitnessReport(
+        claim="thm31-lam2-tail",
+        params={
+            "x": str(x),
+            "head_cutoff": mx,
+            "jmax": jmax,
+            "head": str(head),
+            "total": str(head + sum(tail, ZERO)),
+            "unbuilt_tail_majorant": str(Dyadic(1, -jmax)),
+            **({"informational": True} if jmax <= LAMBDA2_MIN_J else {}),
+        },
+        lhs=str(sum(tail, ZERO)),
+        rhs=str(sum((Dyadic(1, -j) for j in range(mx + 1, jmax + 1)), ZERO)),
+        passed=all(cj <= Dyadic(1, -j) for j, cj in enumerate(tail, mx + 1)),
+    )

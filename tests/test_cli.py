@@ -527,14 +527,16 @@ def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch
         (["thm33", "--suite", "probe", "--jmax", "8"], 8),
         (["thm31", "--suite", "lower", "--jmax", "16"], 16),
         (["thm31", "--suite", "outside", "--jmax", "16"], 16),
+        (["thm31", "--suite", "tail", "--jmax", "16"], 32),
     ],
-    ids=["diverge", "probe", "lower", "outside"],
+    ids=["diverge", "probe", "lower", "outside", "tail"],
 )
 def test_each_run_table_is_built_once_whatever_the_samples(capsys, monkeypatch, argv, tables):
     """One `RunSums` table per thm33 decade or thm31 item is built per op,
-    and every sum the suite asks for is read off those tables on their
-    fast path: more samples mean more `at` calls, not more tables, and no
-    call of the checked kernel `sum_pl_over_runs` at all."""
+    and for tail one more per tent over the coarse runs; every sum the
+    suite asks for is read off those tables on their fast path: more
+    samples mean more `at` calls, not more tables, and no call of the
+    checked kernel `sum_pl_over_runs` at all."""
     built, reads, one_shot = [], [], []
     init, at = lattice.RunSums.__init__, lattice.RunSums.at
     monkeypatch.setattr(lattice.RunSums, "__init__", lambda self, *a: built.append(a) or init(self, *a))

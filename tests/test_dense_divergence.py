@@ -5,7 +5,7 @@ from bisect import bisect_left
 
 import pytest
 
-from dyadlab.exactnum import Dyadic, DyInterval, IntervalUnion, ZERO, ONE
+from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, ZERO, ONE, set_span_guard
 from dyadlab.dense_divergence import (
     _neighbours,
     build_thm31,
@@ -24,7 +24,7 @@ from dyadlab.dense_divergence import (
 )
 from dyadlab.lattice import sum_pl_over_ap
 from dyadlab.universal import OutOfInterval
-from oracles import pl_eval
+from oracles import build_thm31_dyadic, lambda2_total_check_bisect, pl_eval
 
 
 def dy(s: str) -> Dyadic:
@@ -349,3 +349,81 @@ class TestJsonRoundtrip:
         assert len(d["items"]) == 12
         assert d["items"][9]["lambda2"] is not None
         assert d["items"][0]["lambda2"] is None
+
+
+class TestClosedFormBuild:
+    @pytest.mark.parametrize("jmax", range(1, 17))
+    def test_equals_the_dyadic_build(self, jmax):
+        """Item by item, the closed form builds what cutting every window by
+        `lattice_run` in Dyadic arithmetic builds: the same interval, tripled
+        interval, windows, knots, values and int grids."""
+        got, want = build_thm31(jmax), build_thm31_dyadic(jmax)
+        assert got == want
+        for a, b in zip(got.items, want.items):
+            assert (a.j, a.interval, a.tripled, a.lam1, a.lam2) == (b.j, b.interval, b.tripled, b.lam1, b.lam2)
+            fa, fb = a.tent, b.tent
+            assert (fa.xs, fa.vs, fa.x_ints, fa.x_gaps, fa.x_exp, fa.v_ints, fa.v_exp) == (
+                fb.xs, fb.vs, fb.x_ints, fb.x_gaps, fb.x_exp, fb.v_ints, fb.v_exp
+            )
+
+    @pytest.mark.parametrize("jmax, bits", [(6, 77), (6, 78), (7, 143), (7, 144), (8, 273), (8, 274)])
+    def test_refuses_at_the_same_guard_as_the_dyadic_build(self, jmax, bits):
+        """Tent j needs 2^j + 2j + 2 bits on its grid: both builds refuse
+        below that and build at it."""
+        outcomes = []
+        old = set_span_guard(bits)
+        try:
+            for build in (build_thm31, build_thm31_dyadic):
+                try:
+                    outcomes.append(build(jmax).jmax)
+                except GuardExceeded:
+                    outcomes.append(GuardExceeded)
+        finally:
+            set_span_guard(old)
+        assert outcomes == [jmax if bits >= 2**jmax + 2 * jmax + 2 else GuardExceeded] * 2
+
+    @pytest.mark.parametrize("build, wide", [(build_thm31, False), (build_thm31_dyadic, True)])
+    def test_no_wide_dyadic_arithmetic(self, monkeypatch, build, wide):
+        """While `build_thm31(16)` runs, no `Dyadic` +, -, * or divmod takes an
+        operand wider than 64 bits, counted on the two operands' common grid
+        for a sum or a floor ratio; the Dyadic-arithmetic build, run under
+        the same wrappers, does."""
+        widest = []
+
+        def as_pair(v):
+            return (v.m, v.e) if isinstance(v, Dyadic) else (v, 0)
+
+        def aligned(a, b):
+            terms = [p for p in map(as_pair, (a, b)) if p[0]]
+            g = min((e for _, e in terms), default=0)
+            return max((abs(m).bit_length() + e - g for m, e in terms), default=0)
+
+        def spy(name, width):
+            op = getattr(Dyadic, name)
+            monkeypatch.setattr(Dyadic, name, lambda a, b: widest.append(width(a, b)) or op(a, b))
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__divmod__"):
+            spy(name, aligned)
+        for name in ("__mul__", "__rmul__"):
+            spy(name, lambda a, b: max(abs(as_pair(v)[0]).bit_length() for v in (a, b)))
+        build(16)
+        assert widest
+        assert (max(widest) > 64) == wide, max(widest)
+
+
+class TestTailTables:
+    @pytest.mark.parametrize("jmax", [1, 9, 10, 11, 16])
+    def test_equals_the_bisect_path(self, jmax):
+        """The tail report read off the per-tent tables equals the one summed
+        over bisected shifted runs: at x = -jmax, 0 (every coarse run puts
+        2^j on tent j's plateau), jmax, on tent 10's ramps and plateau end,
+        past jmax, and at sampled points of [-jmax, jmax]."""
+        cons = build_thm31(jmax)
+        rng = random.Random(jmax)
+        xs = [Dyadic(-jmax), ZERO, Dyadic(jmax), Dyadic(-1, -(2**10) - 12), Dyadic(1, -(2**10)), Dyadic((1 << 12) + 1, -(2**10) - 12)]
+        xs += [Dyadic(2 * jmax + 1), Dyadic(-5, 3)]
+        xs += [Dyadic(rng.randrange(-jmax << 48, (jmax << 48) + 1), -48) for _ in range(20)]
+        for x in xs:
+            assert lambda2_total_check(cons, x) == lambda2_total_check_bisect(cons, x), x
+        if jmax >= 10:
+            assert Dyadic.parse(lambda2_total_check(cons, ZERO).params["total"]) > ZERO

@@ -597,9 +597,23 @@ class TestPiecewiseLinear:
             pl_eval(f, ONE)
 
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(ZERO, ONE), (ONE, ZERO)])  # nonzero first value
-        with pytest.raises(ValueError):
-            PiecewiseLinear([(ONE, ZERO), (ONE, ZERO)])  # not strictly increasing
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^support must be compact: first and last values must be 0$"):
+            PiecewiseLinear([(ZERO, ONE), (ONE, ZERO)])
+        with pytest.raises(ValueError, match=r"^breakpoints not strictly increasing at 1\*2\^0$"):
+            PiecewiseLinear([(ONE, ZERO), (ONE, ZERO)])
+        with pytest.raises(ValueError, match=r"^values must be nonnegative$"):
             PiecewiseLinear([(ZERO, ZERO), (ONE, Dyadic(-1)), (Dyadic(2), ZERO)])
+
+    def test_order_is_checked_on_the_int_grid(self):
+        """The knots are put on one grid before their order is checked, after
+        the values: knots out of order and too wide for the guard are refused
+        by the guard, and knots out of order whose first value is not 0 by
+        the compact-support check."""
+        old = set_span_guard(64)
+        try:
+            with pytest.raises(GuardExceeded, match=r"^common grid needs 101 bits on the grid 2\^-100 \(guard 64\)$"):
+                PiecewiseLinear([(ONE, ZERO), (Dyadic(1, -100), ONE), (ONE, ZERO)])
+        finally:
+            set_span_guard(old)
+        with pytest.raises(ValueError, match=r"^support must be compact"):
+            PiecewiseLinear([(ZERO, ONE), (ONE, ZERO), (ZERO, ZERO)])

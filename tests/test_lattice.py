@@ -912,6 +912,83 @@ def test_run_table_matches_the_kernel_on_the_exact_start(case, guard):
         set_span_guard(old)
 
 
+@st.composite
+def reach_cases(draw):
+    """(f, runs, shifts) for a table's reach and one-point tests.  f is one
+    bump on a grid 2^-a, pieces 1 to 5 units wide (a width of 3 or 5 makes
+    the slope non-dyadic); each run starts on any grid, and its gap is 1, 3
+    or 5 times a power of two from 2^-3 units (finer than the knots) to
+    2^12 units (wider than the support, so at most one point of it meets
+    f).  The shifts put a drawn run's last point on f's first knot and its
+    first point on f's last knot (its reach bounds, where it adds 0), one
+    unit of a grid finer than every value inside and outside each, a point
+    of the run on a drawn spot of the support and just past it, and the run
+    just beyond the support."""
+    a = draw(st.sampled_from([0, 3, 64, 200]))
+    unit = Dyadic(1, -a)
+    x = Dyadic(draw(st.integers(-64, 64)), draw(st.integers(-2, 2)))
+    pts = [(x, ZERO)]
+    for _ in range(draw(st.integers(1, 3))):
+        x = x + unit * draw(st.integers(1, 5))
+        pts.append((x, Dyadic(draw(st.integers(1, 16)), draw(st.integers(-4, 0)))))
+    x = x + unit * draw(st.integers(1, 5))
+    pts.append((x, ZERO))
+    f = PiecewiseLinear(pts)
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        gap = unit * Dyadic(draw(st.sampled_from([1, 3, 5])), draw(st.integers(-3, 12)))
+        first = Dyadic(draw(st.integers(-(2**12), 2**12)), draw(st.integers(-a - 3, 2)))
+        runs.append((first, gap, draw(st.integers(1, 40))))
+    first, gap, count = draw(st.sampled_from(runs))
+    fine = Dyadic(1, min(-a, first.e, gap.e) - draw(st.integers(1, 3)))
+    lo, hi = f.xs[0] - first - gap * (count - 1), f.xs[-1] - first
+    spot = f.xs[0] + (f.xs[-1] - f.xs[0]) * Dyadic(draw(st.integers(0, 256)), -8) - first - gap * draw(st.integers(0, count - 1))
+    return f, runs, [lo, hi, lo + fine, hi - fine, lo - fine, hi + fine, spot, spot + fine, hi + gap]
+
+
+@given(reach_cases(), st.sampled_from([64, 128, 1 << 20]))
+@settings(max_examples=300, deadline=None)
+@example(
+    # slope 1/3: the one point the run puts on the ramp has a value that is not dyadic
+    (PiecewiseLinear([(ZERO, ZERO), (Dyadic(3), ONE), (Dyadic(6), ZERO)]), [(Dyadic(-100), Dyadic(1, 10), 3)], [Dyadic(101)]),
+    1 << 20,
+)
+@example(
+    # a gap of 3*2^10 across a support 2 wide: the point at 1/2 meets the ramp
+    (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(-100), Dyadic(3, 10), 3)], [dy("100.5"), Dyadic(100), Dyadic(102)]),
+    64,
+)
+def test_run_table_prunes_as_the_kernel_sums(case, guard):
+    """At every shift, a table built once and a table built for that shift
+    give `sum_pl_over_runs`'s outcome: the same value when a run meets f,
+    misses it, or stops exactly at a reach bound; the same NotExact text for
+    a non-dyadic sum; and, where the guard is too tight for the table, the
+    kernel's own refusal."""
+    f, runs, shifts = case
+    table = RunSums(f, runs)
+    old = set_span_guard(guard)
+    try:
+        for x in shifts:
+            want = _outcome(sum_pl_over_runs, f, runs, x)
+            assert _outcome(table.at, x) == want, x
+            assert _outcome(RunSums(f, runs).at, x) == want, x
+    finally:
+        set_span_guard(old)
+
+
+def test_run_table_refuses_a_non_dyadic_sum_as_the_kernel_does():
+    """f(1) = 1/3 on a slope of 1/3, reached by a one-point run and by the
+    one point of a sparse run; f(1) + f(2) = 1 is dyadic."""
+    f = PiecewiseLinear([(ZERO, ZERO), (Dyadic(3), ONE), (Dyadic(6), ZERO)])
+    message = "1*2^0 / 3*2^0 is not a dyadic rational"
+    for runs, x in (([(ONE, ONE, 1)], ZERO), ([(Dyadic(-100), Dyadic(1, 10), 3)], Dyadic(101))):
+        for call in (RunSums(f, runs).at, lambda x: sum_pl_over_runs(f, runs, x)):
+            with pytest.raises(NotExact) as exc:
+                call(x)
+            assert str(exc.value) == message
+    assert RunSums(f, [(ONE, ONE, 2)]).at(ZERO) == ONE
+
+
 def test_a_far_shift_is_refused_before_it_is_aligned():
     """A shift of 2^-10^9 is refused at once, in the run kernel's shape on
     the start's own grid, by the table and by `sum_pl_over_runs`."""

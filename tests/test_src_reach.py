@@ -54,13 +54,15 @@ KEEP = {
 
 # command lines the execution check runs beyond the report-bytes cases;
 # "{G2}" is an open set of three open parts, two of which overlap and merge;
-# the last run's tent 2^7 + 2^-128 is a Dyadic sum past a 64-bit guard
+# tent 7 needs 144 bits on its grid, past a 64-bit guard; and the universal
+# sum at x = 2^-100 is a Dyadic sum past it
 RUNS = [
     ["eval", "thm31", "--jmaxes", "3", "--xs", "0", "--G", "{G2}"],
     ["verify", "universal", "--suite", "lemma", "--limit", "x"],
     ["--span-guard", "64", "eval", "thm33", "--jmaxes", "2", "--xs", "1*2^-100"],
     ["--span-guard", "64", "eval", "thm31", "--jmaxes", "3", "--xs", "1*2^-100"],
     ["--span-guard", "64", "verify", "thm31", "--suite", "lower", "--jmax", "7"],
+    ["--span-guard", "64", "eval", "universal", "--limits", "1,1", "--xs", "1*2^-100"],
 ]
 
 # Runs each argv list read from stdin through `main`, output discarded, and
