@@ -65,12 +65,15 @@ def _parse_x(text: str) -> Dyadic:
 
 
 def _read_json(path: str):
-    """The JSON value in `path`; nesting too deep to parse is a ValueError."""
-    with open(path) as fh:
+    """The JSON value in `path`; a file that is not UTF-8 JSON, or nests
+    too deeply to parse, is a ValueError that names it."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: not UTF-8 JSON ({exc})") from None
 
 
 def _load_G(path: str | None, default: IntervalUnion) -> IntervalUnion:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .exactnum import Dyadic, DyInterval, GuardExceeded, PiecewiseLinear, ZERO, span_guard
-from .lattice import GapBlock, GapBlockSeq, RunSums, shift_invariant_sum
+from .lattice import GapBlock, GapBlockSeq, RunSums
 from .report import OutOfInterval, WitnessReport
 
 
@@ -28,22 +28,18 @@ class Thm33Construction:
     f: PiecewiseLinear
     tables: tuple[RunSums, ...] = field(repr=False, compare=False)
 
-    def decade_runs(self, j: int) -> tuple[tuple[Dyadic, Dyadic, int], ...]:
-        """The decade-j points, [10j-10, 10j), as runs (first, gap, count)."""
-        if not 1 <= j <= self.jmax:
-            raise IndexError(f"decade {j} outside [1, {self.jmax}]")
-        return self.tables[j - 1].runs
-
 
 def build_thm33(jmax: int) -> Thm33Construction:
     """Decade j, in X = 2^(2^j): 8X gaps 1/X from 10j-10, then 2X^2 gaps
     1/X^2 from 10j-2 (one fewer at j = jmax, so the prefix stops below
     10*jmax), and a bump of height 1/X^2 on the knots 10j - 1/4, 10j,
-    10j + 1, 10j + 5/4.  Its points [10j-10, 10j) are two runs: 10j-10 and
-    the coarse points, then the fine points above 10j-2."""
+    10j + 1, 10j + 5/4.  Its points [10j-10, 10j) are two runs read off its
+    two blocks: the point before the coarse block and that block's points,
+    then the fine block's points less its last when that is the next
+    decade's first."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    blocks, knots, runs = [], [], []
+    blocks, knots = [], []
     for j in range(1, jmax + 1):
         # the fine count, the widest, has 2^(j+1) + 2 bits: refuse it before
         # it is computed, not after (at large j it would not fit in memory)
@@ -51,18 +47,23 @@ def build_thm33(jmax: int) -> Thm33Construction:
         if bits > span_guard():
             raise GuardExceeded(f"decade {j} fine block count needs {bits} bits (guard {span_guard()})")
         X = 2 ** (2**j)
-        coarse, fine = Dyadic(1, -(2**j)), Dyadic(1, -(2 ** (j + 1)))
-        blocks.append(GapBlock(coarse, 8 * X, f"decade-{j}:coarse"))
+        fine = Dyadic(1, -(2 ** (j + 1)))
+        blocks.append(GapBlock(Dyadic(1, -(2**j)), 8 * X, f"decade-{j}:coarse"))
         blocks.append(GapBlock(fine, 2 * X * X - (j == jmax), f"decade-{j}:fine"))
         base = Dyadic(10 * j)
         knots += [(base - Dyadic(1, -2), ZERO), (base, fine), (base + 1, fine), (base + Dyadic(5, -2), ZERO)]
-        # 10j - 2 + 1/X^2 written whole, not summed: the table below is the
-        # one width check a prefix too wide for the span guard meets
-        fine_first = Dyadic((10 * j - 2) * X * X + 1, fine.e)
-        runs.append([(Dyadic(10 * j - 10), coarse, 8 * X + 1), (fine_first, fine, 2 * X * X - 1)])
     seq = GapBlockSeq(ZERO, blocks)
     f = PiecewiseLinear(knots)
-    return Thm33Construction(jmax, seq, f, tuple(RunSums(f, r) for r in runs))
+    tables = []
+    for b in range(0, len(seq.blocks), 2):
+        (coarse, n0, _), (fine, n1, _) = seq.blocks[b : b + 2]
+        # one fine gap past the point before the fine block, summed in ints
+        m, e = seq.start_pair(b + 1)
+        k = min(e, fine.e)
+        fine_first = Dyadic((m << e - k) + (fine.m << fine.e - k), k)
+        then = b + 2 < len(seq.blocks)  # the fine block's last point opens the next decade
+        tables.append(RunSums(f, [(Dyadic(*seq.start_pair(b)), coarse, n0 + 1), (fine_first, fine, n1 - then)]))
+    return Thm33Construction(jmax, seq, f, tuple(tables))
 
 
 def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
@@ -72,14 +73,9 @@ def decade_sums(cons: Thm33Construction, x: Dyadic) -> list[Dyadic]:
 
 def shift_invariant_decade_sums(cons: Thm33Construction, lo: Dyadic, hi: Dyadic) -> list[Dyadic] | None:
     """Every decade's sum, 1..jmax, valid for all x in [lo, hi] at once, or
-    None when `shift_invariant_sum` cannot certify one of the runs."""
-    out = []
-    for j in range(1, cons.jmax + 1):
-        values = [shift_invariant_sum(cons.f, run, lo, hi) for run in cons.decade_runs(j)]
-        if any(v is None for v in values):
-            return None
-        out.append(sum(values, ZERO))
-    return out
+    None when `RunSums.constant_on` cannot certify one of the tables."""
+    sums = [table.constant_on(lo, hi) for table in cons.tables]
+    return None if None in sums else sums
 
 
 def divergence_partial(cons: Thm33Construction, x: Dyadic) -> Dyadic:

@@ -444,53 +444,6 @@ def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, s: int,
     out[:] = p, tp
 
 
-def shift_invariant_sum(
-    f: PiecewiseLinear, run: tuple[Dyadic, Dyadic, int], lo: Dyadic, hi: Dyadic
-) -> Dyadic | None:
-    """The common exact value of sum_pl_over_ap(f, x + first, step, count)
-    for every x in [lo, hi], or None when this certificate cannot prove one.
-
-    f is the sum of its components, the stretches [x_p, x_q] between
-    consecutive zero knots.  A component whose open interior misses the
-    reach [lo + first, hi + first + (count-1)*step] adds 0 for every x.  A
-    component inside [hi + first - step, lo + first + count*step] is
-    covered: every point of x + first + step*Z in its interior has index
-    in [0, count), so it adds an h-periodic (h = step) piecewise-linear
-    function of x whose kinks lie on the cosets x_i - first + hZ of its
-    knots.  Any other component gives None.  A periodic piecewise-linear
-    sum is constant on [lo, hi] exactly when it takes one value at lo, at
-    hi and at the first kink of each coset at or after lo: linear pieces
-    with equal ends are constant, and once [lo, hi] spans a period,
-    periodicity carries [lo, lo + h] to the rest.  O(knots met) calls of
-    sum_pl_over_ap, whatever the length of [lo, hi].
-    """
-    first, step, count = run
-    if step.m <= 0:
-        raise ValueError("step must be positive")
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    xs, vs = f.xs, f.vs
-    reach_lo, reach_hi = lo + first, hi + first + step * (count - 1)
-    cover_lo, cover_hi = hi + first - step, lo + first + step * count
-    # the knots of the pieces whose interior meets the reach, widened to whole components
-    a = max(bisect_right(xs, reach_lo) - 1, 0)
-    b = min(bisect_left(xs, reach_hi), len(xs) - 1)
-    while a > 0 and vs[a]:
-        a -= 1
-    while b < len(xs) - 1 and vs[b]:
-        b += 1
-    zeros = [i for i in range(a, b + 1) if not vs[i]]
-    kinks = {lo, hi}
-    for p, q in zip(zeros, zeros[1:]):
-        if q == p + 1 or xs[q] <= reach_lo or xs[p] >= reach_hi:
-            continue
-        if xs[p] < cover_lo or xs[q] > cover_hi:
-            return None
-        kinks.update(lo + (x - first - lo) % step for x in xs[p : q + 1])
-    values = {sum_pl_over_ap(f, t + first, step, count) for t in kinks if t <= hi}
-    return values.pop() if len(values) == 1 else None
-
-
 class RunSums:
     """f and fixed runs (first, gap, count): `at(x)` is `sum_pl_over_runs(f,
     runs, x)` read off one int table, built once and lifted again only for
@@ -552,7 +505,7 @@ class RunSums:
         c, k = self._grid, self._lift_by
         if max(self._width, m.bit_length() + e - c + k if m else 0) + 1 > guard:
             return sum_pl_over_runs(f, self.runs, x)
-        xc, (K0, K3), out = m << e - c, self._ends, [0, 0]
+        xc, (K0, K3), out = m << e - c if m else 0, self._ends, [0, 0]
         for lo, hi, F, D, L, Dg, s in self._ints:
             if lo < xc < hi:
                 S, L = F + xc, L + xc
@@ -562,3 +515,50 @@ class RunSums:
                     S, L = S << k, L << k
                 _pieces(f, self._knots, self._gaps, 0, c - k, S, Dg, s, L, None, out)
         return Dyadic(out[0], f.v_exp - out[1])
+
+    def constant_on(self, lo: Dyadic, hi: Dyadic) -> Dyadic | None:
+        """The common exact value of `at(x)` for every x in [lo, hi], or None
+        when this certificate cannot prove one.
+
+        f is the sum of its components, the stretches [x_p, x_q] between
+        consecutive zero knots.  A component whose open interior misses a
+        run's reach [lo + first, hi + first + (count-1)*gap] gets 0 from it
+        for every x.  A component inside [hi + first - gap, lo + first +
+        count*gap] is covered: every point of x + first + gap*Z in its
+        interior has index in [0, count), so the run adds an h-periodic
+        (h = gap) piecewise-linear function of x whose kinks lie on the
+        cosets x_i - first + hZ of its knots.  Any other component gives
+        None, and so do two runs of different gaps that each meet one: only
+        runs of one gap sum to one periodic function.  A periodic
+        piecewise-linear sum is constant on [lo, hi] exactly when it takes
+        one value at lo, at hi and at the first kink of each coset at or
+        after lo: linear pieces with equal ends are constant, and once
+        [lo, hi] spans a period, periodicity carries [lo, lo + h] to the
+        rest.  O(knots met) reads of `at`, whatever the length of [lo, hi].
+        """
+        if any(gap.m <= 0 for _, gap, _ in self.runs):
+            raise ValueError("step must be positive")
+        if hi < lo:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        xs, vs = self.f.xs, self.f.vs
+        kinks, period = {lo, hi}, None
+        for first, step, count in self.runs:
+            reach_lo, reach_hi = lo + first, hi + first + step * (count - 1)
+            cover_lo, cover_hi = hi + first - step, lo + first + step * count
+            # the knots of the pieces whose interior meets the reach, widened to whole components
+            a = max(bisect_right(xs, reach_lo) - 1, 0)
+            b = min(bisect_left(xs, reach_hi), len(xs) - 1)
+            while a > 0 and vs[a]:
+                a -= 1
+            while b < len(xs) - 1 and vs[b]:
+                b += 1
+            zeros = [i for i in range(a, b + 1) if not vs[i]]
+            for p, q in zip(zeros, zeros[1:]):
+                if q == p + 1 or xs[q] <= reach_lo or xs[p] >= reach_hi:
+                    continue
+                if xs[p] < cover_lo or xs[q] > cover_hi or period not in (None, step):
+                    return None
+                period = step
+                kinks.update(lo + (x - first - lo) % step for x in xs[p : q + 1])
+        values = {self.at(t) for t in kinks if t <= hi}
+        return values.pop() if len(values) == 1 else None

@@ -506,18 +506,22 @@ def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):
 
 
 def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch):
-    """The decade sums are certified once for all of [4,5], so the number of
-    kernel sums does not grow with --samples."""
-    calls = []
-    real = lattice.sum_pl_over_ap
-    monkeypatch.setattr(lattice, "sum_pl_over_ap", lambda *a: calls.append(a) or real(*a))
+    """The decade sums are certified once for all of [4,5] off the jmax
+    decade tables, so neither the tables built nor their `at` reads grow
+    with --samples, and the checked kernel `sum_pl_over_runs` is never called."""
+    built, reads, one_shot = [], [], []
+    init, at = lattice.RunSums.__init__, lattice.RunSums.at
+    monkeypatch.setattr(lattice.RunSums, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(lattice.RunSums, "at", lambda self, x: reads.append(x) or at(self, x))
+    monkeypatch.setattr(lattice, "sum_pl_over_runs", lambda *a: one_shot.append(a))
     counts = []
     for samples in ("5", "100"):
-        calls.clear()
+        built.clear()
+        reads.clear()
         code, _, _ = run(capsys, "verify", "thm33", "--suite", "converge", "--jmax", "8", "--samples", samples)
         assert code == EXIT_PASS
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts.append((len(built), len(reads)))
+    assert counts[0] == counts[1] and counts[0][0] == 8 and counts[0][1] > 0 and one_shot == []
 
 
 @pytest.mark.parametrize(
@@ -1112,3 +1116,22 @@ def test_deeply_nested_json_is_usage_error(tmp_path, argv, flag):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 200_000 + "]" * 200_000)
     assert _exits_cleanly([*argv, flag, str(deep)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("content", [b"", b"not json", b"\xff\xfe"], ids=["empty", "not-json", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "universal", "--suite", "gaps", "--limit", "1,1"], "--seq"),
+        (["verify", "thm33", "--suite", "gaps", "--jmax", "2"], "--seq"),
+        (["verify", "universal", "--suite", "series", "--limit", "1,1"], "--G"),
+        (["eval", "thm31", "--jmaxes", "3", "--xs", "0"], "--G"),
+    ],
+)
+def test_a_json_file_that_does_not_parse_is_named(capsys, tmp_path, content, argv, flag):
+    """Empty, not JSON or not UTF-8: one usage-error line that names the file."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, stdout, stderr = run(capsys, *argv, flag, str(bad))
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert len(stderr.splitlines()) == 1 and stderr.startswith(f"error: {bad}: "), stderr

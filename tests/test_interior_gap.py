@@ -84,27 +84,26 @@ class TestBuild:
         for j in range(1, 7):
             # decade j: 8*2^(2^j) coarse points from 10j-10, then 2*2^(2^(j+1)) fine ones below 10j
             n = 8 * 2 ** (2**j) + 2 * 2 ** (2 ** (j + 1))
-            runs = cons6.decade_runs(j)
+            runs = cons6.tables[j - 1].runs
             assert sum(count for _, _, count in runs) == n
             (first, _, _), (start, gap, count) = runs[0], runs[-1]
             assert first == Dyadic(10 * (j - 1))
             assert start + gap * (count - 1) == Dyadic(10 * j) - Dyadic(1, -(2 ** (j + 1)))
             total += n
         assert total == cons6.seq.total_count
-        for j in (0, 7):
-            with pytest.raises(IndexError):
-                cons6.decade_runs(j)
 
-    @pytest.mark.parametrize("jmax", [1, 2, 3, 6])
+    @pytest.mark.parametrize("jmax", range(1, 19))
     def test_two_runs_per_decade(self, jmax):
-        """Every decade is one coarse run, its first point 10j-10 (the origin
-        for decade 1) joined to the coarse block at the same gap, then one
-        fine run: the points of `segments_in_range`, in the same order."""
+        """The runs read off the blocks are the closed forms in j and X at
+        every size the default guard builds: one coarse run, its first point
+        10j-10 (the origin for decade 1) joined to the coarse block at the
+        same gap, then one fine run: the points of `segments_in_range`, in
+        the same order."""
         cons = build_thm33(jmax)
         for j in range(1, jmax + 1):
             X = 2 ** (2**j)
             coarse, fine = Dyadic(1, -(2**j)), Dyadic(1, -(2 ** (j + 1)))
-            assert cons.decade_runs(j) == (
+            assert cons.tables[j - 1].runs == (
                 (Dyadic(10 * j - 10), coarse, 8 * X + 1),
                 (Dyadic(10 * j - 2) + fine, fine, 2 * X * X - 1),
             )
@@ -113,32 +112,14 @@ class TestBuild:
 
     @pytest.mark.parametrize("jmax", [1, 2])
     def test_decade_runs_enumerate_the_decade(self, jmax):
-        """The closed-form runs of decade j list exactly the points of `seq`
+        """The runs of decade j list exactly the points of `seq`
         in [10j-10, 10j), in order."""
         cons = build_thm33(jmax)
         points = list(iter_points(cons.seq))
         for j in range(1, jmax + 1):
-            runs = cons.decade_runs(j)
+            runs = cons.tables[j - 1].runs
             got = [first + gap * k for first, gap, count in runs for k in range(count)]
             assert got == [p for p in points if Dyadic(10 * j - 10) <= p < Dyadic(10 * j)], j
-
-    @pytest.mark.parametrize("jmax", range(1, 9))
-    def test_decade_runs_match_the_table(self, jmax):
-        """Each decade's coarse run is the point before block 2j-2, 10j-10,
-        and that block; its fine run is block 2j-1 less its last point when
-        that is 10j, the next decade's first: first point, last point and
-        count read off `cum_counts` and `start_pair` through `block_start`."""
-        cons = build_thm33(jmax)
-        seq = cons.seq
-        for j in range(1, jmax + 1):
-            (n0, v0), (n1, v1), (n2, v2) = (seq.block_start(b) for b in (2 * j - 2, 2 * j - 1, 2 * j))
-            assert v0 == Dyadic(10 * j - 10) and v2 <= Dyadic(10 * j)
-            at_next = v2 == Dyadic(10 * j)
-            assert at_next == (j < jmax)
-            fine = seq.blocks[2 * j - 1].gap
-            want = [(v0, v1, n1 - n0 + 1), (v1 + fine, v2 - fine if at_next else v2, n2 - n1 - at_next)]
-            runs = cons.decade_runs(j)
-            assert [(first, first + gap * (count - 1), count) for first, gap, count in runs] == want, j
 
 
 class TestDivergence:

@@ -20,7 +20,6 @@ from dyadlab.lattice import (
     count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
-    shift_invariant_sum,
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
@@ -1039,28 +1038,74 @@ def shift_cases(draw):
     return f, (first, step, count), lo, hi
 
 
+def _grid_and_random(lo: Dyadic, hi: Dyadic, step: Dyadic, us: list[int]) -> list[Dyadic]:
+    """lo, hi, every point of the step/64 grid in [lo, hi], and lo + (hi - lo)*u*2^-20 for u in us."""
+    g = step * Dyadic(1, -6)
+    ts = [lo, hi] + [g * k for k in range(-((-lo) // g), hi // g + 1)]
+    return ts + [lo + (hi - lo) * Dyadic(u, -20) for u in us]
+
+
+def _area(f: PiecewiseLinear) -> Dyadic:
+    """Twice the integral of f."""
+    return sum(((x1 - x0) * (v0 + v1) for x0, x1, v0, v1 in zip(f.xs, f.xs[1:], f.vs, f.vs[1:])), ZERO)
+
+
 @given(shift_cases(), st.lists(st.integers(0, 2**20), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_shift_invariant_sum_is_the_sum_at_every_shift(case, us):
-    """Whenever a value is returned, it is the sum at lo, at hi, at every
-    point of the step/64 grid in [lo, hi] and at random points; and a value
-    is returned whenever every knot lies on the step grid and the run covers
-    f's whole support, where it is (1/step)*integral(f)."""
+def test_constant_on_one_run_is_the_sum_at_every_shift(case, us):
+    """Whenever a one-run table returns a value, it is the sum at lo, at hi,
+    at every point of the step/64 grid in [lo, hi] and at random points; and
+    a value is returned whenever every knot lies on the step grid and the
+    run covers f's whole support, where it is (1/step)*integral(f)."""
     f, run, lo, hi = case
     first, step, count = run
-    got = shift_invariant_sum(f, run, lo, hi)
+    got = RunSums(f, [run]).constant_on(lo, hi)
     on_grid = all(not (x % step) for x in f.xs)
     covers = f.xs[0] >= hi + first - step and f.xs[-1] <= lo + first + step * count
     if on_grid and covers:
-        area = sum(((x1 - x0) * (v0 + v1) for x0, x1, v0, v1 in zip(f.xs, f.xs[1:], f.vs, f.vs[1:])), ZERO)
-        assert got == area.div_exact(step * 2)
+        assert got == _area(f).div_exact(step * 2)
     if got is None:
         return
-    g = step * Dyadic(1, -6)
-    ts = [lo, hi] + [g * k for k in range(-((-lo) // g), hi // g + 1)]
-    ts += [lo + (hi - lo) * Dyadic(u, -20) for u in us]
-    for t in ts:
+    for t in _grid_and_random(lo, hi, step, us):
         assert sum_pl_over_ap(f, t + first, step, count) == got, t
+
+
+@given(
+    shift_cases(),
+    st.integers(0, 16),
+    st.integers(0, 3),
+    st.sampled_from([Dyadic(1, -1), Dyadic(3, -2), Dyadic(2)]),
+    st.booleans(),
+    st.integers(1, 40),
+    st.lists(st.integers(0, 2**20), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_constant_on_two_runs(case, back, extra, ratio, after, count2, us):
+    """A run that covers f's support, with every knot on its gap's grid,
+    plus a run of another gap whose reach misses f: the table certifies
+    (1/gap)*integral(f), the table's value at every step/64 grid point of
+    [lo, hi] and at random points.  Two covering runs of different gaps are
+    refused: their sum is not one periodic function."""
+    f, (_, step, _), lo, hi = case
+    eighth = step * Dyadic(1, -3)
+
+    def covering(gap: Dyadic) -> tuple[Dyadic, Dyadic, int]:
+        """A run whose reach holds f's support for every x in [lo, hi]."""
+        first = f.xs[0] - hi - eighth * back
+        return first, gap, -((lo + first - f.xs[-1]) // gap) + 1 + extra
+
+    gap2 = step * ratio
+    # the second run's reach ends at f's first knot, or starts at its last
+    first2 = f.xs[-1] - lo if after else f.xs[0] - hi - gap2 * (count2 - 1)
+    runs = [covering(step), (first2, gap2, count2)]
+    table = RunSums(f, runs)
+    got = table.constant_on(lo, hi)
+    if all(not (x % step) for x in f.xs):
+        assert got == _area(f).div_exact(step * 2)
+    if got is not None:
+        for t in _grid_and_random(lo, hi, step, us):
+            assert table.at(t) == got, t
+    assert RunSums(f, [covering(step), covering(gap2)]).constant_on(lo, hi) is None
 
 
 @pytest.mark.parametrize(
@@ -1083,13 +1128,19 @@ def test_shift_invariant_sum_is_the_sum_at_every_shift(case, us):
         ([("0", "0"), ("1*2^-1", "1"), ("1", "0"), ("5*2^-1", "0"), ("3", "1"), ("7*2^-1", "0")], "0", "0", "2", "3*2^-1"),
     ],
 )
-def test_shift_invariant_sum_refuses_a_component_the_run_covers_only_in_part(pts, first, lo, hi, moved):
+def test_constant_on_refuses_a_component_the_run_covers_only_in_part(pts, first, lo, hi, moved):
     """The sums at lo, hi and the first kink of each coset agree here, but
     the sum moves at `moved`: only the covering test tells."""
     f = PiecewiseLinear([(dy(x), dy(v)) for x, v in pts])
     run = (dy(first), ONE, 4)
-    assert shift_invariant_sum(f, run, dy(lo), dy(hi)) is None
+    assert RunSums(f, [run]).constant_on(dy(lo), dy(hi)) is None
     assert sum_pl_over_ap(f, dy(lo) + run[0], ONE, 4) != sum_pl_over_ap(f, dy(moved) + run[0], ONE, 4)
+
+
+def test_constant_on_refuses_an_empty_interval():
+    f = PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)])
+    with pytest.raises(ValueError, match=r"^empty interval \[1\*2\^0, 0\*2\^0\]$"):
+        RunSums(f, [(ZERO, ONE, 3)]).constant_on(ONE, ZERO)
 
 
 @pytest.mark.parametrize("step", [ZERO, Dyadic(-1, -3)])
@@ -1099,7 +1150,7 @@ def test_every_run_kernel_refuses_a_step_not_positive(step):
         lambda: sum_pl_over_ap(f, ZERO, step, 3),
         lambda: count_ap_in_interval(ZERO, step, 3, DyInterval.closed(0, 1)),
         lambda: count_ap_in_periodic(ZERO, step, 3, PeriodicIntervalSet(ZERO, ONE, ZERO, 2)),
-        lambda: shift_invariant_sum(f, (ZERO, step, 3), ZERO, ONE),
+        lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).constant_on(ZERO, ONE),
         lambda: sum_pl_over_runs(f, [(ONE, ONE, 2), (ZERO, step, 3)], Dyadic(1, -3)),
         lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).at(Dyadic(1, -3)),
     ]
@@ -1108,29 +1159,28 @@ def test_every_run_kernel_refuses_a_step_not_positive(step):
             call()
 
 
-def test_shift_invariant_sum_thm33_coarse_runs_over_4_5():
+def test_constant_on_thm33_runs_over_4_5():
     """Every decade-j run of thm33 is certified over [4,5] for jmax 1-12; the
-    coarse run alone meets bump j, adding 5*2^-(2^j+2), the fine runs add 0."""
+    coarse run alone meets bump j, adding 5*2^-(2^j+2), the fine run adds 0."""
     for jmax in range(1, 13):
         cons = build_thm33(jmax)
-        for j in range(1, jmax + 1):
-            runs = cons.decade_runs(j)
-            got = [shift_invariant_sum(cons.f, run, Dyadic(4), Dyadic(5)) for run in runs]
-            assert sum(got, ZERO) == Dyadic(5, -(2**j + 2)), (jmax, j, got)
+        for j, table in enumerate(cons.tables, 1):
+            got = [RunSums(cons.f, [run]).constant_on(Dyadic(4), Dyadic(5)) for run in table.runs]
+            assert got == [Dyadic(5, -(2**j + 2)), ZERO], (jmax, j, got)
 
 
-def test_shift_invariant_sum_refuses_shift_dependent_runs():
+def test_constant_on_refuses_shift_dependent_runs():
     """Over [0,1] each thm33 decade has a run that meets a bump only in
     part; the thm31 lower run's tent ramps are half a lattice step wide, so
     its sum dips once per period (3/2 at x = -1, 1 at x = -15/16 for j = 1)."""
     for jmax in range(1, 7):
         cons = build_thm33(jmax)
-        for j in range(1, jmax + 1):
-            runs = cons.decade_runs(j)
-            assert any(shift_invariant_sum(cons.f, run, ZERO, ONE) is None for run in runs), (jmax, j)
+        for j, table in enumerate(cons.tables, 1):
+            assert table.constant_on(ZERO, ONE) is None, (jmax, j)
+            assert any(RunSums(cons.f, [run]).constant_on(ZERO, ONE) is None for run in table.runs), (jmax, j)
     cons = build_thm31(4)
     for it in cons.items:
-        assert shift_invariant_sum(it.tent, it.lam1, it.interval.lo, it.interval.hi) is None, it.j
+        assert RunSums(it.tent, [it.lam1]).constant_on(it.interval.lo, it.interval.hi) is None, it.j
     one = cons.item(1)
     assert one.interval.lo == Dyadic(-1)
     lower = [sum_pl_over_ap(one.tent, x + one.lam1.start, one.lam1.step, one.lam1.count) for x in (dy("-1"), dy("-15*2^-4"))]

@@ -110,7 +110,7 @@ def test_thm33_construction_copies_with_its_runs(how):
     cons = build_thm33(3)
     again = COPIES[how](cons)
     assert again == cons
-    assert [again.decade_runs(j) for j in (1, 2, 3)] == [cons.decade_runs(j) for j in (1, 2, 3)]
+    assert [t.runs for t in again.tables] == [t.runs for t in cons.tables]
 
 
 @pytest.mark.parametrize("how", COPIES)
