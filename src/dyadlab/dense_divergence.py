@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import RunSums, count_ap_in_interval, lattice_run, sum_pl_over_ap, sum_pl_over_runs
+from .lattice import RunSums, step_exponent, sum_pl_over_ap, sum_pl_over_runs
 from .report import OutOfInterval, WitnessReport
 
 LAMBDA2_MIN_J = 10
@@ -119,14 +119,18 @@ class Thm31Construction:
     def lambda_overlaps(self) -> list[APWindow]:
         """The points two windows share, one run per pair that shares any:
         each window is a power-of-two lattice through 0 clipped to an
-        interval, so the coarser lattice on the common span is exactly them."""
+        interval, so the coarser lattice on the common span [lo, hi] is
+        exactly them, k*step for ceil(lo/step) <= k <= floor(hi/step)."""
         spans = [(w.start, w.last(), w.step) for w in self.lambda_windows()]
         out = []
         for n, (lo1, hi1, step1) in enumerate(spans):
             for lo2, hi2, step2 in spans[n + 1:]:
                 lo, hi, step = max(lo1, lo2), min(hi1, hi2), max(step1, step2)
-                if lo <= hi and step * (hi // step) >= lo:
-                    out.append(APWindow(*lattice_run(DyInterval.closed(lo, hi), step)))
+                if lo > hi:
+                    continue
+                k_lo, k_hi = -_floor_steps(-lo, step), _floor_steps(hi, step)
+                if k_lo <= k_hi:
+                    out.append(APWindow(step * k_lo, step, k_hi - k_lo + 1))
         return out
 
     def to_json_dict(self) -> dict:
@@ -242,10 +246,14 @@ def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
     """At most one coarse-lattice translate can meet tent j (support is
     narrower than the coarse step); exact count reported."""
     it = cons.item(j)
-    if it.lam2 is None:
+    win = it.lam2
+    if win is None:
         raise ValueError(f"no coarse lattice at j={j}")
-    support = DyInterval.open(it.tent.xs[0] - x, it.tent.xs[-1] - x)
-    hits = count_ap_in_interval(it.lam2.start, it.lam2.step, it.lam2.count, support)
+    # the k in [0, count) with t + k*step inside the open support (x0, x3):
+    # floor((x0 - t)/step) < k < ceil((x3 - t)/step)
+    t = x + win.start
+    k_lo, k_hi = _floor_steps(it.tent.xs[0] - t, win.step) + 1, -_floor_steps(t - it.tent.xs[-1], win.step) - 1
+    hits = max(0, min(win.count - 1, k_hi) - max(0, k_lo) + 1)
     asserted = abs(x) <= Dyadic(j)
     params = {"j": j, "x": str(x)}
     if not asserted:
@@ -324,14 +332,25 @@ def density_window_check(cons: Thm31Construction, j: int) -> WitnessReport:
     )
 
 
+def _floor_steps(d: Dyadic, step: Dyadic) -> int:
+    """floor(d/step) for a step of 2^s (`step_exponent`), by one shift;
+    -_floor_steps(-d, step) is the ceiling.  Only a d on a grid coarser
+    than the step is shifted up; here such a d lies between two points of
+    the construction, which `build_thm31` fit to the span guard on its
+    finest grid."""
+    k = d.e - step_exponent(step)
+    return d.m << k if k >= 0 else d.m >> -k
+
+
 def _neighbours(cons: Thm31Construction, t: Dyadic) -> tuple[Dyadic | None, Dyadic | None]:
     """The nearest merged-lattice points strictly before and strictly after t."""
     before, after = [], []
     for win in cons.lambda_windows():
-        k = min(win.count - 1, -((win.start - t) // win.step) - 1)  # ceil((t-start)/step) - 1
+        d = t - win.start
+        k = min(win.count - 1, -_floor_steps(-d, win.step) - 1)  # ceil((t-start)/step) - 1
         if k >= 0:
             before.append(win.start + win.step * k)
-        k = max(0, (t - win.start) // win.step + 1)
+        k = max(0, _floor_steps(d, win.step) + 1)
         if k < win.count:
             after.append(win.start + win.step * k)
     return max(before, default=None), min(after, default=None)

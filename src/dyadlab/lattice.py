@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
-from .exactnum import Dyadic, DyInterval, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, span_guard
+from .exactnum import Dyadic, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, span_guard
 
 
 class GapBlock(namedtuple("GapBlock", "gap count tag")):
@@ -240,37 +240,6 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         sign = -sign
 
 
-def _ap_index_range(start: Dyadic, step: Dyadic, iv: DyInterval) -> tuple[int, int]:
-    """All integers k with start + k*step in iv, as [k_lo, k_hi]; unclipped."""
-    q, r = divmod(iv.lo - start, step)
-    if r:
-        k_lo = q + 1
-    else:
-        k_lo = q if iv.closed_lo else q + 1
-    q, r = divmod(iv.hi - start, step)
-    if r:
-        k_hi = q
-    else:
-        k_hi = q if iv.closed_hi else q - 1
-    return k_lo, k_hi
-
-
-def lattice_run(iv: DyInterval, step: Dyadic) -> tuple[Dyadic, Dyadic, int]:
-    """The points of the lattice step*Z inside iv, as a run (first, step, count)."""
-    k_lo, k_hi = _ap_index_range(ZERO, step, iv)
-    if k_hi < k_lo:
-        raise ValueError(f"empty lattice window {iv} step {step}")
-    return step * k_lo, step, k_hi - k_lo + 1
-
-
-def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval) -> int:
-    """#{k in [0, count) : start + k*step in iv}, in O(1) big-integer steps."""
-    if step.m <= 0:
-        raise ValueError("step must be positive")
-    k_lo, k_hi = _ap_index_range(start, step, iv)
-    return max(0, min(count - 1, k_hi) - max(0, k_lo) + 1)
-
-
 def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:
     """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion.
 
@@ -319,6 +288,14 @@ def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIn
     return floor_sum(n, P, a0, D) - floor_sum(n, P, a0 - W - 1, D)
 
 
+def step_exponent(step: Dyadic) -> int:
+    """e for a run step of 2^e, else ValueError: every sum and every index
+    over a run reads its step here, so all the arithmetic after it shifts."""
+    if step.m != 1:
+        raise ValueError(f"step must be a positive power of two, got {step}")
+    return step.e
+
+
 def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
     """Exact sum of f(start + k*step) over k in [0, count): the one run of
     `sum_pl_over_runs` at shift zero, with no table built."""
@@ -327,27 +304,26 @@ def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) 
 
 def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
     """Exact sum of f(shift + first + k*gap) over every run (first, gap,
-    count) and k in [0, count), in ints, as one Dyadic.  Each run's start
-    shift + first (`_shifted`) and gap must fit the span guard on their own
-    grid 2^er, else GuardExceeded; a run that misses the interior of f's
-    support then adds zero before anything is aligned to f.  Otherwise its
-    start, gap and last point must fit on the grid 2^e, e the least of er
-    and the knot exponent, and `_pieces` sums the pieces they visit."""
+    count) and k in [0, count), in ints, as one Dyadic.  Each gap is 2^d
+    (`step_exponent`).  Each run's start shift + first (`_shifted`) and gap
+    must fit the span guard on their own grid 2^er, else GuardExceeded; a
+    run that misses the interior of f's support then adds zero before
+    anything is aligned to f.  Otherwise its start, gap and last point must
+    fit on the grid 2^e, e the least of er and the knot exponent, and
+    `_pieces` sums the pieces they visit."""
     guard, X, out = span_guard(), f.x_ints, [0, 0]
     for first, step, count in runs:
-        if step.m <= 0:
-            raise ValueError("step must be positive")
+        d = step_exponent(step)
         if count < 1:
             continue
         start = _shifted(shift, first, step) if shift.m else first
-        er = min(start.e, step.e)
-        width = max(start.m.bit_length() + start.e - er if start.m else 0, step.m.bit_length() + step.e - er)
+        er = min(start.e, d)
+        width = max(start.m.bit_length() + start.e - er if start.m else 0, d - er + 1)
         if width > guard:
             raise grid_error("aligned run", width, er)
         # (here and below, the `if`: shifting a wide int by 0 still copies it)
         S = start.m << start.e - er if start.e != er else start.m
-        D = step.m << step.e - er
-        L = S + D * (count - 1)
+        L = S + (count - 1 << d - er)
         # a run that misses the interior of f's support adds 0: compare it with
         # the end knots by rounding the finer side, before anything is aligned;
         # then align to the finer grid 2^e, the knots shifted up by `drop`
@@ -355,21 +331,16 @@ def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, in
         if k >= 0:
             if L <= X[0] >> k or S >= -(-X[-1] >> k):
                 continue
-            S, D, L, e, drop = S << k, D << k, L << k, f.x_exp, 0
+            S, L, e, drop = S << k, L << k, f.x_exp, 0
         else:
             if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
                 continue
             e, drop = er, -k
-        width = max(S.bit_length(), L.bit_length(), D.bit_length())
+        width = max(S.bit_length(), L.bit_length(), d - e + 1)
         if width > guard:
             raise grid_error("aligned run", width, e)
-        _pieces(f, X, f.x_gaps, drop, e, S, D, _log2(D), L, guard, out)
+        _pieces(f, X, f.x_gaps, drop, e, S, d - e, L, guard, out)
     return Dyadic(out[0], f.v_exp - out[1])
-
-
-def _log2(D: int) -> int:
-    """log2 of a positive D that is a power of two, else -1."""
-    return -1 if D & D - 1 else D.bit_length() - 1
 
 
 def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
@@ -382,54 +353,50 @@ def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
     if am.bit_length() < b - a:
         g = min(a, step.e)
         top = b + (abs(bm) - ((am < 0) != (bm < 0))).bit_length()
-        width = max(top - g, step.m.bit_length() + step.e - g)
+        width = max(top - g, step.e - g + 1)
         if width > span_guard():
             raise grid_error("aligned run", width, g)
     return Dyadic(am + (bm << b - a), a)
 
 
-def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, s: int, L: int, guard: int | None, out: list) -> None:
+def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, s: int, L: int, guard: int | None, out: list) -> None:
     """The one piece loop: add to out = [p, t], the sum p*2^(v_exp - t),
-    each nonzero piece of f that the run S, S + D, ..., L visits, in ints
+    each nonzero piece of f that the run S, S + 2^s, ..., L visits, in ints
     on the grid 2^e where the knots are X << drop and the piece widths
-    W << drop (with a `guard`, a nonzero piece's knots must fit it).
-    D = 2^s when s >= 0, and then every product and quotient by D is a
-    shift.  Each piece is summed from delta, the distance from its left
-    knot x0 to the first run point at or after it: the start's offset at
-    the first piece, reduced mod D (by the low bits when D is a power of
-    two), then carried across the pieces.  Its point count comes from delta
-    and its width, or from L - x0 when L lies in it (f is 0 at its last
-    knot, so half-open pieces lose nothing), and its sum is an arithmetic
-    series divided last by the odd part of its width, NotExact if that
-    fails."""
+    W << drop (with a `guard`, a nonzero piece's knots must fit it).  The
+    step is 2^s, so every product and quotient by it is a shift.  Each
+    piece is summed from delta, the distance from its left knot x0 to the
+    first run point at or after it: the start's offset at the first piece,
+    reduced mod 2^s by the low bits, then carried across the pieces.  Its
+    point count comes from delta and its width, or from L - x0 when L lies
+    in it (f is 0 at its last knot, so half-open pieces lose nothing), and
+    its sum is an arithmetic series divided last by the odd part of its
+    width, NotExact if that fails."""
     V, (p, tp) = f.v_ints, out
     first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
     end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
     x1 = X[first] << drop if drop else X[first]
-    if S >= x1:
-        delta = S - x1
-    elif s < 0:
-        delta = (S - x1) % D
-    else:  # a mask of a negative wide int would copy it
-        delta = ((S & D - 1) - (x1 & D - 1)) & D - 1
+    mask = (1 << s) - 1
+    # (a mask of a negative wide int would copy it)
+    delta = S - x1 if S >= x1 else ((S & mask) - (x1 & mask)) & mask
     for i in range(first, end):
         x0, x1 = x1, (X[i + 1] << drop if drop else X[i + 1])
         w = W[i] << drop if drop else W[i]
         # the points in [x0, x1), up to L when the run ends in the piece
         r = (L - x0 if L < x1 else w - 1) - delta
-        n = (r >> s if s >= 0 else r // D) + 1
+        n = (r >> s) + 1
         v0, v1 = V[i], V[i + 1]
         if v0 or v1:
             if guard is not None and max(x0.bit_length(), x1.bit_length()) > guard:
                 raise grid_error("aligned run", max(x0.bit_length(), x1.bit_length()), e)
             if n:
-                # n*v0 + (v1-v0)*(n*delta + D*n(n-1)/2)/w, in units of 2^v_exp;
+                # n*v0 + (v1-v0)*(n*delta + 2^s*n(n-1)/2)/w, in units of 2^v_exp;
                 # w = odd*2^t, and dividing by odd last keeps the sum exact
                 # even when the bare slope is not dyadic
                 t = (w & -w).bit_length() - 1
                 odd = w >> t
                 tri = n * (n - 1) >> 1
-                rise = (v1 - v0) * (n * delta + (tri << s if s >= 0 else D * tri))
+                rise = (v1 - v0) * (n * delta + (tri << s))
                 if odd != 1:
                     q, r = divmod(rise, odd)
                     if r:
@@ -440,7 +407,7 @@ def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, D: int, s: int,
                     p, tp = (p << t - tp) + q, t
                 else:
                     p += q << tp - t
-        delta += (n << s if s >= 0 else n * D) - w
+        delta += (n << s) - w
     out[:] = p, tp
 
 
@@ -458,29 +425,32 @@ class RunSums:
     support is aligned to f.  Otherwise c = g, and the runs are aligned
     once.  When every width on 2^g, the shift's too,
     fits the span guard with a bit to spare, no check can refuse and none
-    is made; otherwise `at(x)` is `sum_pl_over_runs`."""
+    is made; otherwise `at(x)` is `sum_pl_over_runs`.  Every gap is 2^d
+    (`step_exponent`, checked when the table is made), so each run is kept
+    as its first and last point and the shift s = d - c."""
 
     __slots__ = ("f", "runs", "_grid", "_width", "_knots", "_gaps", "_ints", "_ends", "_lift_by")
 
     def __init__(self, f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]]):
         self.f, self.runs, self._ints = f, tuple(runs), None
-        self._grid = min([e for first, gap, _ in self.runs for e in (first.e if first.m else gap.e, gap.e)], default=f.x_exp)
+        gaps = [step_exponent(gap) for _, gap, _ in self.runs]
+        self._grid = min([first.e for first, _, _ in self.runs if first.m] + gaps, default=f.x_exp)
 
     def _lift(self, c: int, guard: int) -> bool:
         """Form the table for shifts on the grid 2^c if every width on 2^g,
-        bounded first, fits, and every gap is positive."""
+        bounded first, fits."""
         X, W, xe = self.f.x_ints, self.f.x_gaps, self.f.x_exp
         g = min(c, xe)
         width = max([max(X[0].bit_length(), X[-1].bit_length()) + xe - g] + [
-            max(first.m.bit_length() + first.e - g if first.m else 0, gap.m.bit_length() + gap.e - g + (count - 1).bit_length()) + 1
+            max(first.m.bit_length() + first.e - g if first.m else 0, gap.e - g + 1 + (count - 1).bit_length()) + 1
             for first, gap, count in self.runs
         ])
-        if width + 1 > guard or any(gap.m <= 0 for _, gap, _ in self.runs):
+        if width + 1 > guard:
             return False
         k = c - xe
         if k > 0:  # the end knots onto 2^c, the first one down, the last one up
             K0, K3 = X[0] >> k, -(-X[-1] >> k)
-            if any(gap.m << gap.e - c < K3 - K0 for _, gap, _ in self.runs):
+            if any((1 << gap.e - c) < K3 - K0 for _, gap, _ in self.runs):
                 c, k = xe, 0  # a run may put two points in the support: align the runs to the knots once
         if k < 0:
             X, W = tuple(v << -k for v in X), tuple(v << -k for v in W)
@@ -489,10 +459,9 @@ class RunSums:
         ints = []
         for first, gap, count in self.runs:
             if count > 0:
-                F, D = first.m << first.e - c if first.m else 0, gap.m << gap.e - c
-                L = F + D * (count - 1)
-                Dg = D << k if k > 0 else D
-                ints.append((K0 - L, K3 - F, F, D, L, Dg, _log2(Dg)))
+                F, s = first.m << first.e - c if first.m else 0, gap.e - c
+                L = F + (count - 1 << s)
+                ints.append((K0 - L, K3 - F, F, s, L))
         self._knots, self._gaps, self._ints, self._ends = X, W, ints, (K0, K3)
         self._grid, self._width, self._lift_by = c, width, max(k, 0)
         return True
@@ -506,14 +475,14 @@ class RunSums:
         if max(self._width, m.bit_length() + e - c + k if m else 0) + 1 > guard:
             return sum_pl_over_runs(f, self.runs, x)
         xc, (K0, K3), out = m << e - c if m else 0, self._ends, [0, 0]
-        for lo, hi, F, D, L, Dg, s in self._ints:
+        for lo, hi, F, s, L in self._ints:
             if lo < xc < hi:
                 S, L = F + xc, L + xc
                 if k:  # sparse: the one run point that can lie in the support's interior
-                    if (S if S > K0 else S + ((K0 - S) // D + 1) * D) >= min(K3, L + 1):
+                    if (S if S > K0 else S + (((K0 - S) >> s) + 1 << s)) >= min(K3, L + 1):
                         continue
                     S, L = S << k, L << k
-                _pieces(f, self._knots, self._gaps, 0, c - k, S, Dg, s, L, None, out)
+                _pieces(f, self._knots, self._gaps, 0, c - k, S, s + k, L, None, out)
         return Dyadic(out[0], f.v_exp - out[1])
 
     def constant_on(self, lo: Dyadic, hi: Dyadic) -> Dyadic | None:
@@ -536,8 +505,6 @@ class RunSums:
         [lo, hi] spans a period, periodicity carries [lo, lo + h] to the
         rest.  O(knots met) reads of `at`, whatever the length of [lo, hi].
         """
-        if any(gap.m <= 0 for _, gap, _ in self.runs):
-            raise ValueError("step must be positive")
         if hi < lo:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         xs, vs = self.f.xs, self.f.vs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 class OutOfInterval(ValueError):
     pass
@@ -25,32 +25,16 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-class WitnessReport:
-    """An immutable record, built through its slot descriptors as
-    `exactnum._raw` builds a Dyadic; equal when every field is equal."""
+class WitnessReport(NamedTuple):
+    """An immutable record of one claim checked: a tuple of its five fields."""
 
-    __slots__ = ("claim", "params", "lhs", "rhs", "passed")
-
-    def __init__(self, claim: str, params: dict[str, Any] | None = None, lhs: str = "", rhs: str = "", passed: bool = True):
-        _set_claim(self, claim)
-        _set_params(self, {} if params is None else params)
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_passed(self, passed)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("WitnessReport is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return WitnessReport, (self.claim, self.params, self.lhs, self.rhs, self.passed)
-
-    def __eq__(self, other):  # (so __hash__ is None: params is a dict)
-        return self.__reduce__() == other.__reduce__() if type(other) is WitnessReport else NotImplemented
+    claim: str
+    params: dict[str, Any]
+    lhs: str = ""
+    rhs: str = ""
+    passed: bool = True
 
 
-_set_claim, _set_params, _set_lhs, _set_rhs, _set_passed = (getattr(WitnessReport, n).__set__ for n in WitnessReport.__slots__)
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, enum_intervals, tripled
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, floor_sum, lattice_run, sum_pl_over_runs
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, floor_sum, sum_pl_over_runs
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, Step, step_walk, steps_before
 
@@ -174,6 +174,39 @@ def comb_contains(ps: PeriodicIntervalSet, x: Dyadic) -> bool:
         return False
     i, r = divmod(x - ps.base, ps.period)
     return i < ps.count and r <= ps.width
+
+
+def ap_index_range(start: Dyadic, step: Dyadic, iv: DyInterval) -> tuple[int, int]:
+    """All integers k with start + k*step in iv, as [k_lo, k_hi]; unclipped.
+    Two `Dyadic` divmods, for any positive step: the reference for the
+    shift forms `dense_divergence` uses on power-of-two steps."""
+    q, r = divmod(iv.lo - start, step)
+    if r:
+        k_lo = q + 1
+    else:
+        k_lo = q if iv.closed_lo else q + 1
+    q, r = divmod(iv.hi - start, step)
+    if r:
+        k_hi = q
+    else:
+        k_hi = q if iv.closed_hi else q - 1
+    return k_lo, k_hi
+
+
+def lattice_run(iv: DyInterval, step: Dyadic) -> tuple[Dyadic, Dyadic, int]:
+    """The points of the lattice step*Z inside iv, as a run (first, step, count)."""
+    k_lo, k_hi = ap_index_range(ZERO, step, iv)
+    if k_hi < k_lo:
+        raise ValueError(f"empty lattice window {iv} step {step}")
+    return step * k_lo, step, k_hi - k_lo + 1
+
+
+def count_ap_in_interval(start: Dyadic, step: Dyadic, count: int, iv: DyInterval) -> int:
+    """#{k in [0, count) : start + k*step in iv}, by `ap_index_range`."""
+    if step.m <= 0:
+        raise ValueError("step must be positive")
+    k_lo, k_hi = ap_index_range(start, step, iv)
+    return max(0, min(count - 1, k_hi) - max(0, k_lo) + 1)
 
 
 def count_ap_in_periodic_dyadic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:

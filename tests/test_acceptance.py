@@ -179,7 +179,7 @@ def test_criterion_6_oracle_equivalence():
         vs = [0] + [rng.randint(0, 2**9) for _ in range(nseg - 1)] + [0]
         f = PiecewiseLinear([(Dyadic(x, -8), Dyadic(v, -8)) for x, v in zip(xs, vs)])
         a0 = rng.randint(-(2**12), 2**12)
-        s = rng.randint(1, 2**6)
+        s = 1 << rng.randint(0, 6)  # a run's step is a power of two
         count = int(2 ** (rng.random() * 13.2877))
         count = min(count, 10_000)
         got = sum_pl_over_ap(f, Dyadic(a0, -8), Dyadic(s, -8), count)

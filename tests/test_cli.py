@@ -473,11 +473,13 @@ _SMALLEST_SIZES = {
     ids=lambda v: "=".join(v) if isinstance(v, tuple) else v,
 )
 def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, size):
-    """thm31 cross, density and tail assert no claim through j = 10, and thm33
-    diverge none with one decade, so they exit 3."""
+    """thm31 cross, density and tail assert no claim through j = 10; thm31
+    outside none at jmax 1, whose one tripled interval covers [-1, 1]; and
+    thm33 diverge none with one decade: they exit 3."""
     code, stdout, stderr = run(capsys, "verify", construction, "--suite", suite, *size, "--samples", "2")
     no_claim = {("thm31", "cross"), ("thm31", "density"), ("thm31", "tail")}
-    if (construction, suite) in no_claim or (construction, suite, size) == ("thm33", "diverge", ("--jmax", "1")):
+    one = {("thm31", "outside", ("--jmax", "1")), ("thm33", "diverge", ("--jmax", "1"))}
+    if (construction, suite) in no_claim or (construction, suite, size) in one:
         assert code == EXIT_SKIP and stdout.endswith(", no claim asserted\n"), stdout
     else:
         assert code == EXIT_PASS, stdout
@@ -489,6 +491,8 @@ def test_every_suite_passes_at_its_smallest_sizes(capsys, construction, suite, s
     [
         ["thm31", "--suite", "cross", "--jmax", "9"],
         ["thm31", "--suite", "density", "--jmax", "1"],
+        ["thm31", "--suite", "outside", "--jmax", "1", "--samples", "2"],
+        ["thm31", "--suite", "outside", "--jmax", "11", "--samples", "0"],
         ["thm31", "--suite", "tail", "--jmax", "10", "--samples", "3"],
         ["thm33", "--suite", "converge", "--samples", "0"],
         ["universal", "--suite", "covering", "--limit", "1,3", "--samples", "0"],

@@ -1,12 +1,19 @@
 """Checks for the dense union-of-lattices construction."""
 
+import contextlib
+import dataclasses
+import io
 import random
 from bisect import bisect_left
 
 import pytest
 
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, ZERO, ONE, set_span_guard
+from dyadlab.cli import main
 from dyadlab.dense_divergence import (
+    LAMBDA2_MIN_J,
+    APWindow,
+    Thm31Construction,
     _neighbours,
     build_thm31,
     cross_term_zero_check,
@@ -24,7 +31,7 @@ from dyadlab.dense_divergence import (
 )
 from dyadlab.lattice import sum_pl_over_ap
 from dyadlab.universal import OutOfInterval
-from oracles import build_thm31_dyadic, lambda2_total_check_bisect, pl_eval
+from oracles import ap_index_range, build_thm31_dyadic, count_ap_in_interval, lambda2_total_check_bisect, lattice_run, pl_eval
 
 
 def dy(s: str) -> Dyadic:
@@ -340,6 +347,88 @@ class TestDensityAndGaps:
             after_i = i + 1 if i < len(pts) and pts[i] == t else i
             after = pts[after_i] if after_i < len(pts) else None
             assert _neighbours(cons, t) == (before, after)
+
+
+class TestShiftFormsAgainstTheOracles:
+    """Every window step is 2^e, so `lambda_overlaps`, `lambda2_hit_count`
+    and `_neighbours` find indices by shifts; the `Dyadic` divmod oracles
+    in `tests/oracles.py` must agree at every jmax from 1 to 16."""
+
+    JMAXES = range(1, 17)
+
+    @staticmethod
+    def overlaps_by_lattice_run(cons: Thm31Construction) -> list[APWindow]:
+        windows, out = cons.lambda_windows(), []
+        for n, a in enumerate(windows):
+            for b in windows[n + 1:]:
+                lo, hi = max(a.start, b.start), min(a.last(), b.last())
+                if lo <= hi:
+                    try:
+                        out.append(APWindow(*lattice_run(DyInterval.closed(lo, hi), max(a.step, b.step))))
+                    except ValueError:  # the common span holds no point of the coarser lattice
+                        pass
+        return out
+
+    @pytest.mark.parametrize("jmax", JMAXES)
+    def test_overlaps_are_the_pairs_cut_by_lattice_run(self, jmax):
+        cons = build_thm31(jmax)
+        assert cons.lambda_overlaps() == self.overlaps_by_lattice_run(cons)
+
+    def test_overlaps_of_spans_that_end_off_the_coarser_lattice(self):
+        """Windows 1/4..3 by 1/4, 0..5 by 1 and 1/2..9/2 by 1/2: common spans
+        from 1/4 and 1/2 and to 9/2, off the lattice of step 1."""
+        wins = [APWindow(Dyadic(1, -2), Dyadic(1, -2), 12), APWindow(ZERO, ONE, 6), APWindow(Dyadic(1, -1), Dyadic(1, -1), 9)]
+        cons = Thm31Construction(3, tuple(dataclasses.replace(it, lam1=w) for it, w in zip(build_thm31(3).items, wins)))
+        want = [APWindow(ONE, ONE, 3), APWindow(Dyadic(1, -1), Dyadic(1, -1), 6), APWindow(ONE, ONE, 4)]
+        assert cons.lambda_overlaps() == self.overlaps_by_lattice_run(cons) == want
+
+    @pytest.mark.parametrize("jmax", JMAXES)
+    def test_hit_counts_match_count_ap_in_interval(self, jmax):
+        """At random 48-bit x in [-j, j], and at every shift that puts the
+        coarse window's first or last point on a support knot, or one unit
+        of the tent's grid to either side."""
+        cons = build_thm31(jmax)
+        rng = random.Random(jmax)
+        for j in range(LAMBDA2_MIN_J, jmax + 1):
+            it = cons.item(j)
+            win, unit = it.lam2, Dyadic(1, it.tent.x_exp)
+            xs = [Dyadic(rng.randrange(-j << 48, (j << 48) + 1), -48) for _ in range(6)]
+            xs += [knot - p + unit * d for knot in it.tent.xs for p in (win.start, win.last()) for d in (-1, 0, 1)]
+            for x in xs:
+                want = count_ap_in_interval(win.start, win.step, win.count, DyInterval.open(it.tent.xs[0] - x, it.tent.xs[-1] - x))
+                assert lambda2_hit_count(cons, j, x).lhs == str(want), (j, x)
+
+    @pytest.mark.parametrize("jmax", JMAXES)
+    def test_neighbours_match_the_oracle_index_range(self, jmax):
+        """At each window's first and last point, and one unit finer than
+        every step to either side."""
+        cons = build_thm31(jmax)
+        windows = cons.lambda_windows()
+        unit = Dyadic(1, min(w.step.e for w in windows) - 1)
+
+        def oracle(t):
+            before, after = [], []
+            for w in windows:
+                if w.start < t:
+                    k = ap_index_range(w.start, w.step, DyInterval(w.start, t, True, False))[1]
+                    before.append(w.start + w.step * min(k, w.count - 1))
+                if t < w.last():
+                    k = ap_index_range(w.start, w.step, DyInterval(t, w.last(), False, True))[0]
+                    after.append(w.start + w.step * max(k, 0))
+            return max(before, default=None), min(after, default=None)
+
+        for t in [p + unit * d for w in windows for p in (w.start, w.last()) for d in (-1, 0, 1)]:
+            assert _neighbours(cons, t) == oracle(t), t
+
+    def test_the_density_run_makes_no_divmod(self, monkeypatch):
+        """`verify thm31 --suite density --jmax 16 --samples 10` cuts and
+        counts every window by shifts: no `Dyadic.__divmod__` call."""
+        calls = []
+        real = Dyadic.__divmod__
+        monkeypatch.setattr(Dyadic, "__divmod__", lambda a, b: calls.append((a, b)) or real(a, b))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "thm31", "--suite", "density", "--jmax", "16", "--samples", "10"]) == 0
+        assert calls == []
 
 
 class TestJsonRoundtrip:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dyadlab import exactnum
 from dyadlab.cli import check_monotone_gaps
-from dyadlab.dense_divergence import build_thm31
+from dyadlab.dense_divergence import _floor_steps, build_thm31
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard, span_guard
 from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
@@ -17,14 +17,13 @@ from dyadlab.lattice import (
     GapBlockSeq,
     PeriodicIntervalSet,
     RunSums,
-    count_ap_in_interval,
     count_ap_in_periodic,
     floor_sum,
     sum_pl_over_ap,
     sum_pl_over_runs,
 )
 from dyadlab.universal import IndexJK, build_universal, indices_through
-from oracles import comb_contains, components, count_ap_in_periodic_dyadic, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
+from oracles import comb_contains, components, count_ap_in_interval, count_ap_in_periodic_dyadic, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
 
 
 def dy(s: str) -> Dyadic:
@@ -571,7 +570,7 @@ class TestSumPlOverAp:
                 pts.append((x, v))
             f = PiecewiseLinear(pts)
             start = Dyadic(rng.randint(-300, 300), -4)
-            step = Dyadic(rng.randint(1, 40), -4)
+            step = Dyadic(1, rng.randint(-4, 1))
             count = rng.randint(0, 500)
             got = sum_pl_over_ap(f, start, step, count)
             expect = ZERO
@@ -580,7 +579,8 @@ class TestSumPlOverAp:
             assert got == expect
 
     def test_sum_over_seq_range(self):
-        seq = universal_head()
+        # the two block shapes of `universal_head`, their gaps powers of two
+        seq = GapBlockSeq(Dyadic(15), [GapBlock(Dyadic(1, -8), 160), GapBlock(Dyadic(1, -9), 8148)])
         f = PiecewiseLinear(
             [
                 (Dyadic(31, 0), ZERO),
@@ -639,9 +639,10 @@ def progressions(draw, f):
     step sit on grids from 8 bits finer to 8 bits coarser than f's knots."""
     lo, hi = f.xs[0], f.xs[-1]
     unit = Dyadic(1, f.x_exp + draw(st.integers(-8, 8)))
-    step = unit * draw(st.integers(1, 40))
+    step = unit * (1 << draw(st.integers(0, 5)))
     if draw(st.booleans()):
-        step = step + (hi - lo)  # wider than the support
+        while not step > hi - lo:  # wider than the support
+            step = step * 2
     count = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 200)))
     offset = Dyadic(1, f.x_exp + draw(st.integers(-8, 8))) * draw(st.integers(0, 200))
     where = draw(st.sampled_from(["before", "inside", "straddle", "past", "first-on-break", "last-on-break"]))
@@ -651,7 +652,7 @@ def progressions(draw, f):
         i = draw(st.integers(0, len(f.xs) - 2))
         x0, x1 = f.xs[i], f.xs[i + 1]
         start = x0 + (x1 - x0) * Dyadic(draw(st.integers(0, 63)), -6)
-        step = (x1 - x0) * Dyadic(draw(st.integers(1, 64)), -12)
+        step = (x1 - x0) * Dyadic(1, -draw(st.integers(6, 12)))
         count = min(count, -((start - x1) // step))  # every point below x1
     elif where == "straddle":
         start = lo - offset - unit
@@ -686,7 +687,7 @@ def test_pruned_sum_edge_cases():
     cases = [
         (Dyadic(-3), ONE, 5),  # last point on the breakpoint 1
         (Dyadic(4), ONE, 3),  # first point on the breakpoint 4
-        (Dyadic(-9), Dyadic(10), 3),  # step wider than the support: -9, 1, 11
+        (Dyadic(-7), Dyadic(8), 3),  # step wider than the support: -7, 1, 9
         (Dyadic(-6), ONE, 4),  # entirely before
         (dy("-0.5"), dy("0.25"), 23),  # straddling the support
     ]
@@ -773,9 +774,9 @@ def wide_grid_cases(draw):
     """(f, start, step, count) with f's knots on a grid from 2^-64 down to
     2^-4096: one or two bumps near a small centre, pieces 1 to 7 grid units
     wide (an odd width past 1 can make a piece's sum not dyadic), and a step
-    of a few grid units.  The run starts up to 2^20 units before f (so the
-    start relative to a knot is as wide as the grid), or inside a piece;
-    it ends inside a piece, past f, or has one point."""
+    of 2^-3 to 2^3 grid units.  The run starts up to 2^20 units before f
+    (so the start relative to a knot is as wide as the grid), or inside a
+    piece; it ends inside a piece, past f, or has one point."""
     g = draw(st.sampled_from([64, 65, 127, 512, 1000, 4096]) | st.integers(64, 4096))
     unit = Dyadic(1, -g)
     x = Dyadic(draw(st.integers(-16, 16)), draw(st.integers(-2, 2)))
@@ -790,7 +791,7 @@ def wide_grid_cases(draw):
         x = x + unit * draw(st.integers(1, 7))
         pts.append((x, ZERO))
     f = PiecewiseLinear(pts)
-    step = unit * Dyadic(draw(st.integers(1, 9)), draw(st.integers(-3, 1)))
+    step = unit * Dyadic(1, draw(st.integers(-3, 3)))
     if draw(st.booleans()):
         far = Dyadic(draw(st.integers(1, 2**20)), -g + draw(st.integers(0, g + 4)))
         start = f.xs[0] - far - unit * draw(st.integers(0, 7))
@@ -872,7 +873,7 @@ def table_cases(draw):
     runs = [(first, step, count)]
     for _ in range(draw(st.integers(0, 2))):
         moved = Dyadic(draw(st.integers(-64, 64)), draw(st.integers(g - 4, 2)))
-        runs.append((_exact_sum(first, moved), step * draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 40))))
+        runs.append((_exact_sum(first, moved), step * draw(st.sampled_from([1, 2, 4])), draw(st.integers(0, 40))))
     return f, runs, shifts
 
 
@@ -915,10 +916,10 @@ def test_run_table_matches_the_kernel_on_the_exact_start(case, guard):
 def reach_cases(draw):
     """(f, runs, shifts) for a table's reach and one-point tests.  f is one
     bump on a grid 2^-a, pieces 1 to 5 units wide (a width of 3 or 5 makes
-    the slope non-dyadic); each run starts on any grid, and its gap is 1, 3
-    or 5 times a power of two from 2^-3 units (finer than the knots) to
-    2^12 units (wider than the support, so at most one point of it meets
-    f).  The shifts put a drawn run's last point on f's first knot and its
+    the slope non-dyadic); each run starts on any grid, and its gap is a
+    power of two from 2^-3 units (finer than the knots) to 2^12 units
+    (wider than the support, so at most one point of it meets f).  The
+    shifts put a drawn run's last point on f's first knot and its
     first point on f's last knot (its reach bounds, where it adds 0), one
     unit of a grid finer than every value inside and outside each, a point
     of the run on a drawn spot of the support and just past it, and the run
@@ -935,7 +936,7 @@ def reach_cases(draw):
     f = PiecewiseLinear(pts)
     runs = []
     for _ in range(draw(st.integers(1, 3))):
-        gap = unit * Dyadic(draw(st.sampled_from([1, 3, 5])), draw(st.integers(-3, 12)))
+        gap = unit * Dyadic(1, draw(st.integers(-3, 12)))
         first = Dyadic(draw(st.integers(-(2**12), 2**12)), draw(st.integers(-a - 3, 2)))
         runs.append((first, gap, draw(st.integers(1, 40))))
     first, gap, count = draw(st.sampled_from(runs))
@@ -953,8 +954,8 @@ def reach_cases(draw):
     1 << 20,
 )
 @example(
-    # a gap of 3*2^10 across a support 2 wide: the point at 1/2 meets the ramp
-    (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(-100), Dyadic(3, 10), 3)], [dy("100.5"), Dyadic(100), Dyadic(102)]),
+    # a gap of 2^11 across a support 2 wide: the point at 1/2 meets the ramp
+    (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(-100), Dyadic(1, 11), 3)], [dy("100.5"), Dyadic(100), Dyadic(102)]),
     64,
 )
 def test_run_table_prunes_as_the_kernel_sums(case, guard):
@@ -1074,7 +1075,7 @@ def test_constant_on_one_run_is_the_sum_at_every_shift(case, us):
     shift_cases(),
     st.integers(0, 16),
     st.integers(0, 3),
-    st.sampled_from([Dyadic(1, -1), Dyadic(3, -2), Dyadic(2)]),
+    st.sampled_from([Dyadic(1, -1), Dyadic(1, -2), Dyadic(2)]),
     st.booleans(),
     st.integers(1, 40),
     st.lists(st.integers(0, 2**20), max_size=4),
@@ -1143,20 +1144,28 @@ def test_constant_on_refuses_an_empty_interval():
         RunSums(f, [(ZERO, ONE, 3)]).constant_on(ONE, ZERO)
 
 
-@pytest.mark.parametrize("step", [ZERO, Dyadic(-1, -3)])
-def test_every_run_kernel_refuses_a_step_not_positive(step):
+@pytest.mark.parametrize("step", [Dyadic(3, -4), ZERO, Dyadic(-1)])
+def test_every_run_kernel_refuses_a_step_not_a_power_of_two(step):
+    """Each sum over runs and the thm31 window index read the step as 2^e,
+    and refuse any other step in one message; the comb count, general for
+    the universal gaps, refuses only a step that is not positive."""
     f = PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)])
     calls = [
         lambda: sum_pl_over_ap(f, ZERO, step, 3),
-        lambda: count_ap_in_interval(ZERO, step, 3, DyInterval.closed(0, 1)),
-        lambda: count_ap_in_periodic(ZERO, step, 3, PeriodicIntervalSet(ZERO, ONE, ZERO, 2)),
         lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).constant_on(ZERO, ONE),
         lambda: sum_pl_over_runs(f, [(ONE, ONE, 2), (ZERO, step, 3)], Dyadic(1, -3)),
         lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).at(Dyadic(1, -3)),
+        lambda: _floor_steps(ONE, step),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=r"^step must be positive$"):
+        with pytest.raises(ValueError, match=rf"^step must be a positive power of two, got {re.escape(str(step))}$"):
             call()
+    comb = PeriodicIntervalSet(ZERO, ONE, ZERO, 2)
+    if step > ZERO:
+        assert count_ap_in_periodic(ZERO, step, 3, comb) == 1  # 0, 3/16 and 3/8 meet [0, 0] once
+    else:
+        with pytest.raises(ValueError, match=r"^step must be positive$"):
+            count_ap_in_periodic(ZERO, step, 3, comb)
 
 
 def test_constant_on_thm33_runs_over_4_5():

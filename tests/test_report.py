@@ -12,12 +12,13 @@ from oracles import write_reports_json
 
 
 def test_report_fields_defaults_and_equality():
-    r = WitnessReport("c")
+    r = WitnessReport("c", {})
     assert (r.claim, r.params, r.lhs, r.rhs, r.passed) == ("c", {}, "", "", True)
-    assert WitnessReport("c").params is not r.params  # a fresh dict per report
+    with pytest.raises(TypeError):
+        WitnessReport("c")  # every report names its params
     full = WitnessReport("c", {"x": "1"}, "a", "b", passed=False)
     assert full == WitnessReport(claim="c", params={"x": "1"}, lhs="a", rhs="b", passed=False)
-    assert full != WitnessReport("c", {"x": "1"}, "a", "b") and full != ("c", {"x": "1"}, "a", "b", False)
+    assert full != WitnessReport("c", {"x": "1"}, "a", "b") and tuple(full) == ("c", {"x": "1"}, "a", "b", False)
     with pytest.raises(TypeError):
         hash(full)
 
