@@ -43,10 +43,19 @@ EXIT_SKIP = 3
 
 
 def _fmt_count(n: int) -> str:
-    s = str(n)
-    if len(s) <= 40:
-        return s
-    return f"{s[0]}.{s[1:4]}e+{len(s) - 1} ({len(s)} digits)"
+    """A count n >= 0 in full up to 40 digits, else as its first four digits
+    and its digit count, with no decimal conversion of all of n: the digit
+    count D starts at that of 2^(bitlen - 1), from below (3010299/10^7 <
+    log10 2), and rises until 10^(D-1) <= n < 10^D, read off the four
+    leading digits n // 10^(D-4)."""
+    if n < 10**40:
+        return str(n)
+    digits = (n.bit_length() - 1) * 3010299 // 10**7 + 1
+    lead = n // 10 ** (digits - 4)
+    while lead >= 10**4:
+        digits, lead = digits + 1, lead // 10
+    s = str(lead)
+    return f"{s[0]}.{s[1:]}e+{digits - 1} ({digits} digits)"
 
 
 def _parse_limit(text: str) -> uv.IndexJK:
@@ -355,21 +364,22 @@ def _universal_escape(args, rng) -> list[WitnessReport]:
 def _universal_series(args, rng) -> list[WitnessReport]:
     """fG counts over the prefixes through (1,1), ..., limit, all read off one
     sequence (the --seq artifact or a build): the prefix through index i is
-    its first 2*position(i) blocks."""
+    its first 2*position(i) blocks.  Their runs are read once for every
+    sample, the origin and the first 2*position(limit) blocks only, so
+    counts 2, 4, ... of `fG_prefix_sums` are the prefixes' counts."""
     limit: uv.IndexJK = args.limit
     if limit == uv.IndexJK(1, 0):
         raise ValueError("--limit 1,0 leaves no prefix to count: prefixes start at 1,1")
     G = _load_G(args.G, IntervalUnion([DyInterval.open(0, 2)]))
     uG = uv.build_uG(G, limit)
     seq = _universal_seq(args)
-    ends = [2 * i.position() for i in uv.indices_through(limit)][1:]
+    runs = seq.segments_in_range(0, seq.cum_counts[2 * limit.position() - 1])
     reports = []
     for jk, _ in uG:
         lo, hi = jk.aI, jk.bI
         for s in range(args.samples):
             x = _sample_in(rng, lo, hi)
-            sums = uv.fG_prefix_sums(x, uG, seq)
-            counts = [sums[n] for n in ends]
+            counts = uv.fG_prefix_sums(x, uG, runs)[2::2]
             reports.append(
                 WitnessReport(
                     claim=f"series/{jk.j},{jk.k}/sample{s}",
@@ -556,8 +566,10 @@ def _cmd_verify(args) -> int:
 
 
 def _universal_sum(G: IntervalUnion, limit: uv.IndexJK):
+    """f_G's partial sum over the prefix through `limit`, its runs read once for every x."""
     uG, seq = uv.build_uG(G, limit), uv.build_universal(limit)
-    return lambda x: Dyadic(uv.fG_prefix_sums(x, uG, seq)[-1])
+    runs = seq.segments_in_range(0, seq.total_count - 1)
+    return lambda x: Dyadic(uv.fG_prefix_sums(x, uG, runs)[-1])
 
 
 def _cmd_eval(args) -> int:

@@ -244,15 +244,24 @@ def fG_sum_partial_31(cons: Thm31Construction, x: Dyadic, G: IntervalUnion) -> D
 
 def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessReport:
     """At most one coarse-lattice translate can meet tent j (support is
-    narrower than the coarse step); exact count reported."""
+    narrower than the coarse step); exact count reported.
+
+    The hits are the k in [0, count) with t + k*2^d inside the open support
+    (x0, x3), t = x + start: floor((x0 - t)/2^d) < k < ceil((x3 - t)/2^d).
+    Both bounds are decided in ints on the grid 2^c of x, the start and the
+    step (`_grid_floor`), so no wide difference is formed: with T = t*2^-c,
+    the first is (floor(x0*2^-c) - T) >> (d - c), since x0's remainder below
+    2^c adds less than one unit to that numerator; the second is -((T -
+    floor(x3*2^-c) - r) >> (d - c)), r the sticky bit of x3's remainder."""
     it = cons.item(j)
     win = it.lam2
     if win is None:
         raise ValueError(f"no coarse lattice at j={j}")
-    # the k in [0, count) with t + k*step inside the open support (x0, x3):
-    # floor((x0 - t)/step) < k < ceil((x3 - t)/step)
-    t = x + win.start
-    k_lo, k_hi = _floor_steps(it.tent.xs[0] - t, win.step) + 1, -_floor_steps(t - it.tent.xs[-1], win.step) - 1
+    d, start = step_exponent(win.step), win.start
+    c = min(x.e, start.e, d)
+    T, s = (x.m << x.e - c) + (start.m << start.e - c), d - c
+    (X0, _), (X3, r) = _grid_floor(it.tent.xs[0], c), _grid_floor(it.tent.xs[-1], c)
+    k_lo, k_hi = ((X0 - T) >> s) + 1, -((T - X3 - r) >> s) - 1
     hits = max(0, min(win.count - 1, k_hi) - max(0, k_lo) + 1)
     asserted = abs(x) <= Dyadic(j)
     params = {"j": j, "x": str(x)}
@@ -265,6 +274,16 @@ def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessRepo
         rhs="1",
         passed=(hits <= 1) if asserted else True,
     )
+
+
+def _grid_floor(v: Dyadic, c: int) -> tuple[int, int]:
+    """floor(v*2^-c) and the sticky bit of the remainder: 1 when v is off
+    the grid 2^c.  v is canonical (m odd, or zero at e = 0), so that is
+    e < c with m nonzero, read without touching v's low bits; a wide v
+    is only shifted down."""
+    if v.e >= c:
+        return v.m << v.e - c, 0
+    return v.m >> c - v.e, 1 if v.m else 0
 
 
 def lambda2_total_check(cons: Thm31Construction, x: Dyadic) -> WitnessReport:

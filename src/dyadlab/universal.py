@@ -298,17 +298,21 @@ def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIn
 
 
 def fG_prefix_sums(
-    x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
+    x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], runs: Sequence[tuple[Dyadic, Dyadic, int]]
 ) -> list[int]:
-    """Running counts #{n in prefix : x + value_at(n) lands in some comb of uG}.
+    """Running counts #{n in prefix : x + value_at(n) lands in some comb of uG}
+    over the prefix's runs (first, gap, count), as `GapBlockSeq.segments_in_range`
+    lists them; the runs do not depend on x, so a caller reads them once for
+    every sample.
 
-    Entry b counts the origin and the points of the first b blocks, so entry
-    2*i.position() is the count for the prefix `build_universal(i)`.  Combs of
-    distinct indices live in disjoint ranges [a, a + E], so the per-comb counts
-    add without double counting.
+    Entry r counts the points of the first r + 1 runs.  Over the runs of the
+    indices [0, n] of `build_universal(limit)`, run 0 is the origin and run b
+    is block b, so entry 2*i.position() is the count for the prefix
+    `build_universal(i)`.  Combs of distinct indices live in disjoint ranges
+    [a, a + E], so the per-comb counts add without double counting.
     """
-    runs = ((x + first, gap, count) for first, gap, count in seq.segments_in_range(0, seq.total_count - 1))
-    return list(accumulate(sum(count_ap_in_periodic(start, gap, count, ps) for _, ps in uG) for start, gap, count in runs))
+    shifted = ((x + first, gap, count) for first, gap, count in runs)
+    return list(accumulate(sum(count_ap_in_periodic(start, gap, count, ps) for _, ps in uG) for start, gap, count in shifted))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from bisect import bisect_left, bisect_right
 from math import gcd
 from typing import Iterable, Iterator
 
-from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, enum_intervals, tripled
+from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, _floor_steps, enum_intervals, tripled
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
 from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, floor_sum, sum_pl_over_runs
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
@@ -383,6 +383,17 @@ def escape_cells_by_residue(grid, lo: int, hi: int) -> int:
     return cells
 
 
+def fmt_count_by_str(n: int) -> str:
+    """A count as the CLI prints it, read off its full decimal string: in
+    full up to 40 digits, else the first four digits and the digit count.
+    `cli._fmt_count`, which converts only the leading digits, must print
+    the same bytes."""
+    s = str(n)
+    if len(s) <= 40:
+        return s
+    return f"{s[0]}.{s[1:4]}e+{len(s) - 1} ({len(s)} digits)"
+
+
 def report_json_dict(r: WitnessReport) -> dict:
     """A report as the JSON object its report file holds."""
     return {"claim": r.claim, "params": r.params, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed}
@@ -459,3 +470,16 @@ def lambda2_total_check_bisect(cons: Thm31Construction, x: Dyadic) -> WitnessRep
         rhs=str(sum((Dyadic(1, -j) for j in range(mx + 1, jmax + 1)), ZERO)),
         passed=all(cj <= Dyadic(1, -j) for j, cj in enumerate(tail, mx + 1)),
     )
+
+
+def lambda2_hits_by_difference(cons: Thm31Construction, j: int, x: Dyadic) -> int:
+    """The coarse points of item j that x carries into tent j's open support
+    (x0, x3), by floor((x0 - t)/step) < k < ceil((x3 - t)/step), t = x +
+    start, each bound read off the `Dyadic` difference of a support end and
+    t, formed on the tent's grid.  `lambda2_hit_count`, which decides both
+    bounds on the coarse grid, must report the same count."""
+    it = cons.item(j)
+    win = it.lam2
+    t = x + win.start
+    k_lo, k_hi = _floor_steps(it.tent.xs[0] - t, win.step) + 1, -_floor_steps(t - it.tent.xs[-1], win.step) - 1
+    return max(0, min(win.count - 1, k_hi) - max(0, k_lo) + 1)

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from dyadlab import cli, lattice
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_SKIP, EXIT_USAGE, SUITES, build_parser, main
+from dyadlab.dense_divergence import build_thm31
 from dyadlab.exactnum import ONE, ZERO, Dyadic, GuardExceeded, PiecewiseLinear, set_span_guard, span_guard
-from oracles import cum_values_dyadic, sample_in_dyadic, seq_from_json_checked, step_at
+from oracles import cum_values_dyadic, fmt_count_by_str, sample_in_dyadic, seq_from_json_checked, step_at
 
 
 def run(capsys, *argv):
@@ -69,6 +70,24 @@ class TestConstruct:
     def test_invalid_limit_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "construct", "universal", "--limit", "1,4", "--out", str(tmp_path / "x.json"))
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("k", [39, 40, 41, 42, 100, 19732])
+    def test_a_count_prints_as_its_full_decimal_does(self, k):
+        # 10^k - 1 has k digits and 10^k has k + 1: in full up to 40 digits,
+        # abbreviated from 41; random counts of k and k + 1 digits besides
+        rng = random.Random(k)
+        ns = [10**k - 1, 10**k, 10**k + 1, rng.randrange(10 ** (k - 1), 10**k), rng.randrange(10**k, 10 ** (k + 1))]
+        for n in ns:
+            assert cli._fmt_count(n) == fmt_count_by_str(n), n
+        assert [cli._fmt_count(n).endswith(" digits)") for n in ns[:2]] == [k > 40, k >= 40]
+
+    def test_thm31_jmax_16_count_prints_as_its_full_decimal_does(self, tmp_path, capsys):
+        cons = build_thm31(16)
+        n = sum(w.count for w in cons.lambda_windows()) - sum(w.count for w in cons.lambda_overlaps())
+        code, stdout, _ = run(capsys, "construct", "thm31", "--jmax", "16", "--out", str(tmp_path / "c31.json"))
+        assert code == EXIT_PASS
+        assert stdout == f"thm31 through j=16: 16 tents, lattice points {fmt_count_by_str(n)}\n"
+        assert fmt_count_by_str(n) == "3.282e+19732 (19733 digits)"
 
 
 class TestVerify:
@@ -274,6 +293,34 @@ class TestVerify:
         data["origin"] = "1000"  # every point moves past the combs
         art.write_text(json.dumps(data))
         assert run(capsys, *argv, "--seq", str(art))[0] == EXIT_FAIL
+
+    def test_series_reads_a_longer_artifact_through_its_limit(self, capsys, tmp_path):
+        # the blocks past 2*position(limit) add no count: an artifact built
+        # through (2,15) and read at 2,5 gives the bytes of the build through 2,5
+        art, built, read = tmp_path / "u215.json", tmp_path / "built.json", tmp_path / "read.json"
+        run(capsys, "construct", "universal", "--limit", "2,15", "--out", str(art))
+        argv = ["verify", "universal", "--suite", "series", "--limit", "2,5", "--samples", "2"]
+        assert run(capsys, *argv, "--report", str(built))[0] == EXIT_PASS
+        assert run(capsys, *argv, "--seq", str(art), "--report", str(read))[0] == EXIT_PASS
+        assert read.read_bytes() == built.read_bytes()
+
+    @pytest.mark.parametrize("seq", [False, True], ids=["build", "artifact"])
+    def test_series_reads_the_prefix_once_per_op(self, capsys, monkeypatch, tmp_path, seq):
+        """The prefix's runs do not depend on the sample: one op lists them
+        once, whatever --samples is."""
+        calls = []
+        segments = lattice.GapBlockSeq.segments_in_range
+        monkeypatch.setattr(
+            lattice.GapBlockSeq, "segments_in_range", lambda self, *a: calls.append(a) or segments(self, *a)
+        )
+        argv = ["verify", "universal", "--suite", "series", "--limit", "2,5"]
+        if seq:
+            run(capsys, "construct", "universal", "--limit", "2,7", "--out", str(tmp_path / "u27.json"))
+            argv += ["--seq", str(tmp_path / "u27.json")]
+        for samples, code in (("0", EXIT_SKIP), ("1", EXIT_PASS), ("5", EXIT_PASS)):
+            calls.clear()
+            assert run(capsys, *argv, "--samples", samples)[0] == code
+            assert len(calls) == 1, samples
 
     @pytest.mark.parametrize(
         "option, construction, suite",

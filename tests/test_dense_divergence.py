@@ -14,6 +14,7 @@ from dyadlab.dense_divergence import (
     LAMBDA2_MIN_J,
     APWindow,
     Thm31Construction,
+    _floor_steps,
     _neighbours,
     build_thm31,
     cross_term_zero_check,
@@ -31,7 +32,7 @@ from dyadlab.dense_divergence import (
 )
 from dyadlab.lattice import sum_pl_over_ap
 from dyadlab.universal import OutOfInterval
-from oracles import ap_index_range, build_thm31_dyadic, count_ap_in_interval, lambda2_total_check_bisect, lattice_run, pl_eval
+from oracles import ap_index_range, build_thm31_dyadic, count_ap_in_interval, lambda2_hits_by_difference, lambda2_total_check_bisect, lattice_run, pl_eval
 
 
 def dy(s: str) -> Dyadic:
@@ -384,19 +385,28 @@ class TestShiftFormsAgainstTheOracles:
 
     @pytest.mark.parametrize("jmax", JMAXES)
     def test_hit_counts_match_count_ap_in_interval(self, jmax):
-        """At random 48-bit x in [-j, j], and at every shift that puts the
-        coarse window's first or last point on a support knot, or one unit
-        of the tent's grid to either side."""
+        """At random 48-bit x in [-j, j]; at every shift that puts the coarse
+        window's first or last point on a support knot; at shifts in [-j, j]
+        (near -j, 0 and j) that put an inner point exactly on a support end;
+        and one unit of the tent's grid or of 2^-48 to either side of each.
+        The wide-difference form `lambda2_hits_by_difference` agrees."""
         cons = build_thm31(jmax)
         rng = random.Random(jmax)
         for j in range(LAMBDA2_MIN_J, jmax + 1):
             it = cons.item(j)
-            win, unit = it.lam2, Dyadic(1, it.tent.x_exp)
+            win, units = it.lam2, (Dyadic(1, it.tent.x_exp), Dyadic(1, -48))
             xs = [Dyadic(rng.randrange(-j << 48, (j << 48) + 1), -48) for _ in range(6)]
-            xs += [knot - p + unit * d for knot in it.tent.xs for p in (win.start, win.last()) for d in (-1, 0, 1)]
+            ons = [knot - p for knot in it.tent.xs for p in (win.start, win.last())]
+            for knot in (it.tent.xs[0], it.tent.xs[-1]):
+                d = knot - win.start
+                ons += [d - win.step * _floor_steps(d, win.step) - Dyadic(m) for m in (1 - j, 0, j - 1)]
+            xs += [x + u * d for x in ons for u in units for d in (-1, 0, 1)]
+            hits = set()
             for x in xs:
                 want = count_ap_in_interval(win.start, win.step, win.count, DyInterval.open(it.tent.xs[0] - x, it.tent.xs[-1] - x))
-                assert lambda2_hit_count(cons, j, x).lhs == str(want), (j, x)
+                assert lambda2_hit_count(cons, j, x).lhs == str(want) == str(lambda2_hits_by_difference(cons, j, x)), (j, x)
+                hits.add(want)
+            assert hits == {0, 1}
 
     @pytest.mark.parametrize("jmax", JMAXES)
     def test_neighbours_match_the_oracle_index_range(self, jmax):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyadlab import exactnum
+from dyadlab import exactnum, lattice
 from dyadlab.cli import check_monotone_gaps
 from dyadlab.dense_divergence import _floor_steps, build_thm31
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, NotExact, PiecewiseLinear, ONE, ZERO, set_span_guard, span_guard
@@ -987,6 +987,29 @@ def test_run_table_refuses_a_non_dyadic_sum_as_the_kernel_does():
                 call(x)
             assert str(exc.value) == message
     assert RunSums(f, [(ONE, ONE, 2)]).at(ZERO) == ONE
+
+
+def test_a_sparse_run_whose_point_misses_the_support_is_not_summed(monkeypatch):
+    """thm31's tail tables at jmax 16 are sparse: a coarse gap 2^-j is wider
+    than any tent's support, so `RunSums.at` sums a run in reach only when
+    the one point of it that can meet the support lies inside.  Sampled
+    shifts in [-16, 16) keep tent 16's own coarse run in reach, yet put no
+    coarse point inside any support: the piece loop never runs.  A shift of
+    2^-65540 puts the point 2^j of each coarse run j on tent j's plateau:
+    one piece loop for each tent from 10 on."""
+    calls, pieces = [], lattice._pieces
+    monkeypatch.setattr(lattice, "_pieces", lambda *a: calls.append(a) or pieces(*a))
+    cons = build_thm31(16)
+    tent, run = cons.item(16).tent, cons.item(16).lam2
+    rng = random.Random(3116)
+    for _ in range(20):
+        x = Dyadic(rng.getrandbits(53) - (1 << 52), -48)
+        assert tent.xs[0] < x + run.last() and x + run.start < tent.xs[-1]
+        assert [table.at(x) for table in cons.tail_tables] == [ZERO] * 16
+    assert calls == []
+    x = Dyadic(1, -65540)
+    assert [table.at(x) for table in cons.tail_tables] == [ZERO] * 9 + [Dyadic(1, -j) for j in range(10, 17)]
+    assert len(calls) == 7
 
 
 def test_a_far_shift_is_refused_before_it_is_aligned():

@@ -602,6 +602,11 @@ class TestCoveringWitnessOracle:
         assert [t for t, _ in refusals] == [OutOfInterval] * 4
 
 
+def all_runs(seq: GapBlockSeq) -> list:
+    """The runs of every point of `seq`, origin first, as the series suite reads them."""
+    return seq.segments_in_range(0, seq.total_count - 1)
+
+
 class TestUGAndSeries:
     def test_build_uG_example(self):
         g = IntervalUnion([DyInterval.open(0, 2)])
@@ -620,26 +625,27 @@ class TestUGAndSeries:
         uG = build_uG(IntervalUnion([DyInterval.open(-100, 100)]), IndexJK(1, 1))
         pts = list(iter_points(seq))
         assert len(pts) == 8309
+        runs = all_runs(seq)
         rng = random.Random(31415)
         for _ in range(25):
             x = Dyadic(rng.randint(-3000, 3000), -10)
             brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
-            assert fG_prefix_sums(x, uG, seq)[-1] == brute
+            assert fG_prefix_sums(x, uG, runs)[-1] == brute
         # targeted points that actually land: window points of (1,0) and (1,1)
         for xs in ("0.75", "0.5", "1", "0.25", "0"):
             x = dy(xs)
             brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
-            assert fG_prefix_sums(x, uG, seq)[-1] == brute
+            assert fG_prefix_sums(x, uG, runs)[-1] == brute
 
     def test_covering_implies_hit(self):
         seq = build_universal(IndexJK(1, 1))
         uG = build_uG(IntervalUnion([DyInterval.open(0, 2)]), IndexJK(1, 0))
-        assert fG_prefix_sums(dy("0.75"), uG, seq)[-1] >= 1
+        assert fG_prefix_sums(dy("0.75"), uG, all_runs(seq))[-1] >= 1
 
     def test_far_left_point_misses_everything(self):
         seq = build_universal(IndexJK(1, 1))
         uG = build_uG(IntervalUnion([DyInterval.open(-100, 100)]), IndexJK(1, 0))
-        assert fG_prefix_sums(Dyadic(-100), uG, seq)[-1] == 0
+        assert fG_prefix_sums(Dyadic(-100), uG, all_runs(seq))[-1] == 0
 
     def test_sum_grows_when_prefix_extends_past_step(self):
         g = IntervalUnion([DyInterval.open(-100, 100)])
@@ -649,8 +655,8 @@ class TestUGAndSeries:
         rng = random.Random(2718)
         for _ in range(10):
             x = dy("0.5") + Dyadic(rng.getrandbits(30), -31)  # inside the (1,0) window
-            a = fG_prefix_sums(x, uG, short)[-1]
-            b = fG_prefix_sums(x, uG, longer)[-1]
+            a = fG_prefix_sums(x, uG, all_runs(short))[-1]
+            b = fG_prefix_sums(x, uG, all_runs(longer))[-1]
             assert a >= 1
             assert b >= a
 
@@ -659,6 +665,7 @@ class TestUGAndSeries:
         # longer build, so one pass yields every per-prefix count
         limit = IndexJK(2, 5)
         full = build_universal(limit)
+        full_runs = all_runs(full)
         prefixes = {i: build_universal(i) for i in indices_through(limit)}
         rng = random.Random(1618)
         for g in (IntervalUnion([DyInterval.open(0, 2)]), IntervalUnion([DyInterval.open(-100, 100)])):
@@ -667,10 +674,10 @@ class TestUGAndSeries:
             for i, _ in uG:
                 xs.append(i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(30), -30))
             for x in xs:
-                sums = fG_prefix_sums(x, uG, full)
+                sums = fG_prefix_sums(x, uG, full_runs)
                 assert len(sums) == len(full.blocks) + 1
                 for i, prefix in prefixes.items():
-                    assert sums[2 * i.position()] == fG_prefix_sums(x, uG, prefix)[-1], (x, i)
+                    assert sums[2 * i.position()] == fG_prefix_sums(x, uG, all_runs(prefix))[-1], (x, i)
                 assert sums[-1] >= 1 or x == Dyadic(-3)
 
 
