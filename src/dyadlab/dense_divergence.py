@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .exactnum import Dyadic, DyInterval, IntervalUnion, PiecewiseLinear, ZERO, ONE
-from .lattice import RunSums, step_exponent, sum_pl_over_ap, sum_pl_over_runs
+from .lattice import RunSums, step_exponent
 from .report import OutOfInterval, WitnessReport
 
 LAMBDA2_MIN_J = 10
@@ -111,6 +111,12 @@ class Thm31Construction:
         """One `RunSums` per tent over the coarse runs of Λ2, built on first use."""
         runs = [w for it in self.items if (w := it.lam2) is not None]
         return tuple(RunSums(it.tent, runs) for it in self.items)
+
+    @cached_property
+    def lambda_tables(self) -> tuple[tuple[RunSums, RunSums], ...]:
+        """Per tent, `RunSums` over Λ's windows and over their shared points."""
+        windows, shared = self.lambda_windows(), self.lambda_overlaps()
+        return tuple((RunSums(it.tent, windows), RunSums(it.tent, shared)) for it in self.items)
 
     def lambda_windows(self) -> list[APWindow]:
         """All lattice windows of Λ = Λ1 ∪ Λ2, fine and coarse."""
@@ -215,7 +221,7 @@ def cross_term_zero_check(cons: Thm31Construction, j0: int, j: int) -> WitnessRe
     """
     if j == j0:
         raise ValueError("cross term needs j != j0")
-    s = sum_pl_over_ap(cons.item(j0).tent, *cons.item(j).lam1)
+    s = RunSums(cons.item(j0).tent, [cons.item(j).lam1]).at(ZERO)
     asserted = j0 >= LAMBDA2_MIN_J
     params = {"j0": j0, "j": j, "x": "0*2^0"}
     if not asserted:
@@ -235,11 +241,10 @@ def selected_js(cons: Thm31Construction, G: IntervalUnion) -> list[int]:
 
 
 def fG_sum_partial_31(cons: Thm31Construction, x: Dyadic, G: IntervalUnion) -> Dyadic:
-    """Exact sum of the G-selected tents over the set Λ: over every window,
-    less the points two windows share (no point lies in three)."""
-    windows, shared = cons.lambda_windows(), cons.lambda_overlaps()
-    tents = [cons.item(j).tent for j in selected_js(cons, G)]
-    return sum((sum_pl_over_runs(f, windows, x) - sum_pl_over_runs(f, shared, x) for f in tents), ZERO)
+    """Exact sum of the G-selected tents over the set Λ, off `lambda_tables`:
+    over every window, less the points two windows share (none lies in three)."""
+    tables = [cons.lambda_tables[j - 1] for j in selected_js(cons, G)]
+    return sum((windows.at(x) - shared.at(x) for windows, shared in tables), ZERO)
 
 
 def lambda2_hit_count(cons: Thm31Construction, j: int, x: Dyadic) -> WitnessReport:

@@ -296,92 +296,28 @@ def step_exponent(step: Dyadic) -> int:
     return step.e
 
 
-def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
-    """Exact sum of f(start + k*step) over k in [0, count): the one run of
-    `sum_pl_over_runs` at shift zero, with no table built."""
-    return sum_pl_over_runs(f, ((start, step, count),), ZERO)
-
-
-def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
-    """Exact sum of f(shift + first + k*gap) over every run (first, gap,
-    count) and k in [0, count), in ints, as one Dyadic.  Each gap is 2^d
-    (`step_exponent`).  Each run's start shift + first (`_shifted`) and gap
-    must fit the span guard on their own grid 2^er, else GuardExceeded; a
-    run that misses the interior of f's support then adds zero before
-    anything is aligned to f.  Otherwise its start, gap and last point must
-    fit on the grid 2^e, e the least of er and the knot exponent, and
-    `_pieces` sums the pieces they visit."""
-    guard, X, out = span_guard(), f.x_ints, [0, 0]
-    for first, step, count in runs:
-        d = step_exponent(step)
-        if count < 1:
-            continue
-        start = _shifted(shift, first, step) if shift.m else first
-        er = min(start.e, d)
-        width = max(start.m.bit_length() + start.e - er if start.m else 0, d - er + 1)
-        if width > guard:
-            raise grid_error("aligned run", width, er)
-        # (here and below, the `if`: shifting a wide int by 0 still copies it)
-        S = start.m << start.e - er if start.e != er else start.m
-        L = S + (count - 1 << d - er)
-        # a run that misses the interior of f's support adds 0: compare it with
-        # the end knots by rounding the finer side, before anything is aligned;
-        # then align to the finer grid 2^e, the knots shifted up by `drop`
-        k = er - f.x_exp
-        if k >= 0:
-            if L <= X[0] >> k or S >= -(-X[-1] >> k):
-                continue
-            S, L, e, drop = S << k, L << k, f.x_exp, 0
-        else:
-            if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
-                continue
-            e, drop = er, -k
-        width = max(S.bit_length(), L.bit_length(), d - e + 1)
-        if width > guard:
-            raise grid_error("aligned run", width, e)
-        _pieces(f, X, f.x_gaps, drop, e, S, d - e, L, guard, out)
-    return Dyadic(out[0], f.v_exp - out[1])
-
-
-def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
-    """x + first, exactly.  A finer term below half the coarser one's unit
-    2^b leaves it the coarser term's top bit, one lower if a borrow reaches
-    it, so the run's own width check is made before the sum is formed."""
-    if not first.m:
-        return x
-    am, a, bm, b = (x.m, x.e, first.m, first.e) if x.e <= first.e else (first.m, first.e, x.m, x.e)
-    if am.bit_length() < b - a:
-        g = min(a, step.e)
-        top = b + (abs(bm) - ((am < 0) != (bm < 0))).bit_length()
-        width = max(top - g, step.e - g + 1)
-        if width > span_guard():
-            raise grid_error("aligned run", width, g)
-    return Dyadic(am + (bm << b - a), a)
-
-
-def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, s: int, L: int, guard: int | None, out: list) -> None:
+def _pieces(f: PiecewiseLinear, X, W, e: int, S: int, s: int, L: int, guard: int | None, out: list) -> None:
     """The one piece loop: add to out = [p, t], the sum p*2^(v_exp - t),
     each nonzero piece of f that the run S, S + 2^s, ..., L visits, in ints
-    on the grid 2^e where the knots are X << drop and the piece widths
-    W << drop (with a `guard`, a nonzero piece's knots must fit it).  The
-    step is 2^s, so every product and quotient by it is a shift.  Each
-    piece is summed from delta, the distance from its left knot x0 to the
-    first run point at or after it: the start's offset at the first piece,
-    reduced mod 2^s by the low bits, then carried across the pieces.  Its
-    point count comes from delta and its width, or from L - x0 when L lies
-    in it (f is 0 at its last knot, so half-open pieces lose nothing), and
-    its sum is an arithmetic series divided last by the odd part of its
-    width, NotExact if that fails."""
+    on the grid 2^e where the knots are X and the piece widths W (with a
+    `guard`, a nonzero piece's knots must fit it).  The step is 2^s, so
+    every product and quotient by it is a shift.  Each piece is summed
+    from delta, the distance from its left knot x0 to the first run point
+    at or after it: the start's offset at the first piece, reduced mod 2^s
+    by the low bits, then carried across the pieces.  Its point count
+    comes from delta and its width, or from L - x0 when L lies in it (f is
+    0 at its last knot, so half-open pieces lose nothing), and its sum is
+    an arithmetic series divided last by the odd part of its width,
+    NotExact if that fails."""
     V, (p, tp) = f.v_ints, out
-    first = max(bisect_right(X, S >> drop if drop else S) - 1, 0)
-    end = min(bisect_right(X, L >> drop if drop else L), len(X) - 1)
-    x1 = X[first] << drop if drop else X[first]
+    first = max(bisect_right(X, S) - 1, 0)
+    end = min(bisect_right(X, L), len(X) - 1)
+    x1 = X[first]
     mask = (1 << s) - 1
     # (a mask of a negative wide int would copy it)
     delta = S - x1 if S >= x1 else ((S & mask) - (x1 & mask)) & mask
     for i in range(first, end):
-        x0, x1 = x1, (X[i + 1] << drop if drop else X[i + 1])
-        w = W[i] << drop if drop else W[i]
+        x0, x1, w = x1, X[i + 1], W[i]
         # the points in [x0, x1), up to L when the run ends in the piece
         r = (L - x0 if L < x1 else w - 1) - delta
         n = (r >> s) + 1
@@ -412,77 +348,135 @@ def _pieces(f: PiecewiseLinear, X, W, drop: int, e: int, S: int, s: int, L: int,
 
 
 class RunSums:
-    """f and fixed runs (first, gap, count): `at(x)` is `sum_pl_over_runs(f,
-    runs, x)` read off one int table, built once and lifted again only for
-    a finer shift.  The runs and the shift lie on a grid 2^c, f's knots and
-    piece widths on 2^g, g = min(c, x_exp), and each run keeps its reach:
-    the shifts lo < x < hi that carry it into the interior of f's support,
-    whose end knots are rounded out onto 2^c.  A shift outside a run's
-    reach adds 0 after two comparisons.  Where the knots are finer than the
-    runs and no gap is narrower than the rounded support, a run can put at
-    most one point in it: the runs stay on their own grid, so the reach and
-    that point are narrow ints, and only a run whose point lies in the
-    support is aligned to f.  Otherwise c = g, and the runs are aligned
-    once.  When every width on 2^g, the shift's too,
-    fits the span guard with a bit to spare, no check can refuse and none
-    is made; otherwise `at(x)` is `sum_pl_over_runs`.  Every gap is 2^d
-    (`step_exponent`, checked when the table is made), so each run is kept
-    as its first and last point and the shift s = d - c."""
+    """f and fixed runs (first, gap, count): `at(x)` is the exact sum of
+    f(x + first + k*gap) over every run and k in [0, count), in ints, as
+    one Dyadic.  Every gap is 2^d (`step_exponent`, checked here).  The
+    table is laid out once (`_lay_out`), and a read forms nothing that
+    replaces what another uses, so reads cost the same in any order.  A
+    read whose every width, x's too, fits the span guard with a bit to
+    spare makes no check; any other is `_checked`."""
 
-    __slots__ = ("f", "runs", "_grid", "_width", "_knots", "_gaps", "_ints", "_ends", "_lift_by")
+    __slots__ = ("f", "runs", "_table", "_knots")
 
     def __init__(self, f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]]):
-        self.f, self.runs, self._ints = f, tuple(runs), None
-        gaps = [step_exponent(gap) for _, gap, _ in self.runs]
-        self._grid = min([first.e for first, _, _ in self.runs if first.m] + gaps, default=f.x_exp)
+        self.f, self.runs, self._table, self._knots = f, tuple(runs), None, {}
+        for _, gap, _ in self.runs:
+            step_exponent(gap)
 
-    def _lift(self, c: int, guard: int) -> bool:
-        """Form the table for shifts on the grid 2^c if every width on 2^g,
-        bounded first, fits."""
-        X, W, xe = self.f.x_ints, self.f.x_gaps, self.f.x_exp
-        g = min(c, xe)
-        width = max([max(X[0].bit_length(), X[-1].bit_length()) + xe - g] + [
-            max(first.m.bit_length() + first.e - g if first.m else 0, gap.e - g + 1 + (count - 1).bit_length()) + 1
-            for first, gap, count in self.runs
-        ])
-        if width + 1 > guard:
-            return False
-        k = c - xe
-        if k > 0:  # the end knots onto 2^c, the first one down, the last one up
-            K0, K3 = X[0] >> k, -(-X[-1] >> k)
-            if any((1 << gap.e - c) < K3 - K0 for _, gap, _ in self.runs):
-                c, k = xe, 0  # a run may put two points in the support: align the runs to the knots once
-        if k < 0:
-            X, W = tuple(v << -k for v in X), tuple(v << -k for v in W)
-        if k <= 0:
-            K0, K3 = X[0], X[-1]
-        ints = []
+    def _lay_out(self, guard: int) -> tuple | None:
+        """(top, g, Q, runs) at the first read whose guard the widths fit:
+        every int a read forms lies below 2^top on g, the finest grid.  f's
+        support is narrower than 2^span: a run of gap 2^span or more is
+        sparse, with at most one point inside.  A run with points keeps its
+        first and last points and its step 2^s on its grid w: min(first.e,
+        d) or, if dense, the knots' when finer, and no coarser than 2^-64, so
+        that 40- and 48-bit shifts find it on its grid.  It also keeps its
+        reach lo < x < hi, the shifts that can carry a point of it into the
+        interior of the support, on the table's grid 2^Q: the finest run
+        grid, or the knots' if coarser, a finer run rounded out onto it."""
+        f = self.f
+        X, xe = f.x_ints, f.x_exp
+        span = sum(f.x_gaps).bit_length() + xe  # (no subtraction of wide knots)
+        top, runs, finest = max(X[0].bit_length(), X[-1].bit_length()) + xe, [], None
         for first, gap, count in self.runs:
             if count > 0:
-                F, s = first.m << first.e - c if first.m else 0, gap.e - c
-                L = F + (count - 1 << s)
-                ints.append((K0 - L, K3 - F, F, s, L))
-        self._knots, self._gaps, self._ints, self._ends = X, W, ints, (K0, K3)
-        self._grid, self._width, self._lift_by = c, width, max(k, 0)
-        return True
+                m, d = first.m, gap.e
+                w = first.e if m and first.e < d else d
+                w = min(w if d >= span or w < xe else xe, -64)
+                finest = w if finest is None or w < finest else finest
+                top = max(top, d + 1 + count.bit_length(), m.bit_length() + first.e + 1 if m else top)
+                F = m << first.e - w if m else 0
+                runs.append((F, d - w, F + (count - 1 << d - w if d > w else count - 1), w, d >= span))
+        g, Q = (min(xe, finest), max(xe, finest)) if runs else (xe, xe)
+        if top - g + 1 > guard:
+            return None
+        k = Q - xe  # the end knots onto 2^Q, rounded down when coarser: x < x3 - first puts x's floor at most hi
+        K0, K3 = (X[0] >> k, X[-1] >> k) if k > 0 else (X[0] << -k, X[-1] << -k)
+        for i, (F, s, L, w, sparse) in enumerate(runs):
+            k = Q - w  # (a shift by 0 would copy a wide int)
+            lo, hi = (K0 + (-L >> k), K3 - (F >> k)) if k > 0 else (K0 - (L << -k if k else L), K3 - (F << -k if k else F))
+            runs[i] = lo, hi, w, F, s, L, sparse
+        self._table = top, g, Q, runs
+        return self._table
+
+    def _knots_on(self, c: int) -> tuple:
+        """(K0, K3, X, W) on the grid 2^c, once per grid: f's end knots, rounded
+        out onto a coarser grid, and its knots and piece widths on the finer."""
+        got = self._knots.get(c)
+        if got is None:
+            f, k = self.f, self.f.x_exp - c
+            X, W = (tuple(v << k for v in f.x_ints), tuple(v << k for v in f.x_gaps)) if k > 0 else (f.x_ints, f.x_gaps)
+            got = self._knots[c] = (X[0] >> -k, -(-X[-1] >> -k), X, W) if k < 0 else (X[0], X[-1], X, W)
+        return got
 
     def at(self, x: Dyadic) -> Dyadic:
-        guard, f, m, e = span_guard(), self.f, x.m, x.e
-        if m and e < self._grid or self._ints is None:
-            if not self._lift(min(self._grid, e) if m else self._grid, guard):
-                return sum_pl_over_runs(f, self.runs, x)
-        c, k = self._grid, self._lift_by
-        if max(self._width, m.bit_length() + e - c + k if m else 0) + 1 > guard:
-            return sum_pl_over_runs(f, self.runs, x)
-        xc, (K0, K3), out = m << e - c if m else 0, self._ends, [0, 0]
-        for lo, hi, F, s, L in self._ints:
-            if lo < xc < hi:
-                S, L = F + xc, L + xc
-                if k:  # sparse: the one run point that can lie in the support's interior
-                    if (S if S > K0 else S + (((K0 - S) >> s) + 1 << s)) >= min(K3, L + 1):
-                        continue
-                    S, L = S << k, L << k
-                _pieces(f, self._knots, self._gaps, 0, c - k, S, s + k, L, None, out)
+        guard, m, e = span_guard(), x.m, x.e
+        table = self._table or self._lay_out(guard)
+        if table is None:
+            return self._checked(x, guard)
+        top, g, Q, runs = table
+        c = e & -64  # x's word
+        xt = m.bit_length() + e if m else top  # x's top bit
+        if (top if top > xt else xt) - (g if g < c else c) >= guard:
+            return self._checked(x, guard)
+        f, knots, out, wx = self.f, self._knots, [0, 0], None
+        xQ = m >> Q - e if e < Q else m << e - Q  # x rounded down onto 2^Q, a unit more when off it
+        xo = xQ + 1 if m and e < Q else xQ
+        for lo, hi, w, F, s, L, sparse in runs:
+            if xo <= lo or xQ > hi:
+                continue
+            if c < w:  # onto x's word
+                F, L, s, w = F << w - c, L << w - c, s + w - c, c
+            if w != wx:  # x and f's knots on the run's grid, kept for the runs after it on that grid
+                wx, xc, (K0, K3, X, W) = w, xQ if w == Q else m << e - w, knots.get(w) or self._knots_on(w)
+            S, L = F + xc, L + xc
+            if sparse:  # cut to its one point inside the support, if any: only that is aligned to f
+                S += max(((K0 - S) >> s) + 1, 0) << s
+                if S >= K3 or S > L:
+                    continue
+                if w > f.x_exp:
+                    S, w = S << w - f.x_exp, f.x_exp
+                L, s = S, 0
+            _pieces(f, X, W, w, S, s, L, None, out)
+        return Dyadic(out[0], f.v_exp - out[1])
+
+    def _checked(self, x: Dyadic, guard: int) -> Dyadic:
+        """`at(x)` checked run by run as the one-run kernel checks it: the
+        start x + first and the gap on the start's grid 2^c, c = min(start.e,
+        d); for a run that meets the interior of f's support, its points on
+        the finer of that grid and the knots', and each nonzero piece's knots."""
+        f, m, out = self.f, x.m, [0, 0]
+        X, xe = f.x_ints, f.x_exp
+        for first, gap, count in self.runs:
+            if count < 1:
+                continue
+            d = gap.e
+            am, a, bm, b = (m, x.e, first.m, first.e) if x.e <= first.e else (first.m, first.e, m, x.e)
+            if m and first.m and am.bit_length() < b - a:
+                # a finer term below half the coarser one's unit leaves the start the coarser
+                # term's top bit, one lower after a borrow: its width is checked before it is formed
+                c = min(a, d)
+                width = max(b + (abs(bm) - ((am < 0) != (bm < 0))).bit_length() - c, d - c + 1)
+                if width > guard:
+                    raise grid_error("aligned run", width, c)
+            start = Dyadic(am + (bm << b - a), a) if m and first.m else x if m else first
+            c = min(start.e, d)
+            width = max(start.m.bit_length() + start.e - c if start.m else 0, d - c + 1)
+            if width > guard:
+                raise grid_error("aligned run", width, c)
+            S, s, k = start.m << start.e - c, d - c, c - xe
+            L = S + (count - 1 << s)
+            # a run that misses the interior of f's support adds 0: compare it with
+            # the end knots by rounding the finer side, before anything is aligned
+            if (L <= X[0] >> k or S >= -(-X[-1] >> k)) if k >= 0 else (-(-L >> -k) <= X[0] or S >> -k >= X[-1]):
+                continue
+            k = max(k, 0)
+            width = max(S.bit_length() + k if S else 0, L.bit_length() + k if L else 0, s + k + 1)
+            if width > guard:
+                raise grid_error("aligned run", width, c - k)
+            if k:
+                S, L, s, c = S << k, L << k, s + k, xe
+            _pieces(f, [v << xe - c for v in X], [v << xe - c for v in f.x_gaps], c, S, s, L, guard, out)
         return Dyadic(out[0], f.v_exp - out[1])
 
     def constant_on(self, lo: Dyadic, hi: Dyadic) -> Dyadic | None:

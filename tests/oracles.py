@@ -11,8 +11,8 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, _floor_steps, enum_intervals, tripled
-from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, scaled_ints
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, floor_sum, sum_pl_over_runs
+from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, grid_error, scaled_ints, span_guard
+from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, _pieces, floor_sum, step_exponent
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, Step, step_walk, steps_before
 
@@ -250,8 +250,9 @@ def pl_eval(f: PiecewiseLinear, x: Dyadic) -> Dyadic:
 def sum_pl_over_ap_dyadic(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
     """Sum of f(start + k*step) over k in [0, count), one piece at a time in
     Dyadic arithmetic: the piece range by floor ratios, its sum as an
-    arithmetic series divided last by x1 - x0.  The integer kernel
-    `lattice.sum_pl_over_ap` must agree with it bit for bit, NotExact included."""
+    arithmetic series divided last by x1 - x0.  A `lattice.RunSums` table
+    of the one run, read at 0, must agree with it bit for bit, NotExact
+    included."""
     if not step > ZERO:
         raise ValueError("step must be positive")
     total = ZERO
@@ -272,6 +273,71 @@ def sum_pl_over_ap_dyadic(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count
         rise = (v1 - v0) * ((start - x0) * n + step * ksum)
         total = total + v0 * n + rise.div_exact(x1 - x0)
     return total
+
+
+def sum_pl_over_ap(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
+    """Exact sum of f(start + k*step) over k in [0, count): the one run of
+    `sum_pl_over_runs` at shift zero."""
+    return sum_pl_over_runs(f, ((start, step, count),), ZERO)
+
+
+def sum_pl_over_runs(f: PiecewiseLinear, runs: Iterable[tuple[Dyadic, Dyadic, int]], shift: Dyadic) -> Dyadic:
+    """Exact sum of f(shift + first + k*gap) over every run (first, gap,
+    count) and k in [0, count), with no table: every call aligns and sums
+    each run afresh, and makes every width check.  `lattice.RunSums(f,
+    runs).at(shift)` must give the same value, NotExact text and
+    GuardExceeded text at every guard.  Each gap is 2^d (`step_exponent`).
+    Each run's start shift + first (`_shifted`) and gap must fit the span
+    guard on their own grid 2^er, else GuardExceeded; a run that misses the
+    interior of f's support then adds zero before anything is aligned to
+    f.  Otherwise its start, gap and last point must fit on the grid 2^e, e
+    the least of er and the knot exponent, and `_pieces` sums the pieces
+    they visit, the knots shifted onto 2^e."""
+    guard, X, out = span_guard(), f.x_ints, [0, 0]
+    for first, step, count in runs:
+        d = step_exponent(step)
+        if count < 1:
+            continue
+        start = _shifted(shift, first, step) if shift.m else first
+        er = min(start.e, d)
+        width = max(start.m.bit_length() + start.e - er if start.m else 0, d - er + 1)
+        if width > guard:
+            raise grid_error("aligned run", width, er)
+        S = start.m << start.e - er
+        L = S + (count - 1 << d - er)
+        # a run that misses the interior of f's support adds 0: compare it with
+        # the end knots by rounding the finer side, before anything is aligned;
+        # then align to the finer grid 2^e, the knots shifted up by `drop`
+        k = er - f.x_exp
+        if k >= 0:
+            if L <= X[0] >> k or S >= -(-X[-1] >> k):
+                continue
+            S, L, e, drop = S << k, L << k, f.x_exp, 0
+        else:
+            if -(-L >> -k) <= X[0] or S >> -k >= X[-1]:
+                continue
+            e, drop = er, -k
+        width = max(S.bit_length(), L.bit_length(), d - e + 1)
+        if width > guard:
+            raise grid_error("aligned run", width, e)
+        _pieces(f, [v << drop for v in X], [w << drop for w in f.x_gaps], e, S, d - e, L, guard, out)
+    return Dyadic(out[0], f.v_exp - out[1])
+
+
+def _shifted(x: Dyadic, first: Dyadic, step: Dyadic) -> Dyadic:
+    """x + first, exactly.  A finer term below half the coarser one's unit
+    2^b leaves it the coarser term's top bit, one lower if a borrow reaches
+    it, so the run's own width check is made before the sum is formed."""
+    if not first.m:
+        return x
+    am, a, bm, b = (x.m, x.e, first.m, first.e) if x.e <= first.e else (first.m, first.e, x.m, x.e)
+    if am.bit_length() < b - a:
+        g = min(a, step.e)
+        top = b + (abs(bm) - ((am < 0) != (bm < 0))).bit_length()
+        width = max(top - g, step.e - g + 1)
+        if width > span_guard():
+            raise grid_error("aligned run", width, g)
+    return Dyadic(am + (bm << b - a), a)
 
 
 def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWitness:

@@ -15,8 +15,8 @@ from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
     PeriodicIntervalSet,
+    RunSums,
     count_ap_in_periodic,
-    sum_pl_over_ap,
 )
 from dyadlab.exactnum import PiecewiseLinear
 from dyadlab import dense_divergence as dd
@@ -182,7 +182,7 @@ def test_criterion_6_oracle_equivalence():
         s = 1 << rng.randint(0, 6)  # a run's step is a power of two
         count = int(2 ** (rng.random() * 13.2877))
         count = min(count, 10_000)
-        got = sum_pl_over_ap(f, Dyadic(a0, -8), Dyadic(s, -8), count)
+        got = RunSums(f, [(Dyadic(a0, -8), Dyadic(s, -8), count)]).at(ZERO)
         mmax = max(ms)
         acc = 0  # value * 2^mmax, at coordinate scale 2^-8
         for k in range(count):

@@ -559,12 +559,12 @@ def test_a_run_that_asserts_no_claim_is_incomplete(capsys, argv):
 def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch):
     """The decade sums are certified once for all of [4,5] off the jmax
     decade tables, so neither the tables built nor their `at` reads grow
-    with --samples, and the checked kernel `sum_pl_over_runs` is never called."""
-    built, reads, one_shot = [], [], []
-    init, at = lattice.RunSums.__init__, lattice.RunSums.at
+    with --samples, and the tables' checked path is never taken."""
+    built, reads, checked = [], [], []
+    init, at, slow = lattice.RunSums.__init__, lattice.RunSums.at, lattice.RunSums._checked
     monkeypatch.setattr(lattice.RunSums, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     monkeypatch.setattr(lattice.RunSums, "at", lambda self, x: reads.append(x) or at(self, x))
-    monkeypatch.setattr(lattice, "sum_pl_over_runs", lambda *a: one_shot.append(a))
+    monkeypatch.setattr(lattice.RunSums, "_checked", lambda self, *a: checked.append(a) or slow(self, *a))
     counts = []
     for samples in ("5", "100"):
         built.clear()
@@ -572,40 +572,56 @@ def test_converge_sums_each_decade_once_whatever_the_samples(capsys, monkeypatch
         code, _, _ = run(capsys, "verify", "thm33", "--suite", "converge", "--jmax", "8", "--samples", samples)
         assert code == EXIT_PASS
         counts.append((len(built), len(reads)))
-    assert counts[0] == counts[1] and counts[0][0] == 8 and counts[0][1] > 0 and one_shot == []
+    assert counts[0] == counts[1] and counts[0][0] == 8 and counts[0][1] > 0 and checked == []
+
+
+_FEW_MANY_SAMPLES = (["--samples", "5"], ["--samples", "40"])
 
 
 @pytest.mark.parametrize(
-    "argv, tables",
+    "argv, few_many, tables",
     [
-        (["thm33", "--suite", "diverge", "--jmax", "8"], 8),
-        (["thm33", "--suite", "probe", "--jmax", "8"], 8),
-        (["thm31", "--suite", "lower", "--jmax", "16"], 16),
-        (["thm31", "--suite", "outside", "--jmax", "16"], 16),
-        (["thm31", "--suite", "tail", "--jmax", "16"], 32),
+        (["verify", "thm33", "--suite", "diverge", "--jmax", "8"], _FEW_MANY_SAMPLES, 8),
+        (["verify", "thm33", "--suite", "probe", "--jmax", "8"], _FEW_MANY_SAMPLES, 8),
+        (["verify", "thm31", "--suite", "lower", "--jmax", "16"], _FEW_MANY_SAMPLES, 16),
+        (["verify", "thm31", "--suite", "outside", "--jmax", "16"], _FEW_MANY_SAMPLES, 16),
+        (["verify", "thm31", "--suite", "tail", "--jmax", "16"], _FEW_MANY_SAMPLES, 32),
+        # one table per item, and one per (j0, j) pair: 7*15 asserted, 1 informational
+        (["verify", "thm31", "--suite", "cross", "--jmax", "16"], _FEW_MANY_SAMPLES, 16 + 106),
+        # one per item, and per tent one over Λ's windows and one over their shared points
+        (
+            ["eval", "thm31", "--jmaxes", "16"],
+            (["--xs", "0", "-3*2^-2"], ["--xs", "0", "-3*2^-2", "1", "5*2^-3", "-16", "3*2^-48", "1*2^4", "-7*2^-1"]),
+            48,
+        ),
     ],
-    ids=["diverge", "probe", "lower", "outside", "tail"],
+    ids=["diverge", "probe", "lower", "outside", "tail", "cross", "eval-thm31"],
 )
-def test_each_run_table_is_built_once_whatever_the_samples(capsys, monkeypatch, argv, tables):
+def test_each_run_table_is_built_once_whatever_the_samples(capsys, monkeypatch, argv, few_many, tables):
     """One `RunSums` table per thm33 decade or thm31 item is built per op,
-    and for tail one more per tent over the coarse runs; every sum the
-    suite asks for is read off those tables on their fast path: more
-    samples mean more `at` calls, not more tables, and no call of the
-    checked kernel `sum_pl_over_runs` at all."""
-    built, reads, one_shot = [], [], []
-    init, at = lattice.RunSums.__init__, lattice.RunSums.at
+    and for tail one more per tent over the coarse runs, for cross one per
+    pair of a tent and a fine window, and for `eval thm31` two per tent.
+    Every sum the run asks for is read off those tables on their fast
+    path: more samples or xs mean more `at` calls (cross reads no sample,
+    so as many), not more tables, and no call of the tables' checked path
+    at all."""
+    built, reads, checked = [], [], []
+    init, at, slow = lattice.RunSums.__init__, lattice.RunSums.at, lattice.RunSums._checked
     monkeypatch.setattr(lattice.RunSums, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     monkeypatch.setattr(lattice.RunSums, "at", lambda self, x: reads.append(x) or at(self, x))
-    monkeypatch.setattr(lattice, "sum_pl_over_runs", lambda *a: one_shot.append(a))
+    monkeypatch.setattr(lattice.RunSums, "_checked", lambda self, *a: checked.append(a) or slow(self, *a))
     counts = []
-    for samples in ("5", "40"):
+    for extra in few_many:
         built.clear()
         reads.clear()
-        code, _, _ = run(capsys, "verify", *argv, "--samples", samples)
+        code, _, _ = run(capsys, *argv, *extra)
         assert code == EXIT_PASS
         counts.append((len(built), len(reads)))
     assert counts[0][0] == counts[1][0] == tables
-    assert 0 < counts[0][1] < counts[1][1] and one_shot == []
+    if "cross" in argv:
+        assert 0 < counts[0][1] == counts[1][1] and checked == []
+    else:
+        assert 0 < counts[0][1] < counts[1][1] and checked == []
 
 
 def test_python_dash_m_runs_the_cli():
@@ -884,7 +900,7 @@ _HAT = PiecewiseLinear([(-ONE, ZERO), (ZERO, ONE), (ONE, ZERO)])
         # the origin 2^80 needs 88 bits on the grid 2^-7 of (1,0)'s wide total
         ("gap-block table", lambda: lattice.GapBlockSeq(Dyadic(1, 80), _U11.blocks)),
         # the run 2^2000, 2^2000 + 1 needs 2001 bits on its own grid
-        ("aligned run", lambda: lattice.sum_pl_over_ap(_HAT, Dyadic(1, 2000), ONE, 2)),
+        ("aligned run", lambda: lattice.RunSums(_HAT, [(Dyadic(1, 2000), ONE, 2)]).at(ZERO)),
         # x = 1 and E^3 = 2^-12 fit on the grid 2^-12, the far origin 2^60 (v0) does not
         ("covering witness at (1,0)", lambda: uv.covering_witness(ONE, step_at(_FAR_ORIGIN_U11, uv.IndexJK(1, 0)))),
         # 2^20 beside 2^-60 needs 21 + 48 + 61 bits on the grid 2^-108

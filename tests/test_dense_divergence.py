@@ -30,7 +30,7 @@ from dyadlab.dense_divergence import (
     tent,
     tripled,
 )
-from dyadlab.lattice import sum_pl_over_ap
+from dyadlab.lattice import RunSums
 from dyadlab.universal import OutOfInterval
 from oracles import ap_index_range, build_thm31_dyadic, count_ap_in_interval, lambda2_hits_by_difference, lambda2_total_check_bisect, lattice_run, pl_eval
 
@@ -253,7 +253,7 @@ class TestFGSum:
         js = selected_js(cons12, g)
 
         def family_sum(x, windows):
-            terms = (sum_pl_over_ap(cons12.item(j).tent, x + w.start, w.step, w.count) for w in windows for j in js)
+            terms = (RunSums(cons12.item(j).tent, [w]).at(x) for w in windows for j in js)
             return sum(terms, ZERO)
 
         lam1 = [it.lam1 for it in cons12.items]

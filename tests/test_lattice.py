@@ -19,11 +19,20 @@ from dyadlab.lattice import (
     RunSums,
     count_ap_in_periodic,
     floor_sum,
-    sum_pl_over_ap,
-    sum_pl_over_runs,
 )
 from dyadlab.universal import IndexJK, build_universal, indices_through
-from oracles import comb_contains, components, count_ap_in_interval, count_ap_in_periodic_dyadic, cum_values_dyadic, iter_points, pl_eval, sum_pl_over_ap_dyadic
+from oracles import (
+    comb_contains,
+    components,
+    count_ap_in_interval,
+    count_ap_in_periodic_dyadic,
+    cum_values_dyadic,
+    iter_points,
+    pl_eval,
+    sum_pl_over_ap,
+    sum_pl_over_ap_dyadic,
+    sum_pl_over_runs,
+)
 
 
 def dy(s: str) -> Dyadic:
@@ -536,6 +545,11 @@ def test_comb_count_forms_no_dyadic(series_calls, monkeypatch):
     assert -Dyadic(3) == Dyadic(-3) and built == ["__init__", "_raw", "__init__"]
 
 
+def run_sum(f: PiecewiseLinear, start: Dyadic, step: Dyadic, count: int) -> Dyadic:
+    """The sum of f over the one run (start, step, count), read at 0 off its table."""
+    return RunSums(f, [(start, step, count)]).at(ZERO)
+
+
 class TestSumPlOverAp:
     def ramp(self) -> PiecewiseLinear:
         return PiecewiseLinear(
@@ -548,14 +562,14 @@ class TestSumPlOverAp:
         )
 
     def test_ramp_fixture(self):
-        got = sum_pl_over_ap(self.ramp(), dy("9.8125"), Dyadic(1, -4), 3)
+        got = run_sum(self.ramp(), dy("9.8125"), Dyadic(1, -4), 3)
         assert got == Dyadic(6, -6)
 
     def test_zero_and_singleton(self):
         f = self.ramp()
-        assert sum_pl_over_ap(f, Dyadic(100), Dyadic(1), 50) == ZERO
-        assert sum_pl_over_ap(f, dy("10.5"), Dyadic(1), 1) == pl_eval(f, dy("10.5"))
-        assert sum_pl_over_ap(f, dy("10.5"), Dyadic(1), 0) == ZERO
+        assert run_sum(f, Dyadic(100), Dyadic(1), 50) == ZERO
+        assert run_sum(f, dy("10.5"), Dyadic(1), 1) == pl_eval(f, dy("10.5"))
+        assert run_sum(f, dy("10.5"), Dyadic(1), 0) == ZERO
 
     def test_randomized_term_by_term_oracle(self):
         rng = random.Random(31337)
@@ -572,7 +586,7 @@ class TestSumPlOverAp:
             start = Dyadic(rng.randint(-300, 300), -4)
             step = Dyadic(1, rng.randint(-4, 1))
             count = rng.randint(0, 500)
-            got = sum_pl_over_ap(f, start, step, count)
+            got = run_sum(f, start, step, count)
             expect = ZERO
             for k in range(count):
                 expect = expect + pl_eval(f, start + step * k)
@@ -589,18 +603,18 @@ class TestSumPlOverAp:
             ]
         )
         lo, hi = 8000, 8308
-        got = sum_pl_over_runs(f, seq.segments_in_range(lo, hi), ZERO)
+        got = RunSums(f, seq.segments_in_range(lo, hi)).at(ZERO)
         expect = ZERO
         for n in range(lo, hi + 1):
             expect = expect + pl_eval(f, seq.value_at(n))
         assert got == expect
         # the origin's one-point run is summed like any other
-        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200), ZERO) == sum(
+        assert RunSums(f, seq.segments_in_range(0, 200)).at(ZERO) == sum(
             (pl_eval(f, seq.value_at(n)) for n in range(201)), ZERO
         )
         shift = Dyadic(65, -2)  # carries the origin onto the peak of f
         assert pl_eval(f, shift + seq.origin) == Dyadic(1, -2)
-        assert sum_pl_over_runs(f, seq.segments_in_range(0, 200), shift=shift) == sum(
+        assert RunSums(f, seq.segments_in_range(0, 200)).at(shift) == sum(
             (pl_eval(f, shift + seq.value_at(n)) for n in range(201)), ZERO
         )
 
@@ -675,7 +689,7 @@ def test_pruned_sum_pointwise_oracle(data):
     f = data.draw(pl_functions())
     start, step, count = data.draw(progressions(f))
     expect = sum((pl_eval(f, start + step * k) for k in range(count)), ZERO)
-    got = sum_pl_over_ap(f, start, step, count)
+    got = run_sum(f, start, step, count)
     assert got == expect
     assert got == sum_pl_over_ap_dyadic(f, start, step, count)
 
@@ -693,7 +707,7 @@ def test_pruned_sum_edge_cases():
     ]
     for start, step, count in cases:
         expect = sum((pl_eval(f, start + step * k) for k in range(count)), ZERO)
-        assert sum_pl_over_ap(f, start, step, count) == expect, (start, step, count)
+        assert run_sum(f, start, step, count) == expect, (start, step, count)
 
 
 def test_a_piece_of_width_three_divides_last():
@@ -702,7 +716,7 @@ def test_a_piece_of_width_three_divides_last():
     0 + 1/3 + 2/3 = 1, which both return exactly."""
     f = PiecewiseLinear([(ZERO, ZERO), (Dyadic(3), ONE), (Dyadic(4), ZERO)])
     messages = []
-    for kernel in (sum_pl_over_ap, sum_pl_over_ap_dyadic):
+    for kernel in (run_sum, sum_pl_over_ap_dyadic):
         with pytest.raises(NotExact) as exc:
             kernel(f, ONE, ONE, 1)
         messages.append(str(exc.value))
@@ -735,12 +749,12 @@ def test_a_run_aligned_past_the_span_guard_is_refused():
     for f, run, expect in cases:
         old = set_span_guard(64)
         try:
-            for kernel in (sum_pl_over_ap, sum_pl_over_ap_dyadic):
+            for kernel in (run_sum, sum_pl_over_ap_dyadic):
                 with pytest.raises(GuardExceeded):
                     kernel(f, *run)
         finally:
             set_span_guard(old)
-        assert sum_pl_over_ap(f, *run) == sum_pl_over_ap_dyadic(f, *run) == expect
+        assert run_sum(f, *run) == sum_pl_over_ap_dyadic(f, *run) == expect
 
 
 def test_segment_inside_one_piece_tests_one_piece():
@@ -756,7 +770,7 @@ def test_segment_inside_one_piece_tests_one_piece():
             return tuple.__getitem__(self, i)
 
     object.__setattr__(f, "v_ints", Reads(f.v_ints))
-    got = sum_pl_over_ap(f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
+    got = run_sum(f, Dyadic(30) + Dyadic(1, -4), Dyadic(1, -8), 200)
     assert got == Dyadic(200, -16)
     assert 0 < len(reads) <= 2 * 2
 
@@ -823,10 +837,10 @@ def test_wide_grid_sum_matches_the_dyadic_kernel(case, guard):
     forms on a narrow grid, and the integer one refuses a run too wide on
     its own grid before finding that it misses f."""
     want = _outcome(sum_pl_over_ap_dyadic, *case)
-    assert _outcome(sum_pl_over_ap, *case) == want
+    assert _outcome(run_sum, *case) == want
     old = set_span_guard(guard)
     try:
-        got = _outcome(sum_pl_over_ap, *case)
+        got = _outcome(run_sum, *case)
     finally:
         set_span_guard(old)
     if got != want:
@@ -877,11 +891,18 @@ def table_cases(draw):
     return f, runs, shifts
 
 
-@given(table_cases(), st.sampled_from([64, 128, 1024, 4100, 4200, 1 << 20]))
+def _in_order(shifts: list, order: list[int]) -> list:
+    """The shifts in a drawn order: `order` is a permutation of range(9), at
+    least as long as `shifts`."""
+    return [shifts[i] for i in order if i < len(shifts)]
+
+
+@given(table_cases(), st.sampled_from([64, 128, 1024, 4100, 4200, 1 << 20]), st.permutations(range(9)))
 @settings(max_examples=300, deadline=None)
 @example(
     (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(3, -1), Dyadic(1, -3), 9)], [Dyadic(1, -(10**6))] * 4),
     64,
+    list(range(9)),
 )
 @example(
     (
@@ -890,24 +911,27 @@ def table_cases(draw):
         [ZERO, Dyadic(1, 24), Dyadic(1, 25), Dyadic(1, 30)],
     ),
     128,
+    list(range(9)),
 )
-def test_run_table_matches_the_kernel_on_the_exact_start(case, guard):
-    """At every shift, one table of f over the runs gives the one-run
+def test_run_table_matches_the_kernel_on_the_exact_start(case, guard, order):
+    """At every shift, one table of f over the runs, read at the shifts in
+    a drawn order, and a table built for that shift give the one-run
     kernel's outcome on the exact start x + first, summed over the runs:
     the same value, NotExact or GuardExceeded message, whether the table is
-    lifted, on its fast path or past the guard.  A shift far below every
-    grid (2^-10^6) is refused in the kernel's shape before it is formed;
-    once a table fits the guard, a shift 2^24, 2^25 or 2^30, 127 to 133
-    bits on its grid 2^-102, is summed, is summed or is refused."""
+    on its fast path or past the guard.  A shift far below every grid
+    (2^-10^6) is refused in the kernel's shape before it is formed; once a
+    table fits the guard, a shift 2^24, 2^25 or 2^30, 127 to 133 bits on
+    its grid 2^-102, is summed, is summed or is refused."""
     f, runs, shifts = case
     table = RunSums(f, runs)
     old = set_span_guard(guard)
     try:
-        for x in shifts:
+        for x in _in_order(shifts, order):
             want = _table_outcome_wanted(f, runs, x)
             got = _outcome(table.at, x)
             assert (Fraction(got.m) * Fraction(2) ** got.e if isinstance(got, Dyadic) else got) == want, (x, got, want)
             assert _outcome(sum_pl_over_runs, f, runs, x) == got
+            assert _outcome(RunSums(f, runs).at, x) == got
     finally:
         set_span_guard(old)
 
@@ -946,29 +970,32 @@ def reach_cases(draw):
     return f, runs, [lo, hi, lo + fine, hi - fine, lo - fine, hi + fine, spot, spot + fine, hi + gap]
 
 
-@given(reach_cases(), st.sampled_from([64, 128, 1 << 20]))
+@given(reach_cases(), st.sampled_from([64, 128, 1 << 20]), st.permutations(range(9)))
 @settings(max_examples=300, deadline=None)
 @example(
     # slope 1/3: the one point the run puts on the ramp has a value that is not dyadic
     (PiecewiseLinear([(ZERO, ZERO), (Dyadic(3), ONE), (Dyadic(6), ZERO)]), [(Dyadic(-100), Dyadic(1, 10), 3)], [Dyadic(101)]),
     1 << 20,
+    list(range(9)),
 )
 @example(
     # a gap of 2^11 across a support 2 wide: the point at 1/2 meets the ramp
     (PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)]), [(Dyadic(-100), Dyadic(1, 11), 3)], [dy("100.5"), Dyadic(100), Dyadic(102)]),
     64,
+    list(range(9)),
 )
-def test_run_table_prunes_as_the_kernel_sums(case, guard):
-    """At every shift, a table built once and a table built for that shift
-    give `sum_pl_over_runs`'s outcome: the same value when a run meets f,
-    misses it, or stops exactly at a reach bound; the same NotExact text for
-    a non-dyadic sum; and, where the guard is too tight for the table, the
+def test_run_table_prunes_as_the_kernel_sums(case, guard, order):
+    """At every shift, a table built once and read at the shifts in a
+    drawn order, and a table built for that shift, give
+    `sum_pl_over_runs`'s outcome: the same value when a run meets f, misses
+    it, or stops exactly at a reach bound; the same NotExact text for a
+    non-dyadic sum; and, where the guard is too tight for the table, the
     kernel's own refusal."""
     f, runs, shifts = case
     table = RunSums(f, runs)
     old = set_span_guard(guard)
     try:
-        for x in shifts:
+        for x in _in_order(shifts, order):
             want = _outcome(sum_pl_over_runs, f, runs, x)
             assert _outcome(table.at, x) == want, x
             assert _outcome(RunSums(f, runs).at, x) == want, x
@@ -1010,6 +1037,25 @@ def test_a_sparse_run_whose_point_misses_the_support_is_not_summed(monkeypatch):
     x = Dyadic(1, -65540)
     assert [table.at(x) for table in cons.tail_tables] == [ZERO] * 9 + [Dyadic(1, -j) for j in range(10, 17)]
     assert len(calls) == 7
+
+
+def test_a_read_changes_no_later_read(monkeypatch):
+    """thm31's jmax-16 tail tables read at 0 and then at 20 sampled 48-bit
+    shifts sum no more pieces at those shifts than fresh tables read at
+    them alone, and give the same values: a read on the runs' own grid
+    lays out nothing that a later, finer read uses."""
+    calls, pieces = [], lattice._pieces
+    monkeypatch.setattr(lattice, "_pieces", lambda *a: calls.append(a) or pieces(*a))
+    read_first = build_thm31(16).tail_tables
+    assert [table.at(ZERO) for table in read_first][-1] == Dyadic(1, -16)
+    rng = random.Random(3116)
+    xs = [Dyadic(rng.getrandbits(53) - (1 << 52), -48) for _ in range(20)]
+    values, counts = [], []
+    for tables in (read_first, [RunSums(table.f, table.runs) for table in read_first]):
+        calls.clear()
+        values.append([table.at(x) for x in xs for table in tables])
+        counts.append(len(calls))
+    assert values[0] == values[1] and counts[0] <= counts[1]
 
 
 def test_a_far_shift_is_refused_before_it_is_aligned():
@@ -1174,9 +1220,9 @@ def test_every_run_kernel_refuses_a_step_not_a_power_of_two(step):
     the universal gaps, refuses only a step that is not positive."""
     f = PiecewiseLinear([(ZERO, ZERO), (ONE, ONE), (Dyadic(2), ZERO)])
     calls = [
-        lambda: sum_pl_over_ap(f, ZERO, step, 3),
+        lambda: RunSums(f, [(ZERO, step, 3)]).at(ZERO),
         lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).constant_on(ZERO, ONE),
-        lambda: sum_pl_over_runs(f, [(ONE, ONE, 2), (ZERO, step, 3)], Dyadic(1, -3)),
+        lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]),
         lambda: RunSums(f, [(ONE, ONE, 2), (ZERO, step, 3)]).at(Dyadic(1, -3)),
         lambda: _floor_steps(ONE, step),
     ]
@@ -1215,7 +1261,7 @@ def test_constant_on_refuses_shift_dependent_runs():
         assert RunSums(it.tent, [it.lam1]).constant_on(it.interval.lo, it.interval.hi) is None, it.j
     one = cons.item(1)
     assert one.interval.lo == Dyadic(-1)
-    lower = [sum_pl_over_ap(one.tent, x + one.lam1.start, one.lam1.step, one.lam1.count) for x in (dy("-1"), dy("-15*2^-4"))]
+    lower = [one.lam1_sums.at(x) for x in (dy("-1"), dy("-15*2^-4"))]
     assert lower == [dy("3*2^-1"), ONE]
 
 

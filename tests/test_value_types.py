@@ -114,16 +114,15 @@ def test_thm33_construction_copies_with_its_runs(how):
 
 
 @pytest.mark.parametrize("how", COPIES)
-@pytest.mark.parametrize("lifted", [False, True])
-def test_constructions_copy_with_their_run_tables(how, lifted):
+@pytest.mark.parametrize("read", [False, True])
+def test_constructions_copy_with_their_run_tables(how, read):
     """thm33's decade tables and thm31's fine-window tables come back from
     copy, deepcopy and pickle with the same f, runs and sums, before and
-    after a shift on a finer grid has lifted them; they are left out of
-    `==`."""
+    after a read has laid them out; they are left out of `==`."""
     x = Dyadic(3, -50)
     cons, cons31 = build_thm33(3), build_thm31(4)
     tables = list(cons.tables) + [it.lam1_sums for it in cons31.items]
-    if lifted:
+    if read:
         for t in tables:
             t.at(x)
     again, again31 = COPIES[how](cons), COPIES[how](cons31)
