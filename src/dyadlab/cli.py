@@ -375,7 +375,7 @@ def _universal_series(args, rng) -> list[WitnessReport]:
     seq = _universal_seq(args)
     runs = seq.segments_in_range(0, seq.cum_counts[2 * limit.position() - 1])
     reports = []
-    for jk, _ in uG:
+    for jk in uG:
         lo, hi = jk.aI, jk.bI
         for s in range(args.samples):
             x = _sample_in(rng, lo, hi)

@@ -2,9 +2,10 @@
 
 A sequence prefix with 10^hundreds of points is stored as an origin plus a
 short list of (gap, count) blocks; every query below works on that closed form.
-Counting points of an arithmetic progression inside a periodic family of
-intervals runs in O(log) big-integer steps via a Euclidean floor-sum recursion,
-never by iterating periods.
+Counting points of an arithmetic progression inside the comb of scale s (2^s
+closed intervals of width 2^-3s, spaced 2^-2s apart from 2^s) runs in O(log)
+big-integer steps via a Euclidean floor-sum recursion, never by iterating
+periods.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable
 
-from .exactnum import Dyadic, NotExact, PiecewiseLinear, ONE, ZERO, grid_error, span_guard
+from .exactnum import Dyadic, NotExact, PiecewiseLinear, ONE, grid_error, span_guard
 
 
 class GapBlock(namedtuple("GapBlock", "gap count tag")):
@@ -189,24 +190,6 @@ def _cum_table(origin: Dyadic, totals: list[tuple[int, int]]) -> tuple[list[int]
     return ints, g
 
 
-@dataclass(frozen=True)
-class PeriodicIntervalSet:
-    """{[base + i*period, base + i*period + width] : 0 <= i < count}, closed."""
-
-    base: Dyadic
-    period: Dyadic
-    width: Dyadic
-    count: int
-
-    def __post_init__(self):
-        if not self.period > ZERO:
-            raise ValueError("period must be positive")
-        if self.width < ZERO or not self.width < self.period:
-            raise ValueError("need 0 <= width < period")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-
-
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
     """Sum of floor((a + b*i)/m) for i in [0, n); m > 0, a and b arbitrary.
 
@@ -240,50 +223,40 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
         sign = -sign
 
 
-def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, ps: PeriodicIntervalSet) -> int:
-    """#{k in [0, count) : start + k*step in ps}, via the floor-sum recursion.
+def count_ap_in_periodic(start: Dyadic, step: Dyadic, count: int, s: int) -> int:
+    """#{k in [0, count) : start + k*step in the comb of scale s}, via the
+    floor-sum recursion.  The comb of scale s >= 1 is the 2^s closed
+    intervals [2^s + i*2^-2s, 2^s + i*2^-2s + 2^-3s], 0 <= i < 2^s.
 
-    The work is done in plain ints on one grid 2^g, g the least exponent
-    among the nonzero values of start, step and the comb's base, period and
-    width.  Before any of them is shifted onto that grid, the span guard is
-    checked once against the widest of start, step, base, width and
-    period*count there, plus one bit for the carry of the clip end
-    base + period*count: GuardExceeded if that does not fit.  Points at or
-    beyond the clip end can alias into the residue window without any
-    component existing there, so only the k with base <= start + k*step <
-    base + period*count are counted: two ceiling divisions relative to the
-    start, clipped to [0, count), and 0 at once if none is left.  The rest
-    is two floor_sum calls.
+    The work is done in plain ints on one grid 2^g, g the least of step.e,
+    -3s and start.e (if start is nonzero).  Before start and step are shifted
+    onto that grid, the span guard is checked once against the widest of
+    start, step and the comb's base 2^s there, plus one bit for the carry of
+    the clip end 2^s + 2^-s: GuardExceeded if that does not fit.  Points at
+    or beyond the clip end can alias into the residue window without any
+    component existing there, so only the k with 2^s <= start + k*step <
+    2^s + 2^-s are counted: two ceiling divisions relative to the start,
+    clipped to [0, count), and 0 at once if none is left.  The rest is two
+    floor_sum calls.
     """
     if step.m <= 0:
         raise ValueError("step must be positive")
-    base, period, width = ps.base, ps.period, ps.width
-    sm, se, dm, de, bm, be, wm, we = start.m, start.e, step.m, step.e, base.m, base.e, width.m, width.e
-    span = period.m * ps.count
-    # a zero value stands in as the step, so it moves neither g nor the widest
+    sm, se, dm, de = start.m, start.e, step.m, step.e
+    # a zero start stands in as the step, so it moves neither g nor the widest
     top = dm.bit_length() + de
-    g = min(de, period.e, se if sm else de, be if bm else de, we if wm else de)
-    bits = max(
-        top,
-        span.bit_length() + period.e,
-        sm.bit_length() + se if sm else top,
-        bm.bit_length() + be if bm else top,
-        wm.bit_length() + we if wm else top,
-    ) - g + 1
+    g = min(de, -3 * s, se if sm else de)
+    bits = max(top, s + 1, sm.bit_length() + se if sm else top) - g + 1
     if bits > span_guard():
         raise grid_error("comb count", bits, g)
-    S = sm << se - g if sm else 0
-    B = bm << be - g if bm else 0
-    D = dm << de - g
-    # k_lo = ceil((B - S)/D) and k_hi = ceil((B + P*count - S)/D) - 1, clipped to [0, count)
+    S, D, B = sm << se - g if sm else 0, dm << de - g, 1 << s - g
+    # k_lo = ceil((B - S)/D) and k_hi = ceil((B + 2^-s - S)/D) - 1, clipped to [0, count)
     r = B - S - 1
     k_lo = r // D + 1 if r >= 0 else 0
-    k_hi = min(count - 1, (r + (span << period.e - g)) // D)
+    k_hi = min(count - 1, (r + (1 << -s - g)) // D)
     if k_hi < k_lo:
         return 0
     n, a0 = k_hi - k_lo + 1, S + D * k_lo - B
-    P = period.m << period.e - g
-    W = wm << we - g if wm else 0
+    P, W = 1 << -2 * s - g, 1 << -3 * s - g
     # residue in [0, W]  <=>  floor(a/P) - floor((a - W - 1)/P) == 1
     return floor_sum(n, P, a0, D) - floor_sum(n, P, a0 - W - 1, D)
 

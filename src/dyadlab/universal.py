@@ -25,7 +25,7 @@ from .exactnum import (
     scaled_ints,
     span_guard,
 )
-from .lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, count_ap_in_periodic, floor_sum
+from .lattice import GapBlock, GapBlockSeq, count_ap_in_periodic, floor_sum
 from .report import BudgetExceeded, OutOfInterval, Violation, WitnessReport
 
 # Work `escape_measure` may do per index: enumerated residue-families, runs
@@ -65,8 +65,9 @@ class IndexJK:
         """The exponent s with a = 2^s and E = 2^-s at this index."""
         return 2 * self.j * 2**self.j + self.k
 
-    # The step's geometry in closed form: the window [aI, bI], the scales a = 2^s
-    # and E = 2^-s, and the comb of 2^s closed intervals of width E^3 spaced E^2 from a.
+    # The step's geometry in closed form: the window [aI, bI] and the scales a = 2^s
+    # and E = 2^-s.  Its comb, 2^s closed intervals of width E^3 spaced E^2 from a,
+    # is read off s alone (`lattice.count_ap_in_periodic`).
 
     @property
     def J(self) -> int:
@@ -92,11 +93,6 @@ class IndexJK:
     @property
     def E(self) -> Dyadic:
         return Dyadic(1, -self.scale_exp())
-
-    @property
-    def comb(self) -> PeriodicIntervalSet:
-        s = self.scale_exp()
-        return PeriodicIntervalSet(Dyadic(1, s), Dyadic(1, -2 * s), Dyadic(1, -3 * s), 1 << s)
 
     def __str__(self) -> str:
         return f"({self.j},{self.k})"
@@ -284,26 +280,21 @@ def covering_witness(x: Dyadic, step: Step) -> CoverWitness:
     return CoverWitness(nx, nx + comp, comp)
 
 
-def build_uG(G: IntervalUnion, limit: IndexJK) -> list[tuple[IndexJK, PeriodicIntervalSet]]:
-    """Comb sets for exactly the indices up to `limit` whose window sits in G.
+def build_uG(G: IntervalUnion, limit: IndexJK) -> list[IndexJK]:
+    """The indices up to `limit` whose window sits in G; u_G is the union of
+    their combs.
 
     The window is closed and G is an open union, so both endpoints must be
     interior to a single part of G.
     """
-    out = []
-    for i in indices_through(limit):
-        if G.contains_interval(i.window):
-            out.append((i, i.comb))
-    return out
+    return [i for i in indices_through(limit) if G.contains_interval(i.window)]
 
 
-def fG_prefix_sums(
-    x: Dyadic, uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], runs: Sequence[tuple[Dyadic, Dyadic, int]]
-) -> list[int]:
-    """Running counts #{n in prefix : x + value_at(n) lands in some comb of uG}
-    over the prefix's runs (first, gap, count), as `GapBlockSeq.segments_in_range`
-    lists them; the runs do not depend on x, so a caller reads them once for
-    every sample.
+def fG_prefix_sums(x: Dyadic, uG: Sequence[IndexJK], runs: Sequence[tuple[Dyadic, Dyadic, int]]) -> list[int]:
+    """Running counts #{n in prefix : x + value_at(n) lands in the comb of
+    some index of uG} over the prefix's runs (first, gap, count), as
+    `GapBlockSeq.segments_in_range` lists them; the runs do not depend on x,
+    so a caller reads them once for every sample.
 
     Entry r counts the points of the first r + 1 runs.  Over the runs of the
     indices [0, n] of `build_universal(limit)`, run 0 is the origin and run b
@@ -311,8 +302,9 @@ def fG_prefix_sums(
     `build_universal(i)`.  Combs of distinct indices live in disjoint ranges
     [a, a + E], so the per-comb counts add without double counting.
     """
+    scales = [i.scale_exp() for i in uG]
     shifted = ((x + first, gap, count) for first, gap, count in runs)
-    return list(accumulate(sum(count_ap_in_periodic(start, gap, count, ps) for _, ps in uG) for start, gap, count in shifted))
+    return list(accumulate(sum(count_ap_in_periodic(start, gap, count, s) for s in scales) for start, gap, count in shifted))
 
 
 @dataclass(frozen=True)
@@ -338,18 +330,20 @@ class _EscapeGrid:
 
 
 def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
-    ps = i.comb
+    """The comb of scale s runs from a = 2^s over its extent
+    2^-s - 2^-2s + 2^-3s, one `Dyadic`."""
+    s = i.scale_exp()
+    base, period, width = Dyadic(1, s), Dyadic(1, -2 * s), Dyadic(1, -3 * s)
     j = Dyadic(i.j)
-    span = ps.period * (ps.count - 1) + ps.width
-    lam_lo = ps.base - j - ps.width
-    lam_hi = ps.base + span + j
+    lam_lo = base - j - width
+    lam_hi = base + Dyadic((1 << 2 * s) - (1 << s) + 1, -3 * s) + j
     n_start = seq.count_upto(lam_lo)
     if n_start > 0 and seq.value_at(n_start - 1) == lam_lo:
         n_start -= 1
     n_end = seq.count_upto(lam_hi) - 1
     segments = seq.segments_in_range(n_start, n_end)
 
-    scale_inputs = [ps.base, ps.period, ps.width, -j, i.aI, i.bI, j]
+    scale_inputs = [base, period, width, -j, i.aI, i.bI, j]
     for first, gap, _ in segments:
         scale_inputs.extend((first, gap))
     ints, e = scaled_ints(scale_inputs)
@@ -368,7 +362,7 @@ def _escape_grid(i: IndexJK, seq: GapBlockSeq) -> _EscapeGrid:
         base=ints[0],
         period=ints[1],
         width=ints[2],
-        components=ps.count,
+        components=1 << s,
         window=tuple(ints[3:7]),
         segments=[(ints[7 + 2 * n], ints[8 + 2 * n], count) for n, (_, _, count) in enumerate(segments)],
     )
@@ -594,38 +588,38 @@ def borel_cantelli_partial(jmax: int) -> tuple[Dyadic, Dyadic]:
     return partial, tail
 
 
-def smoothing_measure(
-    uG: Sequence[tuple[IndexJK, PeriodicIntervalSet]], seq: GapBlockSeq
-) -> WitnessReport:
-    """Support added per unit window by the continuous envelope of the combs:
-    1 on every comb component, 0 outside symmetric ramps of half-width delta
-    per component edge.
+def smoothing_measure(uG: Sequence[IndexJK], seq: GapBlockSeq) -> WitnessReport:
+    """Support added per unit window by the continuous envelope of the combs
+    of the indices in uG: 1 on every comb component, 0 outside symmetric
+    ramps of half-width delta per component edge.
 
-    A comb with base a (an integer) and C components adds delta to the window
-    [a-1, a] (its first ramp) and delta*(2C-1) to [a, a+1].  Each window
-    [M-1, M] must get strictly less than 2^-M / L_M with L_M the number of
-    points up to 10M; L_M is replaced by its power-of-two upper bound so the
-    comparison stays dyadic (strictly stronger than the original requirement).
-    With c = bitlen(L_{a+1} - 1) and s = bitlen(C - 1), delta = 2^-(a+1+c+s+2)
-    meets both windows and keeps neighbouring ramps apart (2*delta < E^2 - E^3);
-    all three are checked here, and no breakpoint is formed.
+    The comb of scale s, with base a = 2^s and C = 2^s components, adds
+    delta to the window [a-1, a] (its first ramp) and delta*(2C-1) to
+    [a, a+1].  Each window [M-1, M] must get strictly less than 2^-M / L_M
+    with L_M the number of points up to 10M; L_M is replaced by its
+    power-of-two upper bound so the comparison stays dyadic (strictly
+    stronger than the original requirement).  With c = bitlen(L_{a+1} - 1),
+    delta = 2^-(a+1+c+s+2) meets both windows and keeps neighbouring ramps
+    apart (2*delta < E^2 - E^3); all three are checked here, and no
+    breakpoint is formed.
     """
     added: dict[int, Dyadic] = {}
     bound: dict[int, Dyadic] = {}
     rows = []
     ramps_apart = True
-    for i, ps in uG:
-        a = ps.base.as_integer()
+    for i in uG:
+        s = i.scale_exp()
+        a = C = 1 << s
         if seq.last_value < Dyadic(10 * (a + 1)):
             raise IndexError(f"prefix too short to count points up to {10 * (a + 1)}")
         counts = {m: seq.count_upto(Dyadic(10 * m)) for m in (a, a + 1)}
         for m, lm in counts.items():
             bound[m] = Dyadic(1, -(m + (lm - 1).bit_length()))
         c = (counts[a + 1] - 1).bit_length()
-        delta = Dyadic(1, -(a + 1 + c + (ps.count - 1).bit_length() + 2))
-        ramps_apart = ramps_apart and delta + delta < ps.period - ps.width
+        delta = Dyadic(1, -(a + 1 + c + s + 2))
+        ramps_apart = ramps_apart and delta + delta < Dyadic(C - 1, -3 * s)
         added[a] = added.get(a, ZERO) + delta
-        added[a + 1] = added.get(a + 1, ZERO) + delta * (2 * ps.count - 1)
+        added[a + 1] = added.get(a + 1, ZERO) + delta * (2 * C - 1)
         rows.append({"index": str(i), "delta": str(delta), "points_upto_10N": str(counts[a + 1])})
 
     ms = sorted(added)

@@ -7,12 +7,14 @@ oracle sizes; the library never enumerates.
 import json
 import re
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Iterable, Iterator
 
 from dyadlab.dense_divergence import LAMBDA2_MIN_J, APWindow, Thm31Construction, Thm31Item, _floor_steps, enum_intervals, tripled
 from dyadlab.exactnum import ONE, ZERO, Dyadic, DyInterval, NotExact, PiecewiseLinear, grid_error, scaled_ints, span_guard
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet, RunSums, _pieces, floor_sum, step_exponent
+from dyadlab.lattice import GapBlock, GapBlockSeq, RunSums, _pieces, floor_sum, step_exponent
 from dyadlab.report import OutOfInterval, Violation, WitnessReport
 from dyadlab.universal import CoverWitness, IndexJK, Step, step_walk, steps_before
 
@@ -116,10 +118,10 @@ def build_universal_dyadic(limit: IndexJK) -> GapBlockSeq:
     blocks: list[GapBlock] = []
     lam = origin
     for i in steps_before(limit):
-        comb = i.comb
-        E2 = comb.period
+        ps = comb(i)
+        E2 = ps.period
         wide_count = (1 << (i.scale_exp() * 2 - i.j)) + (1 << (i.scale_exp() + 1))
-        wide_gap = E2 - comb.width
+        wide_gap = E2 - ps.width
         blocks.append(GapBlock(wide_gap, wide_count, f"{i.j},{i.k}:wide"))
         lam = lam + wide_gap * wide_count
         nxt = i.successor()
@@ -159,6 +161,38 @@ def sample_in_dyadic(rng, lo: Dyadic, hi: Dyadic) -> Dyadic:
     value, or raise GuardExceeded, as it does wherever an operand may pass
     the span guard on the grid of the result, so wherever a sum here does."""
     return lo + (hi - lo) * Dyadic(rng.getrandbits(48), -48)
+
+
+@dataclass(frozen=True)
+class PeriodicIntervalSet:
+    """{[base + i*period, base + i*period + width] : 0 <= i < count}, closed:
+    the oracles' comb.  `dyadlab` forms no comb object; it reads the comb of
+    scale s, `scale_comb(s)`, off s alone."""
+
+    base: Dyadic
+    period: Dyadic
+    width: Dyadic
+    count: int
+
+    def __post_init__(self):
+        if not self.period > ZERO:
+            raise ValueError("period must be positive")
+        if self.width < ZERO or not self.width < self.period:
+            raise ValueError("need 0 <= width < period")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+
+
+@cache
+def scale_comb(s: int) -> PeriodicIntervalSet:
+    """The comb of scale s >= 1: 2^s closed intervals of width 2^-3s, spaced
+    2^-2s apart, from 2^s."""
+    return PeriodicIntervalSet(Dyadic(1, s), Dyadic(1, -2 * s), Dyadic(1, -3 * s), 1 << s)
+
+
+def comb(i: IndexJK) -> PeriodicIntervalSet:
+    """The comb of step i, of scale s = 2j*2^j + k: base a, spacing E^2, width E^3."""
+    return scale_comb(i.scale_exp())
 
 
 def components(ps: PeriodicIntervalSet) -> Iterator[DyInterval]:
@@ -355,8 +389,8 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     window = i.window
     if not window.contains(x):
         raise OutOfInterval(f"{x} outside {window} at {i}")
-    comb = i.comb
-    a, E2, E3 = comb.base, comb.period, comb.width
+    ps = comb(i)
+    a, E2, E3 = ps.base, ps.period, ps.width
     if x + seq.value_at(n0) > a:
         raise Violation(f"start value already past the comb base at {i}, x={x}")
     nx = seq.count_upto(a - x)
@@ -372,18 +406,19 @@ def covering_witness_dyadic(x: Dyadic, i: IndexJK, seq: GapBlockSeq) -> CoverWit
     if not (nx <= n1 and nxp <= n1):
         raise Violation(f"witness indices {nx},{nxp} exceed step end {n1} at {i}")
     landing = x + seq.value_at(nxp)
-    if not (0 <= comp < comb.count and comb_contains(comb, landing)):
+    if not (0 <= comp < ps.count and comb_contains(ps, landing)):
         raise Violation(f"landing {landing} missed component {comp} at {i}")
     return CoverWitness(nx=nx, nxp=nxp, component=comp)
 
 
-def smoothing_envelope(uG: Iterable[tuple[IndexJK, PeriodicIntervalSet]], deltas: Iterable[Dyadic]) -> PiecewiseLinear:
-    """1 on every comb component, 0 beyond a ramp of half-width delta at each
-    component edge: four breakpoints per component, one delta per comb.
-    Ramps that meet make the breakpoints non-increasing and raise ValueError."""
+def smoothing_envelope(uG: Iterable[IndexJK], deltas: Iterable[Dyadic]) -> PiecewiseLinear:
+    """1 on every component of the comb of each index in uG, 0 beyond a ramp
+    of half-width delta at each component edge: four breakpoints per
+    component, one delta per comb.  Ramps that meet make the breakpoints
+    non-increasing and raise ValueError."""
     pts = []
-    for (_, ps), delta in zip(uG, deltas, strict=True):
-        for comp in components(ps):
+    for i, delta in zip(uG, deltas, strict=True):
+        for comp in components(comb(i)):
             pts += [(comp.lo - delta, ZERO), (comp.lo, ONE), (comp.hi, ONE), (comp.hi + delta, ZERO)]
     return PiecewiseLinear(pts)
 

@@ -14,7 +14,6 @@ from dyadlab.exactnum import Dyadic, ZERO, ONE
 from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
-    PeriodicIntervalSet,
     RunSums,
     count_ap_in_periodic,
 )
@@ -23,7 +22,7 @@ from dyadlab import dense_divergence as dd
 from dyadlab import interior_gap as ig
 from dyadlab import universal as uv
 from dyadlab.cli import EXIT_PASS, check_monotone_gaps, main
-from oracles import comb_contains, step_at, step_indices
+from oracles import comb, comb_contains, step_at, step_indices
 
 _T0 = time.monotonic()
 
@@ -86,7 +85,7 @@ def test_criterion_4_covering(seq_3_0):
         for k in range(uv.row_width(j)):
             i = uv.IndexJK(j, k)
             _, n1 = step_indices(seq_3_0, i)
-            ps, step = i.comb, step_at(seq_3_0, i)
+            ps, step = comb(i), step_at(seq_3_0, i)
             for _ in range(1000):
                 x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48)
                 total += 1
@@ -102,7 +101,7 @@ def test_criterion_4_covering(seq_3_0):
     for k in range(4):
         i = uv.IndexJK(1, k)
         n0, n1 = step_indices(seq_3_0, i)
-        a, e3 = i.a, i.comb.width
+        a, e3 = i.a, comb(i).width
         lam = seq_3_0.value_at(n0)
         gap = seq_3_0.blocks[2 * i.position()].gap
         pts = [lam]
@@ -139,24 +138,23 @@ def test_criterion_5_escape(seq_2_0):
 
 
 def _random_periodic_case(rng):
-    e = -10
-    base = rng.randint(-(2**12), 2**12)
-    per = rng.randint(2, 2**11)
-    w = rng.randint(0, per - 1)
-    cnt = rng.randint(1, 50)
-    a0 = rng.randint(-(2**13), 2**13)
-    s = rng.randint(1, 2**9)
+    """The comb of scale sc = 1-3 as ints on the grid 2^-10 (base 2^sc,
+    period 2^-2sc, width 2^-3sc, 2^sc components), a start from one comb
+    extent 2^-sc before its base to two past it, and a step of 1-64 units."""
+    e, sc = -10, rng.randint(1, 3)
+    base, per, w, cnt = 1 << sc - e, 1 << -2 * sc - e, 1 << -3 * sc - e, 1 << sc
+    a0 = base + rng.randint(-(1 << -sc - e), 2 << -sc - e)
+    s = rng.randint(1, 2**6)
     count = int(2 ** (rng.random() * 13.2877))
-    return e, base, per, w, cnt, a0, s, min(count, 10_000)
+    return e, sc, base, per, w, cnt, a0, s, min(count, 10_000)
 
 
 def test_criterion_6_oracle_equivalence():
     rng = random.Random(123456789)
     mismatch = 0
     for _ in range(10_000):
-        e, base, per, w, cnt, a0, s, count = _random_periodic_case(rng)
-        ps = PeriodicIntervalSet(Dyadic(base, e), Dyadic(per, e), Dyadic(w, e), cnt)
-        got = count_ap_in_periodic(Dyadic(a0, e), Dyadic(s, e), count, ps)
+        e, sc, base, per, w, cnt, a0, s, count = _random_periodic_case(rng)
+        got = count_ap_in_periodic(Dyadic(a0, e), Dyadic(s, e), count, sc)
         expect = 0
         for k in range(count):
             d = a0 + k * s - base
@@ -245,7 +243,7 @@ def test_criterion_8_thm33_skeleton():
 
 
 def test_criterion_9_smoothing(seq_2_0):
-    uG = [(uv.IndexJK(1, 0), uv.IndexJK(1, 0).comb)]
+    uG = [uv.IndexJK(1, 0)]
     rep = uv.smoothing_measure(uG, seq_2_0)
     ok = rep.passed
     for row in rep.params["windows"].values():

@@ -15,7 +15,6 @@ from dyadlab.interior_gap import build_thm33
 from dyadlab.lattice import (
     GapBlock,
     GapBlockSeq,
-    PeriodicIntervalSet,
     RunSums,
     count_ap_in_periodic,
     floor_sum,
@@ -29,6 +28,7 @@ from oracles import (
     cum_values_dyadic,
     iter_points,
     pl_eval,
+    scale_comb,
     sum_pl_over_ap,
     sum_pl_over_ap_dyadic,
     sum_pl_over_runs,
@@ -337,90 +337,88 @@ class TestCountApInInterval:
 
 class TestCountApInPeriodic:
     def test_scaled_integer_example(self):
-        ps = PeriodicIntervalSet(ZERO, Dyadic(8), Dyadic(2), 8)
-        # points 0,3,6,...,21: residues mod 8 are 0,3,6,1,4,7,2,5 -> three in [0,2]
-        assert count_ap_in_periodic(ZERO, Dyadic(3), 8, ps) == 3
+        # points 2 + 3k/32: in units of 1/32 the comb of scale 1 repeats every 8
+        # with width 4 and is clipped at 16; offsets 0,3,...,15 have residues
+        # 0,3,6,1,4,7 -> four in [0,4], and 18 and 21 lie past the clip
+        assert count_ap_in_periodic(Dyadic(2), Dyadic(3, -5), 8, 1) == 4
 
     def test_full_cover(self):
-        # width = period - step and start = base: every point lands
-        ps = PeriodicIntervalSet(Dyadic(5), Dyadic(4), Dyadic(3), 7)
-        assert count_ap_in_periodic(Dyadic(5), Dyadic(1), 28, ps) == 28
+        # step = period from the base: every point lands on a component's left
+        # edge, and the clip keeps one per component; step = width: two each
+        for s in (1, 4, 9):
+            assert count_ap_in_periodic(Dyadic(1, s), Dyadic(1, -2 * s), (1 << s) + 5, s) == 1 << s
+            assert count_ap_in_periodic(Dyadic(1, s), Dyadic(1, -3 * s), 1 << 2 * s, s) == 2 << s
 
     def test_universal_block_against_enumeration(self):
         # shifted progression from the universal head against the first target set
-        ps = PeriodicIntervalSet(Dyadic(16), Dyadic(1, -8), Dyadic(1, -12), 16)
+        ps = scale_comb(4)
         x = dy("0.75")
         step = Dyadic(1, -8) - Dyadic(1, -12)
         start = x + Dyadic(15) + step * 69
         count = 160 - 69 + 1
         expect = sum(1 for k in range(count) if comb_contains(ps, start + step * k))
-        assert count_ap_in_periodic(start, step, count, ps) == expect
+        assert count_ap_in_periodic(start, step, count, 4) == expect
         assert expect >= 1
 
     def _random_case(self, rng):
-        e = rng.randint(-6, 0)
-        base = Dyadic(rng.randint(-400, 400), e)
-        period = Dyadic(rng.randint(2, 160), e)
-        width = Dyadic(rng.randint(0, 1000), e - 3)
-        while not width < period:
-            width = Dyadic(width.m // 2, width.e)
-        pcount = rng.randint(1, 40)
-        ps = PeriodicIntervalSet(base, period, width, pcount)
-        start = Dyadic(rng.randint(-3000, 3000), e - 1)
-        step = Dyadic(rng.randint(1, 250), e - rng.randint(1, 3))
+        """(s, start, step, count): a comb of scale 1-6, a start within one
+        comb extent of its ends, and a step of 1 to 2^(s+2) fine units."""
+        s = rng.randint(1, 6)
+        e = -3 * s
+        start = Dyadic(1, s) + Dyadic(rng.randint(-(2 << 2 * s), 4 << 2 * s), e - 1)
+        step = Dyadic(rng.randint(1, 4 << s), e - rng.randint(1, 3))
         count = rng.randint(0, 3000)
-        return ps, start, step, count
+        return s, start, step, count
 
     def test_randomized_enumeration_oracle(self):
         """Expected counts enumerate k on plain ints: every value of a case is
         an integer multiple of 2^e for the least exponent e among them."""
         rng, pick = random.Random(20260810), random.Random(1)
+        hits = 0
         for _ in range(1500):
-            ps, start, step, count = self._random_case(rng)
+            s, start, step, count = self._random_case(rng)
+            ps = scale_comb(s)
             vals = (start, step, ps.base, ps.period, ps.width)
             e = min(v.e for v in vals)
-            s, d, b, p, w = (v.m << (v.e - e) for v in vals)
+            a, d, b, p, w = (v.m << (v.e - e) for v in vals)
 
             def hit(k):
-                q, r = divmod(s + d * k - b, p)
+                q, r = divmod(a + d * k - b, p)
                 return 0 <= q < ps.count and r <= w
 
             for k in {0, count - 1, pick.randrange(count + 1), pick.randrange(count + 1)} - {-1, count}:
                 assert hit(k) == comb_contains(ps, start + step * k)
-            got = count_ap_in_periodic(start, step, count, ps)
+            got = count_ap_in_periodic(start, step, count, s)
             assert got == sum(1 for k in range(count) if hit(k))
+            hits += got > 0
+        assert hits > 500
 
     def test_decomposition_consistency(self):
         rng = random.Random(8)
         for _ in range(300):
-            ps, start, step, count = self._random_case(rng)
-            total = count_ap_in_periodic(start, step, count, ps)
+            s, start, step, count = self._random_case(rng)
+            total = count_ap_in_periodic(start, step, count, s)
             by_parts = sum(
-                count_ap_in_interval(start, step, count, comp) for comp in components(ps)
+                count_ap_in_interval(start, step, count, comp) for comp in components(scale_comb(s))
             )
             assert total == by_parts
 
-    def test_scale_invariance(self):
-        rng = random.Random(9)
-        for _ in range(200):
-            ps, start, step, count = self._random_case(rng)
-            got = count_ap_in_periodic(start, step, count, ps)
-            for shift in (-5, 3, 17):
-                two = Dyadic(1, shift)
-                scaled = PeriodicIntervalSet(
-                    ps.base * two, ps.period * two, ps.width * two, ps.count
-                )
-                assert count_ap_in_periodic(start * two, step * two, count, scaled) == got
-
 
 def _comb_count_width(start, step, ps):
-    """(width, g) as `count_ap_in_periodic` documents them: g the least
-    exponent among the nonzero values of start, step, base, period and
-    width, and the widest of start, step, base, width and period*count on
-    the grid 2^g, plus one bit for the carry of the clip end."""
+    """(width, g) of a comb count's refusal, worked out on the general comb
+    `ps`: g the least exponent among the nonzero values of start, step,
+    base, period and width, and the widest of start, step, base, width and
+    period*count on the grid 2^g, plus one bit for the carry of the clip
+    end.  On `scale_comb(s)` this is max(step, s + 1, start) - g + 1 bits,
+    g = min(step.e, -3s, start.e)."""
     terms = [(v.m, v.e) for v in (start, step, ps.base, ps.width) if v.m] + [(ps.period.m * ps.count, ps.period.e)]
     g = min(e for _, e in terms)
     return max(m.bit_length() + e for m, e in terms) - g + 1, g
+
+
+def _comb_count_oracle(start, step, count, s) -> int:
+    """The Dyadic oracle's count on the comb of scale s."""
+    return count_ap_in_periodic_dyadic(start, step, count, scale_comb(s))
 
 
 def _assert_comb_count_matches(case, want, guard) -> bool:
@@ -428,8 +426,8 @@ def _assert_comb_count_matches(case, want, guard) -> bool:
     width does not fit, in the one refusal shape, and otherwise returns
     `want`, the Dyadic oracle's count at the default guard; returns whether
     it refused."""
-    start, step, _, ps = case
-    width, g = _comb_count_width(start, step, ps)
+    start, step, _, s = case
+    width, g = _comb_count_width(start, step, scale_comb(s))
     old = set_span_guard(guard)
     try:
         got = count_ap_in_periodic(*case)
@@ -445,46 +443,40 @@ def _assert_comb_count_matches(case, want, guard) -> bool:
 
 @st.composite
 def comb_cases(draw):
-    """(start, step, count, comb) shaped like `TestCountApInPeriodic._random_case`,
-    with zero widths, starts on a component's edges (or one fine
-    unit off them), negative starts, counts whose last point straddles the
-    clip end, the whole case scaled by 2^shift, and the start alone moved by
-    2^skew so that the common grid is wider than the smallest guards."""
-    e = draw(st.integers(-6, 0))
-    period = Dyadic(draw(st.integers(2, 160)), e)
-    width = Dyadic(draw(st.integers(0, 1000)), e - 3)
-    while not width < period:
-        width = Dyadic(width.m // 2, width.e)
-    pcount = draw(st.integers(1, 40))
-    base = Dyadic(draw(st.integers(-400, 400)), e)
-    step = Dyadic(draw(st.integers(1, 250)), e - draw(st.integers(1, 3)))
+    """(start, step, count, s) on the comb of scale s in 1-40, the scales
+    4-31 of the universal steps of rows 1 and 2 among them: steps from
+    below a fine unit 2^-3s to past the comb's extent 2^-s, starts from an
+    extent before its base to two past it, on a component's edges (or half
+    a fine unit off them), or negative, counts whose last point straddles
+    the clip end, and the start alone moved by 2^skew so that the common
+    grid is wider than the smallest guards."""
+    s = draw(st.integers(1, 10) | st.integers(1, 40))
+    e = -3 * s
+    base, extent = Dyadic(1, s), Dyadic(1, -s)
+    step = Dyadic(draw(st.integers(1, 250)), draw(st.integers(e - 3, -s)))
     where = draw(st.sampled_from(["any", "negative", "lo-edge", "hi-edge", "straddle"]))
     if where == "any":
-        start = Dyadic(draw(st.integers(-3000, 3000)), e - 1)
+        start = base + Dyadic(draw(st.integers(-(2 << 2 * s), 4 << 2 * s)), e - 1)
     elif where == "negative":
         start = Dyadic(draw(st.integers(-(2**40), -1)), e - draw(st.integers(0, 8)))
     else:
-        lo = base + period * draw(st.integers(0, pcount))
-        start = (lo + width if where == "hi-edge" else lo) + Dyadic(draw(st.integers(-1, 1)), e - 4)
+        lo = base + Dyadic(draw(st.integers(0, 1 << s)), -2 * s)
+        start = (lo + Dyadic(1, e) if where == "hi-edge" else lo) + Dyadic(draw(st.integers(-1, 1)), e - 1)
     count = draw(st.integers(0, 3000))
     if where == "straddle":
         # the last point lands within two steps of the clip end
-        count = max(0, (base + period * pcount - start) // step + draw(st.integers(-2, 2)))
-    shift, skew = draw(st.integers(-80, 80)), draw(st.sampled_from([0, 0, -120, -70, -40, 40, 70, 120]))
-    two = Dyadic(1, shift)
-    ps = PeriodicIntervalSet(base * two, period * two, width * two, pcount)
-    return Dyadic(start.m, start.e + shift + skew), step * two, count, ps
+        count = max(0, (base + extent - start) // step + draw(st.integers(-2, 2)))
+    skew = draw(st.sampled_from([0, 0, 0, 0, -120, -70, -40, 40, 70, 120]))
+    return Dyadic(start.m, start.e + skew), step, count, s
 
 
 @given(comb_cases(), st.sampled_from([64, 65, 80, 100, 128, 1 << 20]))
 @settings(max_examples=600, deadline=None)
-# the start one unit below the base, with width = period - 1: that point's
-# residue is in the window, but it lies before the clip
-@example((Dyadic(-1), ONE, 10, PeriodicIntervalSet(ZERO, Dyadic(4), Dyadic(3), 2)), 64)
-# a zero start on a grid of positive exponents: its exponent 0 sets no grid
-@example((ZERO, Dyadic(1, 89), 2100, PeriodicIntervalSet(Dyadic(1, 100), Dyadic(1, 90), Dyadic(1, 88), 4)), 64)
+# the start one fine unit below the base of the comb of scale 1: that point's
+# residue, 1/8, is in the window, but it lies before the clip
+@example((Dyadic(15, -3), Dyadic(1, -3), 10, 1), 64)
 def test_comb_count_matches_the_dyadic_oracle(case, guard):
-    _assert_comb_count_matches(case, count_ap_in_periodic_dyadic(*case), guard)
+    _assert_comb_count_matches(case, _comb_count_oracle(*case), guard)
 
 
 @pytest.fixture(scope="module")
@@ -501,7 +493,7 @@ def series_calls():
     for i in indices_through(limit):
         for _ in range(20):
             x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(48), -48)
-            calls += [(x + first, gap, count, i.comb) for first, gap, count in runs]
+            calls += [(x + first, gap, count, i.scale_exp()) for first, gap, count in runs]
     return calls
 
 
@@ -511,7 +503,7 @@ def test_comb_count_at_the_series_operating_point(series_calls):
     # everywhere else counts as the oracle does
     refused, widths = {64: 0, 1 << 20: 0}, set()
     for call in series_calls:
-        want, width = count_ap_in_periodic_dyadic(*call), _comb_count_width(call[0], call[1], call[3])[0]
+        want, width = _comb_count_oracle(*call), _comb_count_width(call[0], call[1], scale_comb(call[3]))[0]
         widths.add(width)
         for guard in {64, 1 << 20, max(64, width - 1), max(64, width)}:
             hit = _assert_comb_count_matches(call, want, guard)
@@ -1229,12 +1221,12 @@ def test_every_run_kernel_refuses_a_step_not_a_power_of_two(step):
     for call in calls:
         with pytest.raises(ValueError, match=rf"^step must be a positive power of two, got {re.escape(str(step))}$"):
             call()
-    comb = PeriodicIntervalSet(ZERO, ONE, ZERO, 2)
     if step > ZERO:
-        assert count_ap_in_periodic(ZERO, step, 3, comb) == 1  # 0, 3/16 and 3/8 meet [0, 0] once
+        # 2, 2 + 3/16 and 2 + 3/8 have residues 0, 3/16 and 1/8 mod 1/4: two meet the width 1/8
+        assert count_ap_in_periodic(Dyadic(2), step, 3, 1) == 2
     else:
         with pytest.raises(ValueError, match=r"^step must be positive$"):
-            count_ap_in_periodic(ZERO, step, 3, comb)
+            count_ap_in_periodic(Dyadic(2), step, 3, 1)
 
 
 def test_constant_on_thm33_runs_over_4_5():

@@ -1,4 +1,4 @@
-"""thm33 and thm31 construction mutants and the claims that kill them.
+"""thm33, thm31 and universal construction mutants and the claims that kill them.
 
 Each thm33 mutant edits one of the blocks `build_thm33` writes, decade 3's
 coarse or fine block, by wrapping `interior_gap.GapBlock`; the decade runs
@@ -18,18 +18,27 @@ Each thm31 mutant edits the windows of every item `dense_divergence.build_thm31`
 returns, and the item's fine-window table with them.  It runs through the
 five thm31 suites at jmax 12 with --samples 10, at seeds 0 to 4, and
 `KILLS31` records the one cell every seed gives per suite.
+
+Each universal mutant edits one block, or the origin, of a `construct
+universal --limit 2,4` artifact, and runs through every universal suite
+that reads one, with --seq at limit 2,4 and --samples 3; `KILLSU` records
+the cells.  Both readers of the combs, `series` and `escape`, see the
+edit.  `lemma` reads no built data, nor does `escape`'s
+`borel-cantelli-partial`: no construction mutant can reach them, so they
+are data-free (`DATA_FREE`), not blind.
 """
 
 import contextlib
 import dataclasses
 import io
+import json
 
 import pytest
 
 from dyadlab import dense_divergence as dd
 from dyadlab import interior_gap as ig
-from dyadlab.cli import EXIT_FAIL, EXIT_PASS, main
-from dyadlab.exactnum import Dyadic
+from dyadlab.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, main
+from dyadlab.exactnum import ONE, Dyadic
 from dyadlab.lattice import RunSums
 
 HALF = Dyadic(1, -1)
@@ -168,3 +177,83 @@ def test_the_unmutated_thm31_build_passes_every_suite():
 def test_thm31_kill_matrix(monkeypatch, name):
     _mutate31(monkeypatch, name)
     assert _row31() == {suite: KILLS31[name].get(suite, PASS) for suite in SUITES31}
+
+
+def _edit_block(tag: str, change):
+    """An artifact edit: the block tagged `tag` gets change(gap, count)."""
+
+    def edit(data: dict) -> None:
+        (block,) = (b for b in data["blocks"] if b["tag"] == tag)
+        gap, count = change(Dyadic.parse(block["gap"]), int(block["count"]))
+        block.update(gap=str(gap), count=str(count))
+
+    return edit
+
+
+def _move_origin(data: dict) -> None:
+    data["origin"] = str(Dyadic.parse(data["origin"]) + ONE)
+
+
+# name -> its edit of the artifact's JSON; 2^-18 is the unit of step (1,2)'s
+# wide gap (2^6 - 1)*2^-18, and a half count off by one moves every later step
+MUTANTSU = {
+    "wide-count-short": _edit_block("1,2:wide", lambda gap, count: (gap, count - 1)),
+    "half-count-up": _edit_block("1,2:half", lambda gap, count: (gap, count + 1)),
+    "half-count-down": _edit_block("1,2:half", lambda gap, count: (gap, count - 1)),
+    "wide-gap-widened": _edit_block("1,2:wide", lambda gap, count: (gap + Dyadic(1, -18), count)),
+    "origin-moved": _move_origin,
+}
+
+SUITESU = ("gaps", "integrality", "covering", "escape", "series")
+DATA_FREE = ("lemma",)
+
+# mutant -> suite -> (exit code, claims that FAIL); a suite left out passes.
+# `gaps` compares the artifact with the build, so it kills every mutant.
+ARTIFACT = {"gaps": (EXIT_FAIL, ("artifact-matches-construction",))}
+KILLSU = {
+    "wide-count-short": {**ARTIFACT, "integrality": (EXIT_FAIL, ("integrality",)), "escape": (EXIT_FAIL, ("escape-measure",))},
+    "half-count-up": {**ARTIFACT, "escape": (EXIT_FAIL, ("escape-measure",))},
+    "half-count-down": {**ARTIFACT, "escape": (EXIT_FAIL, ("escape-measure",))},
+    "wide-gap-widened": {**ARTIFACT, "covering": (EXIT_FAIL, ("covering",)), "escape": (EXIT_FAIL, ("escape-measure",))},
+    "origin-moved": {
+        **ARTIFACT,
+        "covering": (EXIT_FAIL, ("covering",)),
+        "escape": (EXIT_FAIL, ("escape-measure",)),
+        "series": (EXIT_FAIL, ("series",)),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def universal_artifact(tmp_path_factory) -> dict:
+    """The JSON of a `construct universal --limit 2,4` artifact."""
+    path = tmp_path_factory.mktemp("universal") / "u24.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["construct", "universal", "--limit", "2,4", "--out", str(path)]) == EXIT_PASS
+    return json.loads(path.read_text())
+
+
+def _universal_row(data: dict, path) -> dict:
+    """suite -> its cell against the artifact `data`, written to `path`."""
+    path.write_text(json.dumps(data))
+    argv = ("--limit", "2,4", "--samples", "3", "--seq", str(path))
+    return {suite: _run("universal", "--suite", suite, *argv) for suite in SUITESU}
+
+
+def test_the_unmutated_universal_artifact_passes_every_suite(universal_artifact, tmp_path):
+    assert _universal_row(universal_artifact, tmp_path / "u24.json") == dict.fromkeys(SUITESU, PASS)
+
+
+@pytest.mark.parametrize("suite", DATA_FREE)
+def test_a_data_free_suite_reads_no_artifact(universal_artifact, tmp_path, suite):
+    path = tmp_path / "u24.json"
+    path.write_text(json.dumps(universal_artifact))
+    assert _run("universal", "--suite", suite, "--limit", "2,4", "--seq", str(path)) == (EXIT_USAGE, ())
+    assert _run("universal", "--suite", suite, "--limit", "2,4") == PASS
+
+
+@pytest.mark.parametrize("name", MUTANTSU)
+def test_universal_kill_matrix(universal_artifact, tmp_path, name):
+    data = json.loads(json.dumps(universal_artifact))
+    MUTANTSU[name](data)
+    assert _universal_row(data, tmp_path / f"{name}.json") == {suite: KILLSU[name].get(suite, PASS) for suite in SUITESU}

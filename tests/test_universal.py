@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dyadlab.cli import check_monotone_gaps
 from dyadlab.exactnum import Dyadic, DyInterval, GuardExceeded, IntervalUnion, ZERO, set_span_guard
-from dyadlab.lattice import GapBlock, GapBlockSeq, PeriodicIntervalSet
+from dyadlab.lattice import GapBlock, GapBlockSeq
 from dyadlab.universal import (
     BudgetExceeded,
     CoverWitness,
@@ -36,7 +36,7 @@ from dyadlab.universal import (
 )
 from dyadlab import universal
 from dyadlab.universal import _escape_cells, _escape_grid, _escape_report
-from oracles import build_universal_dyadic, check_integrality_dyadic, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, report_json_dict, smoothing_envelope, step_at, step_indices, support, total_length
+from oracles import PeriodicIntervalSet, build_universal_dyadic, check_integrality_dyadic, comb, comb_contains, components, covering_witness_dyadic, escape_cells_by_residue, iter_points, measure_per_window, pl_eval, report_json_dict, smoothing_envelope, step_at, step_indices, support, total_length
 
 
 def dy(s: str) -> Dyadic:
@@ -99,7 +99,7 @@ class TestStepGeometry:
             assert frac(i.aI) == j - Fraction(k + 1, 2**j) and frac(i.bI) == j - Fraction(k, 2**j), i
             assert i.window == DyInterval.closed(i.aI, i.bI), i
             E = i.E
-            assert i.comb == PeriodicIntervalSet(i.a, E * E, E * E * E, 2**s), i
+            assert comb(i) == PeriodicIntervalSet(i.a, E * E, E * E * E, 2**s), i
 
     def test_indices_from_sequence(self):
         seq = build_universal(IndexJK(1, 1))
@@ -123,7 +123,7 @@ class TestStepGeometry:
 
 class TestComb:
     def test_at_1_0(self):
-        ps = IndexJK(1, 0).comb
+        ps = comb(IndexJK(1, 0))
         assert ps.base == Dyadic(16)
         assert ps.period == Dyadic(1, -8)
         assert ps.width == Dyadic(1, -12)
@@ -132,7 +132,7 @@ class TestComb:
 
     def test_contained_in_scale_window(self):
         for i in [IndexJK(1, 0), IndexJK(1, 3), IndexJK(2, 5)]:
-            ps = i.comb
+            ps = comb(i)
             assert ps.base + ps.period * (ps.count - 1) + ps.width <= i.a + i.E
 
 
@@ -227,9 +227,9 @@ class TestLemmaAndIntegrality:
 
     def test_integrality_examples(self):
         seq = build_universal(IndexJK(1, 2))
-        q = seq.value_at(step_indices(seq, IndexJK(1, 0))[1]).div_exact(IndexJK(1, 0).comb.period)
+        q = seq.value_at(step_indices(seq, IndexJK(1, 0))[1]).div_exact(comb(IndexJK(1, 0)).period)
         assert q == Dyadic(3990)
-        q = seq.value_at(step_indices(seq, IndexJK(1, 1))[0]).div_exact(IndexJK(1, 1).comb.period)
+        q = seq.value_at(step_indices(seq, IndexJK(1, 1))[0]).div_exact(comb(IndexJK(1, 1)).period)
         assert q == Dyadic(32256)
 
     def test_integrality_through_2_15(self):
@@ -356,13 +356,13 @@ class TestCoveringWitness:
         w = witness(Dyadic(1), IndexJK(1, 0), seq11)
         assert w.nx == 1
         assert w.nxp == 16
-        assert comb_contains(IndexJK(1, 0).comb, Dyadic(1) + seq11.value_at(w.nxp))
+        assert comb_contains(comb(IndexJK(1, 0)), Dyadic(1) + seq11.value_at(w.nxp))
         assert w.component == 15
 
     def test_against_enumeration(self, seq11):
         from fractions import Fraction
 
-        ps = IndexJK(1, 0).comb
+        ps = comb(IndexJK(1, 0))
         pts = []
         for n, v in enumerate(iter_points(seq11)):
             pts.append(v)
@@ -393,7 +393,7 @@ class TestCoveringWitness:
             for k in range(row_width(j)):
                 i = IndexJK(j, k)
                 _, n1 = step_indices(seq, i)
-                ps, step = i.comb, step_at(seq, i)
+                ps, step = comb(i), step_at(seq, i)
                 for _ in range(20):
                     x = i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(40), -40)
                     w = covering_witness(x, step)
@@ -544,10 +544,10 @@ class TestCoveringWitnessOracle:
     def test_wide_gap_widened_to_the_comb_period(self, seq20):
         i = IndexJK(1, 2)
         wide = seq20.blocks[2 * i.position()]
-        seq = _with_blocks(seq20, 2 * i.position(), [GapBlock(i.comb.period, wide.count, wide.tag)])
+        seq = _with_blocks(seq20, 2 * i.position(), [GapBlock(comb(i).period, wide.count, wide.tag)])
         # at x = bI the first translate past a overshoots by a whole gap E^2
         refusals = self._assert_parity(seq, i, [i.bI] + _samples_in(i, 30, random.Random(9)))
-        assert refusals[0] == (universal.Violation, f"overshoot {i.comb.period} exceeds one wide gap at (1,2)")
+        assert refusals[0] == (universal.Violation, f"overshoot {comb(i).period} exceeds one wide gap at (1,2)")
         assert len(refusals) > 20 and all(msg.startswith("landing ") for _, msg in refusals[1:])
 
     def test_tweaked_origins(self, seq20):
@@ -611,12 +611,12 @@ class TestUGAndSeries:
     def test_build_uG_example(self):
         g = IntervalUnion([DyInterval.open(0, 2)])
         got = build_uG(g, IndexJK(1, 3))
-        assert [i for i, _ in got] == [IndexJK(1, 0)]
+        assert got == [IndexJK(1, 0)]
 
     def test_build_uG_all_and_empty(self):
         wide = IntervalUnion([DyInterval.open(-100, 100)])
         got = build_uG(wide, IndexJK(1, 3))
-        assert [i for i, _ in got] == [IndexJK(1, k) for k in range(4)]
+        assert got == [IndexJK(1, k) for k in range(4)]
         assert build_uG(IntervalUnion(), IndexJK(1, 3)) == []
 
     def test_partial_sum_against_enumeration(self):
@@ -629,12 +629,12 @@ class TestUGAndSeries:
         rng = random.Random(31415)
         for _ in range(25):
             x = Dyadic(rng.randint(-3000, 3000), -10)
-            brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
+            brute = sum(1 for v in pts if any(comb_contains(comb(i), x + v) for i in uG))
             assert fG_prefix_sums(x, uG, runs)[-1] == brute
         # targeted points that actually land: window points of (1,0) and (1,1)
         for xs in ("0.75", "0.5", "1", "0.25", "0"):
             x = dy(xs)
-            brute = sum(1 for v in pts if any(comb_contains(ps, x + v) for _, ps in uG))
+            brute = sum(1 for v in pts if any(comb_contains(comb(i), x + v) for i in uG))
             assert fG_prefix_sums(x, uG, runs)[-1] == brute
 
     def test_covering_implies_hit(self):
@@ -671,7 +671,7 @@ class TestUGAndSeries:
         for g in (IntervalUnion([DyInterval.open(0, 2)]), IntervalUnion([DyInterval.open(-100, 100)])):
             uG = build_uG(g, limit)
             xs = [dy("0.75"), dy("1.5"), Dyadic(-3)]
-            for i, _ in uG:
+            for i in uG:
                 xs.append(i.aI + (i.bI - i.aI) * Dyadic(rng.getrandbits(30), -30))
             for x in xs:
                 sums = fG_prefix_sums(x, uG, full_runs)
@@ -700,7 +700,7 @@ class TestEscape:
         seq = build_universal(IndexJK(1, 1))
         i = IndexJK(1, 0)
         measure, _ = escape_measure_bruteforce(i, seq)
-        ps = i.comb
+        ps = comb(i)
         pts = list(iter_points(seq))
         # the pieces are taken open, and the zero-length ones dropped: the
         # endpoints they lose have measure zero
@@ -889,7 +889,7 @@ SMOOTHING_J1 = (
 
 
 def combs(j: int, ks) -> list:
-    return [(IndexJK(j, k), IndexJK(j, k).comb) for k in ks]
+    return [IndexJK(j, k) for k in ks]
 
 
 class TestSmoothing:
@@ -903,13 +903,13 @@ class TestSmoothing:
         rep = smoothing_measure(uG, build_universal(IndexJK(2, 0)))
         g = smoothing_envelope(uG, [Dyadic.parse(row["delta"]) for row in rep.params["sets"]])
         assert max(g.vs) == Dyadic(1)
-        for _, ps in uG:
-            for comp in components(ps):
+        for i in uG:
+            for comp in components(comb(i)):
                 assert pl_eval(g, comp.lo) == pl_eval(g, comp.lo + (comp.hi - comp.lo).div_exact(2)) == Dyadic(1)
         # zero outside the fattened support
         assert pl_eval(g, Dyadic(16) - Dyadic(1, -20)) == ZERO
         assert pl_eval(g, dy("15.5")) == ZERO
-        combs_in = measure_per_window(c for _, ps in uG for c in components(ps))
+        combs_in = measure_per_window(c for i in uG for c in components(comb(i)))
         added = {m: v - combs_in.get(m, ZERO) for m, v in measure_per_window(support(g)).items()}
         assert added == {int(m): Dyadic.parse(row["added"]) for m, row in rep.params["windows"].items()}
 
